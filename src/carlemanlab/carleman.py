@@ -16,8 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericFailure, ValidationError
+from .limits import (
+    ASSEMBLY_MAX_DIM,
+    DENSE_F1_MAX_N,
+    DENSE_MAX_DIM,
+    check_size,
+)
 from .nonlinear_ode import (
-    KRON_SIZE_CAP,
     NonlinearODE,
     RescaledODE,
     fm_spectral_norm,
@@ -27,106 +32,70 @@ from .nonlinear_ode import (
     rescale,
 )
 
-#: default cap on the total dimension for dense materialisation
-DENSE_TOTAL_CAP = 4096
-
-#: switch from dense to power-iteration spectral norms above this dimension
-_DENSE_NORM_DIM = 512
-
 
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
 
+def level_offsets(n: int, N: int) -> list[int]:
+    """Start of each level ``1..N`` in the stacked vector, then its total length."""
+    offsets = [0]
+    for j in range(1, N + 1):
+        offsets.append(offsets[-1] + n**j)
+    return offsets
+
+
 @dataclass
 class CarlemanVector:
-    """Stacked Kronecker levels; block ``j`` (1-based) has length ``n**j``.
+    """Stacked Kronecker levels ``y_1 .. y_N`` in one contiguous array.
 
-    Levels are stored contiguously.  Register layouts that pad every level to
-    the same width belong to state-encoding bookkeeping and only show up in
-    the measurement-probability formulas, never in memory.
+    Level ``j`` (1-based) has length ``n**j`` and starts at offset
+    ``n + n**2 + ... + n**(j-1)``; :meth:`level` returns it as a view.
+    Register layouts that pad every level to the same width belong to
+    state-encoding bookkeeping and only show up in the measurement-probability
+    formulas, never in memory.
     """
 
-    blocks: list[np.ndarray]
+    flat: np.ndarray
+    n: int
+    N: int
 
     def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValidationError("a Carleman vector needs at least one level")
-        n = self.blocks[0].size
-        for j, b in enumerate(self.blocks, start=1):
-            if b.size != n**j:
-                raise ValidationError(
-                    f"level {j} has length {b.size}, expected {n**j}"
-                )
+        if self.n < 1 or self.N < 1:
+            raise ValidationError(f"a Carleman vector needs n, N >= 1, got {self.n}, {self.N}")
+        self.flat = np.asarray(self.flat, dtype=float)
+        self._offsets = level_offsets(self.n, self.N)
+        if self.flat.shape != (self._offsets[-1],):
+            raise ValidationError(
+                f"vector of shape {self.flat.shape} does not hold {self.N} levels of "
+                f"n = {self.n} (length {self._offsets[-1]})"
+            )
 
-    @property
-    def n(self) -> int:
-        return self.blocks[0].size
-
-    @property
-    def order(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def total_size(self) -> int:
-        return sum(b.size for b in self.blocks)
+    def level(self, j: int) -> np.ndarray:
+        """View of level ``j`` (1-based)."""
+        return self.flat[self._offsets[j - 1] : self._offsets[j]]
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(float(b @ b) for b in self.blocks)))
+        return float(np.linalg.norm(self.flat))
 
     def block_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(b) for b in self.blocks])
+        return np.array([np.linalg.norm(self.level(j)) for j in range(1, self.N + 1)])
 
     def shares(self) -> np.ndarray:
         """Squared-norm weight of each level; a probability distribution."""
-        sq = np.array([float(b @ b) for b in self.blocks])
+        sq = np.array([float(v @ v) for v in map(self.level, range(1, self.N + 1))])
         total = sq.sum()
         if total == 0.0:
             raise ValidationError("zero vector has no level shares")
         return sq / total
 
-    def concatenate(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
 
-    def copy(self) -> "CarlemanVector":
-        return CarlemanVector([b.copy() for b in self.blocks])
-
-    def iadd(self, other: "CarlemanVector") -> "CarlemanVector":
-        for mine, theirs in zip(self.blocks, other.blocks):
-            mine += theirs
-        return self
-
-    def scale(self, factor: float) -> "CarlemanVector":
-        for b in self.blocks:
-            b *= factor
-        return self
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(b)) for b in self.blocks)
-
-    @classmethod
-    def zeros(cls, n: int, N: int) -> "CarlemanVector":
-        return cls([np.zeros(n**j) for j in range(1, N + 1)])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n: int, N: int) -> "CarlemanVector":
-        blocks, start = [], 0
-        for j in range(1, N + 1):
-            blocks.append(np.asarray(flat[start : start + n**j], dtype=float))
-            start += n**j
-        if start != flat.size:
-            raise ValidationError("flat vector length does not match N levels")
-        return cls(blocks)
-
-
-def initial_vector(
-    u_in: np.ndarray, gamma: float, N: int, cap: int = KRON_SIZE_CAP
-) -> CarlemanVector:
+def initial_vector(u_in: np.ndarray, gamma: float, N: int) -> CarlemanVector:
     """Carleman lift of the initial state: level ``j`` is ``(u_in/gamma)^(x j)``."""
     if not gamma > 0:
         raise ValidationError(f"scaling factor must be positive, got {gamma}")
     u = np.asarray(u_in, dtype=float) / gamma
-    return CarlemanVector([kron_power(u, j, cap=cap) for j in range(1, N + 1)])
+    return CarlemanVector(np.concatenate([kron_power(u, j) for j in range(1, N + 1)]), u.size, N)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +114,6 @@ class CarlemanMatrix:
 
     rescaled: RescaledODE
     N: int
-    dense_cap: int = DENSE_TOTAL_CAP
     _f1_dense: Optional[np.ndarray] = field(default=None, repr=False)
     _f1_sparse: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _gather: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
@@ -162,7 +130,7 @@ class CarlemanMatrix:
         F1 = self.rescaled.F1
         if sp.issparse(F1):
             self._f1_sparse = F1.tocsr()
-            if n <= _DENSE_NORM_DIM:
+            if n <= DENSE_F1_MAX_N:
                 self._f1_dense = self._f1_sparse.toarray()
         else:
             self._f1_dense = np.asarray(F1, dtype=float)
@@ -196,7 +164,7 @@ class CarlemanMatrix:
     @property
     def total_dimension(self) -> int:
         """Exact ``sum_j n**j`` in arbitrary-precision integers."""
-        return sum(self.n**j for j in range(1, self.N + 1))
+        return level_offsets(self.n, self.N)[-1]
 
     @property
     def coupling(self) -> float:
@@ -214,7 +182,7 @@ class CarlemanMatrix:
     @property
     def f1_norm(self) -> float:
         if "f1" not in self._norms:
-            if self._f1_dense is not None and self.n <= _DENSE_NORM_DIM:
+            if self._f1_dense is not None:
                 self._norms["f1"] = float(np.linalg.norm(self._f1_dense, 2))
             else:
                 self._norms["f1"] = operator_spectral_norm(self._f1_sparse, tol=1e-10)
@@ -252,25 +220,26 @@ class CarlemanMatrix:
         out = (self.rescaled.base.FM @ flat).reshape(n, a, b)
         return out.transpose(1, 0, 2).reshape(-1)
 
-    def apply(self, y: CarlemanVector) -> CarlemanVector:
-        if y.order != self.N or y.n != self.n:
-            raise ValidationError(
-                f"vector levels ({y.n}, {y.order}) do not match matrix ({self.n}, {self.N})"
-            )
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Action on a stacked vector laid out as in :class:`CarlemanVector`."""
         N, M = self.N, self.M
-        out = []
+        offsets = level_offsets(self.n, N)
+        if y.shape != (offsets[-1],):
+            raise ValidationError(
+                f"vector of shape {y.shape} does not match dimension {offsets[-1]}"
+            )
+        out = np.zeros(offsets[-1])
         for j in range(1, N + 1):
-            acc = np.zeros(self.n**j)
+            acc = out[offsets[j - 1] : offsets[j]]
             for i in range(1, j + 1):
-                acc += self._apply_f1_axis(y.blocks[j - 1], j, i)
+                acc += self._apply_f1_axis(y[offsets[j - 1] : offsets[j]], j, i)
             if j + M - 1 <= N:
-                src = y.blocks[j + M - 2]
+                src = y[offsets[j + M - 2] : offsets[j + M - 1]]
                 fm_acc = np.zeros(self.n**j)
                 for i in range(1, j + 1):
                     fm_acc += self._apply_fm_axis(src, j, i)
                 acc += self.coupling * fm_acc
-            out.append(acc)
-        return CarlemanVector(out)
+        return out
 
     # -- explicit assembly (small instances) ---------------------------------
 
@@ -295,13 +264,9 @@ class CarlemanMatrix:
             total = total + sp.kron(sp.kron(left, fm), right, format="csr")
         return self.coupling * total
 
-    def to_sparse(self, cap: int | None = None) -> sp.csr_matrix:
-        cap = self.dense_cap if cap is None else cap
-        if self.total_dimension > cap:
-            raise ValidationError(
-                f"assembled dimension {self.total_dimension} exceeds cap {cap}"
-            )
-        N, M, n = self.N, self.M, self.n
+    def to_sparse(self) -> sp.csr_matrix:
+        check_size(self.total_dimension, ASSEMBLY_MAX_DIM, "sparse Carleman assembly")
+        N, M = self.N, self.M
         grid: list[list[object]] = [[None] * N for _ in range(N)]
         for j in range(1, N + 1):
             grid[j - 1][j - 1] = self._diag_block(j)
@@ -312,8 +277,9 @@ class CarlemanMatrix:
         out.eliminate_zeros()
         return out
 
-    def dense(self, cap: int | None = None) -> np.ndarray:
-        return self.to_sparse(cap=cap).toarray()
+    def dense(self) -> np.ndarray:
+        check_size(self.total_dimension, DENSE_MAX_DIM, "dense Carleman matrix")
+        return self.to_sparse().toarray()
 
     # -- spectral bookkeeping -------------------------------------------------
 
@@ -339,12 +305,9 @@ class CarlemanMatrix:
         """``N |F1| + (N-M+1) gamma**(M-1) |FM|``, from the block structure."""
         return self.N * self.f1_norm + (self.N - self.M + 1) * self.coupling * self.fm_norm
 
-    def sparsity_count(self, cap: int = 2 * 10**7) -> int:
+    def sparsity_count(self) -> int:
         """Measured maximum number of nonzeros in any assembled row."""
-        if self.total_dimension > cap:
-            raise ValidationError(
-                f"sparsity count on dimension {self.total_dimension} exceeds cap {cap}"
-            )
+        check_size(self.total_dimension, ASSEMBLY_MAX_DIM, "sparsity count")
         worst = 0
         for j in range(1, self.N + 1):
             row_mat = self._diag_block(j)
@@ -355,21 +318,19 @@ class CarlemanMatrix:
         return worst
 
 
-def assemble(
-    system: RescaledODE | NonlinearODE, N: int, dense_cap: int = DENSE_TOTAL_CAP
-) -> CarlemanMatrix:
+def assemble(system: RescaledODE | NonlinearODE, N: int) -> CarlemanMatrix:
     """Build the truncated Carleman operator for a (rescaled) nonlinear ODE.
 
     An unscaled problem is treated as ``gamma = 1``.
     """
     if isinstance(system, NonlinearODE):
         system = rescale(system, 1.0)
-    return CarlemanMatrix(rescaled=system, N=int(N), dense_cap=dense_cap)
+    return CarlemanMatrix(rescaled=system, N=int(N))
 
 
-def carleman_apply(mat: CarlemanMatrix, y: CarlemanVector) -> CarlemanVector:
+def carleman_apply(mat: CarlemanMatrix, y: np.ndarray) -> np.ndarray:
     out = mat.apply(y)
-    if not out.is_finite():
+    if not np.all(np.isfinite(out)):
         raise NumericFailure("Carleman matvec produced non-finite values")
     return out
 
@@ -384,8 +345,9 @@ def lambda_value(N: int, M: int, gamma: float, lam_f1: float, lam_fm: float) -> 
     return N * lam_f1 + (N - M + 1) * gamma ** (M - 1) * lam_fm
 
 
-def export_matrix_market(mat: CarlemanMatrix, path: str, cap: int | None = None) -> None:
+def export_matrix_market(mat: CarlemanMatrix, path: str) -> None:
     """Write the assembled operator in Matrix Market format (small instances)."""
     from scipy.io import mmwrite
 
-    mmwrite(path, mat.to_sparse(cap=cap))
+    check_size(mat.total_dimension, DENSE_MAX_DIM, "Matrix Market export")
+    mmwrite(path, mat.to_sparse())

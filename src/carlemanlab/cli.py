@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bounds as bd
 from . import carleman as carl
@@ -31,6 +33,7 @@ from . import pde as rd
 from . import propagator as prop
 from . import stencil as st
 from .errors import NumericFailure, ValidationError
+from .limits import DENSE_F1_MAX_N, DENSE_MAX_DIM
 
 SCHEMA_VERSION = 1
 WORKER_ENV = "CARLEMANLAB_WORKERS"
@@ -101,14 +104,27 @@ def write_csv(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _finite_or_null(value: Any) -> Any:
+    """Replace every non-finite float in a JSON payload with ``None``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json(path: str, payload: dict, digest: str, config: dict) -> None:
+    """Strict JSON: a non-finite float is written as ``null``."""
     body = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": digest,
         "config": config,
         **payload,
     }
-    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_or_null(body), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -121,35 +137,48 @@ def _require(section: dict, keys: list[str], where: str) -> None:
         raise ValidationError(f"{where} section is missing required keys: {missing}")
 
 
-def ode_from_config(section: dict) -> node.NonlinearODE:
-    """Problem schema: n, M, dense F1 rows, FM coordinate triplets, u_in, T."""
-    _require(section, ["n", "M", "F1", "FM", "u_in", "T"], "ode")
-    n, M = int(section["n"]), int(section["M"])
-    fm_spec = section["FM"]
-    entries = fm_spec["entries"] if isinstance(fm_spec, dict) else fm_spec
+def _matrix_from_entries(spec: dict | list, shape: tuple[int, int]) -> sp.csr_matrix:
+    entries = spec["entries"] if isinstance(spec, dict) else spec
     rows = [int(e[0]) for e in entries]
     cols = [int(e[1]) for e in entries]
     vals = [float(e[2]) for e in entries]
-    import scipy.sparse as sp
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
-    FM = sp.csr_matrix((vals, (rows, cols)), shape=(n, n**M))
+
+def _matrix_to_entries(matrix: Any) -> dict:
+    coo = sp.coo_matrix(matrix)
+    return {
+        "entries": [[int(r), int(c), float(v)] for r, c, v in zip(coo.row, coo.col, coo.data)]
+    }
+
+
+def ode_from_config(section: dict) -> node.NonlinearODE:
+    """Problem schema: n, M, F1 (dense rows or coordinate triplets), FM triplets, u_in, T.
+
+    F1 given as triplets is held dense up to the dense-F1 limit, as
+    :func:`~carlemanlab.pde.discretize` holds it.
+    """
+    _require(section, ["n", "M", "F1", "FM", "u_in", "T"], "ode")
+    n, M = int(section["n"]), int(section["M"])
+    if isinstance(section["F1"], dict):
+        F1 = _matrix_from_entries(section["F1"], (n, n))
+        if n <= DENSE_F1_MAX_N:
+            F1 = F1.toarray()
+    else:
+        F1 = np.asarray(section["F1"], dtype=float)
     return node.NonlinearODE(
-        n=n, M=M, F1=np.asarray(section["F1"], dtype=float), FM=FM,
+        n=n, M=M, F1=F1, FM=_matrix_from_entries(section["FM"], (n, n**M)),
         u_in=np.asarray(section["u_in"], dtype=float), T=float(section["T"]),
     )
 
 
 def ode_to_config(ode: node.NonlinearODE) -> dict:
     """Inverse of :func:`ode_from_config`, used when exporting discretisations."""
-    if ode.n > 512:
-        raise ValidationError("config export keeps F1 dense; n > 512 is not exportable")
-    rows, cols, vals = ode.fm_coordinates
-    f1 = ode.F1.toarray() if hasattr(ode.F1, "toarray") else np.asarray(ode.F1)
     return {
         "n": ode.n,
         "M": ode.M,
-        "F1": f1.tolist(),
-        "FM": {"entries": [[int(r), int(c), float(v)] for r, c, v in zip(rows, cols, vals)]},
+        "F1": _matrix_to_entries(ode.F1),
+        "FM": _matrix_to_entries(ode.FM),
         "u_in": ode.u_in.tolist(),
         "T": ode.T,
     }
@@ -274,7 +303,7 @@ def _cmd_linearize(ctx: RunContext) -> None:
             "R": node.r_ratio(ode),
         }
     }
-    if mat.total_dimension <= mat.dense_cap:
+    if mat.total_dimension <= DENSE_MAX_DIM:
         payload["results"]["max_row_nonzeros"] = mat.sparsity_count()
     lam_f1, lam_fm = numerics["lambda_f1"], numerics["lambda_fm"]
     if problem is not None:

@@ -2,7 +2,7 @@
 
 The nonlinearity matrix ``FM`` maps the M-fold Kronecker power of the state
 back to state space and is always held sparsely; the Kronecker power itself is
-never materialised except through :func:`kron_power` under a size cap.
+never materialised except through :func:`kron_power` under the size limit.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from .errors import NumericFailure, ValidationError
-
-#: default cap on n**j for any dense Kronecker-power vector
-KRON_SIZE_CAP = 10**7
+from .limits import KRON_MAX_SIZE, check_size
 
 #: power-iteration settings for spectral norms of the nonlinearity
 _POWER_TOL = 1e-12
@@ -63,11 +61,14 @@ class NonlinearODE:
         big = self.n ** self.M
         if big >= 2**63:
             raise ValidationError(f"n**M = {big} is not index-addressable")
-        self.F1 = self.F1 if sp.issparse(self.F1) else np.asarray(self.F1, dtype=float)
-        f1_dense = self.F1.toarray() if sp.issparse(self.F1) else self.F1
-        if f1_dense.shape != (self.n, self.n):
-            raise ValidationError(f"F1 has shape {f1_dense.shape}, expected {(self.n, self.n)}")
-        if not np.all(np.isfinite(f1_dense)):
+        if sp.issparse(self.F1):
+            self.F1 = self.F1.tocsr()
+            values = self.F1.data
+        else:
+            self.F1 = values = np.asarray(self.F1, dtype=float)
+        if self.F1.shape != (self.n, self.n):
+            raise ValidationError(f"F1 has shape {self.F1.shape}, expected {(self.n, self.n)}")
+        if not np.all(np.isfinite(values)):
             raise ValidationError("F1 contains non-finite entries")
         self.FM = _as_csr(self.FM, (self.n, big), "FM")
         if not np.all(np.isfinite(self.FM.data)):
@@ -113,10 +114,6 @@ class NonlinearODE:
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         return self.F1 @ u + self.fm_contract(u)
-
-    @property
-    def is_dissipative(self) -> bool:
-        return lambda0(self.F1) < 0
 
 
 @dataclass
@@ -252,13 +249,12 @@ def max_stable_gamma(ode: NonlinearODE) -> float:
 # Kronecker powers and the reference integrator
 # ---------------------------------------------------------------------------
 
-def kron_power(u: np.ndarray, j: int, cap: int = KRON_SIZE_CAP) -> np.ndarray:
+def kron_power(u: np.ndarray, j: int) -> np.ndarray:
     """``u^(x j)`` in lexicographic (row-major) Kronecker order."""
     u = np.asarray(u, dtype=float)
     if j < 1:
         raise ValidationError(f"Kronecker power must be >= 1, got {j}")
-    if u.size ** j > cap:
-        raise ValidationError(f"n**j = {u.size ** j} exceeds size cap {cap}")
+    check_size(u.size**j, KRON_MAX_SIZE, "Kronecker power")
     out = u
     for _ in range(j - 1):
         out = np.kron(out, u)
@@ -271,15 +267,6 @@ class Trajectory:
 
     t: np.ndarray
     u: np.ndarray
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.u, axis=1)
-
-    def at(self, time: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.t - time)))
-        if abs(self.t[idx] - time) > 1e-9 * max(1.0, abs(time)):
-            raise ValidationError(f"time {time} not on the sample grid")
-        return self.u[idx]
 
 
 def reference_solve(

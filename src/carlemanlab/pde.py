@@ -17,11 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
+from .limits import DENSE_F1_MAX_N
 from .nonlinear_ode import NonlinearODE, lambda0, max_stable_gamma, r_ratio
 from .stencil import build_laplacian_dd, stencil_coefficients
-
-#: keep F1 dense below this total grid size, sparse above
-_DENSE_F1_CAP = 512
 
 InitialCondition = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
@@ -117,8 +115,8 @@ def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
     """Sample the initial data and assemble ``F1 = D L_{k,d} + c I`` and ``FM``."""
     lap = build_laplacian_dd(pde.k, pde.d, pde.m, bc="periodic")
     n = pde.n
-    if n <= _DENSE_F1_CAP:
-        F1 = pde.diffusion * lap.dense(cap=n) + pde.c * np.eye(n)
+    if n <= DENSE_F1_MAX_N:
+        F1 = pde.diffusion * lap.dense() + pde.c * np.eye(n)
     else:
         F1 = (pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")).tocsr()
     FM = one_sparse_nonlinearity(n, pde.M, pde.b)

@@ -10,62 +10,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .carleman import CarlemanMatrix, CarlemanVector
 from .errors import NumericFailure, ValidationError
-
-VectorLike = Union[np.ndarray, CarlemanVector]
-
-
-def _copy(y: VectorLike) -> VectorLike:
-    return y.copy()
-
-
-def _iadd(y: VectorLike, other: VectorLike) -> None:
-    if isinstance(y, np.ndarray):
-        y += other
-    else:
-        y.iadd(other)
-
-
-def _scale(y: VectorLike, c: float) -> None:
-    if isinstance(y, np.ndarray):
-        y *= c
-    else:
-        y.scale(c)
-
-
-def _finite(y: VectorLike) -> bool:
-    if isinstance(y, np.ndarray):
-        return bool(np.all(np.isfinite(y)))
-    return y.is_finite()
-
-
-def _norm(y: VectorLike) -> float:
-    if isinstance(y, np.ndarray):
-        return float(np.linalg.norm(y))
-    return y.norm()
+from .limits import ASSEMBLY_MAX_DIM
 
 
 def taylor_step(
-    apply_A: Callable[[VectorLike], VectorLike],
-    y: VectorLike,
+    apply_A: Callable[[np.ndarray], np.ndarray],
+    y: np.ndarray,
     dt: float,
     K: int,
-) -> VectorLike:
+) -> np.ndarray:
     """Advance ``y`` by one step of the order-K truncated exponential series."""
     if K < 1:
         raise ValidationError(f"Taylor order must be >= 1, got {K}")
-    term = _copy(y)
-    acc = _copy(y)
+    term = y.copy()
+    acc = y.copy()
     for ell in range(1, K + 1):
         term = apply_A(term)
-        _scale(term, dt / ell)
-        _iadd(acc, term)
-    if not _finite(acc):
+        term *= dt / ell
+        acc += term
+    if not np.all(np.isfinite(acc)):
         raise NumericFailure("non-finite intermediate in Taylor step")
     return acc
 
@@ -82,11 +51,6 @@ class PropagationConfig:
     The auto rule keeps the per-step Taylor argument at most one,
     ``dt = 1 / |A|_bound``, clamped to at least ``T / 10**6`` steps-wise, so
     factorial decay dominates the series tail.
-
-    ``matvec_mode`` selects between the always-available block-structured
-    action and a cached sparse assembly of the operator, which is much faster
-    per step on small systems; ``auto`` assembles below ``assembled_cap``
-    total dimensions.
     """
 
     total_time: float
@@ -96,8 +60,6 @@ class PropagationConfig:
     strict_stability: bool = True
     blowup_factor: float = 1e6
     record_every: int | None = None
-    matvec_mode: str = "auto"
-    assembled_cap: int = 200_000
 
     def resolve_steps(self, norm_bound: float) -> tuple[float, int]:
         T = self.total_time
@@ -145,56 +107,43 @@ class EvolveResult:
     n_steps: int
     stability_bound: float
 
-    def block1_at(self, time: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - time)))
-        if abs(self.times[idx] - time) > 1e-9 * max(1.0, abs(time)):
-            raise ValidationError(f"time {time} was not recorded")
-        return self.block1[idx]
-
 
 def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -> EvolveResult:
-    """Repeated Taylor steps over ``[0, T]`` with stability and blow-up guards."""
+    """Repeated Taylor steps over ``[0, T]`` with stability and blow-up guards.
+
+    Up to the sparse-assembly limit the operator is assembled once and applied
+    as a sparse matvec; above it each step uses the block-structured action.
+    """
     bound = mat.gershgorin_max_eig_bound()
     if config.strict_stability and bound > 0:
         raise ValidationError(
             f"stability check failed: Gershgorin bound {bound} > 0 "
             "(raise gamma_max or disable strict_stability)"
         )
+    if (y0.n, y0.N) != (mat.n, mat.N):
+        raise ValidationError(
+            f"vector levels ({y0.n}, {y0.N}) do not match matrix ({mat.n}, {mat.N})"
+        )
     dt, n_steps = config.resolve_steps(mat.spectral_norm_bound())
     every = config.record_every or max(1, n_steps // 1000)
 
-    if config.matvec_mode not in ("auto", "structured", "assembled"):
-        raise ValidationError(f"unknown matvec_mode {config.matvec_mode!r}")
-    assembled = config.matvec_mode == "assembled" or (
-        config.matvec_mode == "auto" and mat.total_dimension <= config.assembled_cap
-    )
-    if assembled:
-        sparse_op = mat.to_sparse(cap=config.assembled_cap)
+    if mat.total_dimension <= ASSEMBLY_MAX_DIM:
+        sparse_op = mat.to_sparse()
         apply_A = lambda v: sparse_op @ v  # noqa: E731
-        y: "np.ndarray | CarlemanVector" = y0.concatenate()
-        n1 = y0.n
     else:
         apply_A = mat.apply
-        y = y0.copy()
-        n1 = y0.n
-
-    def first_level(vec) -> np.ndarray:
-        return vec[:n1].copy() if assembled else vec.blocks[0].copy()
-
-    def first_share(vec, norm: float) -> float:
-        head = vec[:n1] if assembled else vec.blocks[0]
-        return float(head @ head) / norm**2
-
-    norm0 = _norm(y)
+    n1 = mat.n
+    y = y0.flat
+    norm0 = float(np.linalg.norm(y))
     times = [0.0]
-    block1 = [first_level(y)]
-    shares = [first_share(y, norm0)]
+    block1 = [y[:n1].copy()]
+    shares = [float(y[:n1] @ y[:n1]) / norm0**2]
     norms = [norm0]
     step_norms = [norm0]
 
     for step in range(1, n_steps + 1):
         y = taylor_step(apply_A, y, dt, config.taylor_order)
-        norm = _norm(y)
+        norm = float(np.linalg.norm(y))
         step_norms.append(norm)
         if norm > config.blowup_factor * max(norm0, 1e-300):
             raise NumericFailure(
@@ -203,18 +152,17 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
             )
         if step % every == 0 or step == n_steps:
             times.append(step * dt)
-            block1.append(first_level(y))
-            shares.append(first_share(y, norm))
+            block1.append(y[:n1].copy())
+            shares.append(float(y[:n1] @ y[:n1]) / norm**2)
             norms.append(norm)
 
-    y_final = CarlemanVector.from_flat(y, mat.n, mat.N) if assembled else y
     return EvolveResult(
         times=np.array(times),
         block1=np.array(block1),
         block1_share=np.array(shares),
         y_norms=np.array(norms),
         step_norms=np.array(step_norms),
-        y_final=y_final,
+        y_final=CarlemanVector(y, mat.n, mat.N),
         dt=dt,
         n_steps=n_steps,
         stability_bound=bound,
@@ -223,9 +171,9 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
 
 def extract_block(y: CarlemanVector, j: int) -> tuple[np.ndarray, float]:
     """Level ``j`` of the stacked vector and its squared-norm share."""
-    if not 1 <= j <= y.order:
-        raise ValidationError(f"level {j} outside 1..{y.order}")
-    return y.blocks[j - 1].copy(), float(y.shares()[j - 1])
+    if not 1 <= j <= y.N:
+        raise ValidationError(f"level {j} outside 1..{y.N}")
+    return y.level(j).copy(), float(y.shares()[j - 1])
 
 
 def success_probability(u_norm: float, gamma: float, N: int) -> float:

@@ -18,12 +18,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericFailure, ValidationError
+from .limits import DENSE_MAX_DIM, check_size
 
 #: factorials beyond this order overflow the usefulness of float conversion
 MAX_ORDER = 16
-
-#: default cap on the total dimension of any densely materialised operator
-DENSE_DIM_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +125,6 @@ class LaplacianOperator:
     bc: str
     axis_matrix: sp.csr_matrix
     boundary_columns: sp.csr_matrix | None = None
-    dense_cap: int = DENSE_DIM_CAP
     _axis_dense: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -159,11 +156,9 @@ class LaplacianOperator:
             out += np.moveaxis(term, 0, axis)
         return out.reshape(n)
 
-    def dense(self, cap: int | None = None) -> np.ndarray:
-        cap = self.dense_cap if cap is None else cap
+    def dense(self) -> np.ndarray:
         n = self.shape[0]
-        if n > cap:
-            raise ValidationError(f"dense materialisation of size {n} exceeds cap {cap}")
+        check_size(n, DENSE_MAX_DIM, "dense Laplacian")
         if self._axis_dense is None:
             self._axis_dense = self.axis_matrix.toarray()
         if self.dim == 1:
@@ -187,9 +182,6 @@ class LaplacianOperator:
             right = sp.identity(m ** (self.dim - 1 - axis), format="csr")
             total = total + sp.kron(sp.kron(left, self.axis_matrix), right, format="csr")
         return total
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(self.shape, matvec=self.matvec)
 
 
 def circulant_first_row(table: StencilTable, m: int) -> np.ndarray:

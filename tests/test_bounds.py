@@ -157,7 +157,7 @@ class TestGlobalBound:
         ref = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=np.array([1.0]))
         u_T = ref.u[-1] / gamma
         lifted = np.concatenate([kron_power(u_T, j) for j in range(1, N + 1)])
-        eta_norm = np.linalg.norm(lifted - res.y_final.concatenate())
+        eta_norm = np.linalg.norm(lifted - res.y_final.flat)
         assert eta_norm <= global_error_bound(bernoulli_ode, None, N, 1.0) + 1e-8
 
 

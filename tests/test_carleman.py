@@ -73,9 +73,9 @@ class TestMatvec:
         ode = make_two_dim_instance(M, 0.4)
         mat = assemble(rescale(ode, 1.3), N)
         rng = np.random.default_rng(12)
-        y = CarlemanVector.from_flat(rng.standard_normal(mat.total_dimension), 2, N)
-        got = mat.apply(y).concatenate()
-        want = mat.dense() @ y.concatenate()
+        y = rng.standard_normal(mat.total_dimension)
+        got = mat.apply(y)
+        want = mat.dense() @ y
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_structured_equals_dense_sparse_f1(self):
@@ -87,25 +87,25 @@ class TestMatvec:
         mat = assemble(rescale(sparse_ode, 1.1), 4)
         mat._f1_dense = None  # keep only the sparse route
         rng = np.random.default_rng(4)
-        y = CarlemanVector.from_flat(rng.standard_normal(mat.total_dimension), 2, 4)
-        want = assemble(rescale(ode, 1.1), 4).dense() @ y.concatenate()
-        got = mat.apply(y).concatenate()
+        y = rng.standard_normal(mat.total_dimension)
+        want = assemble(rescale(ode, 1.1), 4).dense() @ y
+        got = mat.apply(y)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_zero_maps_to_zero(self):
         mat = assemble(make_two_dim_instance(2, 0.4), 4)
-        out = mat.apply(CarlemanVector.zeros(2, 4))
-        assert out.norm() == 0.0
+        out = mat.apply(np.zeros(mat.total_dimension))
+        assert np.linalg.norm(out) == 0.0
 
     def test_first_level_is_the_ode_right_hand_side(self):
         ode = make_two_dim_instance(2, 0.4)
         gamma = 1.3
         mat = assemble(rescale(ode, gamma), 4)
         y0 = initial_vector(ode.u_in, gamma, 4)
-        out = carleman_apply(mat, y0)
+        out = CarlemanVector(carleman_apply(mat, y0.flat), 2, 4)
         ut = ode.u_in / gamma
         want = ode.F1 @ ut + gamma ** (2 - 1) * ode.fm_contract(ut)
-        np.testing.assert_allclose(out.blocks[0], want, atol=1e-14)
+        np.testing.assert_allclose(out.level(1), want, atol=1e-14)
 
     def test_untruncated_levels_match_lifted_derivative(self):
         # d/dt of u^(x j) expanded by the product rule, evaluated exactly
@@ -115,8 +115,8 @@ class TestMatvec:
         mat = assemble(rescale(ode, gamma), N)
         rng = np.random.default_rng(9)
         u = rng.standard_normal(2) * 0.4
-        y = CarlemanVector([kron_power(u, j) for j in range(1, N + 1)])
-        out = mat.apply(y)
+        y = np.concatenate([kron_power(u, j) for j in range(1, N + 1)])
+        out = CarlemanVector(mat.apply(y), 2, N)
         du = ode.rhs(u)
         for j in range(1, N - ode.M + 2):
             want = np.zeros(2**j)
@@ -126,12 +126,12 @@ class TestMatvec:
                 for f in factors[1:]:
                     term = np.kron(term, f)
                 want += term
-            np.testing.assert_allclose(out.blocks[j - 1], want, atol=1e-12)
+            np.testing.assert_allclose(out.level(j), want, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         mat = assemble(make_two_dim_instance(2, 0.4), 4)
         with pytest.raises(ValidationError):
-            mat.apply(CarlemanVector.zeros(2, 3))
+            mat.apply(np.zeros(2 + 4 + 8))  # three levels; the matrix has four
 
 
 class TestInitialVector:
@@ -239,15 +239,17 @@ class TestLambdaValue:
 class TestVectorBasics:
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(2)
-        y = CarlemanVector.from_flat(rng.standard_normal(14), 2, 3)
+        y = CarlemanVector(rng.standard_normal(14), 2, 3)
         assert y.shares().sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_from_flat_round_trip(self):
+    def test_levels_are_views_at_offsets(self):
         rng = np.random.default_rng(7)
         flat = rng.standard_normal(14)
-        y = CarlemanVector.from_flat(flat, 2, 3)
-        np.testing.assert_allclose(y.concatenate(), flat)
+        y = CarlemanVector(flat, 2, 3)
+        for j, (start, stop) in enumerate([(0, 2), (2, 6), (6, 14)], start=1):
+            np.testing.assert_array_equal(y.level(j), flat[start:stop])
+            assert np.shares_memory(y.level(j), flat)
 
     def test_level_length_validated(self):
         with pytest.raises(ValidationError):
-            CarlemanVector([np.zeros(2), np.zeros(3)])
+            CarlemanVector(np.zeros(5), 2, 2)  # two levels of n=2 need 6 entries

@@ -5,8 +5,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carlemanlab import cli
+from carlemanlab import pde as rd
 
 BERNOULLI = {
     "schema_version": 1,
@@ -35,6 +37,18 @@ PDE_DEMO = {
     "output": {"prefix": "demo"},
     "seed": 0,
 }
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.fixture(autouse=True)
+def artifacts_are_strict_json(tmp_path):
+    """Every JSON artifact a test leaves behind parses without NaN/Infinity."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 def run_config(config, tmp_path, name="cfg.json", extra_args=()):
@@ -141,6 +155,20 @@ class TestPdeCommand:
         ode = cli.ode_from_config(exported)
         assert ode.n == 16
         assert ode.fm_is_one_sparse
+        want = rd.discretize(cli.pde_from_config(PDE_DEMO["pde"]))
+        assert isinstance(ode.F1, np.ndarray)
+        np.testing.assert_array_equal(ode.F1, want.F1)
+
+    def test_export_above_the_dense_f1_limit(self, tmp_path):
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["pde"].update(d=2, m=24, b=0.1)  # n = 576; R < 1 needs the smaller b
+        assert run_config(config, tmp_path) == 0
+        exported = json.loads((tmp_path / "demo_ode_config.json").read_text())["ode"]
+        ode = cli.ode_from_config(exported)
+        want = rd.discretize(cli.pde_from_config(config["pde"]))
+        assert ode.n == 576
+        assert sp.issparse(ode.F1)
+        assert (ode.F1 != want.F1).nnz == 0
 
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))
@@ -243,6 +271,10 @@ class TestLinearizeAndCost:
         assert results["estimate"]["N"] == 7
         names = [row["name"] for row in results["prior_work"]]
         assert "this_work" in names and "euler_carleman" in names
+        # |u_in| = 1 makes the prior-work order infinite; strict JSON has null
+        prior = next(r for r in results["prior_work"] if r["name"] == "taylor_carleman_prior")
+        assert prior["calls"] is None and prior["detail"]["N_prior"] is None
+        assert "N is infinite" in prior["flags"][0]
 
 
 class TestValidation:

@@ -1,0 +1,69 @@
+"""Properties of the two operator paths: structured action vs sparse assembly.
+
+``evolve`` picks one path by dimension, so each is the other's oracle: the
+block-structured ``apply`` must equal the assembled sparse matvec, and the
+Carleman lift must hold the Kronecker powers level by level.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from carlemanlab.carleman import assemble, initial_vector
+from carlemanlab.nonlinear_ode import NonlinearODE, kron_power, rescale
+
+SETTINGS = settings(deadline=None)
+
+
+@st.composite
+def problems(draw):
+    """(ODE, gamma, N, F1 kind) over the small orders both paths handle exactly."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    M = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(M + 1, M + 3))
+    f1_kind = draw(st.sampled_from(["dense", "sparse", "sparse_kept_sparse"]))
+    fm_kind = draw(st.sampled_from(["one_sparse", "generic"]))
+    gamma = draw(st.floats(0.1, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    F1 = rng.standard_normal((n, n))
+    if f1_kind != "dense":
+        F1 = sp.csr_matrix(F1 * (rng.random((n, n)) < 0.6))
+    width = n**M
+    if fm_kind == "one_sparse":
+        rows = np.flatnonzero(rng.random(n) < 0.8)
+        cols = rng.integers(0, width, rows.size)
+        FM = sp.csr_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(n, width))
+    else:
+        # row 0 is full, so every row index repeats once width > 1 and the
+        # gather fast path is skipped
+        dense = rng.standard_normal((n, width)) * (rng.random((n, width)) < 0.5)
+        dense[0] = rng.standard_normal(width)
+        FM = sp.csr_matrix(dense)
+    u_in = rng.standard_normal(n)
+    return NonlinearODE(n=n, M=M, F1=F1, FM=FM, u_in=u_in), gamma, N, f1_kind
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_structured_apply_equals_assembled_matvec(problem, seed):
+    ode, gamma, N, f1_kind = problem
+    mat = assemble(rescale(ode, gamma), N)
+    if f1_kind == "sparse_kept_sparse":
+        mat._f1_dense = None  # take the sparse per-axis route of apply
+    y = np.random.default_rng(seed).standard_normal(mat.total_dimension)
+    got = mat.apply(y)
+    want = mat.to_sparse() @ y
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@SETTINGS
+@given(problems())
+def test_initial_vector_levels_are_kronecker_powers(problem):
+    ode, gamma, N, _ = problem
+    y = initial_vector(ode.u_in, gamma, N)
+    assert y.flat.size == assemble(ode, N).total_dimension
+    for j in range(1, N + 1):
+        assert np.shares_memory(y.level(j), y.flat)
+        np.testing.assert_array_equal(y.level(j), kron_power(ode.u_in / gamma, j))

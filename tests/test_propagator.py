@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from carlemanlab.carleman import CarlemanVector, assemble, initial_vector
+from carlemanlab.carleman import assemble, initial_vector
 from carlemanlab.errors import NumericFailure, ValidationError
+from carlemanlab.limits import ASSEMBLY_MAX_DIM
 from carlemanlab.nonlinear_ode import NonlinearODE, reference_solve, rescale
 from carlemanlab.propagator import (
     PropagationConfig,
@@ -66,13 +67,15 @@ class TestEvolve:
     def test_linear_diagonal_decay(self, mode):
         ode = self.linear_diag_ode()
         mat = assemble(ode, 3)
-        config = PropagationConfig(total_time=1.0, taylor_order=10, n_steps=50, matvec_mode=mode)
-        res = evolve(mat, initial_vector(ode.u_in, 1.0, 3), config)
+        sparse_op = mat.to_sparse()
+        apply_A = mat.apply if mode == "structured" else lambda v: sparse_op @ v
+        y0 = initial_vector(ode.u_in, 1.0, 3)
+        y, n_steps, dt = y0.flat, 50, 1.0 / 50
+        for _ in range(n_steps):
+            y = taylor_step(apply_A, y, dt, 10)
         want = ode.u_in * np.exp(np.array([-1.0, -2.0]))
-        defect = res.n_steps * taylor_step_defect_bound(
-            mat.spectral_norm_bound(), res.dt, 10, res.y_norms[0]
-        )
-        assert np.abs(res.block1[-1] - want).max() <= defect + 1e-12
+        defect = n_steps * taylor_step_defect_bound(mat.spectral_norm_bound(), dt, 10, y0.norm())
+        assert np.abs(y[:2] - want).max() <= defect + 1e-12
 
     def test_linear_matches_dense_exponential_bound(self):
         ode = self.linear_diag_ode()
@@ -80,22 +83,42 @@ class TestEvolve:
         config = PropagationConfig(total_time=1.0, taylor_order=4, n_steps=20)
         y0 = initial_vector(ode.u_in, 1.0, 3)
         res = evolve(mat, y0, config)
-        exact = scipy.linalg.expm(mat.dense()) @ y0.concatenate()
+        exact = scipy.linalg.expm(mat.dense()) @ y0.flat
         defect = res.n_steps * taylor_step_defect_bound(
             mat.spectral_norm_bound(), res.dt, 4, res.y_norms.max()
         )
-        assert np.linalg.norm(res.y_final.concatenate() - exact) <= defect
+        assert np.linalg.norm(res.y_final.flat - exact) <= defect
 
     def test_modes_agree(self):
         ode = make_two_dim_instance(2, 0.5)
         mat = assemble(rescale(ode, 1.0), 4)
-        y0 = initial_vector(ode.u_in, 1.0, 4)
-        config = dict(total_time=0.5, taylor_order=8, n_steps=100)
-        a = evolve(mat, y0, PropagationConfig(**config, matvec_mode="structured"))
-        b = evolve(mat, y0, PropagationConfig(**config, matvec_mode="assembled"))
-        np.testing.assert_allclose(
-            a.y_final.concatenate(), b.y_final.concatenate(), rtol=1e-12, atol=1e-14
+        sparse_op = mat.to_sparse()
+        a = b = initial_vector(ode.u_in, 1.0, 4).flat
+        for _ in range(100):
+            a = taylor_step(mat.apply, a, 0.005, 8)
+            b = taylor_step(lambda v: sparse_op @ v, b, 0.005, 8)
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 59])
+    def test_operator_choice_follows_assembly_limit(self, n):
+        # n=4, N=3 assembles (84 dims); n=59, N=3 (208 919 dims) exceeds the limit
+        rates = np.linspace(1.0, 2.0, n)
+        ode = NonlinearODE(
+            n=n, M=2, F1=-np.diag(rates), FM=sp.csr_matrix((n, n**2)),
+            u_in=np.full(n, 0.1), T=0.02,
         )
+        mat = assemble(ode, 3)
+        assembled = mat.total_dimension <= ASSEMBLY_MAX_DIM
+        assert assembled == (n == 4)
+        if assembled:
+            mat.apply = None  # the structured action must not be used
+        config = PropagationConfig(total_time=0.02, taylor_order=6, n_steps=2)
+        res = evolve(mat, initial_vector(ode.u_in, 1.0, 3), config)
+        want = ode.u_in * np.exp(-rates * 0.02)
+        defect = res.n_steps * taylor_step_defect_bound(
+            mat.spectral_norm_bound(), res.dt, 6, res.y_norms[0]
+        )
+        assert np.abs(res.block1[-1] - want).max() <= defect + 1e-15
 
     def test_bernoulli_block1_within_bound_plus_defect(self, bernoulli_ode):
         gamma, N, K = 1.0, 8, 8
