@@ -22,15 +22,7 @@ from .limits import (
     DENSE_MAX_DIM,
     check_size,
 )
-from .nonlinear_ode import (
-    NonlinearODE,
-    RescaledODE,
-    fm_spectral_norm,
-    kron_power,
-    lambda0,
-    operator_spectral_norm,
-    rescale,
-)
+from .nonlinear_ode import NonlinearODE, RescaledODE, kron_power, rescale
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +109,6 @@ class CarlemanMatrix:
     _f1_dense: Optional[np.ndarray] = field(default=None, repr=False)
     _f1_sparse: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _gather: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
-    _norms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n, M, N = self.n, self.M, self.N
@@ -134,12 +125,7 @@ class CarlemanMatrix:
                 self._f1_dense = self._f1_sparse.toarray()
         else:
             self._f1_dense = np.asarray(F1, dtype=float)
-        fm = self.rescaled.base.FM.tocsr()
-        rows, cols, vals = (
-            fm.tocoo().row,
-            fm.tocoo().col.astype(np.int64),
-            fm.tocoo().data,
-        )
+        rows, cols, vals = self.rescaled.base.fm_coordinates
         if rows.size == np.unique(rows).size:
             col_of = np.zeros(n, dtype=np.int64)
             val_of = np.zeros(n)
@@ -170,30 +156,6 @@ class CarlemanMatrix:
     def coupling(self) -> float:
         """Off-diagonal prefactor ``gamma**(M-1)``."""
         return self.gamma ** (self.M - 1)
-
-    # -- cached scalars -----------------------------------------------------
-
-    @property
-    def lambda0(self) -> float:
-        if "lambda0" not in self._norms:
-            self._norms["lambda0"] = lambda0(self.rescaled.F1)
-        return self._norms["lambda0"]
-
-    @property
-    def f1_norm(self) -> float:
-        if "f1" not in self._norms:
-            if self._f1_dense is not None:
-                self._norms["f1"] = float(np.linalg.norm(self._f1_dense, 2))
-            else:
-                self._norms["f1"] = operator_spectral_norm(self._f1_sparse, tol=1e-10)
-        return self._norms["f1"]
-
-    @property
-    def fm_norm(self) -> float:
-        """Norm of the unscaled nonlinearity (the rescaling enters separately)."""
-        if "fm" not in self._norms:
-            self._norms["fm"] = fm_spectral_norm(self.rescaled.base)
-        return self._norms["fm"]
 
     # -- matrix-free action -------------------------------------------------
 
@@ -289,7 +251,8 @@ class CarlemanMatrix:
         Row ``j`` contributes ``j lambda0`` from the diagonal block plus half
         the spectral norms of whichever off-diagonal blocks are present.
         """
-        lam, coupling, fm = self.lambda0, self.coupling, self.fm_norm
+        base = self.rescaled.base
+        lam, coupling, fm = base.lambda0, self.coupling, base.fm_norm
         best = -np.inf
         for j in range(1, self.N + 1):
             if j < self.M:
@@ -303,7 +266,8 @@ class CarlemanMatrix:
 
     def spectral_norm_bound(self) -> float:
         """``N |F1| + (N-M+1) gamma**(M-1) |FM|``, from the block structure."""
-        return self.N * self.f1_norm + (self.N - self.M + 1) * self.coupling * self.fm_norm
+        base = self.rescaled.base
+        return self.N * base.f1_norm + (self.N - self.M + 1) * self.coupling * base.fm_norm
 
     def sparsity_count(self) -> int:
         """Measured maximum number of nonzeros in any assembled row."""

@@ -457,15 +457,15 @@ def _cmd_cost(ctx: RunContext) -> None:
         lam_f1 = numerics["lambda_f1"]
         lam_fm = numerics["lambda_fm"]
         if lam_f1 is None:
-            lam_f1 = node.operator_spectral_norm(ode.F1)
+            lam_f1 = ode.f1_norm
         if lam_fm is None:
-            lam_fm = node.fm_spectral_norm(ode)
+            lam_fm = ode.fm_norm
         estimate = ct.ode_cost_estimate(
             ode, gamma, ode.T, eps, float(lam_f1), float(lam_fm)
         )
-        fm_norm = node.fm_spectral_norm(ode)
+        fm_norm = ode.fm_norm
         extra = {"diffusion": 1.0, "d": 1, "n": ode.n, "sparsity": 3,
-                 "decay": abs(node.lambda0(ode.F1)), "M": ode.M}
+                 "decay": abs(ode.lambda0), "M": ode.M}
     comparison = ct.prior_work_comparison(
         u_in_norm=estimate.u_in_norm,
         u_T_norm=estimate.u_T_norm,

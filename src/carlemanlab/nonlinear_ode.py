@@ -7,19 +7,17 @@ never materialised except through :func:`kron_power` under the size limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from .errors import NumericFailure, ValidationError
-from .limits import KRON_MAX_SIZE, check_size
-
-#: power-iteration settings for spectral norms of the nonlinearity
-_POWER_TOL = 1e-12
-_POWER_MAXITER = 10_000
+from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_size
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
@@ -41,6 +39,11 @@ class NonlinearODE:
     ``F1`` is dense or sparse ``n x n``; ``FM`` is sparse ``n x n**M`` given
     directly or as anything scipy can convert.  Dissipativity is a derived
     property (``lambda0 < 0``), not an assumption baked into construction.
+
+    Quantities derived from ``F1`` and ``FM`` (the FM triplets and digits,
+    ``lambda0``, ``|F1|``, ``|FM|``) are computed on first use and cached on
+    the instance, so they assume ``F1`` and ``FM`` are never reassigned after
+    construction.
     """
 
     n: int
@@ -49,7 +52,6 @@ class NonlinearODE:
     FM: MatrixLike
     u_in: np.ndarray
     T: float = 1.0
-    _fm_digits: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -77,26 +79,24 @@ class NonlinearODE:
 
     # -- sparse nonlinearity internals ------------------------------------
 
-    @property
+    @cached_property
     def fm_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzeros of FM as (rows, cols, values) coordinate triplets."""
         coo = self.FM.tocoo()
         return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
 
-    @property
+    @cached_property
     def fm_digits(self) -> np.ndarray:
         """Column indices of FM decomposed into M base-n digits (nnz x M)."""
-        if self._fm_digits is None:
-            _, cols, _ = self.fm_coordinates
-            digits = np.empty((cols.size, self.M), dtype=np.int64)
-            rem = cols.copy()
-            for pos in range(self.M - 1, -1, -1):
-                digits[:, pos] = rem % self.n
-                rem //= self.n
-            self._fm_digits = digits
-        return self._fm_digits
+        _, cols, _ = self.fm_coordinates
+        digits = np.empty((cols.size, self.M), dtype=np.int64)
+        rem = cols.copy()
+        for pos in range(self.M - 1, -1, -1):
+            digits[:, pos] = rem % self.n
+            rem //= self.n
+        return digits
 
-    @property
+    @cached_property
     def fm_is_one_sparse(self) -> bool:
         rows, cols, _ = self.fm_coordinates
         return (
@@ -114,6 +114,23 @@ class NonlinearODE:
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         return self.F1 @ u + self.fm_contract(u)
+
+    # -- spectral scalars, each computed once per problem -----------------
+
+    @cached_property
+    def lambda0(self) -> float:
+        """Top eigenvalue of the symmetric part of F1 (see :func:`lambda0`)."""
+        return lambda0(self.F1)
+
+    @cached_property
+    def f1_norm(self) -> float:
+        """Spectral norm of F1."""
+        return operator_spectral_norm(self.F1)
+
+    @cached_property
+    def fm_norm(self) -> float:
+        """Spectral norm of FM (see :func:`fm_spectral_norm`)."""
+        return fm_spectral_norm(self)
 
 
 @dataclass
@@ -171,37 +188,58 @@ def rescale(ode: NonlinearODE, gamma: float) -> RescaledODE:
 # scalar diagnostics
 # ---------------------------------------------------------------------------
 
+def _arpack_start(length: int) -> np.ndarray:
+    """Fixed ARPACK start vector, so the sparse spectral scalars are reproducible."""
+    return np.random.default_rng(12345).standard_normal(length)
+
+
 def lambda0(F1: MatrixLike) -> float:
-    """Maximum eigenvalue of the symmetric part ``(F1 + F1^T)/2``."""
-    dense = F1.toarray() if sp.issparse(F1) else np.asarray(F1, dtype=float)
-    if not np.all(np.isfinite(dense)):
-        raise ValidationError("F1 contains non-finite entries")
+    """Maximum eigenvalue of the symmetric part ``(F1 + F1^T)/2``.
+
+    LAPACK on a dense F1, and on a sparse one up to the dense-F1 limit;
+    seeded ARPACK (Lanczos) on the sparse symmetric part above the limit, so
+    no dense ``n x n`` copy is made there.
+    """
+    if sp.issparse(F1):
+        if not np.all(np.isfinite(F1.data)):
+            raise ValidationError("F1 contains non-finite entries")
+        if F1.shape[0] > DENSE_F1_MAX_N:
+            sym = (0.5 * (F1 + F1.T)).tocsr()
+            try:
+                top = eigsh(
+                    sym, k=1, which="LA", v0=_arpack_start(sym.shape[0]),
+                    return_eigenvectors=False,
+                )
+            except ArpackNoConvergence as exc:
+                raise NumericFailure(f"ARPACK did not converge for lambda0: {exc}") from exc
+            return float(top[0])
+        dense = F1.toarray()
+    else:
+        dense = np.asarray(F1, dtype=float)
+        if not np.all(np.isfinite(dense)):
+            raise ValidationError("F1 contains non-finite entries")
     sym = 0.5 * (dense + dense.T)
     return float(np.linalg.eigvalsh(sym)[-1])
 
 
-def operator_spectral_norm(A: MatrixLike, tol: float = _POWER_TOL) -> float:
-    """Largest singular value, by power iteration on ``A A^T`` when sparse."""
+def operator_spectral_norm(A: MatrixLike) -> float:
+    """Largest singular value.
+
+    LAPACK on a dense matrix, and on a sparse one whose dense copy holds no
+    more entries than a dense F1 at the dense-F1 limit; seeded ARPACK
+    (``svds``) on larger sparse matrices.
+    """
     if not sp.issparse(A):
         return float(np.linalg.norm(np.asarray(A, dtype=float), 2))
-    A = A.tocsr()
     if A.nnz == 0:
         return 0.0
-    gram = (A @ A.T).tocsr()
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(gram.shape[0])
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(_POWER_MAXITER):
-        y = gram @ x
-        lam_new = float(np.linalg.norm(y))
-        if lam_new == 0.0:
-            return 0.0
-        x = y / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            return float(np.sqrt(lam_new))
-        lam = lam_new
-    raise NumericFailure("power iteration for the spectral norm did not converge")
+    if A.shape[0] * A.shape[1] <= DENSE_F1_MAX_N**2:
+        return float(np.linalg.norm(A.toarray(), 2))
+    try:
+        top = svds(A, k=1, v0=_arpack_start(min(A.shape)), return_singular_vectors=False)
+    except ArpackNoConvergence as exc:
+        raise NumericFailure(f"ARPACK did not converge for the spectral norm: {exc}") from exc
+    return float(top[0])
 
 
 def fm_spectral_norm(ode: NonlinearODE) -> float:
@@ -223,11 +261,11 @@ def r_ratio(ode: NonlinearODE | RescaledODE) -> float:
     Scale-invariant: the rescaled system reports the same value.
     """
     ode = _coerce_ode(ode)
-    lam = lambda0(ode.F1)
+    lam = ode.lambda0
     if lam >= 0:
         raise ValidationError(f"not dissipative: lambda0 = {lam} >= 0")
     unorm = float(np.linalg.norm(ode.u_in))
-    return fm_spectral_norm(ode) * unorm ** (ode.M - 1) / abs(lam)
+    return ode.fm_norm * unorm ** (ode.M - 1) / abs(lam)
 
 
 def max_stable_gamma(ode: NonlinearODE) -> float:
@@ -236,10 +274,10 @@ def max_stable_gamma(ode: NonlinearODE) -> float:
     ``(|lambda0| / |FM|)**(1/(M-1))``; infinite when the nonlinearity
     vanishes.
     """
-    lam = lambda0(ode.F1)
+    lam = ode.lambda0
     if lam >= 0:
         raise ValidationError(f"not dissipative: lambda0 = {lam} >= 0")
-    norm_fm = fm_spectral_norm(ode)
+    norm_fm = ode.fm_norm
     if norm_fm == 0.0:
         return float("inf")
     return (abs(lam) / norm_fm) ** (1.0 / (ode.M - 1))

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .errors import ValidationError
 from .limits import DENSE_F1_MAX_N
-from .nonlinear_ode import NonlinearODE, lambda0, max_stable_gamma, r_ratio
+from .nonlinear_ode import NonlinearODE, max_stable_gamma, r_ratio
 from .stencil import build_laplacian_dd, stencil_coefficients
 
 InitialCondition = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]

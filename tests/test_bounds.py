@@ -1,5 +1,8 @@
 """Error-factor identities, oracle equivalence, bound formulas, order selection."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,23 @@ class TestOraclePair:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert np.all(np.diff(vals) >= -1e-12)
 
+    @pytest.mark.parametrize("k", [20, 30])
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    def test_deep_quadrature_matches_decimal_closed_form(self, k, tau):
+        # at M = 2, j = 1 the closed form's coefficients are exact integers:
+        # f = 1 - (k+j-1)!/((k-1)!(j-1)!) sum_l (-1)^l C(k-1, l) e^{-(l+j) tau}/(l+j)
+        j = 1
+        with localcontext() as ctx:
+            ctx.prec = 80
+            lead = math.factorial(k + j - 1) // (math.factorial(k - 1) * math.factorial(j - 1))
+            total = sum(
+                (-1) ** ell * math.comb(k - 1, ell)
+                * (-(ell + j) * Decimal(tau)).exp() / (ell + j)
+                for ell in range(k)
+            )
+            exact = float(1 - lead * total)
+        assert f_quadrature(j, k, 2, tau) == pytest.approx(exact, rel=1e-9)
+
     def test_fallback_engages_on_cancellation(self):
         # deep alternating sums at tiny tau destroy the closed form
         j, k, M, tau = 1, 18, 2, 1e-3
@@ -182,6 +202,13 @@ class TestComponentBound:
         ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[1.5]], u_in=[1.0])
         with pytest.raises(ValidationError, match="R < 1"):
             component_error_bound(ode, 4, 1, 1.0)
+
+    def test_deep_order_falls_back_to_quadrature(self, bernoulli_ode):
+        # N = 30 puts level 1 at k = 30, where the closed form leaves its band
+        N = 30
+        vals = np.asarray(component_error_bound(bernoulli_ode, N, 1, np.linspace(0.0, 1.0, 101)))
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 0.5**N))
 
     def test_level_out_of_range(self, bernoulli_ode):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ class TestBoundsCommand:
         header, rows = read_csv(tmp_path / "demo_bound_sweep.csv")
         assert header == ["t", "j", "k", "f_value", "bound"]
         assert len(rows) == 7 * 101
+
+
+class TestThreeDimensionalGrid:
+    """d=3, m=32, k=2 (n = 32 768): one dense copy of F1 would take 8.6 GB."""
+
+    @pytest.mark.parametrize("command", ["linearize", "bounds"])
+    def test_runs_without_a_dense_copy(self, tmp_path, command):
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = command
+        # R is about 0.17 at this amplitude; N = 3 keeps n + n^2 + n^3 addressable
+        config["pde"].update(d=3, m=32, k=2, b=0.1, initial={
+            "profile": "raised_cosine", "amplitude": 0.01,
+        })
+        config["numerics"] = {"N": 3, "epsilon": 0.01}
+        tracemalloc.start()
+        try:
+            code = run_config(config, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 256 * 10**6
+        results = json.loads((tmp_path / f"demo_{command}.json").read_text())["results"]
+        assert results["R"] < 1
 
 
 class TestFiguresCommand:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from carlemanlab import nonlinear_ode
+from carlemanlab.bounds import make_bound_report
+from carlemanlab.carleman import assemble
 from carlemanlab.errors import ValidationError
 from carlemanlab.nonlinear_ode import (
     NonlinearODE,
@@ -13,6 +16,7 @@ from carlemanlab.nonlinear_ode import (
     kron_power,
     lambda0,
     max_stable_gamma,
+    operator_spectral_norm,
     r_ratio,
     reference_solve,
     rescale,
@@ -40,6 +44,47 @@ class TestLambda0:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             lambda0(np.array([[np.nan]]))
+
+
+class TestSparseSpectralScalars:
+    """ARPACK above the dense-F1 limit against LAPACK on the dense copy."""
+
+    @pytest.fixture(scope="class")
+    def sparse_f1(self):
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.1, M=2, d=2, m=24, k=2,
+            initial=lambda x: 0.1 * np.prod(1.0 + np.cos(2 * np.pi * x), axis=1), T=1.0,
+        )
+        F1 = discretize(pde).F1
+        assert sp.issparse(F1) and F1.shape == (576, 576)
+        return F1
+
+    def test_lambda0_matches_dense(self, sparse_f1):
+        dense = sparse_f1.toarray()
+        scale = np.linalg.norm(dense, 2)
+        assert abs(lambda0(sparse_f1) - lambda0(dense)) <= 1e-12 * scale
+
+    def test_spectral_norm_matches_dense(self, sparse_f1):
+        want = np.linalg.norm(sparse_f1.toarray(), 2)
+        assert operator_spectral_norm(sparse_f1) == pytest.approx(want, rel=1e-12)
+
+
+class TestScalarsComputedOnce:
+    def test_lambda0_evaluated_once_per_problem(self, monkeypatch):
+        calls = []
+        original = nonlinear_ode.lambda0
+
+        def counting(F1):
+            calls.append(1)
+            return original(F1)
+
+        monkeypatch.setattr(nonlinear_ode, "lambda0", counting)
+        ode = make_two_dim_instance(2, 0.4)
+        gamma = 0.9 * max_stable_gamma(ode)
+        r_ratio(ode)
+        make_bound_report(ode, eps=0.01)
+        assemble(rescale(ode, gamma), 4).gershgorin_max_eig_bound()
+        assert len(calls) == 1
 
 
 class TestRRatio:
