@@ -5,11 +5,19 @@ diagonal blocks built from ``F1`` and off-diagonal blocks built from the
 rescaled nonlinearity ``gamma**(M-1) FM``.  Blocks are never materialised:
 each level application touches one tensor factor at a time, so memory stays
 at ``O(nnz(F1) + nnz(FM))`` plus the vector itself.
+
+Both block families are Kronecker sums, so the operator commutes with
+permutations of tensor factors and keeps a symmetric lift symmetric.
+:meth:`CarlemanMatrix.to_symmetric` assembles it on the symmetric subspace,
+one coordinate per non-decreasing multi-index (the reduced, monomial form of
+Carleman linearisation: Kowalski & Steeb 1991).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,9 +28,17 @@ from .limits import (
     ASSEMBLY_MAX_DIM,
     DENSE_F1_MAX_N,
     DENSE_MAX_DIM,
+    KRON_MAX_SIZE,
     check_size,
 )
-from .nonlinear_ode import NonlinearODE, RescaledODE, kron_power, rescale
+from .nonlinear_ode import NonlinearODE, RescaledODE, base_digits, kron_power, rescale
+
+#: representatives per block while the symmetric operator is built
+_SYM_ROWS_PER_CHUNK = 256
+#: entries per block in :func:`check_symmetric` and :class:`SymmetricBasis`
+_FLAT_PER_CHUNK = 1 << 12
+#: relative 2-norm distance from the symmetric subspace :func:`check_symmetric` accepts
+SYMMETRY_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +104,134 @@ def initial_vector(u_in: np.ndarray, gamma: float, N: int) -> CarlemanVector:
         raise ValidationError(f"scaling factor must be positive, got {gamma}")
     u = np.asarray(u_in, dtype=float) / gamma
     return CarlemanVector(np.concatenate([kron_power(u, j) for j in range(1, N + 1)]), u.size, N)
+
+
+# ---------------------------------------------------------------------------
+# the symmetric subspace
+# ---------------------------------------------------------------------------
+
+def symmetric_offsets(n: int, N: int) -> list[int]:
+    """Like :func:`level_offsets` with ``C(n+j-1, j)`` sorted multi-indices per level."""
+    offsets = [0]
+    for j in range(1, N + 1):
+        offsets.append(offsets[-1] + math.comb(n + j - 1, j))
+    return offsets
+
+
+def _digit_keys(digits: np.ndarray, n: int) -> np.ndarray:
+    """Row-major position of each multi-index row, the inverse of ``base_digits``."""
+    keys = np.zeros(digits.shape[0], dtype=np.int64)
+    for pos in range(digits.shape[1]):
+        keys *= n
+        keys += digits[:, pos]
+    return keys
+
+
+def sorted_keys(n: int, j: int) -> np.ndarray:
+    """Row-major positions of the non-decreasing multi-indices of level ``j``, ascending."""
+    keys = np.arange(n, dtype=np.int64)
+    for _ in range(j - 1):
+        last = keys % n
+        reps = n - last
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        keys = np.repeat(keys * n + last, reps) + (np.arange(starts.size) - starts)
+    return keys
+
+
+def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted multi-index rows: where each value first occurs, and its count there."""
+    first = np.ones(T.shape, dtype=bool)
+    first[:, 1:] = T[:, 1:] != T[:, :-1]
+    return first, (T[:, :, None] == T[:, None, :]).sum(axis=2)
+
+
+def check_symmetric(flat: np.ndarray, n: int, N: int) -> None:
+    """Reject a flat state farther than ``SYMMETRY_TOL`` relative from the symmetric subspace.
+
+    Each entry is compared with the entry at its sorted multi-index, in blocks
+    of ``_FLAT_PER_CHUNK``, so no full-size temporary is made.
+    """
+    offsets = level_offsets(n, N)
+    off_sq = 0.0
+    for j in range(2, N + 1):  # level 1 has no factors to permute
+        size = n**j
+        for start in range(0, size, _FLAT_PER_CHUNK):
+            stop = min(start + _FLAT_PER_CHUNK, size)
+            digits = np.sort(base_digits(np.arange(start, stop), n, j), axis=1)
+            rep = flat[offsets[j - 1] + _digit_keys(digits, n)]
+            gap = flat[offsets[j - 1] + start : offsets[j - 1] + stop] - rep
+            off_sq += float(gap @ gap)
+    if math.sqrt(off_sq) > SYMMETRY_TOL * float(np.linalg.norm(flat)):
+        raise ValidationError(
+            f"state is not symmetric under permutations of tensor factors: "
+            f"distance {math.sqrt(off_sq):.3e} from the symmetric subspace"
+        )
+
+
+@dataclass
+class SymmetricBasis:
+    """One coordinate per sorted multi-index of levels ``1..N``.
+
+    Representatives follow each other in the order of :func:`sorted_keys`,
+    level after level.  ``weights`` holds each one's orbit size
+    ``j! / prod(counts!)``, so ``sqrt(sum(weights * z**2))`` is the 2-norm of
+    the symmetric vector ``z`` stands for.
+    """
+
+    n: int
+    N: int
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._offsets = symmetric_offsets(self.n, self.N)
+        self._flat_offsets = level_offsets(self.n, self.N)
+        factorial = np.array([math.factorial(k) for k in range(self.N + 1)], dtype=float)
+        self.weights = np.empty(self._offsets[-1])
+        for j in range(1, self.N + 1):
+            keys = sorted_keys(self.n, j)
+            for start in range(0, keys.size, _FLAT_PER_CHUNK):
+                chunk = keys[start : start + _FLAT_PER_CHUNK]
+                first, counts = _multiplicities(base_digits(chunk, self.n, j))
+                at = self._offsets[j - 1] + start
+                self.weights[at : at + chunk.size] = factorial[j] / np.prod(
+                    np.where(first, factorial[counts], 1.0), axis=1
+                )
+
+    def _ranks(self, j: int):
+        """Per block of level ``j``: its flat slice and the representative of each entry."""
+        level_keys = sorted_keys(self.n, j)
+        size = self.n**j
+        for start in range(0, size, _FLAT_PER_CHUNK):
+            stop = min(start + _FLAT_PER_CHUNK, size)
+            digits = np.sort(base_digits(np.arange(start, stop), self.n, j), axis=1)
+            ranks = np.searchsorted(level_keys, _digit_keys(digits, self.n))
+            yield slice(self._flat_offsets[j - 1] + start, self._flat_offsets[j - 1] + stop), ranks
+
+    def restrict(self, flat: np.ndarray) -> np.ndarray:
+        """Representatives of a flat state, which must be symmetric to ``SYMMETRY_TOL``."""
+        if flat.shape != (self._flat_offsets[-1],):
+            raise ValidationError(
+                f"vector of shape {flat.shape} does not match dimension {self._flat_offsets[-1]}"
+            )
+        check_symmetric(flat, self.n, self.N)
+        z = np.empty(self._offsets[-1])
+        for j in range(1, self.N + 1):
+            lo, hi = self._offsets[j - 1], self._offsets[j]
+            z[lo:hi] = flat[self._flat_offsets[j - 1] + sorted_keys(self.n, j)]
+        return z
+
+    def expand(self, z: np.ndarray) -> np.ndarray:
+        """Flat state whose every entry is the value of its representative in ``z``."""
+        out = np.empty(self._flat_offsets[-1])
+        for j in range(1, self.N + 1):
+            level = z[self._offsets[j - 1] : self._offsets[j]]
+            for where, ranks in self._ranks(j):
+                out[where] = level[ranks]
+        return out
+
+    def norm(self, z: np.ndarray) -> float:
+        """2-norm of the symmetric state ``z`` stands for."""
+        return math.sqrt(float(np.dot(self.weights * z, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +386,114 @@ class CarlemanMatrix:
     def dense(self) -> np.ndarray:
         check_size(self.total_dimension, DENSE_MAX_DIM, "dense Carleman matrix")
         return self.to_sparse().toarray()
+
+    # -- assembly on the symmetric subspace -----------------------------------
+
+    @property
+    def symmetric_dimension(self) -> int:
+        """Number of sorted multi-indices, ``sum_j C(n+j-1, j)``."""
+        return symmetric_offsets(self.n, self.N)[-1]
+
+    @cached_property
+    def _symmetric_parts(self):
+        """F1's diagonal, and the other entries of F1 and of FM as CSR-like rows.
+
+        A row family is ``(indptr, digits, values)``: row ``v`` holds the
+        multi-indices that replace one factor ``v``.  F1 contributes single
+        digits; FM contributes its column digits sorted, with entries whose
+        digits are permutations of each other summed.
+        """
+        n, M = self.n, self.M
+        f1 = self._f1_sparse if self._f1_sparse is not None else sp.csr_matrix(self._f1_dense)
+        coo = f1.tocoo()
+        off = coo.row != coo.col
+        f1_off = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
+        base = self.rescaled.base
+        rows, _, vals = base.fm_coordinates
+        width = n**M
+        keys, inverse = np.unique(
+            rows * width + _digit_keys(np.sort(base.fm_digits, axis=1), n), return_inverse=True
+        )
+        fm_rows = keys // width
+        fm = (
+            np.searchsorted(fm_rows, np.arange(n + 1)),
+            base_digits(keys % width, n, M),
+            np.bincount(inverse, weights=vals, minlength=keys.size),
+        )
+        return f1.diagonal(), (f1_off.indptr, f1_off.indices[:, None], f1_off.data), fm
+
+    def symmetric_nnz(self) -> int:
+        """Entries :meth:`to_symmetric` stores, counted before it allocates any.
+
+        Row ``I`` of level ``j`` stores its diagonal entry plus, for each
+        distinct value ``v`` in ``I``, one entry per off-diagonal F1 entry of
+        row ``v`` and (when level ``j+M-1`` exists) one per sorted FM entry of
+        row ``v``.  ``C(n+j-1, j) - C(n+j-2, j)`` sorted multi-indices of
+        level ``j`` contain a given value.
+        """
+        n, M, N = self.n, self.M, self.N
+        _, f1_off, fm = self._symmetric_parts
+        total = 0
+        for j in range(1, N + 1):
+            rows = math.comb(n + j - 1, j)
+            per_value = f1_off[2].size + (fm[2].size if j + M - 1 <= N else 0)
+            total += rows + (rows - math.comb(n + j - 2, j)) * per_value
+        return total
+
+    def to_symmetric(self) -> sp.csr_matrix:
+        """The operator on the symmetric subspace of :class:`SymmetricBasis`.
+
+        Entry ``(I, J)`` sums the full operator's row ``I`` over every flat
+        column whose sorted multi-index is ``J``, so for symmetric ``y``,
+        ``op @ basis.restrict(y) == basis.restrict(full @ y)``.  Built block by
+        block from F1's rows and FM's digits; the full operator never exists.
+        """
+        n, M, N = self.n, self.M, self.N
+        check_size(self.symmetric_dimension, ASSEMBLY_MAX_DIM, "symmetric Carleman assembly")
+        nnz = self.symmetric_nnz()
+        check_size(nnz, KRON_MAX_SIZE, "symmetric Carleman operator entries")
+        diag, f1_off, fm = self._symmetric_parts
+        offsets = symmetric_offsets(n, N)
+        keys = [sorted_keys(n, j) for j in range(1, N + 1)]
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=np.int32)
+        indptr = np.zeros(offsets[-1] + 1, dtype=np.int32)
+        pos = 0
+        for j in range(1, N + 1):
+            families = [(f1_off, j, 1.0)]
+            if j + M - 1 <= N:
+                families.append((fm, j + M - 1, self.coupling))
+            for start in range(0, keys[j - 1].size, _SYM_ROWS_PER_CHUNK):
+                T = base_digits(keys[j - 1][start : start + _SYM_ROWS_PER_CHUNK], n, j)
+                first, counts = _multiplicities(T)
+                at = offsets[j - 1] + start
+                rows = [np.arange(T.shape[0])]
+                cols = [np.arange(at, at + T.shape[0])]
+                vals = [diag[T].sum(axis=1)]
+                row, slot = np.nonzero(first)
+                value, mult = T[row, slot], counts[row, slot]
+                for (ptr, digits, entries), level, scale in families:
+                    per = ptr[value + 1] - ptr[value]
+                    src = np.repeat(np.arange(row.size), per)
+                    starts = np.repeat(ptr[value] - (np.cumsum(per) - per), per)
+                    entry = starts + np.arange(src.size)
+                    rest = T[row[src]][np.arange(j) != slot[src, None]].reshape(src.size, j - 1)
+                    tuples = np.sort(np.concatenate([rest, digits[entry]], axis=1), axis=1)
+                    rows.append(row[src])
+                    ranks = np.searchsorted(keys[level - 1], _digit_keys(tuples, n))
+                    cols.append(offsets[level - 1] + ranks)
+                    vals.append(scale * mult[src] * entries[entry])
+                r, c, v = (np.concatenate(parts) for parts in (rows, cols, vals))
+                order = np.lexsort((c, r))
+                indices[pos : pos + order.size] = c[order]
+                data[pos : pos + order.size] = v[order]
+                indptr[at + 1 : at + T.shape[0] + 1] = pos + np.cumsum(
+                    np.bincount(r, minlength=T.shape[0])
+                )
+                pos += order.size
+        if pos != nnz:
+            raise NumericFailure(f"symmetric operator stored {pos} entries, counted {nnz}")
+        return sp.csr_matrix((data, indices, indptr), shape=(offsets[-1], offsets[-1]))
 
     # -- spectral bookkeeping -------------------------------------------------
 

@@ -335,8 +335,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
         strict_stability=ctx.strict_stability,
         record_every=numerics["record_every"],
     )
-    y0 = carl.initial_vector(ode.u_in, gamma, N)
-    result = prop.evolve(mat, y0, config)
+    result = prop.evolve(mat, carl.initial_vector(ode.u_in, gamma, N), config)
     reference = node.reference_solve(
         ode, T=ode.T, tol=float(numerics["reference_tol"]), t_eval=result.times
     )

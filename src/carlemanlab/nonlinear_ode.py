@@ -89,12 +89,7 @@ class NonlinearODE:
     def fm_digits(self) -> np.ndarray:
         """Column indices of FM decomposed into M base-n digits (nnz x M)."""
         _, cols, _ = self.fm_coordinates
-        digits = np.empty((cols.size, self.M), dtype=np.int64)
-        rem = cols.copy()
-        for pos in range(self.M - 1, -1, -1):
-            digits[:, pos] = rem % self.n
-            rem //= self.n
-        return digits
+        return base_digits(cols, self.n, self.M)
 
     @cached_property
     def fm_is_one_sparse(self) -> bool:
@@ -286,6 +281,16 @@ def max_stable_gamma(ode: NonlinearODE) -> float:
 # ---------------------------------------------------------------------------
 # Kronecker powers and the reference integrator
 # ---------------------------------------------------------------------------
+
+def base_digits(index: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Row-major multi-indices of flat Kronecker positions: ``width`` base-n digits each."""
+    digits = np.empty((index.size, width), dtype=np.int64)
+    rem = np.array(index, dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        digits[:, pos] = rem % n
+        rem //= n
+    return digits
+
 
 def kron_power(u: np.ndarray, j: int) -> np.ndarray:
     """``u^(x j)`` in lexicographic (row-major) Kronecker order."""

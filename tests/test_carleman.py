@@ -1,5 +1,7 @@
 """Assembly, structured matvec, spectral bookkeeping, and sparsity accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -65,6 +67,46 @@ class TestAssembly:
         mat = assemble(ode, 13)  # 16382 > default cap
         with pytest.raises(ValidationError):
             mat.dense()
+
+
+class TestSymmetricAssembly:
+    def test_demo_sizes(self):
+        # the paper's demo PDE at N=3: 33 824 flat coordinates, 6 544 sorted ones
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=32, k=2,
+            initial=lambda x: 0.4 * (1.0 + np.cos(2.0 * np.pi * x[:, 0])), T=1.0,
+        )
+        mat = assemble(discretize(pde), 3)
+        op = mat.to_symmetric()
+        assert mat.total_dimension == 33_824
+        assert op.shape == (6_544, 6_544)
+        assert op.nnz == mat.symmetric_nnz() == 79_408
+
+    def test_build_peak_stays_near_the_operator_it_returns(self):
+        # the d=2, m=8, k=1 grid of the structured-evolve benchmark: n = 64, N = 3
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=8, k=1, T=0.25,
+            initial=lambda x: 0.2 * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
+        )
+        ode = discretize(pde)
+        mat = assemble(rescale(ode, float(np.linalg.norm(ode.u_in))), 3)
+        tracemalloc.start()
+        try:
+            op = mat.to_symmetric()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+        assert op.shape == (47_904, 47_904) and op.nnz == 601_184
+        assert peak <= 1.5 * held
+
+    def test_over_the_entry_limit_rejected(self):
+        n = 100  # 176 850 sorted multi-indices, about 5e7 entries of a dense F1
+        ode = NonlinearODE(
+            n=n, M=2, F1=-np.ones((n, n)), FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n)
+        )
+        with pytest.raises(ValidationError, match="symmetric Carleman operator entries"):
+            assemble(ode, 3).to_symmetric()
 
 
 class TestMatvec:

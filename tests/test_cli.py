@@ -2,11 +2,15 @@
 
 import json
 import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlemanlab import cli
 from carlemanlab import pde as rd
@@ -268,6 +272,56 @@ class TestSweepCommand:
         run_config(config, tmp_path, extra_args=("--workers", "3"))
         parallel = (tmp_path / "demo_sweep.csv").read_bytes()
         assert serial == parallel
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.data())
+    def test_workers_do_not_change_output_bytes(self, data):
+        """A random small problem and one or two random axes: the sweep file is
+        the same byte for byte with one worker and with two."""
+        n = data.draw(st.sampled_from([1, 2]), "n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        G = rng.standard_normal((n, n))
+        F1 = G - (np.linalg.eigvalsh((G + G.T) / 2).max() + rng.uniform(0.5, 1.5)) * np.eye(n)
+        u_in = rng.standard_normal(n)
+        FM = rng.standard_normal((n, n**2))
+        # R = |FM| |u_in| / |lambda0| = 0.3 keeps every point within gamma_max
+        FM *= 0.3 * abs(np.linalg.eigvalsh((F1 + F1.T) / 2).max()) / (
+            np.linalg.norm(FM, 2) * np.linalg.norm(u_in)
+        )
+        values = {
+            "N": st.integers(3, 6),
+            "K": st.integers(3, 10),
+            "epsilon": st.floats(1e-3, 0.5),
+            "gamma": st.floats(1.0, 2.0).map(lambda g: g * float(np.linalg.norm(u_in))),
+        }
+        names = data.draw(
+            st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=2, unique=True), "axes"
+        )
+        axes = [
+            {"name": name, "values": data.draw(st.lists(values[name], min_size=1, max_size=3))}
+            for name in names
+        ]
+        config = {
+            "schema_version": 1,
+            "command": "sweep",
+            "ode": {
+                "n": n, "M": 2, "F1": F1.tolist(),
+                "FM": {"entries": [[i, c, FM[i, c]] for i in range(n) for c in range(n**2)]},
+                "u_in": u_in.tolist(), "T": 0.5,
+            },
+            "numerics": {"n_steps": 20},
+            "axes": axes,
+            "output": {"prefix": "demo"},
+            "seed": 0,
+        }
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for workers in ("1", "2"):
+                out = Path(tmp) / workers
+                out.mkdir()
+                assert run_config(config, out, extra_args=("--workers", workers)) == 0
+                outputs.append((out / "demo_sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_axis_rejected(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))

@@ -1,16 +1,20 @@
-"""Properties of the two operator paths: structured action vs sparse assembly.
+"""Properties of the operator paths: structured action, sparse assembly and
+the symmetric subspace.
 
-``evolve`` picks one path by dimension, so each is the other's oracle: the
-block-structured ``apply`` must equal the assembled sparse matvec, and the
-Carleman lift must hold the Kronecker powers level by level.
+The full sparse assembly is the oracle of the other two: the block-structured
+``apply`` must equal its matvec, and the operator ``evolve`` steps on the
+symmetric subspace must equal it on symmetric vectors.  The Carleman lift
+must hold the Kronecker powers level by level.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlemanlab.carleman import assemble, initial_vector
+from carlemanlab.carleman import SymmetricBasis, assemble, initial_vector
 from carlemanlab.nonlinear_ode import NonlinearODE, kron_power, rescale
 
 SETTINGS = settings(deadline=None)
@@ -67,3 +71,20 @@ def test_initial_vector_levels_are_kronecker_powers(problem):
     for j in range(1, N + 1):
         assert np.shares_memory(y.level(j), y.flat)
         np.testing.assert_array_equal(y.level(j), kron_power(ode.u_in / gamma, j))
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_symmetric_operator_equals_assembled_matvec_on_symmetric_vectors(problem, seed):
+    ode, gamma, N, _ = problem
+    mat = assemble(rescale(ode, gamma), N)
+    basis = SymmetricBasis(mat.n, mat.N)
+    z = np.random.default_rng(seed).standard_normal(mat.symmetric_dimension)
+    flat = basis.expand(z)
+    got = mat.to_symmetric() @ z
+    want = basis.restrict(mat.to_sparse() @ flat)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert math.isclose(basis.norm(z), np.linalg.norm(flat), rel_tol=1e-12)
+    # the lift's levels are symmetric up to the rounding of their products
+    lift = initial_vector(ode.u_in, gamma, N).flat
+    np.testing.assert_allclose(basis.expand(basis.restrict(lift)), lift, rtol=1e-14, atol=0)

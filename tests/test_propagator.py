@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlemanlab.carleman import assemble, initial_vector
 from carlemanlab.errors import NumericFailure, ValidationError
-from carlemanlab.limits import ASSEMBLY_MAX_DIM
-from carlemanlab.nonlinear_ode import NonlinearODE, reference_solve, rescale
+from carlemanlab.limits import ASSEMBLY_MAX_DIM, KRON_MAX_SIZE
+from carlemanlab.nonlinear_ode import (
+    NonlinearODE,
+    kron_power,
+    lambda0,
+    reference_solve,
+    rescale,
+)
 from carlemanlab.propagator import (
     PropagationConfig,
     evolve,
@@ -99,26 +107,62 @@ class TestEvolve:
             b = taylor_step(lambda v: sparse_op @ v, b, 0.005, 8)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [4, 59])
-    def test_operator_choice_follows_assembly_limit(self, n):
-        # n=4, N=3 assembles (84 dims); n=59, N=3 (208 919 dims) exceeds the limit
+    @pytest.mark.parametrize(
+        "n, dense_f1, symmetric",
+        [(4, False, True), (59, False, True), (110, False, False), (100, True, False)],
+        ids=["4", "59", "110", "100-dense"],
+    )
+    def test_operator_choice_follows_symmetric_limits(self, n, dense_f1, symmetric):
+        # sorted multi-indices at N=3: 84 (n=4) and 37 819 (n=59) are within
+        # ASSEMBLY_MAX_DIM, 234 135 (n=110) is above it; n=100 (176 850) is
+        # within it, but a fully dense F1 makes about 5e7 stored entries,
+        # over KRON_MAX_SIZE
         rates = np.linspace(1.0, 2.0, n)
+        F1 = -np.diag(rates) + (1e-3 * np.ones((n, n)) if dense_f1 else 0.0)
         ode = NonlinearODE(
-            n=n, M=2, F1=-np.diag(rates), FM=sp.csr_matrix((n, n**2)),
-            u_in=np.full(n, 0.1), T=0.02,
+            n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1), T=0.02,
         )
         mat = assemble(ode, 3)
-        assembled = mat.total_dimension <= ASSEMBLY_MAX_DIM
-        assert assembled == (n == 4)
-        if assembled:
+        fits = mat.symmetric_dimension <= ASSEMBLY_MAX_DIM and mat.symmetric_nnz() <= KRON_MAX_SIZE
+        assert fits == symmetric
+        if symmetric:
             mat.apply = None  # the structured action must not be used
+        else:
+            mat.to_symmetric = None  # nor the symmetric assembly
         config = PropagationConfig(total_time=0.02, taylor_order=6, n_steps=2)
         res = evolve(mat, initial_vector(ode.u_in, 1.0, 3), config)
-        want = ode.u_in * np.exp(-rates * 0.02)
+        want = scipy.linalg.expm(0.02 * F1) @ ode.u_in
         defect = res.n_steps * taylor_step_defect_bound(
             mat.spectral_norm_bound(), res.dt, 6, res.y_norms[0]
         )
         assert np.abs(res.block1[-1] - want).max() <= defect + 1e-15
+
+    @pytest.mark.parametrize("n", [2, 110], ids=["symmetric-path", "apply-path"])
+    def test_asymmetric_lift_rejected(self, n):
+        # n=110, N=3 is above ASSEMBLY_MAX_DIM, so the check must not depend on the path
+        ode = NonlinearODE(
+            n=n, M=2, F1=-np.eye(n), FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1)
+        )
+        mat = assemble(ode, 3)
+        mat.apply = mat.to_symmetric = None  # rejected before any operator is used
+        y0 = initial_vector(ode.u_in, 1.0, 3)
+        y0.level(2)[1] += 1e-9  # entry (0, 1) of level 2 no longer equals (1, 0)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            evolve(mat, y0, PropagationConfig(total_time=0.1, n_steps=1))
+
+    def test_symmetric_steps_match_full_space_steps(self):
+        ode = make_two_dim_instance(3, 0.5)
+        gamma, N, K = 1.2, 5, 8
+        mat = assemble(rescale(ode, gamma), N)
+        y0 = initial_vector(ode.u_in, gamma, N)
+        res = evolve(mat, y0, PropagationConfig(total_time=0.5, taylor_order=K, n_steps=40))
+        full = mat.to_sparse()
+        y, norms = y0.flat, [np.linalg.norm(y0.flat)]
+        for _ in range(res.n_steps):
+            y = taylor_step(lambda v: full @ v, y, res.dt, K)
+            norms.append(np.linalg.norm(y))
+        assert np.linalg.norm(res.y_final.flat - y) <= 1e-12 * np.linalg.norm(y)
+        np.testing.assert_allclose(res.step_norms, norms, rtol=1e-12)
 
     def test_bernoulli_block1_within_bound_plus_defect(self, bernoulli_ode):
         gamma, N, K = 1.0, 8, 8
@@ -175,6 +219,48 @@ class TestEvolve:
         config = PropagationConfig(total_time=1.0, dt=0.3, n_steps=2)
         with pytest.raises(ValidationError):
             config.resolve_steps(norm_bound=1.0)
+
+
+@st.composite
+def linear_problems(draw):
+    """FM = 0 with a dissipative F1 (dense or sparse), gamma, N, T and K."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    M = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(M + 1, M + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        G = G * (rng.random((n, n)) < 0.6)
+    F1 = G - (lambda0(G) + rng.uniform(0.05, 1.0)) * np.eye(n)
+    if draw(st.booleans()):
+        F1 = sp.csr_matrix(F1)
+    ode = NonlinearODE(n=n, M=M, F1=F1, FM=sp.csr_matrix((n, n**M)), u_in=rng.standard_normal(n))
+    gamma = draw(st.floats(0.1, 3.0))
+    T = draw(st.floats(0.05, 2.0))
+    K = draw(st.integers(4, 10))
+    return ode, gamma, N, T, K
+
+
+@settings(deadline=None)
+@given(linear_problems())
+def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
+    """``y_j(T) = (e^(T F1) u / gamma)^(x j)`` within the Taylor defect bound.
+
+    With FM = 0 each level evolves under its own Kronecker sum, whose
+    exponential is ``e^(T F1)^(x j)``, and a dissipative F1 makes every level a
+    contraction, so the one-step defects add up.
+    """
+    ode, gamma, N, T, K = problem
+    mat = assemble(rescale(ode, gamma), N)
+    config = PropagationConfig(total_time=T, taylor_order=K)
+    res = evolve(mat, initial_vector(ode.u_in, gamma, N), config)
+    F1 = ode.F1.toarray() if sp.issparse(ode.F1) else ode.F1
+    v = scipy.linalg.expm(T * F1) @ ode.u_in / gamma
+    top = res.step_norms.max()
+    defect = res.n_steps * taylor_step_defect_bound(mat.spectral_norm_bound(), res.dt, K, top)
+    for j in range(1, N + 1):
+        err = np.linalg.norm(res.y_final.level(j) - kron_power(v, j))
+        assert err <= defect + 1e-12 * top
 
 
 class TestExtractBlock:
