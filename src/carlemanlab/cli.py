@@ -366,6 +366,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
         "measured_error_T": float(err[-1]),
         "max_measured_error": float(err.max()),
         "component_bound_j1_T": float(bound_T) * gamma,
+        "reference_method": reference.method,
     }
 
 
@@ -569,7 +570,7 @@ def _cmd_sweep(ctx: RunContext) -> None:
 
     metric_keys = [
         "measured_error_T", "max_measured_error", "component_bound_j1_T",
-        "final_share", "final_y_norm", "N", "dt", "n_steps",
+        "final_share", "final_y_norm", "N", "dt", "n_steps", "reference_method",
     ]
     header = names + metric_keys
     rows = [

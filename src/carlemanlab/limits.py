@@ -1,4 +1,5 @@
-"""Size policy: the four limits every module checks before it allocates.
+"""Size policy: the four limits every module checks before it allocates,
+and the stiffness scale that picks the reference integrator.
 
 An oversized problem fails fast with :class:`ValidationError` instead of
 running out of memory or stalling in dense linear algebra.
@@ -30,6 +31,18 @@ ASSEMBLY_MAX_DIM = 200_000
 #: (``CarlemanMatrix.symmetric_nnz``, counted before anything is allocated);
 #: ``evolve`` steps with the structured action when the count exceeds it.
 KRON_MAX_SIZE = 10**7
+
+#: ``reference_solve`` integrates with implicit Radau IIA and the analytic
+#: Jacobian instead of explicit DOP853 when ``n <= DENSE_F1_MAX_N`` and the
+#: horizon times ``|F1|_inf`` (the largest absolute row sum of F1) exceeds
+#: this.  An explicit step is capped by stability near ``6 / |F1|``, so
+#: DOP853's RHS count grows like ``T |F1|_inf`` (about 1.9 per unit), while
+#: Radau's stays at about 2 000 at tol 1e-10.  On the demo PDE (k = 2, 3,
+#: m = 48..68, T = 1; 2-core Xeon VM, one BLAS thread, best of 7 solves)
+#: DOP853 was faster up to 3 347 (m = 56, k = 2: 93 ms against 118 ms) and
+#: Radau from 3 793 on (m = 56, k = 3: 67 ms against 79 ms; m = 64, k = 2,
+#: 4 371: 72 ms against 94 ms), with one inversion at 3 271 (m = 52, k = 3).
+STIFF_REFERENCE_SCALE = 3500.0
 
 
 def check_size(size: int, limit: int, what: str) -> None:

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from .errors import NumericFailure, ValidationError
-from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_size
+from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, STIFF_REFERENCE_SCALE, check_size
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
@@ -104,11 +104,36 @@ class NonlinearODE:
         rows, _, vals = self.fm_coordinates
         if rows.size == 0:
             return np.zeros(self.n)
-        prod = vals * np.prod(u[self.fm_digits], axis=1)
-        return np.bincount(rows, weights=prod, minlength=self.n)
+        # one gather per digit column, multiplied in digit order: the same
+        # products as ``np.prod(u[fm_digits], axis=1)``, without the nnz x M copy
+        digits = self.fm_digits
+        prod = u[digits[:, 0]]
+        for p in range(1, self.M):
+            prod = prod * u[digits[:, p]]
+        return np.bincount(rows, weights=vals * prod, minlength=self.n)
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         return self.F1 @ u + self.fm_contract(u)
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """Dense Jacobian of :meth:`rhs`: ``F1 + sum_p FM (u^(x p) (x) I (x) u^(x (M-1-p)))``.
+
+        Built from the FM triplets: the nonzero ``(row, digits, value)`` adds
+        ``value * prod_{q != p} u[digits[q]]`` at ``(row, digits[p])`` for
+        each digit position ``p``.  Dense, so limited to the dense-F1
+        dimension.
+        """
+        check_size(self.n, DENSE_F1_MAX_N, "dense Jacobian dimension")
+        jac = self.F1.toarray() if sp.issparse(self.F1) else self.F1.copy()
+        rows, _, vals = self.fm_coordinates
+        factors = u[self.fm_digits]
+        for p in range(self.M):
+            partial = vals.copy()
+            for q in range(self.M):
+                if q != p:
+                    partial *= factors[:, q]
+            np.add.at(jac, (rows, self.fm_digits[:, p]), partial)
+        return jac
 
     # -- spectral scalars, each computed once per problem -----------------
 
@@ -121,6 +146,11 @@ class NonlinearODE:
     def f1_norm(self) -> float:
         """Spectral norm of F1."""
         return operator_spectral_norm(self.F1)
+
+    @cached_property
+    def f1_inf_norm(self) -> float:
+        """Largest absolute row sum of F1: a bound on its spectral radius, in O(nnz)."""
+        return float(abs(self.F1).sum(axis=1).max())
 
     @cached_property
     def fm_norm(self) -> float:
@@ -306,10 +336,11 @@ def kron_power(u: np.ndarray, j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: ``u[i]`` is the state at ``t[i]``."""
+    """Sampled solution: ``u[i]`` is the state at ``t[i]``, from ``method``."""
 
     t: np.ndarray
     u: np.ndarray
+    method: str
 
 
 def reference_solve(
@@ -318,11 +349,17 @@ def reference_solve(
     tol: float = 1e-10,
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    """Brute-force trajectory from an adaptive high-order embedded pair.
+    """Brute-force trajectory from an adaptive high-order integrator.
 
     Serves as the oracle for every error-bound comparison; the local error is
     controlled to ``tol`` in mixed absolute/relative form and the solution is
     sampled at 101 uniform times unless ``t_eval`` is given.
+
+    The method follows from the problem: implicit Radau IIA with the analytic
+    :meth:`NonlinearODE.jacobian` when ``n <= DENSE_F1_MAX_N`` and
+    ``T |F1|_inf > STIFF_REFERENCE_SCALE`` (there an explicit step is capped
+    by stability, ``h <~ 6 / |F1|``, not by accuracy), and the explicit
+    DOP853 pair otherwise.  The trajectory records which one ran.
     """
     ode = _coerce_ode(ode)
     if not 1e-13 <= tol <= 1e-6:
@@ -332,21 +369,25 @@ def reference_solve(
         raise ValidationError("horizon must be non-negative")
     if t_eval is None:
         t_eval = np.linspace(0.0, horizon, 101)
+    stiff = ode.n <= DENSE_F1_MAX_N and horizon * ode.f1_inf_norm > STIFF_REFERENCE_SCALE
+    method = "Radau" if stiff else "DOP853"
     if horizon == 0.0:
-        return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy())
+        return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy(), method=method)
 
+    options = {"jac": lambda _, u: ode.jacobian(u)} if stiff else {}
     sol = solve_ivp(
         lambda _, u: ode.rhs(u),
         (0.0, horizon),
         ode.u_in,
-        method="DOP853",
+        method=method,
         rtol=tol,
         atol=tol,
         t_eval=np.asarray(t_eval, dtype=float),
         dense_output=False,
+        **options,
     )
     if not sol.success:
         raise NumericFailure(f"reference integration failed: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise NumericFailure("reference integration produced non-finite values")
-    return Trajectory(t=sol.t, u=sol.y.T.copy())
+    return Trajectory(t=sol.t, u=sol.y.T.copy(), method=method)

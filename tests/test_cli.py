@@ -219,6 +219,7 @@ class TestEvolveCommand:
         assert len(rows) == 11
         summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
         assert summary["measured_error_T"] <= summary["component_bound_j1_T"] + 1e-8
+        assert summary["reference_method"] == "DOP853"
         shares = [float(r[3]) for r in rows]
         assert all(s >= 1.0 / 4 - 1e-12 for s in shares)
 
@@ -251,6 +252,7 @@ class TestSweepCommand:
         assert header[0] == "N"
         errs = [float(r[header.index("measured_error_T")]) for r in rows]
         assert [int(r[0]) for r in rows] == [3, 4, 5, 6]
+        assert {r[header.index("reference_method")] for r in rows} == {"DOP853"}
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_empty_axes_single_point(self, tmp_path):

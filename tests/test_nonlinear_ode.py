@@ -1,15 +1,20 @@
 """Problem diagnostics, rescaling, Kronecker powers, and the reference oracle."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from carlemanlab import nonlinear_ode
 from carlemanlab.bounds import make_bound_report
 from carlemanlab.carleman import assemble
 from carlemanlab.errors import ValidationError
+from carlemanlab.limits import DENSE_F1_MAX_N, STIFF_REFERENCE_SCALE
 from carlemanlab.nonlinear_ode import (
     NonlinearODE,
     fm_spectral_norm,
@@ -23,7 +28,7 @@ from carlemanlab.nonlinear_ode import (
 )
 from carlemanlab.pde import discretize, ReactionDiffusionProblem
 
-from conftest import make_two_dim_instance
+from conftest import make_two_dim_instance, raised_cosine
 
 
 class TestLambda0:
@@ -195,6 +200,77 @@ class TestReferenceSolve:
             reference_solve(bernoulli_ode, T=1.0, tol=1e-3)
         with pytest.raises(ValidationError):
             reference_solve(bernoulli_ode, T=1.0, tol=1e-14)
+
+
+class TestReferenceMethod:
+    """Radau with the analytic Jacobian where an explicit step is stability-capped."""
+
+    @pytest.mark.parametrize("factor, method", [(0.9, "DOP853"), (1.1, "Radau")])
+    def test_method_follows_stiffness_scale(self, factor, method):
+        # u' = -rate u, so T |F1|_inf = rate T; sample at t = 1/rate, where u = 1/e
+        rate = factor * STIFF_REFERENCE_SCALE
+        ode = NonlinearODE(n=1, M=2, F1=[[-rate]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
+        traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0 / rate]))
+        assert traj.method == method
+        assert traj.u[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
+
+    def test_no_dense_jacobian_above_dense_f1_limit(self):
+        # stiff enough for Radau, but a dense Jacobian is not allowed here
+        n = DENSE_F1_MAX_N + 1
+        rate = 1.1 * STIFF_REFERENCE_SCALE
+        F1 = sp.identity(n, format="csr") * -rate
+        ode = NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n))
+        traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0 / rate]))
+        assert traj.method == "DOP853"
+        np.testing.assert_allclose(traj.u[-1], np.exp(-1.0), atol=1e-9)
+        with pytest.raises(ValidationError):
+            ode.jacobian(ode.u_in)
+
+    def test_radau_matches_direct_dop853_on_refined_demo(self):
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=64, k=2,
+            initial=raised_cosine, T=1.0,
+        )
+        ode = discretize(pde)
+        traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0]))
+        assert traj.method == "Radau"
+        direct = solve_ivp(
+            lambda _, u: ode.rhs(u), (0.0, 1.0), ode.u_in, method="DOP853",
+            rtol=1e-10, atol=1e-10, t_eval=np.array([0.0, 1.0]),
+        )
+        assert np.abs(traj.u[-1] - direct.y[:, -1]).max() <= 1e-9
+
+
+@st.composite
+def jacobian_cases(draw):
+    """(ODE, u, v) with dense or sparse F1 and a generic FM whose rows repeat."""
+    n = draw(st.integers(1, 4))
+    M = draw(st.sampled_from([2, 3]))
+    sparse = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F1 = rng.standard_normal((n, n))
+    if sparse:
+        F1 = sp.csr_matrix(F1 * (rng.random((n, n)) < 0.6))
+    width = n**M
+    FM = rng.standard_normal((n, width)) * (rng.random((n, width)) < 0.5)
+    FM[0] = rng.standard_normal(width)  # row 0 is full, so its row index repeats
+    ode = NonlinearODE(n=n, M=M, F1=F1, FM=sp.csr_matrix(FM), u_in=rng.standard_normal(n))
+    return ode, rng.standard_normal(n), rng.standard_normal(n)
+
+
+@settings(deadline=None)
+@given(jacobian_cases())
+def test_jacobian_is_the_derivative_of_the_kronecker_power(case):
+    # J v = F1 v + FM sum_p u^(x p) (x) v (x) u^(x (M-1-p))
+    ode, u, v = case
+    F1 = ode.F1.toarray() if sp.issparse(ode.F1) else ode.F1
+    FM = ode.FM.toarray()
+    kron = functools.partial(functools.reduce, np.kron)
+    slots = [[u] * p + [v] + [u] * (ode.M - 1 - p) for p in range(ode.M)]
+    want = F1 @ v + FM @ sum(kron(f) for f in slots)
+    scale = np.abs(F1) @ np.abs(v) + np.abs(FM) @ sum(kron([np.abs(x) for x in f]) for f in slots)
+    got = ode.jacobian(u) @ v
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(scale)
 
 
 class TestKronPower:
