@@ -20,7 +20,6 @@ from .carleman import (
     CarlemanMatrix,
     CarlemanVector,
     assemble,
-    carleman_apply,
     initial_vector,
     lambda_value,
 )

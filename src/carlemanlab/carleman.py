@@ -1,16 +1,18 @@
-"""Block-structured truncated Carleman matrix and its matrix-free action.
+"""Truncated Carleman operator: block-structured action and its assemblies.
 
 The linearised operator acts on stacked Kronecker levels ``y_1 .. y_N`` with
 diagonal blocks built from ``F1`` and off-diagonal blocks built from the
-rescaled nonlinearity ``gamma**(M-1) FM``.  Blocks are never materialised:
-each level application touches one tensor factor at a time, so memory stays
-at ``O(nnz(F1) + nnz(FM))`` plus the vector itself.
+rescaled nonlinearity ``gamma**(M-1) FM``.  :meth:`CarlemanMatrix.apply`
+never materialises a block: each level application touches one tensor factor
+at a time.  :meth:`CarlemanMatrix.to_sparse` assembles the full operator for
+small instances, and the two are each other's oracle.
 
 Both block families are Kronecker sums, so the operator commutes with
 permutations of tensor factors and keeps a symmetric lift symmetric.
 :meth:`CarlemanMatrix.to_symmetric` assembles it on the symmetric subspace,
 one coordinate per non-decreasing multi-index (the reduced, monomial form of
-Carleman linearisation: Kowalski & Steeb 1991).
+Carleman linearisation: Kowalski & Steeb 1991); this is the operator
+:func:`carlemanlab.propagator.evolve` steps.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .nonlinear_ode import NonlinearODE, RescaledODE, base_digits, kron_power, r
 
 #: representatives per block while the symmetric operator is built
 _SYM_ROWS_PER_CHUNK = 256
-#: entries per block in :func:`check_symmetric` and :class:`SymmetricBasis`
+#: entries per block in :class:`SymmetricBasis`
 _FLAT_PER_CHUNK = 1 << 12
-#: relative 2-norm distance from the symmetric subspace :func:`check_symmetric` accepts
+#: relative 2-norm distance from the symmetric subspace ``SymmetricBasis.restrict`` accepts
 SYMMETRY_TOL = 1e-13
 
 
@@ -145,29 +147,6 @@ def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, (T[:, :, None] == T[:, None, :]).sum(axis=2)
 
 
-def check_symmetric(flat: np.ndarray, n: int, N: int) -> None:
-    """Reject a flat state farther than ``SYMMETRY_TOL`` relative from the symmetric subspace.
-
-    Each entry is compared with the entry at its sorted multi-index, in blocks
-    of ``_FLAT_PER_CHUNK``, so no full-size temporary is made.
-    """
-    offsets = level_offsets(n, N)
-    off_sq = 0.0
-    for j in range(2, N + 1):  # level 1 has no factors to permute
-        size = n**j
-        for start in range(0, size, _FLAT_PER_CHUNK):
-            stop = min(start + _FLAT_PER_CHUNK, size)
-            digits = np.sort(base_digits(np.arange(start, stop), n, j), axis=1)
-            rep = flat[offsets[j - 1] + _digit_keys(digits, n)]
-            gap = flat[offsets[j - 1] + start : offsets[j - 1] + stop] - rep
-            off_sq += float(gap @ gap)
-    if math.sqrt(off_sq) > SYMMETRY_TOL * float(np.linalg.norm(flat)):
-        raise ValidationError(
-            f"state is not symmetric under permutations of tensor factors: "
-            f"distance {math.sqrt(off_sq):.3e} from the symmetric subspace"
-        )
-
-
 @dataclass
 class SymmetricBasis:
     """One coordinate per sorted multi-index of levels ``1..N``.
@@ -208,16 +187,28 @@ class SymmetricBasis:
             yield slice(self._flat_offsets[j - 1] + start, self._flat_offsets[j - 1] + stop), ranks
 
     def restrict(self, flat: np.ndarray) -> np.ndarray:
-        """Representatives of a flat state, which must be symmetric to ``SYMMETRY_TOL``."""
+        """Representatives of a flat state, which must be symmetric to ``SYMMETRY_TOL``.
+
+        Each entry is compared with its representative, in blocks of
+        ``_FLAT_PER_CHUNK``, so no full-size temporary is made.
+        """
         if flat.shape != (self._flat_offsets[-1],):
             raise ValidationError(
                 f"vector of shape {flat.shape} does not match dimension {self._flat_offsets[-1]}"
             )
-        check_symmetric(flat, self.n, self.N)
         z = np.empty(self._offsets[-1])
+        off_sq = 0.0
         for j in range(1, self.N + 1):
-            lo, hi = self._offsets[j - 1], self._offsets[j]
-            z[lo:hi] = flat[self._flat_offsets[j - 1] + sorted_keys(self.n, j)]
+            level = z[self._offsets[j - 1] : self._offsets[j]]
+            level[:] = flat[self._flat_offsets[j - 1] + sorted_keys(self.n, j)]
+            for where, ranks in self._ranks(j):
+                gap = flat[where] - level[ranks]
+                off_sq += float(gap @ gap)
+        if math.sqrt(off_sq) > SYMMETRY_TOL * float(np.linalg.norm(flat)):
+            raise ValidationError(
+                f"state is not symmetric under permutations of tensor factors: "
+                f"distance {math.sqrt(off_sq):.3e} from the symmetric subspace"
+            )
         return z
 
     def expand(self, z: np.ndarray) -> np.ndarray:
@@ -250,9 +241,9 @@ class CarlemanMatrix:
 
     rescaled: RescaledODE
     N: int
-    _f1_dense: Optional[np.ndarray] = field(default=None, repr=False)
-    _f1_sparse: Optional[sp.csr_matrix] = field(default=None, repr=False)
-    _gather: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
+    _f1_dense: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    _f1_sparse: sp.csr_matrix = field(init=False, repr=False)
+    _gather: Optional[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         n, M, N = self.n, self.M, self.N
@@ -269,6 +260,7 @@ class CarlemanMatrix:
                 self._f1_dense = self._f1_sparse.toarray()
         else:
             self._f1_dense = np.asarray(F1, dtype=float)
+            self._f1_sparse = sp.csr_matrix(self._f1_dense)
         rows, cols, vals = self.rescaled.base.fm_coordinates
         if rows.size == np.unique(rows).size:
             col_of = np.zeros(n, dtype=np.int64)
@@ -351,12 +343,11 @@ class CarlemanMatrix:
 
     def _diag_block(self, j: int) -> sp.csr_matrix:
         n = self.n
-        f1 = self._f1_sparse if self._f1_sparse is not None else sp.csr_matrix(self._f1_dense)
         total = sp.csr_matrix((n**j, n**j))
         for i in range(1, j + 1):
             left = sp.identity(n ** (i - 1), format="csr")
             right = sp.identity(n ** (j - i), format="csr")
-            total = total + sp.kron(sp.kron(left, f1), right, format="csr")
+            total = total + sp.kron(sp.kron(left, self._f1_sparse), right, format="csr")
         return total
 
     def _off_block(self, j: int) -> sp.csr_matrix:
@@ -404,8 +395,7 @@ class CarlemanMatrix:
         digits are permutations of each other summed.
         """
         n, M = self.n, self.M
-        f1 = self._f1_sparse if self._f1_sparse is not None else sp.csr_matrix(self._f1_dense)
-        coo = f1.tocoo()
+        coo = self._f1_sparse.tocoo()
         off = coo.row != coo.col
         f1_off = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
         base = self.rescaled.base
@@ -420,7 +410,7 @@ class CarlemanMatrix:
             base_digits(keys % width, n, M),
             np.bincount(inverse, weights=vals, minlength=keys.size),
         )
-        return f1.diagonal(), (f1_off.indptr, f1_off.indices[:, None], f1_off.data), fm
+        return self._f1_sparse.diagonal(), (f1_off.indptr, f1_off.indices[:, None], f1_off.data), fm
 
     def symmetric_nnz(self) -> int:
         """Entries :meth:`to_symmetric` stores, counted before it allocates any.
@@ -449,8 +439,9 @@ class CarlemanMatrix:
         block from F1's rows and FM's digits; the full operator never exists.
         """
         n, M, N = self.n, self.M, self.N
-        check_size(self.symmetric_dimension, ASSEMBLY_MAX_DIM, "symmetric Carleman assembly")
         nnz = self.symmetric_nnz()
+        # every row stores its diagonal entry, so rows <= entries <= KRON_MAX_SIZE
+        # < 2**31 and the int32 ``indices`` and ``indptr`` below cannot overflow
         check_size(nnz, KRON_MAX_SIZE, "symmetric Carleman operator entries")
         diag, f1_off, fm = self._symmetric_parts
         offsets = symmetric_offsets(n, N)
@@ -523,15 +514,7 @@ class CarlemanMatrix:
 
     def sparsity_count(self) -> int:
         """Measured maximum number of nonzeros in any assembled row."""
-        check_size(self.total_dimension, ASSEMBLY_MAX_DIM, "sparsity count")
-        worst = 0
-        for j in range(1, self.N + 1):
-            row_mat = self._diag_block(j)
-            if j + self.M - 1 <= self.N:
-                row_mat = sp.hstack([row_mat, self._off_block(j)], format="csr")
-            row_mat.eliminate_zeros()
-            worst = max(worst, int(row_mat.getnnz(axis=1).max()))
-        return worst
+        return int(self.to_sparse().getnnz(axis=1).max())
 
 
 def assemble(system: RescaledODE | NonlinearODE, N: int) -> CarlemanMatrix:
@@ -542,13 +525,6 @@ def assemble(system: RescaledODE | NonlinearODE, N: int) -> CarlemanMatrix:
     if isinstance(system, NonlinearODE):
         system = rescale(system, 1.0)
     return CarlemanMatrix(rescaled=system, N=int(N))
-
-
-def carleman_apply(mat: CarlemanMatrix, y: np.ndarray) -> np.ndarray:
-    out = mat.apply(y)
-    if not np.all(np.isfinite(out)):
-        raise NumericFailure("Carleman matvec produced non-finite values")
-    return out
 
 
 def lambda_value(N: int, M: int, gamma: float, lam_f1: float, lam_fm: float) -> float:

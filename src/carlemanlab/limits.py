@@ -18,18 +18,17 @@ DENSE_F1_MAX_N = 512
 #: export) up to this dimension, i.e. at most 128 MiB of float64.
 DENSE_MAX_DIM = 4096
 
-#: sparse assembly of the Carleman operator up to this dimension.  It covers
-#: both assemblies: ``to_sparse()`` (and ``sparsity_count()``) on the total
-#: dimension ``sum_j n**j``, and ``to_symmetric()``, the operator ``evolve``
-#: steps, on the symmetric dimension ``sum_j C(n+j-1, j)``.  Above the limit
-#: ``evolve`` steps with the block-structured action, whose memory stays at
-#: ``O(nnz(F1) + nnz(FM))`` plus the vector.
+#: full sparse assembly of the Carleman operator, ``to_sparse()`` (and
+#: ``sparsity_count()``, which counts its rows), up to this total dimension
+#: ``sum_j n**j``.  The symmetric operator ``evolve`` steps is limited by its
+#: stored entries instead (``KRON_MAX_SIZE``).
 ASSEMBLY_MAX_DIM = 200_000
 
 #: entries per array of this many float64 (80 MB).  It covers both
 #: Kronecker-power vectors and the stored entries of the symmetric operator
-#: (``CarlemanMatrix.symmetric_nnz``, counted before anything is allocated);
-#: ``evolve`` steps with the structured action when the count exceeds it.
+#: (``CarlemanMatrix.symmetric_nnz``, counted before anything is allocated),
+#: the one size limit of ``evolve``: over it, ``evolve`` raises instead of
+#: stepping.
 KRON_MAX_SIZE = 10**7
 
 #: ``reference_solve`` integrates with implicit Radau IIA and the analytic

@@ -14,9 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .carleman import CarlemanMatrix, CarlemanVector, SymmetricBasis, check_symmetric
+from .carleman import CarlemanMatrix, CarlemanVector, SymmetricBasis
 from .errors import NumericFailure, ValidationError
-from .limits import ASSEMBLY_MAX_DIM, KRON_MAX_SIZE
 
 
 def taylor_step(
@@ -112,12 +111,13 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
     """Repeated Taylor steps over ``[0, T]`` with stability and blow-up guards.
 
     The lift of a state is symmetric under permutations of tensor factors and
-    the operator keeps it so.  While the symmetric operator fits the limits
-    (``ASSEMBLY_MAX_DIM`` coordinates, ``KRON_MAX_SIZE`` stored entries) the
-    steps run on it, one coordinate per sorted multi-index, with norms taken
-    in the orbit-weighted norm, which equals the 2-norm of the flat state.
-    Above the limits each step uses the block-structured action on the flat
-    state.  At every size a ``y0`` that is not symmetric is rejected.
+    the operator keeps it so.  The steps therefore run on the symmetric
+    operator (:meth:`CarlemanMatrix.to_symmetric`), one coordinate per sorted
+    multi-index, with norms taken in the orbit-weighted norm, which equals the
+    2-norm of the flat state; the final state is expanded back to the flat
+    layout.  A ``y0`` that is not symmetric is rejected, and so is a problem
+    whose symmetric operator would store more than ``KRON_MAX_SIZE`` entries,
+    before the operator is allocated.
     """
     bound = mat.gershgorin_max_eig_bound()
     if config.strict_stability and bound > 0:
@@ -132,20 +132,13 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
     dt, n_steps = config.resolve_steps(mat.spectral_norm_bound())
     every = config.record_every or max(1, n_steps // 1000)
 
-    if mat.symmetric_dimension <= ASSEMBLY_MAX_DIM and mat.symmetric_nnz() <= KRON_MAX_SIZE:
-        basis = SymmetricBasis(mat.n, mat.N)
-        y = basis.restrict(y0.flat)
-        y0 = None  # a lift passed inline is freed before the operator is built
-        sym_op = mat.to_symmetric()
-        apply_A = lambda v: sym_op @ v  # noqa: E731
-        norm_of, expand = basis.norm, basis.expand
-    else:
-        check_symmetric(y0.flat, mat.n, mat.N)
-        y = y0.flat
-        apply_A = mat.apply
-        norm_of, expand = (lambda v: float(np.linalg.norm(v))), (lambda v: v)
+    basis = SymmetricBasis(mat.n, mat.N)
+    y = basis.restrict(y0.flat)
+    y0 = None  # a lift passed inline is freed before the operator is built
+    sym_op = mat.to_symmetric()
+    apply_A = lambda v: sym_op @ v  # noqa: E731
     n1 = mat.n
-    norm0 = norm_of(y)
+    norm0 = basis.norm(y)
     times = [0.0]
     block1 = [y[:n1].copy()]
     shares = [float(y[:n1] @ y[:n1]) / norm0**2]
@@ -154,7 +147,7 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
 
     for step in range(1, n_steps + 1):
         y = taylor_step(apply_A, y, dt, config.taylor_order)
-        norm = norm_of(y)
+        norm = basis.norm(y)
         step_norms.append(norm)
         if norm > config.blowup_factor * max(norm0, 1e-300):
             raise NumericFailure(
@@ -174,7 +167,7 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
         block1_share=np.array(shares),
         y_norms=np.array(norms),
         step_norms=np.array(step_norms),
-        y_final=CarlemanVector(expand(y), mat.n, mat.N),
+        y_final=CarlemanVector(basis.expand(y), mat.n, mat.N),
         dt=dt,
         n_steps=n_steps,
         stability_bound=bound,

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from carlemanlab.carleman import (
     CarlemanVector,
     assemble,
-    carleman_apply,
     initial_vector,
     lambda_value,
 )
@@ -83,7 +82,7 @@ class TestSymmetricAssembly:
         assert op.nnz == mat.symmetric_nnz() == 79_408
 
     def test_build_peak_stays_near_the_operator_it_returns(self):
-        # the d=2, m=8, k=1 grid of the structured-evolve benchmark: n = 64, N = 3
+        # the d=2, m=8, k=1 grid of the benchmark's d=2 evolve workload: n = 64, N = 3
         pde = ReactionDiffusionProblem(
             diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=8, k=1, T=0.25,
             initial=lambda x: 0.2 * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
@@ -144,7 +143,7 @@ class TestMatvec:
         gamma = 1.3
         mat = assemble(rescale(ode, gamma), 4)
         y0 = initial_vector(ode.u_in, gamma, 4)
-        out = CarlemanVector(carleman_apply(mat, y0.flat), 2, 4)
+        out = CarlemanVector(mat.apply(y0.flat), 2, 4)
         ut = ode.u_in / gamma
         want = ode.F1 @ ut + gamma ** (2 - 1) * ode.fm_contract(ut)
         np.testing.assert_allclose(out.level(1), want, atol=1e-14)

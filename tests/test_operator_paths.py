@@ -1,10 +1,10 @@
-"""Properties of the operator paths: structured action, sparse assembly and
-the symmetric subspace.
+"""Properties of the three forms of the Carleman operator: the block-structured
+action, the full sparse assembly and the symmetric operator ``evolve`` steps.
 
-The full sparse assembly is the oracle of the other two: the block-structured
-``apply`` must equal its matvec, and the operator ``evolve`` steps on the
-symmetric subspace must equal it on symmetric vectors.  The Carleman lift
-must hold the Kronecker powers level by level.
+The structured ``apply`` and the full sparse assembly are built independently
+and must agree on every vector; the symmetric operator must equal the full
+assembly on symmetric vectors.  The Carleman lift must hold the Kronecker
+powers level by level.
 """
 
 import math

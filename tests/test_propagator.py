@@ -1,6 +1,7 @@
 """Taylor stepping, trajectory evolution, level extraction, probabilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from carlemanlab.carleman import assemble, initial_vector
 from carlemanlab.errors import NumericFailure, ValidationError
-from carlemanlab.limits import ASSEMBLY_MAX_DIM, KRON_MAX_SIZE
+from carlemanlab.limits import KRON_MAX_SIZE
 from carlemanlab.nonlinear_ode import (
     NonlinearODE,
     kron_power,
@@ -108,29 +109,36 @@ class TestEvolve:
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize(
-        "n, dense_f1, symmetric",
-        [(4, False, True), (59, False, True), (110, False, False), (100, True, False)],
+        "n, dense_f1, fits",
+        [(4, False, True), (59, False, True), (110, False, True), (100, True, False)],
         ids=["4", "59", "110", "100-dense"],
     )
-    def test_operator_choice_follows_symmetric_limits(self, n, dense_f1, symmetric):
-        # sorted multi-indices at N=3: 84 (n=4) and 37 819 (n=59) are within
-        # ASSEMBLY_MAX_DIM, 234 135 (n=110) is above it; n=100 (176 850) is
-        # within it, but a fully dense F1 makes about 5e7 stored entries,
-        # over KRON_MAX_SIZE
+    def test_operator_choice_follows_symmetric_limits(self, n, dense_f1, fits):
+        # sorted multi-indices at N=3: 84 (n=4), 37 819 (n=59) and 234 135
+        # (n=110, above ASSEMBLY_MAX_DIM, which caps only the full assembly)
+        # are stepped on the symmetric operator; n=100 has 176 850, but a
+        # fully dense F1 makes about 5e7 stored entries, over KRON_MAX_SIZE
         rates = np.linspace(1.0, 2.0, n)
         F1 = -np.diag(rates) + (1e-3 * np.ones((n, n)) if dense_f1 else 0.0)
         ode = NonlinearODE(
             n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1), T=0.02,
         )
         mat = assemble(ode, 3)
-        fits = mat.symmetric_dimension <= ASSEMBLY_MAX_DIM and mat.symmetric_nnz() <= KRON_MAX_SIZE
-        assert fits == symmetric
-        if symmetric:
-            mat.apply = None  # the structured action must not be used
-        else:
-            mat.to_symmetric = None  # nor the symmetric assembly
+        assert (mat.symmetric_nnz() <= KRON_MAX_SIZE) == fits
+        mat.apply = None  # the structured action must not be used
         config = PropagationConfig(total_time=0.02, taylor_order=6, n_steps=2)
-        res = evolve(mat, initial_vector(ode.u_in, 1.0, 3), config)
+        y0 = initial_vector(ode.u_in, 1.0, 3)
+        if not fits:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValidationError, match="symmetric Carleman operator entries"):
+                    evolve(mat, y0, config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * KRON_MAX_SIZE  # rejected before the operator is allocated
+            return
+        res = evolve(mat, y0, config)
         want = scipy.linalg.expm(0.02 * F1) @ ode.u_in
         defect = res.n_steps * taylor_step_defect_bound(
             mat.spectral_norm_bound(), res.dt, 6, res.y_norms[0]
@@ -139,7 +147,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n", [2, 110], ids=["symmetric-path", "apply-path"])
     def test_asymmetric_lift_rejected(self, n):
-        # n=110, N=3 is above ASSEMBLY_MAX_DIM, so the check must not depend on the path
+        # n=110, N=3 has 234 135 sorted multi-indices, above ASSEMBLY_MAX_DIM,
+        # where no full operator can be assembled; restricting y0 rejects it first
         ode = NonlinearODE(
             n=n, M=2, F1=-np.eye(n), FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1)
         )
