@@ -12,7 +12,9 @@ permutations of tensor factors and keeps a symmetric lift symmetric.
 :meth:`CarlemanMatrix.to_symmetric` assembles it on the symmetric subspace,
 one coordinate per non-decreasing multi-index (the reduced, monomial form of
 Carleman linearisation: Kowalski & Steeb 1991); this is the operator
-:func:`carlemanlab.propagator.evolve` steps.
+:func:`carlemanlab.propagator.evolve` steps, from :meth:`SymmetricBasis.lift`.
+The flat layout (:class:`CarlemanVector`, :meth:`SymmetricBasis.expand`)
+serves the full assemblies and the tests.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ from .limits import (
     KRON_MAX_SIZE,
     check_size,
 )
-from .nonlinear_ode import NonlinearODE, RescaledODE, base_digits, kron_power, rescale
+from .nonlinear_ode import (
+    NonlinearODE, RescaledODE, base_digits, digit_products, kron_power, rescale,
+)
 
 #: representatives per block while the symmetric operator is built
 _SYM_ROWS_PER_CHUNK = 256
 #: entries per block in :class:`SymmetricBasis`
 _FLAT_PER_CHUNK = 1 << 12
-#: relative 2-norm distance from the symmetric subspace ``SymmetricBasis.restrict`` accepts
-SYMMETRY_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -166,58 +168,46 @@ class SymmetricBasis:
         self._flat_offsets = level_offsets(self.n, self.N)
         factorial = np.array([math.factorial(k) for k in range(self.N + 1)], dtype=float)
         self.weights = np.empty(self._offsets[-1])
+        for where, digits in self._blocks():
+            first, counts = _multiplicities(digits)
+            self.weights[where] = factorial[digits.shape[1]] / np.prod(
+                np.where(first, factorial[counts], 1.0), axis=1
+            )
+
+    def _blocks(self):
+        """Per block of representatives: its slice of ``z`` and its sorted digits."""
         for j in range(1, self.N + 1):
             keys = sorted_keys(self.n, j)
             for start in range(0, keys.size, _FLAT_PER_CHUNK):
                 chunk = keys[start : start + _FLAT_PER_CHUNK]
-                first, counts = _multiplicities(base_digits(chunk, self.n, j))
                 at = self._offsets[j - 1] + start
-                self.weights[at : at + chunk.size] = factorial[j] / np.prod(
-                    np.where(first, factorial[counts], 1.0), axis=1
-                )
+                yield slice(at, at + chunk.size), base_digits(chunk, self.n, j)
 
-    def _ranks(self, j: int):
-        """Per block of level ``j``: its flat slice and the representative of each entry."""
-        level_keys = sorted_keys(self.n, j)
-        size = self.n**j
-        for start in range(0, size, _FLAT_PER_CHUNK):
-            stop = min(start + _FLAT_PER_CHUNK, size)
-            digits = np.sort(base_digits(np.arange(start, stop), self.n, j), axis=1)
-            ranks = np.searchsorted(level_keys, _digit_keys(digits, self.n))
-            yield slice(self._flat_offsets[j - 1] + start, self._flat_offsets[j - 1] + stop), ranks
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """Representatives of the Carleman lift of ``u``, without forming the flat lift.
 
-    def restrict(self, flat: np.ndarray) -> np.ndarray:
-        """Representatives of a flat state, which must be symmetric to ``SYMMETRY_TOL``.
-
-        Each entry is compared with its representative, in blocks of
-        ``_FLAT_PER_CHUNK``, so no full-size temporary is made.
+        Each is the product of ``u`` over its sorted digits, bit for bit the
+        flat lift's entry (:func:`digit_products`).
         """
-        if flat.shape != (self._flat_offsets[-1],):
-            raise ValidationError(
-                f"vector of shape {flat.shape} does not match dimension {self._flat_offsets[-1]}"
-            )
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.n,):
+            raise ValidationError(f"state of shape {u.shape} does not have n = {self.n} entries")
         z = np.empty(self._offsets[-1])
-        off_sq = 0.0
-        for j in range(1, self.N + 1):
-            level = z[self._offsets[j - 1] : self._offsets[j]]
-            level[:] = flat[self._flat_offsets[j - 1] + sorted_keys(self.n, j)]
-            for where, ranks in self._ranks(j):
-                gap = flat[where] - level[ranks]
-                off_sq += float(gap @ gap)
-        if math.sqrt(off_sq) > SYMMETRY_TOL * float(np.linalg.norm(flat)):
-            raise ValidationError(
-                f"state is not symmetric under permutations of tensor factors: "
-                f"distance {math.sqrt(off_sq):.3e} from the symmetric subspace"
-            )
+        for where, digits in self._blocks():
+            z[where] = digit_products(u, digits)
         return z
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         """Flat state whose every entry is the value of its representative in ``z``."""
         out = np.empty(self._flat_offsets[-1])
         for j in range(1, self.N + 1):
+            keys, size, at = sorted_keys(self.n, j), self.n**j, self._flat_offsets[j - 1]
             level = z[self._offsets[j - 1] : self._offsets[j]]
-            for where, ranks in self._ranks(j):
-                out[where] = level[ranks]
+            for start in range(0, size, _FLAT_PER_CHUNK):
+                stop = min(start + _FLAT_PER_CHUNK, size)
+                digits = np.sort(base_digits(np.arange(start, stop), self.n, j), axis=1)
+                ranks = np.searchsorted(keys, _digit_keys(digits, self.n))
+                out[at + start : at + stop] = level[ranks]
         return out
 
     def norm(self, z: np.ndarray) -> float:
@@ -434,8 +424,8 @@ class CarlemanMatrix:
         """The operator on the symmetric subspace of :class:`SymmetricBasis`.
 
         Entry ``(I, J)`` sums the full operator's row ``I`` over every flat
-        column whose sorted multi-index is ``J``, so for symmetric ``y``,
-        ``op @ basis.restrict(y) == basis.restrict(full @ y)``.  Built block by
+        column whose sorted multi-index is ``J``, so
+        ``basis.expand(op @ z) == full @ basis.expand(z)``.  Built block by
         block from F1's rows and FM's digits; the full operator never exists.
         """
         n, M, N = self.n, self.M, self.N

@@ -335,7 +335,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
         strict_stability=ctx.strict_stability,
         record_every=numerics["record_every"],
     )
-    result = prop.evolve(mat, carl.initial_vector(ode.u_in, gamma, N), config)
+    result = prop.evolve(mat, config)
     reference = node.reference_solve(
         ode, T=ode.T, tol=float(numerics["reference_tol"]), t_eval=result.times
     )

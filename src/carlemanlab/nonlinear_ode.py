@@ -104,12 +104,7 @@ class NonlinearODE:
         rows, _, vals = self.fm_coordinates
         if rows.size == 0:
             return np.zeros(self.n)
-        # one gather per digit column, multiplied in digit order: the same
-        # products as ``np.prod(u[fm_digits], axis=1)``, without the nnz x M copy
-        digits = self.fm_digits
-        prod = u[digits[:, 0]]
-        for p in range(1, self.M):
-            prod = prod * u[digits[:, p]]
+        prod = digit_products(u, self.fm_digits)
         return np.bincount(rows, weights=vals * prod, minlength=self.n)
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
@@ -320,6 +315,17 @@ def base_digits(index: np.ndarray, n: int, width: int) -> np.ndarray:
         digits[:, pos] = rem % n
         rem //= n
     return digits
+
+
+def digit_products(u: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """``prod_p u[digits[:, p]]`` per row, multiplied in digit order as in :func:`kron_power`.
+
+    One gather per digit column, without the rows x width copy of ``u[digits]``.
+    """
+    prod = u[digits[:, 0]]
+    for p in range(1, digits.shape[1]):
+        prod = prod * u[digits[:, p]]
+    return prod
 
 
 def kron_power(u: np.ndarray, j: int) -> np.ndarray:

@@ -17,6 +17,9 @@ import numpy as np
 from .carleman import CarlemanMatrix, CarlemanVector, SymmetricBasis
 from .errors import NumericFailure, ValidationError
 
+#: ``evolve`` raises :class:`NumericFailure` when ``|y|`` exceeds this times ``|y0|``
+BLOWUP_FACTOR = 1e6
+
 
 def taylor_step(
     apply_A: Callable[[np.ndarray], np.ndarray],
@@ -57,7 +60,6 @@ class PropagationConfig:
     dt: float | None = None
     n_steps: int | None = None
     strict_stability: bool = True
-    blowup_factor: float = 1e6
     record_every: int | None = None
 
     def resolve_steps(self, norm_bound: float) -> tuple[float, int]:
@@ -93,7 +95,8 @@ class EvolveResult:
     """Trajectory records from :func:`evolve`.
 
     ``step_norms`` holds the full per-step norm history; snapshot arrays are
-    thinned to the recording grid.
+    thinned to the recording grid.  ``y_final`` is in the coordinates of
+    :class:`SymmetricBasis`; ``SymmetricBasis(n, N).expand`` gives its flat layout.
     """
 
     times: np.ndarray
@@ -101,23 +104,22 @@ class EvolveResult:
     block1_share: np.ndarray
     y_norms: np.ndarray
     step_norms: np.ndarray
-    y_final: CarlemanVector
+    y_final: np.ndarray
     dt: float
     n_steps: int
     stability_bound: float
 
 
-def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -> EvolveResult:
-    """Repeated Taylor steps over ``[0, T]`` with stability and blow-up guards.
+def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
+    """Taylor steps of the lifted ``u_in / gamma`` over ``[0, T]``, with guards.
 
     The lift of a state is symmetric under permutations of tensor factors and
     the operator keeps it so.  The steps therefore run on the symmetric
     operator (:meth:`CarlemanMatrix.to_symmetric`), one coordinate per sorted
-    multi-index, with norms taken in the orbit-weighted norm, which equals the
-    2-norm of the flat state; the final state is expanded back to the flat
-    layout.  A ``y0`` that is not symmetric is rejected, and so is a problem
-    whose symmetric operator would store more than ``KRON_MAX_SIZE`` entries,
-    before the operator is allocated.
+    multi-index, from :meth:`SymmetricBasis.lift`, with norms taken in the
+    orbit-weighted norm, which equals the 2-norm of the flat state.  A problem
+    whose symmetric operator would store more than ``KRON_MAX_SIZE`` entries
+    is rejected before the operator, the basis or the state is allocated.
     """
     bound = mat.gershgorin_max_eig_bound()
     if config.strict_stability and bound > 0:
@@ -125,18 +127,13 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
             f"stability check failed: Gershgorin bound {bound} > 0 "
             "(raise gamma_max or disable strict_stability)"
         )
-    if (y0.n, y0.N) != (mat.n, mat.N):
-        raise ValidationError(
-            f"vector levels ({y0.n}, {y0.N}) do not match matrix ({mat.n}, {mat.N})"
-        )
     dt, n_steps = config.resolve_steps(mat.spectral_norm_bound())
     every = config.record_every or max(1, n_steps // 1000)
 
-    basis = SymmetricBasis(mat.n, mat.N)
-    y = basis.restrict(y0.flat)
-    y0 = None  # a lift passed inline is freed before the operator is built
     sym_op = mat.to_symmetric()
     apply_A = lambda v: sym_op @ v  # noqa: E731
+    basis = SymmetricBasis(mat.n, mat.N)
+    y = basis.lift(mat.rescaled.u_in_scaled)
     n1 = mat.n
     norm0 = basis.norm(y)
     times = [0.0]
@@ -149,10 +146,10 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
         y = taylor_step(apply_A, y, dt, config.taylor_order)
         norm = basis.norm(y)
         step_norms.append(norm)
-        if norm > config.blowup_factor * max(norm0, 1e-300):
+        if norm > BLOWUP_FACTOR * max(norm0, 1e-300):
             raise NumericFailure(
                 f"blow-up detected at step {step}: |y| = {norm} "
-                f"exceeds {config.blowup_factor} x |y0|"
+                f"exceeds {BLOWUP_FACTOR} x |y0|"
             )
         if step % every == 0 or step == n_steps:
             times.append(step * dt)
@@ -160,14 +157,13 @@ def evolve(mat: CarlemanMatrix, y0: CarlemanVector, config: PropagationConfig) -
             shares.append(float(y[:n1] @ y[:n1]) / norm**2)
             norms.append(norm)
 
-    apply_A = sym_op = None  # free the operator before the flat state is rebuilt
     return EvolveResult(
         times=np.array(times),
         block1=np.array(block1),
         block1_share=np.array(shares),
         y_norms=np.array(norms),
         step_norms=np.array(step_norms),
-        y_final=CarlemanVector(basis.expand(y), mat.n, mat.N),
+        y_final=y,
         dt=dt,
         n_steps=n_steps,
         stability_bound=bound,

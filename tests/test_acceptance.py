@@ -104,7 +104,7 @@ def _near_exact_block1_errors(ode, N_values, ref):
         config = prop.PropagationConfig(
             total_time=1.0, taylor_order=16, dt=1e-3, n_steps=1000, record_every=10
         )
-        res = prop.evolve(mat, carl.initial_vector(ode.u_in, gamma, N), config)
+        res = prop.evolve(mat, config)
         eta = np.linalg.norm(res.block1 - ref.u / gamma, axis=1)
         bound = np.asarray(bd.component_error_bound(ode, N, 1, res.times, gamma=gamma))
         defect = res.n_steps * prop.taylor_step_defect_bound(
@@ -150,7 +150,7 @@ def test_criterion_05_order_selector_plug_back(bernoulli_ode):
     gamma = 1.0
     mat = carl.assemble(node.rescale(bernoulli_ode, gamma), N)
     config = prop.PropagationConfig(total_time=1.0, taylor_order=12, n_steps=500, record_every=5)
-    res = prop.evolve(mat, carl.initial_vector(bernoulli_ode.u_in, gamma, N), config)
+    res = prop.evolve(mat, config)
     ref = node.reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=res.times)
     rel_err = np.abs(gamma * res.block1[:, 0] - ref.u[:, 0]).max()  # |u_in| = 1
     report(5, f"N=7 from the selector; pipeline error {rel_err:.2e} <= 1e-2",
@@ -310,7 +310,7 @@ def test_criterion_13_end_to_end_pde_demo():
     N = 3
     mat = carl.assemble(node.rescale(ode, gamma), N)
     config = prop.PropagationConfig(total_time=1.0, taylor_order=10)
-    res = prop.evolve(mat, carl.initial_vector(ode.u_in, gamma, N), config)
+    res = prop.evolve(mat, config)
     ref = node.reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0]))
     eta_T = np.linalg.norm(res.block1[-1] - ref.u[-1] / gamma)
     bound_T = bd.component_error_bound(ode, N, 1, 1.0, gamma=gamma)

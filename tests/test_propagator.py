@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlemanlab.carleman import assemble, initial_vector
+from carlemanlab.carleman import CarlemanVector, SymmetricBasis, assemble, initial_vector
 from carlemanlab.errors import NumericFailure, ValidationError
 from carlemanlab.limits import KRON_MAX_SIZE
 from carlemanlab.nonlinear_ode import (
@@ -20,6 +20,7 @@ from carlemanlab.nonlinear_ode import (
     reference_solve,
     rescale,
 )
+from carlemanlab.pde import ReactionDiffusionProblem, discretize
 from carlemanlab.propagator import (
     PropagationConfig,
     evolve,
@@ -30,7 +31,7 @@ from carlemanlab.propagator import (
 )
 from carlemanlab.bounds import component_error_bound
 
-from conftest import make_two_dim_instance
+from conftest import make_two_dim_instance, raised_cosine
 
 
 class TestTaylorStep:
@@ -90,13 +91,13 @@ class TestEvolve:
         ode = self.linear_diag_ode()
         mat = assemble(ode, 3)
         config = PropagationConfig(total_time=1.0, taylor_order=4, n_steps=20)
-        y0 = initial_vector(ode.u_in, 1.0, 3)
-        res = evolve(mat, y0, config)
-        exact = scipy.linalg.expm(mat.dense()) @ y0.flat
+        res = evolve(mat, config)
+        exact = scipy.linalg.expm(mat.dense()) @ initial_vector(ode.u_in, 1.0, 3).flat
         defect = res.n_steps * taylor_step_defect_bound(
             mat.spectral_norm_bound(), res.dt, 4, res.y_norms.max()
         )
-        assert np.linalg.norm(res.y_final.flat - exact) <= defect
+        y_final = SymmetricBasis(mat.n, mat.N).expand(res.y_final)
+        assert np.linalg.norm(y_final - exact) <= defect
 
     def test_modes_agree(self):
         ode = make_two_dim_instance(2, 0.5)
@@ -110,74 +111,68 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "n, dense_f1, fits",
-        [(4, False, True), (59, False, True), (110, False, True), (100, True, False)],
-        ids=["4", "59", "110", "100-dense"],
+        [(4, False, True), (59, False, True), (110, False, True), (100, True, False),
+         (144, None, False)],
+        ids=["4", "59", "110", "100-dense", "d2-m12-k2"],
     )
     def test_operator_choice_follows_symmetric_limits(self, n, dense_f1, fits):
         # sorted multi-indices at N=3: 84 (n=4), 37 819 (n=59) and 234 135
         # (n=110, above ASSEMBLY_MAX_DIM, which caps only the full assembly)
         # are stepped on the symmetric operator; n=100 has 176 850, but a
-        # fully dense F1 makes about 5e7 stored entries, over KRON_MAX_SIZE
-        rates = np.linspace(1.0, 2.0, n)
-        F1 = -np.diag(rates) + (1e-3 * np.ones((n, n)) if dense_f1 else 0.0)
-        ode = NonlinearODE(
-            n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1), T=0.02,
-        )
+        # fully dense F1 makes about 5e7 stored entries, over KRON_MAX_SIZE,
+        # and so does the d=2, m=12, k=2 grid (n=144) with 12 733 464
+        if dense_f1 is None:
+            ode = discretize(ReactionDiffusionProblem(
+                diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=12, k=2, initial=raised_cosine, T=1.0,
+            ))
+        else:
+            rates = np.linspace(1.0, 2.0, n)
+            F1 = -np.diag(rates) + (1e-3 * np.ones((n, n)) if dense_f1 else 0.0)
+            ode = NonlinearODE(
+                n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1), T=0.02,
+            )
         mat = assemble(ode, 3)
-        assert (mat.symmetric_nnz() <= KRON_MAX_SIZE) == fits
+        assert mat.n == n and (mat.symmetric_nnz() <= KRON_MAX_SIZE) == fits
         mat.apply = None  # the structured action must not be used
         config = PropagationConfig(total_time=0.02, taylor_order=6, n_steps=2)
-        y0 = initial_vector(ode.u_in, 1.0, 3)
         if not fits:
             tracemalloc.start()
             try:
                 with pytest.raises(ValidationError, match="symmetric Carleman operator entries"):
-                    evolve(mat, y0, config)
+                    evolve(mat, config)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * KRON_MAX_SIZE  # rejected before the operator is allocated
+            # rejected before the operator, the basis or the state is allocated
+            assert peak < 2 * 2**20
             return
-        res = evolve(mat, y0, config)
+        res = evolve(mat, config)
         want = scipy.linalg.expm(0.02 * F1) @ ode.u_in
         defect = res.n_steps * taylor_step_defect_bound(
             mat.spectral_norm_bound(), res.dt, 6, res.y_norms[0]
         )
         assert np.abs(res.block1[-1] - want).max() <= defect + 1e-15
 
-    @pytest.mark.parametrize("n", [2, 110], ids=["symmetric-path", "apply-path"])
-    def test_asymmetric_lift_rejected(self, n):
-        # n=110, N=3 has 234 135 sorted multi-indices, above ASSEMBLY_MAX_DIM,
-        # where no full operator can be assembled; restricting y0 rejects it first
-        ode = NonlinearODE(
-            n=n, M=2, F1=-np.eye(n), FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1)
-        )
-        mat = assemble(ode, 3)
-        mat.apply = mat.to_symmetric = None  # rejected before any operator is used
-        y0 = initial_vector(ode.u_in, 1.0, 3)
-        y0.level(2)[1] += 1e-9  # entry (0, 1) of level 2 no longer equals (1, 0)
-        with pytest.raises(ValidationError, match="not symmetric"):
-            evolve(mat, y0, PropagationConfig(total_time=0.1, n_steps=1))
-
     def test_symmetric_steps_match_full_space_steps(self):
         ode = make_two_dim_instance(3, 0.5)
         gamma, N, K = 1.2, 5, 8
         mat = assemble(rescale(ode, gamma), N)
-        y0 = initial_vector(ode.u_in, gamma, N)
-        res = evolve(mat, y0, PropagationConfig(total_time=0.5, taylor_order=K, n_steps=40))
+        res = evolve(mat, PropagationConfig(total_time=0.5, taylor_order=K, n_steps=40))
         full = mat.to_sparse()
-        y, norms = y0.flat, [np.linalg.norm(y0.flat)]
+        y = initial_vector(ode.u_in, gamma, N).flat
+        norms = [np.linalg.norm(y)]
         for _ in range(res.n_steps):
             y = taylor_step(lambda v: full @ v, y, res.dt, K)
             norms.append(np.linalg.norm(y))
-        assert np.linalg.norm(res.y_final.flat - y) <= 1e-12 * np.linalg.norm(y)
+        y_final = SymmetricBasis(mat.n, mat.N).expand(res.y_final)
+        assert np.linalg.norm(y_final - y) <= 1e-12 * np.linalg.norm(y)
         np.testing.assert_allclose(res.step_norms, norms, rtol=1e-12)
 
     def test_bernoulli_block1_within_bound_plus_defect(self, bernoulli_ode):
         gamma, N, K = 1.0, 8, 8
         mat = assemble(rescale(bernoulli_ode, gamma), N)
         config = PropagationConfig(total_time=1.0, taylor_order=K, dt=0.01, n_steps=100)
-        res = evolve(mat, initial_vector(bernoulli_ode.u_in, gamma, N), config)
+        res = evolve(mat, config)
         ref = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=res.times)
         eta = np.abs(res.block1[:, 0] - ref.u[:, 0] / gamma)
         bound = np.asarray(component_error_bound(bernoulli_ode, N, 1, res.times, gamma=gamma))
@@ -189,34 +184,25 @@ class TestEvolve:
     def test_norm_non_increasing_under_stability(self, bernoulli_ode):
         mat = assemble(rescale(bernoulli_ode, 1.0), 5)
         assert mat.gershgorin_max_eig_bound() <= 0
-        res = evolve(
-            mat,
-            initial_vector(bernoulli_ode.u_in, 1.0, 5),
-            PropagationConfig(total_time=1.0, taylor_order=10, n_steps=200),
-        )
+        res = evolve(mat, PropagationConfig(total_time=1.0, taylor_order=10, n_steps=200))
         assert np.all(np.diff(res.step_norms) <= 1e-10)
 
     def test_strict_stability_flag(self):
         # gamma above gamma_max makes the Gershgorin certificate fail
         ode = make_two_dim_instance(2, 0.5)
         mat = assemble(rescale(ode, 5.0), 4)
-        y0 = initial_vector(ode.u_in, 5.0, 4)
         with pytest.raises(ValidationError, match="stability"):
-            evolve(mat, y0, PropagationConfig(total_time=1.0))
-        res = evolve(
-            mat, y0,
-            PropagationConfig(total_time=0.1, n_steps=50, strict_stability=False),
-        )
+            evolve(mat, PropagationConfig(total_time=1.0))
+        res = evolve(mat, PropagationConfig(total_time=0.1, n_steps=50, strict_stability=False))
         assert res.n_steps == 50
 
     def test_blowup_guard(self):
         ode = NonlinearODE(n=1, M=2, F1=[[3.0]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
         mat = assemble(ode, 3)
-        config = PropagationConfig(
-            total_time=10.0, n_steps=400, strict_stability=False, blowup_factor=100.0
-        )
+        # level 3 grows like e^(9t), past BLOWUP_FACTOR = 1e6 near t = 1.5
+        config = PropagationConfig(total_time=10.0, n_steps=400, strict_stability=False)
         with pytest.raises(NumericFailure, match="blow-up"):
-            evolve(mat, initial_vector(ode.u_in, 1.0, 3), config)
+            evolve(mat, config)
 
     def test_step_rule_reproduces_horizon(self):
         config = PropagationConfig(total_time=1.0)
@@ -262,13 +248,14 @@ def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
     ode, gamma, N, T, K = problem
     mat = assemble(rescale(ode, gamma), N)
     config = PropagationConfig(total_time=T, taylor_order=K)
-    res = evolve(mat, initial_vector(ode.u_in, gamma, N), config)
+    res = evolve(mat, config)
+    y_final = CarlemanVector(SymmetricBasis(mat.n, mat.N).expand(res.y_final), mat.n, mat.N)
     F1 = ode.F1.toarray() if sp.issparse(ode.F1) else ode.F1
     v = scipy.linalg.expm(T * F1) @ ode.u_in / gamma
     top = res.step_norms.max()
     defect = res.n_steps * taylor_step_defect_bound(mat.spectral_norm_bound(), res.dt, K, top)
     for j in range(1, N + 1):
-        err = np.linalg.norm(res.y_final.level(j) - kron_power(v, j))
+        err = np.linalg.norm(y_final.level(j) - kron_power(v, j))
         assert err <= defect + 1e-12 * top
 
 
