@@ -53,7 +53,6 @@ from .pde import (
 from .propagator import (
     PropagationConfig,
     evolve,
-    extract_block,
     success_probability,
     taylor_step,
 )

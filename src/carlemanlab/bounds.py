@@ -62,6 +62,28 @@ def _closed_terms(j: int, k: int, M: int, taus: np.ndarray) -> np.ndarray:
     return signs * np.exp(log_mag - np.outer(taus, denoms))
 
 
+def _closed_curve(
+    j: int, k: int, M: int, tau: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`f_closed` at each ``tau`` as an array, and the terms of its sums."""
+    _validate_fjk(j, k, M)
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if np.any(taus < 0):
+        raise ValidationError("tau must be non-negative")
+    curve = _closed_terms(j, k, M, taus)
+    out = np.empty_like(taus)
+    for idx, (t, terms) in enumerate(zip(taus, curve)):
+        order = np.argsort(np.abs(terms))
+        raw = 1.0 - math.fsum(terms[order])
+        if raw < -_VERIFY_BAND or raw > 1.0 + _VERIFY_BAND:
+            raise NumericFailure(
+                f"closed-form factor left the verification band: "
+                f"f({j},{k},{M})({t}) = {raw}"
+            )
+        out[idx] = min(1.0, max(0.0, raw))
+    return out, curve
+
+
 def f_closed(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndarray:
     """Closed-form error factor; monotone in ``tau``, saturating at 1.
 
@@ -73,20 +95,7 @@ def f_closed(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndar
     destroyed the result and a :class:`NumericFailure` asks the caller to use
     :func:`f_quadrature` instead.
     """
-    _validate_fjk(j, k, M)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0):
-        raise ValidationError("tau must be non-negative")
-    out = np.empty_like(taus)
-    for idx, (t, terms) in enumerate(zip(taus, _closed_terms(j, k, M, taus))):
-        order = np.argsort(np.abs(terms))
-        raw = 1.0 - math.fsum(terms[order])
-        if raw < -_VERIFY_BAND or raw > 1.0 + _VERIFY_BAND:
-            raise NumericFailure(
-                f"closed-form factor left the verification band: "
-                f"f({j},{k},{M})({t}) = {raw}"
-            )
-        out[idx] = min(1.0, max(0.0, raw))
+    out, _ = _closed_curve(j, k, M, tau)
     return out if np.ndim(tau) else float(out[0])
 
 
@@ -153,14 +162,13 @@ def f_value(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndarr
     which stays inside the absolute band but is wrong in relative terms.
     """
     try:
-        closed = np.array(f_closed(j, k, M, tau), dtype=float, ndmin=1)
+        closed, terms = _closed_curve(j, k, M, tau)
     except NumericFailure:
         return f_quadrature(j, k, M, tau)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    terms = _closed_terms(j, k, M, taus)
     rounding = k * np.finfo(float).eps * np.abs(terms).sum(axis=1)
     rough = rounding > _CLOSED_REL_ROUNDING * closed
     if np.any(rough):
+        taus = np.atleast_1d(np.asarray(tau, dtype=float))
         closed[rough] = f_quadrature(j, k, M, taus[rough])
     return closed if np.ndim(tau) else float(closed[0])
 

@@ -1,20 +1,21 @@
-"""Truncated Carleman operator: block-structured action and its assemblies.
+"""Truncated Carleman operator: the symmetric operator and its flat oracles.
 
 The linearised operator acts on stacked Kronecker levels ``y_1 .. y_N`` with
 diagonal blocks built from ``F1`` and off-diagonal blocks built from the
-rescaled nonlinearity ``gamma**(M-1) FM``.  :meth:`CarlemanMatrix.apply`
-never materialises a block: each level application touches one tensor factor
-at a time.  :meth:`CarlemanMatrix.to_sparse` assembles the full operator for
-small instances, and the two are each other's oracle.
+rescaled nonlinearity ``gamma**(M-1) FM``.  Both block families are Kronecker
+sums, so the operator commutes with permutations of tensor factors and keeps
+a symmetric lift symmetric.  :meth:`CarlemanMatrix.to_symmetric` assembles it
+on the symmetric subspace, one coordinate per non-decreasing multi-index (the
+reduced, monomial form of Carleman linearisation: Kowalski & Steeb 1991);
+this is the operator :func:`carlemanlab.propagator.evolve` steps, from
+:meth:`SymmetricBasis.lift`.
 
-Both block families are Kronecker sums, so the operator commutes with
-permutations of tensor factors and keeps a symmetric lift symmetric.
-:meth:`CarlemanMatrix.to_symmetric` assembles it on the symmetric subspace,
-one coordinate per non-decreasing multi-index (the reduced, monomial form of
-Carleman linearisation: Kowalski & Steeb 1991); this is the operator
-:func:`carlemanlab.propagator.evolve` steps, from :meth:`SymmetricBasis.lift`.
-The flat layout (:class:`CarlemanVector`, :meth:`SymmetricBasis.expand`)
-serves the full assemblies and the tests.
+On the flat layout (:class:`CarlemanVector`, :meth:`SymmetricBasis.expand`)
+the operator has two independent forms, each the other's oracle:
+:meth:`CarlemanMatrix.apply` contracts sparse F1 or FM with one tensor
+factor at a time and never materialises a block, and
+:meth:`CarlemanMatrix.to_sparse` assembles the full operator for small
+instances.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,6 @@ import scipy.sparse as sp
 from .errors import NumericFailure, ValidationError
 from .limits import (
     ASSEMBLY_MAX_DIM,
-    DENSE_F1_MAX_N,
     DENSE_MAX_DIM,
     KRON_MAX_SIZE,
     check_size,
@@ -39,10 +38,8 @@ from .nonlinear_ode import (
     NonlinearODE, RescaledODE, base_digits, digit_products, kron_power, rescale,
 )
 
-#: representatives per block while the symmetric operator is built
-_SYM_ROWS_PER_CHUNK = 256
-#: entries per block in :class:`SymmetricBasis`
-_FLAT_PER_CHUNK = 1 << 12
+#: multi-indices per block of every level walk
+_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +87,6 @@ class CarlemanVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
 
-    def block_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(self.level(j)) for j in range(1, self.N + 1)])
-
-    def shares(self) -> np.ndarray:
-        """Squared-norm weight of each level; a probability distribution."""
-        sq = np.array([float(v @ v) for v in map(self.level, range(1, self.N + 1))])
-        total = sq.sum()
-        if total == 0.0:
-            raise ValidationError("zero vector has no level shares")
-        return sq / total
-
 
 def initial_vector(u_in: np.ndarray, gamma: float, N: int) -> CarlemanVector:
     """Carleman lift of the initial state: level ``j`` is ``(u_in/gamma)^(x j)``."""
@@ -142,6 +128,20 @@ def sorted_keys(n: int, j: int) -> np.ndarray:
     return keys
 
 
+def _sorted_blocks(n: int, keys):
+    """Blocks of sorted multi-indices, level after level.
+
+    ``keys`` holds :func:`sorted_keys` of levels ``1, 2, ...``.  Yields each
+    block's level ``j``, the position of its first multi-index in the stacked
+    symmetric coordinates, and its digits, one row per multi-index.
+    """
+    at = 0
+    for j, level in enumerate(keys, start=1):
+        for start in range(0, level.size, _CHUNK):
+            yield j, at + start, base_digits(level[start : start + _CHUNK], n, j)
+        at += level.size
+
+
 def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For sorted multi-index rows: where each value first occurs, and its count there."""
     first = np.ones(T.shape, dtype=bool)
@@ -176,12 +176,9 @@ class SymmetricBasis:
 
     def _blocks(self):
         """Per block of representatives: its slice of ``z`` and its sorted digits."""
-        for j in range(1, self.N + 1):
-            keys = sorted_keys(self.n, j)
-            for start in range(0, keys.size, _FLAT_PER_CHUNK):
-                chunk = keys[start : start + _FLAT_PER_CHUNK]
-                at = self._offsets[j - 1] + start
-                yield slice(at, at + chunk.size), base_digits(chunk, self.n, j)
+        keys = (sorted_keys(self.n, j) for j in range(1, self.N + 1))
+        for _, at, digits in _sorted_blocks(self.n, keys):
+            yield slice(at, at + digits.shape[0]), digits
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         """Representatives of the Carleman lift of ``u``, without forming the flat lift.
@@ -203,8 +200,8 @@ class SymmetricBasis:
         for j in range(1, self.N + 1):
             keys, size, at = sorted_keys(self.n, j), self.n**j, self._flat_offsets[j - 1]
             level = z[self._offsets[j - 1] : self._offsets[j]]
-            for start in range(0, size, _FLAT_PER_CHUNK):
-                stop = min(start + _FLAT_PER_CHUNK, size)
+            for start in range(0, size, _CHUNK):
+                stop = min(start + _CHUNK, size)
                 digits = np.sort(base_digits(np.arange(start, stop), self.n, j), axis=1)
                 ranks = np.searchsorted(keys, _digit_keys(digits, self.n))
                 out[at + start : at + stop] = level[ranks]
@@ -231,33 +228,17 @@ class CarlemanMatrix:
 
     rescaled: RescaledODE
     N: int
-    _f1_dense: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     _f1_sparse: sp.csr_matrix = field(init=False, repr=False)
-    _gather: Optional[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        n, M, N = self.n, self.M, self.N
+        M, N = self.M, self.N
         if N <= M:
             raise ValidationError(
                 f"truncation order must exceed the nonlinearity order: N={N} <= M={M}"
             )
         if self.total_dimension >= 2**62:
             raise ValidationError("total Carleman dimension overflows the address space")
-        F1 = self.rescaled.F1
-        if sp.issparse(F1):
-            self._f1_sparse = F1.tocsr()
-            if n <= DENSE_F1_MAX_N:
-                self._f1_dense = self._f1_sparse.toarray()
-        else:
-            self._f1_dense = np.asarray(F1, dtype=float)
-            self._f1_sparse = sp.csr_matrix(self._f1_dense)
-        rows, cols, vals = self.rescaled.base.fm_coordinates
-        if rows.size == np.unique(rows).size:
-            col_of = np.zeros(n, dtype=np.int64)
-            val_of = np.zeros(n)
-            col_of[rows] = cols
-            val_of[rows] = vals
-            self._gather = (col_of, val_of)
+        self._f1_sparse = sp.csr_matrix(self.rescaled.F1)
 
     # -- shape bookkeeping --------------------------------------------------
 
@@ -283,33 +264,26 @@ class CarlemanMatrix:
         """Off-diagonal prefactor ``gamma**(M-1)``."""
         return self.gamma ** (self.M - 1)
 
-    # -- matrix-free action -------------------------------------------------
+    # -- matrix-free action, the assemblies' oracle -------------------------
 
-    def _apply_f1_axis(self, y: np.ndarray, j: int, i: int) -> np.ndarray:
-        """Apply F1 to tensor factor ``i`` (1-based) of the level-j vector."""
-        n = self.n
-        a, b = n ** (i - 1), n ** (j - i)
-        y3 = y.reshape(a, n, b)
-        if self._f1_dense is not None:
-            return np.matmul(self._f1_dense, y3).reshape(-1)
-        flat = y3.transpose(1, 0, 2).reshape(n, a * b)
-        out = (self._f1_sparse @ flat).reshape(n, a, b)
-        return out.transpose(1, 0, 2).reshape(-1)
+    def _apply_axis(self, op: sp.csr_matrix, y: np.ndarray, j: int, i: int) -> np.ndarray:
+        """Contract F1 or FM (``op``) with the factors of ``y`` from ``i`` (1-based) on.
 
-    def _apply_fm_axis(self, y: np.ndarray, j: int, i: int) -> np.ndarray:
-        """Contract FM over factors ``i..i+M-1`` of the level-(j+M-1) vector."""
-        n, M = self.n, self.M
+        The result is a level-``j`` vector: F1 replaces factor ``i``, FM the
+        ``M`` factors ``i..i+M-1``.
+        """
+        n, width = self.n, op.shape[1]
         a, b = n ** (i - 1), n ** (j - i)
-        y3 = y.reshape(a, n**M, b)
-        if self._gather is not None:
-            col_of, val_of = self._gather
-            return (val_of[None, :, None] * y3[:, col_of, :]).reshape(-1)
-        flat = y3.transpose(1, 0, 2).reshape(n**M, a * b)
-        out = (self.rescaled.base.FM @ flat).reshape(n, a, b)
+        flat = y.reshape(a, width, b).transpose(1, 0, 2).reshape(width, a * b)
+        out = (op @ flat).reshape(n, a, b)
         return out.transpose(1, 0, 2).reshape(-1)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Action on a stacked vector laid out as in :class:`CarlemanVector`."""
+        """Action on a stacked vector laid out as in :class:`CarlemanVector`.
+
+        One sparse contraction per tensor factor, independent of
+        :meth:`to_sparse` and :meth:`to_symmetric`; no production path calls it.
+        """
         N, M = self.N, self.M
         offsets = level_offsets(self.n, N)
         if y.shape != (offsets[-1],):
@@ -320,12 +294,12 @@ class CarlemanMatrix:
         for j in range(1, N + 1):
             acc = out[offsets[j - 1] : offsets[j]]
             for i in range(1, j + 1):
-                acc += self._apply_f1_axis(y[offsets[j - 1] : offsets[j]], j, i)
+                acc += self._apply_axis(self._f1_sparse, y[offsets[j - 1] : offsets[j]], j, i)
             if j + M - 1 <= N:
                 src = y[offsets[j + M - 2] : offsets[j + M - 1]]
                 fm_acc = np.zeros(self.n**j)
                 for i in range(1, j + 1):
-                    fm_acc += self._apply_fm_axis(src, j, i)
+                    fm_acc += self._apply_axis(self.rescaled.base.FM, src, j, i)
                 acc += self.coupling * fm_acc
         return out
 
@@ -440,38 +414,35 @@ class CarlemanMatrix:
         indices = np.empty(nnz, dtype=np.int32)
         indptr = np.zeros(offsets[-1] + 1, dtype=np.int32)
         pos = 0
-        for j in range(1, N + 1):
+        for j, at, T in _sorted_blocks(n, keys):
             families = [(f1_off, j, 1.0)]
             if j + M - 1 <= N:
                 families.append((fm, j + M - 1, self.coupling))
-            for start in range(0, keys[j - 1].size, _SYM_ROWS_PER_CHUNK):
-                T = base_digits(keys[j - 1][start : start + _SYM_ROWS_PER_CHUNK], n, j)
-                first, counts = _multiplicities(T)
-                at = offsets[j - 1] + start
-                rows = [np.arange(T.shape[0])]
-                cols = [np.arange(at, at + T.shape[0])]
-                vals = [diag[T].sum(axis=1)]
-                row, slot = np.nonzero(first)
-                value, mult = T[row, slot], counts[row, slot]
-                for (ptr, digits, entries), level, scale in families:
-                    per = ptr[value + 1] - ptr[value]
-                    src = np.repeat(np.arange(row.size), per)
-                    starts = np.repeat(ptr[value] - (np.cumsum(per) - per), per)
-                    entry = starts + np.arange(src.size)
-                    rest = T[row[src]][np.arange(j) != slot[src, None]].reshape(src.size, j - 1)
-                    tuples = np.sort(np.concatenate([rest, digits[entry]], axis=1), axis=1)
-                    rows.append(row[src])
-                    ranks = np.searchsorted(keys[level - 1], _digit_keys(tuples, n))
-                    cols.append(offsets[level - 1] + ranks)
-                    vals.append(scale * mult[src] * entries[entry])
-                r, c, v = (np.concatenate(parts) for parts in (rows, cols, vals))
-                order = np.lexsort((c, r))
-                indices[pos : pos + order.size] = c[order]
-                data[pos : pos + order.size] = v[order]
-                indptr[at + 1 : at + T.shape[0] + 1] = pos + np.cumsum(
-                    np.bincount(r, minlength=T.shape[0])
-                )
-                pos += order.size
+            first, counts = _multiplicities(T)
+            rows = [np.arange(T.shape[0])]
+            cols = [np.arange(at, at + T.shape[0])]
+            vals = [diag[T].sum(axis=1)]
+            row, slot = np.nonzero(first)
+            value, mult = T[row, slot], counts[row, slot]
+            for (ptr, digits, entries), level, scale in families:
+                per = ptr[value + 1] - ptr[value]
+                src = np.repeat(np.arange(row.size), per)
+                starts = np.repeat(ptr[value] - (np.cumsum(per) - per), per)
+                entry = starts + np.arange(src.size)
+                rest = T[row[src]][np.arange(j) != slot[src, None]].reshape(src.size, j - 1)
+                tuples = np.sort(np.concatenate([rest, digits[entry]], axis=1), axis=1)
+                rows.append(row[src])
+                ranks = np.searchsorted(keys[level - 1], _digit_keys(tuples, n))
+                cols.append(offsets[level - 1] + ranks)
+                vals.append(scale * mult[src] * entries[entry])
+            r, c, v = (np.concatenate(parts) for parts in (rows, cols, vals))
+            order = np.lexsort((c, r))
+            indices[pos : pos + order.size] = c[order]
+            data[pos : pos + order.size] = v[order]
+            indptr[at + 1 : at + T.shape[0] + 1] = pos + np.cumsum(
+                np.bincount(r, minlength=T.shape[0])
+            )
+            pos += order.size
         if pos != nnz:
             raise NumericFailure(f"symmetric operator stored {pos} entries, counted {nnz}")
         return sp.csr_matrix((data, indices, indptr), shape=(offsets[-1], offsets[-1]))

@@ -10,8 +10,8 @@ from __future__ import annotations
 from .errors import ValidationError
 
 #: F1 is held dense up to this state dimension and sparse above it.  Dense
-#: keeps the structured matvec a single matmul per tensor factor and the
-#: 2-norm of F1 exact; a dense n x n F1 stays below 2 MiB.
+#: keeps the 2-norm of F1 exact and the reference integrator's Jacobian
+#: cheap; a dense n x n F1 stays below 2 MiB.
 DENSE_F1_MAX_N = 512
 
 #: explicit dense matrices (Laplacian, Carleman operator, Matrix Market

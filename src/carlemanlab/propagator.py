@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .carleman import CarlemanMatrix, CarlemanVector, SymmetricBasis
+from .carleman import CarlemanMatrix, SymmetricBasis
 from .errors import NumericFailure, ValidationError
 
 #: ``evolve`` raises :class:`NumericFailure` when ``|y|`` exceeds this times ``|y0|``
@@ -52,7 +52,8 @@ class PropagationConfig:
 
     The auto rule keeps the per-step Taylor argument at most one,
     ``dt = 1 / |A|_bound``, clamped to at least ``T / 10**6`` steps-wise, so
-    factorial decay dominates the series tail.
+    factorial decay dominates the series tail.  ``record_every`` unset records
+    about a thousand snapshots.
     """
 
     total_time: float
@@ -61,6 +62,12 @@ class PropagationConfig:
     n_steps: int | None = None
     strict_stability: bool = True
     record_every: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.taylor_order < 1:
+            raise ValidationError(f"Taylor order must be >= 1, got {self.taylor_order}")
+        if self.record_every is not None and self.record_every < 1:
+            raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
 
     def resolve_steps(self, norm_bound: float) -> tuple[float, int]:
         T = self.total_time
@@ -138,7 +145,7 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     norm0 = basis.norm(y)
     times = [0.0]
     block1 = [y[:n1].copy()]
-    shares = [float(y[:n1] @ y[:n1]) / norm0**2]
+    share1 = [float(y[:n1] @ y[:n1]) / norm0**2]
     norms = [norm0]
     step_norms = [norm0]
 
@@ -154,13 +161,13 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         if step % every == 0 or step == n_steps:
             times.append(step * dt)
             block1.append(y[:n1].copy())
-            shares.append(float(y[:n1] @ y[:n1]) / norm**2)
+            share1.append(float(y[:n1] @ y[:n1]) / norm**2)
             norms.append(norm)
 
     return EvolveResult(
         times=np.array(times),
         block1=np.array(block1),
-        block1_share=np.array(shares),
+        block1_share=np.array(share1),
         y_norms=np.array(norms),
         step_norms=np.array(step_norms),
         y_final=y,
@@ -168,13 +175,6 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         n_steps=n_steps,
         stability_bound=bound,
     )
-
-
-def extract_block(y: CarlemanVector, j: int) -> tuple[np.ndarray, float]:
-    """Level ``j`` of the stacked vector and its squared-norm share."""
-    if not 1 <= j <= y.N:
-        raise ValidationError(f"level {j} outside 1..{y.N}")
-    return y.level(j).copy(), float(y.shares()[j - 1])
 
 
 def success_probability(u_norm: float, gamma: float, N: int) -> float:

@@ -231,6 +231,11 @@ class TestEvolveCommand:
         # closed form of the scalar problem at the final time
         assert float(rows[-1][1]) == pytest.approx(2.0 / (1.0 + np.e), abs=1e-8)
 
+    def test_record_every_zero_is_validation_exit(self, tmp_path):
+        config = self.evolve_config()
+        config["numerics"]["record_every"] = 0
+        assert run_config(config, tmp_path) == 2
+
     def test_strict_stability_flag_controls_exit(self, tmp_path):
         config = self.evolve_config()
         config["numerics"]["gamma_mode"] = "explicit"

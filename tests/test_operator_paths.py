@@ -30,11 +30,11 @@ SETTINGS = settings(deadline=None)
 
 @st.composite
 def problems(draw):
-    """(ODE, gamma, N, F1 kind) over the small orders both paths handle exactly."""
+    """(ODE, gamma, N) over the small orders both paths handle exactly."""
     n = draw(st.sampled_from([1, 2, 3]))
     M = draw(st.sampled_from([2, 3]))
     N = draw(st.integers(M + 1, M + 3))
-    f1_kind = draw(st.sampled_from(["dense", "sparse", "sparse_kept_sparse"]))
+    f1_kind = draw(st.sampled_from(["dense", "sparse"]))
     fm_kind = draw(st.sampled_from(["one_sparse", "generic"]))
     gamma = draw(st.floats(0.1, 3.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -48,22 +48,19 @@ def problems(draw):
         cols = rng.integers(0, width, rows.size)
         FM = sp.csr_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(n, width))
     else:
-        # row 0 is full, so every row index repeats once width > 1 and the
-        # gather fast path is skipped
+        # row 0 is full, so every row index repeats once width > 1
         dense = rng.standard_normal((n, width)) * (rng.random((n, width)) < 0.5)
         dense[0] = rng.standard_normal(width)
         FM = sp.csr_matrix(dense)
     u_in = rng.standard_normal(n)
-    return NonlinearODE(n=n, M=M, F1=F1, FM=FM, u_in=u_in), gamma, N, f1_kind
+    return NonlinearODE(n=n, M=M, F1=F1, FM=FM, u_in=u_in), gamma, N
 
 
 @SETTINGS
 @given(problems(), st.integers(0, 2**32 - 1))
 def test_structured_apply_equals_assembled_matvec(problem, seed):
-    ode, gamma, N, f1_kind = problem
+    ode, gamma, N = problem
     mat = assemble(rescale(ode, gamma), N)
-    if f1_kind == "sparse_kept_sparse":
-        mat._f1_dense = None  # take the sparse per-axis route of apply
     y = np.random.default_rng(seed).standard_normal(mat.total_dimension)
     got = mat.apply(y)
     want = mat.to_sparse() @ y
@@ -73,7 +70,7 @@ def test_structured_apply_equals_assembled_matvec(problem, seed):
 @SETTINGS
 @given(problems())
 def test_initial_vector_levels_are_kronecker_powers(problem):
-    ode, gamma, N, _ = problem
+    ode, gamma, N = problem
     y = initial_vector(ode.u_in, gamma, N)
     assert y.flat.size == assemble(ode, N).total_dimension
     for j in range(1, N + 1):
@@ -84,7 +81,7 @@ def test_initial_vector_levels_are_kronecker_powers(problem):
 @SETTINGS
 @given(problems(), st.integers(0, 2**32 - 1))
 def test_symmetric_operator_equals_assembled_matvec_on_symmetric_vectors(problem, seed):
-    ode, gamma, N, _ = problem
+    ode, gamma, N = problem
     mat = assemble(rescale(ode, gamma), N)
     basis = SymmetricBasis(mat.n, mat.N)
     z = np.random.default_rng(seed).standard_normal(mat.symmetric_dimension)
@@ -98,7 +95,7 @@ def test_symmetric_operator_equals_assembled_matvec_on_symmetric_vectors(problem
 @SETTINGS
 @given(problems())
 def test_symmetric_lift_holds_the_flat_lift_representatives(problem):
-    ode, gamma, N, _ = problem
+    ode, gamma, N = problem
     basis = SymmetricBasis(ode.n, N)
     lift = basis.lift(ode.u_in / gamma)
     flat = initial_vector(ode.u_in, gamma, N).flat

@@ -1,4 +1,4 @@
-"""Taylor stepping, trajectory evolution, level extraction, probabilities."""
+"""Taylor stepping, trajectory evolution, success probabilities."""
 
 import math
 import tracemalloc
@@ -24,7 +24,6 @@ from carlemanlab.pde import ReactionDiffusionProblem, discretize
 from carlemanlab.propagator import (
     PropagationConfig,
     evolve,
-    extract_block,
     success_probability,
     taylor_step,
     taylor_step_defect_bound,
@@ -215,6 +214,23 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             config.resolve_steps(norm_bound=1.0)
 
+    @pytest.mark.parametrize("T", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [({"taylor_order": 0}, "Taylor order"), ({"record_every": 0}, "record_every"),
+         ({"record_every": -2}, "record_every")],
+        ids=["K0", "record0", "record-2"],
+    )
+    def test_bad_stepping_rejected_before_the_operator(self, monkeypatch, knobs, match, T):
+        mat = assemble(self.linear_diag_ode(), 3)
+
+        def refuse():
+            raise AssertionError("the operator was built before the config was checked")
+
+        monkeypatch.setattr(mat, "to_symmetric", refuse)
+        with pytest.raises(ValidationError, match=match):
+            evolve(mat, PropagationConfig(total_time=T, **knobs))
+
 
 @st.composite
 def linear_problems(draw):
@@ -259,33 +275,15 @@ def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
         assert err <= defect + 1e-12 * top
 
 
-class TestExtractBlock:
-    def test_pure_initial_share(self):
+class TestSuccessProbability:
+    def test_equals_the_level_one_share_evolve_reports_at_t0(self):
         u = np.array([0.3, 0.4])
         gamma, N = 1.0, 4
-        y = initial_vector(u, gamma, N)
-        r = np.linalg.norm(u) / gamma
-        _, share = extract_block(y, 1)
-        want = (1 - r**2) / (1 - r ** (2 * N))
-        assert share == pytest.approx(want, rel=1e-12)
+        ode = NonlinearODE(n=2, M=2, F1=-np.eye(2), FM=sp.csr_matrix((2, 4)), u_in=u)
+        res = evolve(assemble(rescale(ode, gamma), N), PropagationConfig(total_time=0.0))
+        want = success_probability(float(np.linalg.norm(u)), gamma, N)
+        assert res.block1_share[0] == pytest.approx(want, rel=1e-12)
 
-    def test_single_level_share_is_one(self):
-        y = initial_vector(np.array([0.5]), 1.0, 1)
-        _, share = extract_block(y, 1)
-        assert share == pytest.approx(1.0)
-
-    def test_shares_sum_to_one(self):
-        y = initial_vector(np.array([0.9, 0.1]), 1.0, 5)
-        total = sum(extract_block(y, j)[1] for j in range(1, 6))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        y = initial_vector(np.array([1.0]), 1.0, 3)
-        with pytest.raises(ValidationError):
-            extract_block(y, 4)
-
-
-class TestSuccessProbability:
     def test_limit_value_at_unit_ratio(self):
         assert success_probability(1.0, 1.0, 3) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
