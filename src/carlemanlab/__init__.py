@@ -30,7 +30,7 @@ from .cost import (
     pde_cost_estimate,
     prior_work_comparison,
 )
-from .errors import NumericFailure, ValidationError
+from .errors import NumericFailure, SizeLimitError, ValidationError
 from .nonlinear_ode import (
     NonlinearODE,
     RescaledODE,
@@ -43,10 +43,12 @@ from .nonlinear_ode import (
 )
 from .pde import (
     DiscretisationErrorInputs,
+    FourierForm,
     ReactionDiffusionProblem,
     discretisation_error_bound,
     discretize,
     estimate_derivative_bound,
+    fourier_form,
     required_grid_points,
     stability_report,
 )
@@ -54,6 +56,7 @@ from .propagator import (
     PropagationConfig,
     evolve,
     success_probability,
+    taylor_matrix,
     taylor_step,
 )
 from .stencil import (

@@ -264,6 +264,17 @@ class CarlemanMatrix:
         """Off-diagonal prefactor ``gamma**(M-1)``."""
         return self.gamma ** (self.M - 1)
 
+    @property
+    def f1_is_diagonal(self) -> bool:
+        """Whether F1 stores no entry off its diagonal.
+
+        Then every level block of :meth:`to_symmetric` is diagonal and the
+        operator is upper triangular, each row storing its diagonal first.
+        """
+        f1 = self._f1_sparse
+        rows = np.repeat(np.arange(self.n), np.diff(f1.indptr))
+        return bool(np.array_equal(f1.indices, rows))
+
     # -- matrix-free action, the assemblies' oracle -------------------------
 
     def _apply_axis(self, op: sp.csr_matrix, y: np.ndarray, j: int, i: int) -> np.ndarray:

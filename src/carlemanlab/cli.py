@@ -32,7 +32,7 @@ from . import nonlinear_ode as node
 from . import pde as rd
 from . import propagator as prop
 from . import stencil as st
-from .errors import NumericFailure, ValidationError
+from .errors import NumericFailure, SizeLimitError, ValidationError
 from .limits import DENSE_F1_MAX_N, DENSE_MAX_DIM
 
 SCHEMA_VERSION = 1
@@ -70,6 +70,17 @@ def format_number(x: Any) -> str:
     return str(x)
 
 
+#: cell formatters by exact type, each agreeing with :func:`format_number`,
+#: which formats every other type
+_CELL_FORMATS: dict[type, Callable[[Any], str]] = {
+    float: "{:.17g}".format,
+    np.float64: "{:.17g}".format,
+    int: str,
+    np.int64: str,
+    str: str,
+}
+
+
 def canonical_config_text(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
@@ -100,7 +111,7 @@ def write_csv(
         lines.append(f"# config={canonical_config_text(config)}")
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(format_number(x) for x in row))
+        lines.append(",".join([_CELL_FORMATS.get(type(x), format_number)(x) for x in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -250,9 +261,25 @@ def resolve_gamma(numerics: dict, ode: node.NonlinearODE) -> float:
     raise ValidationError(f"unknown gamma_mode {mode!r}")
 
 
+def whole_number(numerics: dict, key: str) -> int | None:
+    """The integer value of a numerics knob, or ``None`` when unset.
+
+    A value with a fractional part (or not a number at all) is refused, so a
+    knob is never silently truncated; integral floats such as ``10.0`` pass.
+    """
+    value = numerics[key]
+    if value is None:
+        return None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer()):
+        raise ValidationError(f"numerics {key!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def resolve_order(numerics: dict, ode: node.NonlinearODE) -> int:
-    if numerics["N"] is not None:
-        return int(numerics["N"])
+    N = whole_number(numerics, "N")
+    if N is not None:
+        return N
     R = node.r_ratio(ode)
     return bd.required_carleman_order(R, ode.M, float(numerics["epsilon"]))
 
@@ -321,36 +348,55 @@ def _cmd_linearize(ctx: RunContext) -> None:
 
 
 def _run_pipeline(ctx: RunContext) -> dict:
-    """Shared evolve machinery: returns summary metrics and trajectory rows."""
-    ode, _ = resolve_problem(ctx.config)
+    """Shared evolve machinery: returns summary metrics and trajectory rows.
+
+    A PDE is stepped in its Fourier form (:func:`~carlemanlab.pde.fourier_form`),
+    where F1 is diagonal and a Taylor step can be one matvec, and level 1 is
+    mapped back to the grid; gamma, N, the reference and the bound come from
+    the grid problem.  When the Fourier form or its symmetric operator is over
+    a size limit (its nonlinearity couples far more modes than the grid's
+    couples points, so it can be while the grid fits), the grid is stepped.
+    """
+    ode, problem = resolve_problem(ctx.config)
     numerics = numerics_from_config(ctx.config)
     gamma = resolve_gamma(numerics, ode)
     N = resolve_order(numerics, ode)
-    mat = carl.assemble(node.rescale(ode, gamma), N)
+    K = whole_number(numerics, "K")
+    if K is None:
+        raise ValidationError("numerics 'K' must be a whole number, got None")
     config = prop.PropagationConfig(
         total_time=ode.T,
-        taylor_order=int(numerics["K"]),
+        taylor_order=K,
         dt=numerics["dt"],
-        n_steps=numerics["n_steps"],
+        n_steps=whole_number(numerics, "n_steps"),
         strict_stability=ctx.strict_stability,
-        record_every=numerics["record_every"],
+        record_every=whole_number(numerics, "record_every"),
     )
-    result = prop.evolve(mat, config)
+    fourier, result = None, None
+    if problem is not None:
+        try:
+            fourier = rd.fourier_form(problem, ode)
+            result = prop.evolve(carl.assemble(node.rescale(fourier.ode, gamma), N), config)
+        except SizeLimitError:
+            # a denser nonlinearity than the grid's: step the grid problem instead
+            fourier = None
+    if result is None:
+        result = prop.evolve(carl.assemble(node.rescale(ode, gamma), N), config)
+    block1 = result.block1 if fourier is None else fourier.to_grid(result.block1)
     reference = node.reference_solve(
         ode, T=ode.T, tol=float(numerics["reference_tol"]), t_eval=result.times
     )
-    u_hat = gamma * result.block1
+    u_hat = gamma * block1
     err = np.linalg.norm(u_hat - reference.u, axis=1)
-    rows = []
-    for i, t in enumerate(result.times):
-        rows.append(
-            [t, result.y_norms[i], float(np.linalg.norm(result.block1[i])),
-             result.block1_share[i]] + list(u_hat[i])
+    rows = [
+        [t, y_norm, float(np.linalg.norm(level1)), share] + u
+        for t, y_norm, level1, share, u in zip(
+            result.times.tolist(), result.y_norms.tolist(), block1,
+            result.block1_share.tolist(), u_hat.tolist(),
         )
-    bound_T = bd.component_error_bound(ode, N, 1, ode.T, gamma=gamma)
-    reference_rows = [
-        [t] + list(u) for t, u in zip(reference.t, reference.u)
     ]
+    bound_T = bd.component_error_bound(ode, N, 1, ode.T, gamma=gamma)
+    reference_rows = [[t] + u for t, u in zip(reference.t.tolist(), reference.u.tolist())]
     return {
         "rows": rows,
         "reference_rows": reference_rows,
@@ -359,7 +405,8 @@ def _run_pipeline(ctx: RunContext) -> dict:
         "gamma": gamma,
         "dt": result.dt,
         "n_steps": result.n_steps,
-        "K": int(numerics["K"]),
+        "K": K,
+        "coordinates": "ode" if fourier is None else "fourier",
         "stability_bound": result.stability_bound,
         "final_share": float(result.block1_share[-1]),
         "final_y_norm": float(result.y_norms[-1]),
@@ -386,10 +433,8 @@ def _cmd_bounds(ctx: RunContext) -> None:
     ode, _ = resolve_problem(ctx.config)
     numerics = numerics_from_config(ctx.config)
     gamma = resolve_gamma(numerics, ode)
-    N = numerics["N"]
     report = bd.make_bound_report(
-        ode, gamma=gamma, N=None if N is None else int(N),
-        eps=float(numerics["epsilon"]),
+        ode, gamma=gamma, N=whole_number(numerics, "N"), eps=float(numerics["epsilon"]),
     )
     write_json(ctx.path("bounds.json"), {"results": report.as_dict()}, ctx.digest, ctx.config)
     rows = []

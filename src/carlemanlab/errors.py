@@ -11,3 +11,7 @@ class ValidationError(ValueError):
 
 class NumericFailure(RuntimeError):
     """A numerical procedure failed to converge or produced non-finite values."""
+
+
+class SizeLimitError(ValidationError):
+    """A problem is too large for a size limit of :mod:`carlemanlab.limits`."""

@@ -7,7 +7,7 @@ running out of memory or stalling in dense linear algebra.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import SizeLimitError
 
 #: F1 is held dense up to this state dimension and sparse above it.  Dense
 #: keeps the 2-norm of F1 exact and the reference integrator's Jacobian
@@ -24,11 +24,13 @@ DENSE_MAX_DIM = 4096
 #: stored entries instead (``KRON_MAX_SIZE``).
 ASSEMBLY_MAX_DIM = 200_000
 
-#: entries per array of this many float64 (80 MB).  It covers both
+#: entries per array of this many float64 (80 MB).  It covers
 #: Kronecker-power vectors and the stored entries of the symmetric operator
-#: (``CarlemanMatrix.symmetric_nnz``, counted before anything is allocated),
-#: the one size limit of ``evolve``: over it, ``evolve`` raises instead of
-#: stepping.
+#: (``CarlemanMatrix.symmetric_nnz``), counted before it is allocated, so over
+#: it ``evolve`` raises instead of stepping; the one-step Taylor matrix
+#: (``propagator.taylor_matrix``), over which ``evolve`` keeps the K-matvec
+#: series; and the nonlinearity of ``pde.fourier_form`` and its enumeration
+#: of mode products, over which the CLI steps a PDE on its grid.
 KRON_MAX_SIZE = 10**7
 
 #: ``reference_solve`` integrates with implicit Radau IIA and the analytic
@@ -47,4 +49,4 @@ STIFF_REFERENCE_SCALE = 3500.0
 def check_size(size: int, limit: int, what: str) -> None:
     """Reject ``what`` when its ``size`` exceeds ``limit``."""
     if size > limit:
-        raise ValidationError(f"{what} of size {size} exceeds the limit {limit}")
+        raise SizeLimitError(f"{what} of size {size} exceeds the limit {limit}")

@@ -2,13 +2,18 @@
 
 Discretisation maps the PDE onto a :class:`~carlemanlab.nonlinear_ode.NonlinearODE`
 with a Kronecker-sum diffusion operator and a one-sparse nonlinearity that
-selects the diagonal monomials ``u_i^M``.  The module also evaluates every
-stability criterion the pipeline depends on, the semi-discrete spatial error
-bound, and the grid size needed for a target accuracy.
+selects the diagonal monomials ``u_i^M``.  :func:`fourier_form` rewrites that
+ODE in the real orthonormal Fourier basis of the periodic grid, where F1 is
+diagonal, so :func:`carlemanlab.propagator.evolve` can take each Taylor step
+as one matvec; the CLI steps a PDE in that form whenever it fits the size
+limits.  The module also evaluates
+every stability criterion the pipeline depends on, the semi-discrete spatial
+error bound, and the grid size needed for a target accuracy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -16,12 +21,18 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
-from .limits import DENSE_F1_MAX_N
-from .nonlinear_ode import NonlinearODE, max_stable_gamma, r_ratio
-from .stencil import build_laplacian_dd, stencil_coefficients
+from .errors import NumericFailure, ValidationError
+from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_size
+from .nonlinear_ode import NonlinearODE, base_digits, max_stable_gamma, r_ratio
+from .stencil import build_laplacian_dd, laplacian_eigenvalues_periodic
 
 InitialCondition = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
+
+#: ``i**p`` for ``p = 0..3``, the phases of the waves in a real Fourier mode
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+#: mode tuples per block of the Fourier product enumeration
+_PRODUCT_CHUNK = 1 << 18
 
 
 @dataclass
@@ -121,6 +132,181 @@ def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
         F1 = (pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")).tocsr()
     FM = one_sparse_nonlinearity(n, pde.M, pde.b)
     return NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)
+
+
+# ---------------------------------------------------------------------------
+# the real Fourier basis of the periodic grid
+# ---------------------------------------------------------------------------
+
+def real_fourier_basis(m: int) -> np.ndarray:
+    """Orthonormal real Fourier modes of ``m`` periodic points, one per column.
+
+    Column 0 is the constant; columns ``2f-1`` and ``2f`` are ``cos`` and
+    ``sin`` of frequency ``f`` for ``0 < f < m/2``; for even ``m`` the last
+    column is the alternating Nyquist mode.
+    """
+    x = np.arange(m) / m
+    Q = np.empty((m, m))
+    Q[:, 0] = 1.0 / math.sqrt(m)
+    for f in range(1, (m + 1) // 2):
+        Q[:, 2 * f - 1] = math.sqrt(2.0 / m) * np.cos(2.0 * np.pi * f * x)
+        Q[:, 2 * f] = math.sqrt(2.0 / m) * np.sin(2.0 * np.pi * f * x)
+    if m % 2 == 0:
+        Q[:, m - 1] = (-1.0) ** np.arange(m) / math.sqrt(m)
+    return Q
+
+
+def _mode_products(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero grid sums ``sum_x prod_p Q[x, r_p]`` over ``order`` columns of ``Q``.
+
+    The frequency rule, exact in integers: each mode is one or two waves
+    ``e^(2 pi i k x)`` with coefficients ``norm * i**phase`` (``cos`` has
+    phases 0, 0 at ``k = f, m-f``; ``sin`` has 3, 1).  A product of waves
+    sums to ``m`` over the grid when its wave numbers add up to 0 mod ``m``
+    and to 0 otherwise, so the grid sum is ``m prod(norms)`` times the
+    Gaussian integer ``sum i**phases`` over the surviving wave choices.  A
+    tuple is kept when that integer is nonzero; nothing is thresholded.
+
+    Tuples are taken in blocks of their first ``order - 1`` modes; for each
+    choice of their waves, the last wave is the one that closes the sum.
+    That work, one closing per wave choice, is checked against
+    ``KRON_MAX_SIZE`` first.  Every wave choice of a tuple falls in its
+    block, so a block's sums are final and only its nonzero ones are kept,
+    counted against ``KRON_MAX_SIZE`` as they come.  Returns the tuples'
+    row-major indices, ascending, and their sums.
+    """
+    freq = (np.arange(m) + 1) // 2  # of each column of the basis
+    special = (freq == 0) | (2 * freq == m)
+    norm = np.where(special, 1.0 / math.sqrt(m), 1.0 / math.sqrt(2.0 * m))
+    # the waves of each mode (a special mode has only the first), sin modes at even columns
+    sin = (np.arange(m) % 2 == 0) & ~special
+    waves = np.stack([freq, (m - freq) % m])
+    phases = np.stack([np.where(sin, 3, 0), np.where(sin, 1, 0)])
+    # the one or two modes with a wave at each wave number, and that wave's phase
+    k = np.arange(m)
+    f = np.minimum(k, m - k)
+    lone = (k == 0) | (2 * k == m)
+    last_mode = np.stack([np.where(k == 0, 0, np.where(2 * k == m, m - 1, 2 * f - 1)), 2 * f])
+    last_phase = np.stack([np.zeros(m, dtype=np.int64), np.where(k == f, 3, 1)])
+    last_ok = np.stack([np.ones(m, dtype=bool), ~lone])
+    check_size((2 * m - np.count_nonzero(special)) ** (order - 1), KRON_MAX_SIZE,
+               "Fourier product enumeration")
+    heads = m ** (order - 1)
+    per_block = max(1, _PRODUCT_CHUNK // m)
+    keys, values, count = [], [], 0
+    for first in range(0, heads, per_block):
+        head = base_digits(np.arange(first, min(first + per_block, heads)), m, order - 1)
+        sums = np.zeros((2, head.shape[0] * m))
+        for choice in itertools.product((0, 1), repeat=order - 1):
+            choice = np.array(choice)
+            at = np.flatnonzero(np.all(choice < 2 - special[head], axis=1))
+            picked = choice[None, :], head[at]
+            need = (-waves[picked].sum(axis=1)) % m
+            phase = phases[picked].sum(axis=1)
+            for wave in range(2):
+                ok = last_ok[wave, need]
+                key = at[ok] * m + last_mode[wave, need[ok]]
+                power = (phase[ok] + last_phase[wave, need[ok]]) % 4
+                sums[0] += np.bincount(key, _I_POWERS.real[power], minlength=sums.shape[1])
+                sums[1] += np.bincount(key, _I_POWERS.imag[power], minlength=sums.shape[1])
+        if np.any(sums[1] != 0):
+            raise NumericFailure("a product of real Fourier modes summed to a non-real value")
+        kept = np.flatnonzero(sums[0])
+        count += kept.size
+        check_size(count, KRON_MAX_SIZE, "Fourier nonlinearity entries")
+        digits = base_digits(first * m + kept, m, order)
+        value = m * sums[0, kept]
+        for pos in range(order):
+            value = value * norm[digits[:, pos]]
+        keys.append(first * m + kept)
+        values.append(value)
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _along_axes(op: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
+    """Apply the ``m x m`` matrix ``op`` along each of the ``d`` grid axes of ``values``.
+
+    ``values`` holds row-major grid (or mode) vectors of length ``m**d`` in
+    its last axis.
+    """
+    lead = values.ndim - 1
+    out = values.reshape(values.shape[:-1] + (op.shape[0],) * d)
+    for axis in range(lead, lead + d):
+        out = np.moveaxis(np.tensordot(out, op, axes=([axis], [1])), -1, axis)
+    return out.reshape(values.shape)
+
+
+@dataclass(frozen=True)
+class FourierForm:
+    """A periodic problem in the real orthonormal Fourier basis of its grid.
+
+    With ``Q`` the ``d``-fold Kronecker power of ``axis_basis``
+    (:func:`real_fourier_basis`), ``ode`` is the grid ODE for ``v = Q^T u``:
+    ``F1 = Q^T F1 Q`` is diagonal and ``FM = Q^T FM Q^(x M)`` couples modes
+    whose frequencies add up.
+    """
+
+    ode: NonlinearODE
+    axis_basis: np.ndarray
+    d: int
+
+    def to_grid(self, v: np.ndarray) -> np.ndarray:
+        """Grid values ``Q v`` of mode coefficients (the last axis of ``v``)."""
+        return _along_axes(self.axis_basis, np.asarray(v, dtype=float), self.d)
+
+
+def fourier_form(
+    pde: ReactionDiffusionProblem, discretized: Optional[NonlinearODE] = None
+) -> FourierForm:
+    """Rewrite the discretised problem in the real Fourier basis of its periodic grid.
+
+    Every periodic circulant is diagonal in that basis, so F1 becomes
+    ``D sum_axes lambda(f_axis) + c`` from the closed-form spectrum
+    (:func:`~carlemanlab.stencil.laplacian_eigenvalues_periodic`).  The
+    pointwise ``b u^M`` becomes ``b`` times the per-axis products of
+    :func:`_mode_products`, and ``u_in`` becomes ``Q^T u_in``.  An orthogonal
+    change of basis keeps ``lambda0``, ``|F1|`` and ``|FM|``, so they are
+    copied from the grid problem and every scalar derived from them (gamma,
+    N, the Gershgorin bound, the step rule) is bit for bit the grid's; a
+    ``discretized`` problem whose ``n``, ``M``, ``T`` or ``u_in`` differ from
+    ``pde``'s is refused.
+    """
+    if discretized is None:
+        ode = discretize(pde)
+    else:
+        ode = discretized
+        if (ode.n, ode.M, ode.T) != (pde.n, pde.M, pde.T) or not np.array_equal(
+            ode.u_in, pde.initial_grid()
+        ):
+            raise ValidationError("the discretised problem is not the grid ODE of this problem")
+    m, d, M = pde.m, pde.d, pde.M
+    n = pde.n
+    lam = laplacian_eigenvalues_periodic(pde.k, m)[(np.arange(m) + 1) // 2]
+    spectrum = np.zeros((m,) * d)
+    for axis in range(d):
+        spectrum = spectrum + lam.reshape((m,) + (1,) * (d - 1 - axis))
+    F1 = sp.diags(pde.diffusion * spectrum.reshape(n) + pde.c, format="csr")
+    keys, values = _mode_products(m, M + 1)
+    check_size(values.size**d, KRON_MAX_SIZE, "Fourier nonlinearity entries")
+    # a mode of the d-dimensional grid is a product of one mode per axis, so
+    # a grid sum of M + 1 modes is the product of the per-axis sums: its row
+    # and its M column digits gather one base-m digit per axis
+    width = m**M
+    spread = np.zeros(keys.size, dtype=np.int64)  # the column digits, each to base n
+    for pos in range(M):
+        spread = spread * n + keys // m ** (M - 1 - pos) % m
+    rows = np.zeros(1, dtype=np.int64)
+    col = np.zeros(1, dtype=np.int64)
+    vals = np.full(1, float(pde.b))
+    for _ in range(d):
+        rows = (rows[:, None] * m + (keys // width)[None, :]).reshape(-1)
+        col = (col[:, None] * m + spread[None, :]).reshape(-1)
+        vals = (vals[:, None] * values[None, :]).reshape(-1)
+    FM = sp.csr_matrix((vals, (rows, col)), shape=(n, n**M))
+    Q = real_fourier_basis(m)
+    modal = NonlinearODE(n=n, M=M, F1=F1, FM=FM, u_in=_along_axes(Q.T, ode.u_in, d), T=ode.T)
+    vars(modal).update(lambda0=ode.lambda0, f1_norm=ode.f1_norm, fm_norm=ode.fm_norm)
+    return FourierForm(ode=modal, axis_basis=Q, d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carlemanlab import bounds as bd
+from carlemanlab import carleman as carl
 from carlemanlab import cli
+from carlemanlab import nonlinear_ode as node
 from carlemanlab import pde as rd
+from carlemanlab import propagator as prop
+from carlemanlab.errors import SizeLimitError
+from carlemanlab.limits import KRON_MAX_SIZE
 
 BERNOULLI = {
     "schema_version": 1,
@@ -236,6 +242,93 @@ class TestEvolveCommand:
         config["numerics"]["record_every"] = 0
         assert run_config(config, tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "knob, value", [("K", 2.7), ("K", None), ("record_every", 2.5), ("n_steps", 99.5)]
+    )
+    def test_non_integer_stepping_knob_is_validation_exit(self, tmp_path, knob, value):
+        config = self.evolve_config()
+        config["numerics"][knob] = value
+        assert run_config(config, tmp_path) == 2
+        assert not (tmp_path / "demo_evolve.json").exists()
+
+    def test_integral_floats_step_as_integers(self, tmp_path):
+        as_ints, as_floats = tmp_path / "ints", tmp_path / "floats"
+        as_ints.mkdir()
+        as_floats.mkdir()
+        config = self.evolve_config()
+        assert run_config(config, as_ints) == 0
+        config["numerics"].update(N=4.0, K=8.0, n_steps=100.0, record_every=10.0)
+        assert run_config(config, as_floats) == 0
+        trajectories = [read_csv(out / "demo_trajectory.csv") for out in (as_ints, as_floats)]
+        assert trajectories[0] == trajectories[1]
+        summary = json.loads((as_floats / "demo_evolve.json").read_text())["results"]
+        assert (summary["K"], summary["N"], summary["n_steps"]) == (8, 4, 100)
+
+    def test_ode_is_stepped_in_its_own_coordinates(self, tmp_path):
+        assert run_config(self.evolve_config(), tmp_path) == 0
+        summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
+        assert summary["coordinates"] == "ode"
+
+    def test_pde_is_stepped_in_fourier_coordinates(self, tmp_path):
+        # the reported stepping and bound scalars are bit for bit the grid
+        # problem's, and level 1 matches the grid's own series steps
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "evolve"
+        config["pde"]["T"] = 0.2
+        config["numerics"] = {"N": 3, "K": 10}
+        assert run_config(config, tmp_path) == 0
+        summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
+        assert summary["coordinates"] == "fourier"
+        ode = rd.discretize(cli.pde_from_config(config["pde"]))
+        gamma = float(np.linalg.norm(ode.u_in))
+        mat = carl.assemble(node.rescale(ode, gamma), 3)
+        grid = prop.evolve(mat, prop.PropagationConfig(total_time=0.2, taylor_order=10))
+        bound = bd.component_error_bound(ode, 3, 1, 0.2, gamma=gamma) * gamma
+        want = {
+            "gamma": gamma, "N": 3, "K": 10, "dt": grid.dt, "n_steps": grid.n_steps,
+            "stability_bound": grid.stability_bound, "component_bound_j1_T": float(bound),
+        }
+        assert {key: summary[key] for key in want} == want
+        _, rows = read_csv(tmp_path / "demo_trajectory.csv")
+        u_hat = np.array([[float(v) for v in row[4:]] for row in rows])
+        assert np.abs(u_hat - gamma * grid.block1).max() <= 1e-12 * np.abs(u_hat).max()
+
+    @pytest.mark.parametrize(
+        "M, m, N, limit, over",
+        [(4, 32, 5, KRON_MAX_SIZE, "Fourier product enumeration"),
+         (3, 24, 4, 180_000, "symmetric Carleman operator entries")],
+        ids=["M4-m32", "M3-m24-limit-180k"],
+    )
+    def test_pde_over_the_fourier_limits_is_stepped_on_its_grid(
+        self, tmp_path, monkeypatch, M, m, N, limit, over
+    ):
+        # the Fourier nonlinearity couples up to (2m)^M mode tuples where the
+        # grid's couples m points: its enumeration (M = 4: 62^4 wave tuples)
+        # or its symmetric operator (M = 3: 200 124 entries against the
+        # grid's 161 474, under a lowered limit) is over a size limit while
+        # the grid's operator fits
+        monkeypatch.setattr(carl, "KRON_MAX_SIZE", limit)
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "evolve"
+        config["pde"].update(
+            M=M, m=m, k=1, T=1e-4, initial={"profile": "raised_cosine", "amplitude": 0.1}
+        )
+        config["numerics"] = {"N": N, "K": 10}
+        problem = cli.pde_from_config(config["pde"])
+        ode = rd.discretize(problem)
+        gamma = float(np.linalg.norm(ode.u_in))
+        assert carl.assemble(node.rescale(ode, gamma), N).symmetric_nnz() <= limit
+        with pytest.raises(SizeLimitError, match=over):
+            form = rd.fourier_form(problem, ode)
+            prop.evolve(
+                carl.assemble(node.rescale(form.ode, gamma), N),
+                prop.PropagationConfig(total_time=1e-4),
+            )
+        assert run_config(config, tmp_path) == 0
+        summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
+        assert summary["coordinates"] == "ode"
+        assert summary["measured_error_T"] <= 1e-9
+
     def test_strict_stability_flag_controls_exit(self, tmp_path):
         config = self.evolve_config()
         config["numerics"]["gamma_mode"] = "explicit"
@@ -397,3 +490,19 @@ class TestNumberFormatting:
         values = [1.0 / 3.0, np.pi * 1e-7, 2.0 / (1.0 + np.e)]
         for v in values:
             assert float(cli.format_number(v)) == v
+
+    def test_csv_cells_keep_their_bytes(self, tmp_path):
+        # every cell type the artifacts carry, pinned to the bytes format_number gives
+        rows = [
+            [True, 3, np.int64(7), np.float64(0.1), float("inf"), float("nan")],
+            [np.bool_(False), -0.0, 1e-320, "DOP853", np.float32(0.1), 12345678901234567890],
+            [np.float64(-np.inf), 2.5, 1.0 / 3.0, np.int32(-4), None, 1e22],
+        ]
+        path = tmp_path / "cells.csv"
+        cli.write_csv(str(path), list("abcdef"), rows, "abc", {"x": 1})
+        assert path.read_text() == (
+            '# config_hash=abc\n# config={"x":1}\na,b,c,d,e,f\n'
+            "true,3,7,0.10000000000000001,inf,nan\n"
+            "false,-0,9.9998886718268301e-321,DOP853,0.10000000149011612,12345678901234567890\n"
+            "-inf,2.5,0.33333333333333331,-4,None,1e+22\n"
+        )

@@ -1,7 +1,12 @@
 """Discretisation, stability verdicts, spatial error bound, grid sizing."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlemanlab.errors import ValidationError
 from carlemanlab.nonlinear_ode import kron_power, lambda0, r_ratio, reference_solve
@@ -11,7 +16,9 @@ from carlemanlab.pde import (
     discretisation_error_bound,
     discretize,
     estimate_derivative_bound,
+    fourier_form,
     grid_matching_first_order,
+    real_fourier_basis,
     required_grid_points,
     stability_report,
 )
@@ -203,3 +210,98 @@ class TestSemiDiscreteAccuracy:
         assert errors[32] < errors[16]
         order = np.log2(errors[16] / errors[32])
         assert order >= 2 * k - 1 - 0.5
+
+
+@st.composite
+def periodic_problems(draw):
+    """A d = 1 or 2 grid with odd or even m, M in {2, 3} and random data."""
+    d = draw(st.sampled_from([1, 2]))
+    M = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(3, 9 if d == 1 else (6 if M == 2 else 5)))
+    k = draw(st.integers(1, (m - 1) // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problem = make_pde(
+        d=d, m=m, k=k, M=M, diffusion=draw(st.floats(0.01, 1.0)), c=draw(st.floats(-3.0, 0.5)),
+        b=draw(st.floats(-1.0, 1.0)), initial=rng.standard_normal(m**d),
+    )
+    u = rng.standard_normal(m**d)
+    return problem, u / np.linalg.norm(u)
+
+
+class TestFourierForm:
+    @settings(deadline=None, max_examples=30)
+    @given(periodic_problems())
+    def test_is_the_grid_problem_in_an_orthonormal_basis(self, drawn):
+        problem, u = drawn
+        ode = discretize(problem)
+        form = fourier_form(problem, ode)
+        Q = functools.reduce(np.kron, [form.axis_basis] * problem.d)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(problem.n), rtol=0, atol=1e-13)
+        F1 = np.asarray(ode.F1)
+        scale = np.linalg.norm(F1, 2)
+        assert np.abs(Q.T @ F1 @ Q - form.ode.F1.toarray()).max() <= 1e-13 * scale
+        assert form.ode.F1.nnz == np.count_nonzero(form.ode.F1.diagonal())
+        want = Q.T @ ode.fm_contract(u)
+        assert np.abs(form.ode.fm_contract(Q.T @ u) - want).max() <= 1e-13
+        np.testing.assert_allclose(form.ode.u_in, Q.T @ ode.u_in, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(form.to_grid(form.ode.u_in), ode.u_in, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_nonlinearity_follows_the_frequency_rule(self, m):
+        # every stored entry is a grid sum of modes whose frequencies add up,
+        # and every tuple the dense sum leaves at rounding level is absent
+        problem = make_pde(m=m, k=1, b=1.0)
+        form = fourier_form(problem)
+        Q = real_fourier_basis(m)
+        dense = np.einsum("ia,ib,ic->abc", Q, Q, Q).reshape(m, m * m)
+        stored = form.ode.FM.toarray()
+        assert np.abs(stored - dense).max() <= 1e-15
+        assert np.array_equal(stored != 0, np.abs(dense) > 1e-12)
+        assert form.ode.FM.nnz == np.count_nonzero(stored)
+        # column r of the basis has frequency (r + 1) // 2
+        rows, cols = form.ode.FM.nonzero()
+        f0, f1, f2 = (rows + 1) // 2, (cols // m + 1) // 2, (cols % m + 1) // 2
+        closes = [(f0 + s1 * f1 + s2 * f2) % m == 0 for s1 in (1, -1) for s2 in (1, -1)]
+        assert np.all(np.any(closes, axis=0))
+
+    def test_invariants_are_the_grid_problem_s(self, demo_pde):
+        ode = discretize(demo_pde)
+        modal = fourier_form(demo_pde, ode).ode
+        assert modal.lambda0 == ode.lambda0
+        assert modal.f1_norm == ode.f1_norm
+        assert modal.fm_norm == ode.fm_norm
+        # the copies are the orthogonal invariants they stand for
+        assert modal.F1.diagonal().max() == pytest.approx(ode.lambda0, rel=1e-12)
+        assert np.abs(modal.F1.diagonal()).max() == pytest.approx(ode.f1_norm, rel=1e-12)
+
+    def test_memory_stays_near_the_nonlinearity(self):
+        # each block of mode tuples holds its final sums, so only the kept
+        # entries accumulate (100 410 of them here); summing every wave
+        # choice's term across blocks took about 445 bytes per entry
+        problem = make_pde(M=3, m=32, k=1, initial=flat_profile(0.1))
+        ode = discretize(problem)
+        tracemalloc.start()
+        try:
+            nnz = fourier_form(problem, ode).ode.FM.nnz
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nnz == 100_410
+        assert peak < 150 * nnz
+
+    def test_oversized_nonlinearity_rejected_before_assembly(self):
+        # d = 3, m = 32: (per-axis products)**3 is far above KRON_MAX_SIZE
+        problem = make_pde(d=3, m=32, k=1, initial=flat_profile(0.1))
+        with pytest.raises(ValidationError, match="Fourier nonlinearity entries"):
+            fourier_form(problem)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(m=12), dict(M=3), dict(T=0.5), dict(initial=flat_profile(0.2))],
+        ids=["n", "M", "T", "u_in"],
+    )
+    def test_another_problems_ode_refused(self, change):
+        # the invariants are copied from the given ODE, so it must be this problem's
+        other = discretize(make_pde(**{**dict(m=16, k=1, initial=flat_profile(0.1)), **change}))
+        with pytest.raises(ValidationError, match="not the grid ODE"):
+            fourier_form(make_pde(m=16, k=1, initial=flat_profile(0.1)), other)

@@ -20,11 +20,13 @@ from carlemanlab.nonlinear_ode import (
     reference_solve,
     rescale,
 )
-from carlemanlab.pde import ReactionDiffusionProblem, discretize
+from carlemanlab import propagator
+from carlemanlab.pde import ReactionDiffusionProblem, discretize, fourier_form
 from carlemanlab.propagator import (
     PropagationConfig,
     evolve,
     success_probability,
+    taylor_matrix,
     taylor_step,
     taylor_step_defect_bound,
 )
@@ -230,6 +232,202 @@ class TestEvolve:
         monkeypatch.setattr(mat, "to_symmetric", refuse)
         with pytest.raises(ValidationError, match=match):
             evolve(mat, PropagationConfig(total_time=T, **knobs))
+
+
+def periodic(d=1, m=32, k=2, M=2, T=1.0, amplitude=0.4, c=-2.0):
+    """The demo PDE family on a d-dimensional periodic grid, its grid ODE and Fourier form."""
+    problem = ReactionDiffusionProblem(
+        diffusion=0.2, c=c, b=0.5, M=M, d=d, m=m, k=k, T=T,
+        initial=lambda x: amplitude * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
+    )
+    ode = discretize(problem)
+    return ode, fourier_form(problem, ode)
+
+
+def series_matrix(op, dt, K):
+    """``sum_{l<=K} (dt op)^l / l!`` by repeated sparse products, the oracle of taylor_matrix."""
+    term = total = sp.identity(op.shape[0], format="csr")
+    for ell in range(1, K + 1):
+        term = (term @ (dt * op)) / ell
+        total = total + term
+    return total
+
+
+class TestTaylorMatrix:
+    @pytest.mark.parametrize(
+        "d, m, k, M, N, c",
+        [(1, 7, 2, 2, 3, -2.0), (1, 9, 2, 3, 4, -2.0), (2, 4, 1, 2, 3, -2.0),
+         (1, 5, 1, 2, 5, -2.0), (1, 6, 1, 2, 4, 0.0)],
+        # with c = 0 the constant mode adds 0 to a diagonal entry, so paths
+        # through it visit equal diagonal entries
+        ids=["d1-m7", "d1-m9-M3", "d2-m4", "d1-m5-N5", "d1-m6-equal-nodes"],
+    )
+    @pytest.mark.parametrize("K", [1, 4, 10])
+    def test_equals_the_series_of_the_symmetric_operator(self, d, m, k, M, N, c, K):
+        ode, form = periodic(d=d, m=m, k=k, M=M, c=c)
+        mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), N)
+        assert mat.f1_is_diagonal
+        op = mat.to_symmetric()
+        dt = 1.0 / mat.spectral_norm_bound()
+        P, want = taylor_matrix(op, dt, K), series_matrix(op, dt, K)
+        assert abs(P - want).max() <= 1e-14 * abs(want).max()
+
+    def test_paths_through_every_level(self, bernoulli_ode):
+        # n = 1, N = 8: level j has the single diagonal entry -j, and row 1
+        # reaches every level along one path
+        mat = assemble(rescale(bernoulli_ode, 1.0), 8)
+        op = mat.to_symmetric()
+        for dt in (0.01, 0.5):
+            want = series_matrix(op, dt, 12)
+            assert abs(taylor_matrix(op, dt, 12) - want).max() <= 1e-14 * abs(want).max()
+
+    def test_operator_not_upper_triangular_rejected(self):
+        op = sp.csr_matrix(np.array([[-1.0, 0.0], [0.5, -2.0]]))
+        with pytest.raises(ValidationError, match="diagonal stored first"):
+            taylor_matrix(op, 0.1, 4)
+
+    def test_over_the_entry_cap_none_before_allocation(self):
+        ode, form = periodic(d=2, m=8, k=1)
+        op = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3).to_symmetric()
+        nnz = taylor_matrix(op, 0.01, 10).nnz
+        tracemalloc.start()
+        try:
+            assert taylor_matrix(op, 0.01, 10, max_entries=nnz - 1) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the count alone: less than half of P's 12 bytes per entry
+        assert peak < 6 * nnz
+        assert taylor_matrix(op, 0.01, 10, max_entries=nnz).nnz == nnz
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Whether each ``taylor_matrix`` call of ``evolve`` returned a matrix."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        P = taylor_matrix(*args, **kwargs)
+        calls.append(P is not None)
+        return P
+
+    monkeypatch.setattr(propagator, "taylor_matrix", recorded)
+    return calls
+
+
+class TestFourierRoute:
+    @pytest.mark.parametrize(
+        "d, m, k, M, N, T",
+        [(1, 32, 2, 2, 3, 0.1), (2, 8, 1, 2, 3, 0.25), (1, 9, 2, 3, 4, 0.3)],
+        ids=["demo-grid", "d2-m8", "odd-m-M3"],
+    )
+    def test_agrees_with_the_grid_series(self, built, d, m, k, M, N, T):
+        ode, form = periodic(d=d, m=m, k=k, M=M, T=T)
+        gamma = float(np.linalg.norm(ode.u_in))
+        config = PropagationConfig(total_time=T, taylor_order=10)
+        grid = evolve(assemble(rescale(ode, gamma), N), config)
+        modal_mat = assemble(rescale(form.ode, gamma), N)
+        assert modal_mat.f1_is_diagonal and not assemble(ode, N).f1_is_diagonal
+        modal = evolve(modal_mat, config)
+        assert built == [True]
+        assert (modal.dt, modal.n_steps, modal.stability_bound) == (
+            grid.dt, grid.n_steps, grid.stability_bound
+        )
+        np.testing.assert_array_equal(modal.times, grid.times)
+        block1 = form.to_grid(modal.block1)
+        assert np.abs(block1 - grid.block1).max() <= 1e-12 * np.abs(grid.block1).max()
+        np.testing.assert_allclose(modal.y_norms, grid.y_norms, rtol=1e-12)
+        np.testing.assert_allclose(modal.block1_share, grid.block1_share, rtol=1e-12)
+
+    def test_no_subnormal_entries_at_the_demo_horizon(self):
+        ode, form = periodic()
+        mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
+        res = evolve(mat, PropagationConfig(total_time=1.0))
+        assert res.n_steps == 3286
+        tiny = np.finfo(float).tiny
+        assert not np.any((res.y_final != 0) & (np.abs(res.y_final) < tiny))
+        # the flush is reached: stiff modes of the top level decay to zero
+        assert np.count_nonzero(res.y_final == 0) > 0
+
+    def test_non_finite_state_raises(self):
+        # a diagonal F1 stepped far past the series' reach overflows to inf
+        ode = NonlinearODE(n=1, M=2, F1=[[-1e40]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
+        mat = assemble(ode, 3)
+        assert mat.f1_is_diagonal
+        config = PropagationConfig(total_time=1.0, n_steps=1, strict_stability=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match="non-finite"):
+                evolve(mat, config)
+
+    def test_blowup_guard_fires(self):
+        ode, form = periodic(m=8, k=1, T=1.0)
+        ode_up = NonlinearODE(
+            n=form.ode.n, M=2, F1=-form.ode.F1, FM=form.ode.FM, u_in=form.ode.u_in, T=1.0
+        )
+        mat = assemble(rescale(ode_up, float(np.linalg.norm(ode.u_in))), 3)
+        assert mat.f1_is_diagonal
+        config = PropagationConfig(total_time=1.0, strict_stability=False)
+        with pytest.raises(NumericFailure, match="blow-up"):
+            evolve(mat, config)
+
+    def test_route_follows_the_step_count(self, built):
+        # the demo grid's P (56 650 entries against 38 323 in the operator)
+        # repays its build after about 65 steps
+        ode, form = periodic(T=1.0)
+        mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
+        few = evolve(mat, PropagationConfig(total_time=0.01))
+        many = evolve(mat, PropagationConfig(total_time=0.1))
+        assert (few.n_steps, many.n_steps) == (33, 329)
+        assert built == [False, True]
+
+    def test_oversized_taylor_matrix_keeps_the_series(self, monkeypatch, built):
+        # with the entry limit between the operator's and P's entry counts,
+        # evolve steps the series after counting P, without allocating it
+        ode, form = periodic(d=2, m=8, k=1, T=0.5)
+        mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
+        config = PropagationConfig(total_time=0.5)
+        op_nnz = mat.symmetric_nnz()
+        P_nnz = taylor_matrix(mat.to_symmetric(), 0.01, 10).nnz
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", (op_nnz + P_nnz) // 2)
+        build = mat.to_symmetric
+        after_build = []
+
+        def measured():
+            op = build()
+            tracemalloc.reset_peak()
+            after_build.append(tracemalloc.get_traced_memory()[0])
+            return op
+
+        monkeypatch.setattr(mat, "to_symmetric", measured)
+        tracemalloc.start()
+        try:
+            res = evolve(mat, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built == [False]
+        # past the operator: the count, the state and the records, well under P
+        assert peak - after_build[0] < 6 * P_nnz
+        monkeypatch.setattr(propagator, "BUILD_COST", 10**12)
+        np.testing.assert_array_equal(res.y_final, evolve(mat, config).y_final)
+
+    def test_memory_peak_stays_near_the_grid_route(self, monkeypatch, built):
+        # two steps, with the build taken as free so that P is built
+        monkeypatch.setattr(propagator, "BUILD_COST", 0)
+        ode, form = periodic(d=2, m=8, k=1, T=0.25)
+        gamma = float(np.linalg.norm(ode.u_in))
+        peaks = []
+        for stepped in (ode, form.ode):
+            mat = assemble(rescale(stepped, gamma), 3)
+            dt, _ = PropagationConfig(total_time=1.0).resolve_steps(mat.spectral_norm_bound())
+            tracemalloc.start()
+            try:
+                evolve(mat, PropagationConfig(total_time=2 * dt))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert built == [True]
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 @st.composite
