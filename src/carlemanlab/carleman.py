@@ -38,8 +38,11 @@ from .nonlinear_ode import (
     NonlinearODE, RescaledODE, base_digits, digit_products, kron_power, rescale,
 )
 
-#: multi-indices per block of every level walk
+#: multi-indices per block of the level walks of :class:`SymmetricBasis`
 _CHUNK = 256
+
+#: stored entries per block of the :meth:`CarlemanMatrix.to_symmetric` walk
+_ENTRIES_PER_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +131,33 @@ def sorted_keys(n: int, j: int) -> np.ndarray:
     return keys
 
 
-def _sorted_blocks(n: int, keys):
+def ranges(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges whose ``sizes`` add up to about ``cap`` (a larger item alone)."""
+    ends = np.cumsum(sizes)
+    cuts = np.searchsorted(ends, np.arange(cap, ends[-1], cap), side="right")
+    edges = np.unique(np.concatenate([[0], cuts, [sizes.size]]))
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def _sorted_blocks(n: int, keys, weigh=None, cap: int = _CHUNK):
     """Blocks of sorted multi-indices, level after level.
 
-    ``keys`` holds :func:`sorted_keys` of levels ``1, 2, ...``.  Yields each
-    block's level ``j``, the position of its first multi-index in the stacked
-    symmetric coordinates, and its digits, one row per multi-index.
+    ``keys`` holds :func:`sorted_keys` of levels ``1, 2, ...``.  A block holds
+    ``cap`` multi-indices, or, given ``weigh(j, digits)`` (one weight per
+    row of digits), multi-indices whose weights add up to about ``cap``.
+    Yields each block's level ``j``, the position of its first multi-index in
+    the stacked symmetric coordinates, and its digits, one row per
+    multi-index.
     """
     at = 0
     for j, level in enumerate(keys, start=1):
-        for start in range(0, level.size, _CHUNK):
-            yield j, at + start, base_digits(level[start : start + _CHUNK], n, j)
+        if weigh is None:
+            weights = np.ones(level.size)
+        else:
+            starts = range(0, level.size, cap)
+            weights = np.concatenate([weigh(j, base_digits(level[s : s + cap], n, j)) for s in starts])
+        for a, b in ranges(weights, cap):
+            yield j, at + a, base_digits(level[a:b], n, j)
         at += level.size
 
 
@@ -424,8 +443,19 @@ class CarlemanMatrix:
         data = np.empty(nnz)
         indices = np.empty(nnz, dtype=np.int32)
         indptr = np.zeros(offsets[-1] + 1, dtype=np.int32)
-        pos = 0
-        for j, at, T in _sorted_blocks(n, keys):
+        # each row stores its diagonal entry and, per distinct value v in it,
+        # F1's off-diagonal entries of row v and FM's sorted ones when coupled;
+        # a block weighs each row one more, for its digits and multiplicities
+        # take about as much scratch as an entry
+        f1_per = np.diff(f1_off[0])
+        per_value = [f1_per + (np.diff(fm[0]) if j + M - 1 <= N else 0) for j in range(1, N + 1)]
+
+        def stored(j: int, T: np.ndarray) -> np.ndarray:
+            first, _ = _multiplicities(T)
+            return 2 + np.where(first, per_value[j - 1][T], 0).sum(axis=1)
+
+        def write(j: int, at: int, T: np.ndarray, pos: int) -> int:
+            """Store the rows of block ``T`` from entry ``pos`` on; returns the next free entry."""
             families = [(f1_off, j, 1.0)]
             if j + M - 1 <= N:
                 families.append((fm, j + M - 1, self.coupling))
@@ -453,7 +483,11 @@ class CarlemanMatrix:
             indptr[at + 1 : at + T.shape[0] + 1] = pos + np.cumsum(
                 np.bincount(r, minlength=T.shape[0])
             )
-            pos += order.size
+            return pos + order.size
+
+        pos = 0
+        for j, at, T in _sorted_blocks(n, keys, stored, _ENTRIES_PER_BLOCK):
+            pos = write(j, at, T, pos)
         if pos != nnz:
             raise NumericFailure(f"symmetric operator stored {pos} entries, counted {nnz}")
         return sp.csr_matrix((data, indices, indptr), shape=(offsets[-1], offsets[-1]))

@@ -407,6 +407,8 @@ def _run_pipeline(ctx: RunContext) -> dict:
         "n_steps": result.n_steps,
         "K": K,
         "coordinates": "ode" if fourier is None else "fourier",
+        "stepping": result.stepping,
+        "matvecs": result.matvecs,
         "stability_bound": result.stability_bound,
         "final_share": float(result.block1_share[-1]),
         "final_y_norm": float(result.y_norms[-1]),

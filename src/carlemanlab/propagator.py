@@ -7,8 +7,12 @@ series costs K matvecs per step (:func:`taylor_step`).  When F1 is diagonal
 the level blocks of the symmetric operator are diagonal and its couplings
 nilpotent, so the same polynomial stays sparse; :func:`evolve` precomputes it
 (:func:`taylor_matrix`) when enough steps repay the build, and a step is then
-one matvec.  Vectors carry their true magnitudes end to end; quantum-style
-normalisation only appears in the measurement-probability formulas.
+one matvec.  When every coupling path already fits in that matrix ``P`` (no
+path longer than K), its powers keep its sparsity, so the steps between two
+records are folded into one precomputed ``P**every`` (:func:`matrix_power`)
+and a record interval is one matvec.  Vectors carry their true magnitudes
+end to end; quantum-style normalisation only appears in the
+measurement-probability formulas.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .carleman import CarlemanMatrix, SymmetricBasis
+from .carleman import CarlemanMatrix, SymmetricBasis, ranges
 from .errors import NumericFailure, ValidationError
 from .limits import KRON_MAX_SIZE
 
@@ -37,6 +41,12 @@ _PATHS_PER_STEP = 1 << 11
 #: grid, 375 and 365 by the rule of :func:`_stepper` (2-core Xeon VM, one
 #: BLAS thread, best of 3 evolves)
 BUILD_COST = 375
+
+#: one sparse product of two matrices with ``P``'s sparsity takes about as long
+#: as this many matvecs of ``P``: 18.2 on the Fourier form of the demo grid
+#: and 18.0 on the d = 2, m = 8 grid (2-core Xeon VM, one BLAS thread, best
+#: of 3 products against best of 20 matvecs)
+PRODUCT_COST = 18
 
 #: the smallest normal float64; the one-matvec step flushes entries below it to zero
 _TINY = np.finfo(float).tiny
@@ -60,14 +70,6 @@ def taylor_step(
     if not np.all(np.isfinite(acc)):
         raise NumericFailure("non-finite intermediate in Taylor step")
     return acc
-
-
-def _ranges(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
-    """Consecutive index ranges whose ``sizes`` add up to about ``cap`` (a larger item alone)."""
-    ends = np.cumsum(sizes)
-    cuts = np.searchsorted(ends, np.arange(cap, ends[-1], cap), side="right")
-    edges = np.unique(np.concatenate([[0], cuts, [sizes.size]]))
-    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
 
 def taylor_matrix(
@@ -114,7 +116,7 @@ def taylor_matrix(
         if np.array_equal(longer, paths):
             break
         paths = longer
-    blocks = _ranges(paths, _PATHS_PER_BLOCK)
+    blocks = ranges(paths, _PATHS_PER_BLOCK)
     del paths, longer
 
     def walk(a: int, b: int, values: bool):
@@ -130,7 +132,7 @@ def taylor_matrix(
         while frontier:
             q, origin, node, weight, H = frontier.pop()
             per = ptr[node + 1] - ptr[node] - 1
-            for lo, hi in _ranges(per, _PATHS_PER_STEP):
+            for lo, hi in ranges(per, _PATHS_PER_STEP):
                 count = per[lo:hi]
                 total = int(count.sum())
                 if total == 0:
@@ -177,6 +179,38 @@ def taylor_matrix(
         indptr[a + 1 : b + 1] = pos + np.cumsum(np.bincount(keys // dim, minlength=b - a))
         pos = stop
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
+def _flush(values: np.ndarray) -> np.ndarray:
+    """``values`` with the entries below the smallest normal float set to zero, in place."""
+    values[np.abs(values) < _TINY] = 0.0
+    return values
+
+
+def _product(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    c = a @ b
+    _flush(c.data)
+    c.eliminate_zeros()
+    return c
+
+
+def matrix_power(P: sp.csr_matrix, e: int) -> sp.csr_matrix:
+    """``P**e`` (``e >= 1``) by repeated squaring, flushing subnormal entries after each product.
+
+    Takes ``e.bit_length() + e.bit_count() - 2`` sparse products.  For a
+    :func:`taylor_matrix` whose pattern holds every coupling path, each
+    product stores no more entries than ``P``.
+    """
+    if e < 1:
+        raise ValidationError(f"matrix power must be >= 1, got {e}")
+    power, square = None, P
+    while True:
+        if e & 1:
+            power = square if power is None else _product(power, square)
+        e >>= 1
+        if not e:
+            return power
+        square = _product(square, square)
 
 
 def taylor_step_defect_bound(norm_A: float, dt: float, K: int, y_norm: float = 1.0) -> float:
@@ -239,8 +273,14 @@ class PropagationConfig:
 class EvolveResult:
     """Trajectory records from :func:`evolve`.
 
-    ``step_norms`` holds the full per-step norm history; snapshot arrays are
-    thinned to the recording grid.  ``y_final`` is in the coordinates of
+    ``step_norms`` holds the norm of every state the run computes, from
+    ``y0`` on: one per Taylor step, or one per record when the steps between
+    records are folded into one matrix (``stepping == "taylor_matrix"`` with
+    ``matvecs`` below ``n_steps``), where it equals ``y_norms``.  Snapshot
+    arrays are thinned to the recording grid.  ``stepping`` names the route,
+    ``"series"`` (K matvecs of the operator per step) or ``"taylor_matrix"``;
+    ``matvecs`` counts the applications of the matrix stepped, the operator,
+    ``P`` or its folded power.  ``y_final`` is in the coordinates of
     :class:`SymmetricBasis`; ``SymmetricBasis(n, N).expand`` gives its flat layout.
     """
 
@@ -253,6 +293,8 @@ class EvolveResult:
     dt: float
     n_steps: int
     stability_bound: float
+    stepping: str
+    matvecs: int
 
 
 def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
@@ -266,16 +308,21 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     whose symmetric operator would store more than ``KRON_MAX_SIZE`` entries
     is rejected before the operator, the basis or the state is allocated.
 
-    When F1 is diagonal (:attr:`CarlemanMatrix.f1_is_diagonal`) and the steps
-    repay its build (:func:`_stepper`), each step is one matvec with the
-    precomputed series :func:`taylor_matrix`, whose entries are counted before
-    it is allocated, and entries that fall below the smallest normal float are
-    flushed to zero after each step (stiff modes decay through the subnormal
-    range, where arithmetic is slow).  Otherwise, or when the matrix would
-    store more than ``KRON_MAX_SIZE`` entries, a step takes the series' K
-    matvecs.
-    Either way a non-finite state raises :class:`NumericFailure`, as does a
-    norm beyond ``BLOWUP_FACTOR`` times the initial one.
+    When F1 is diagonal (:attr:`CarlemanMatrix.f1_is_diagonal`) and the
+    matvecs saved repay the build (:func:`_stepper`), the steps use the
+    precomputed series ``P`` of :func:`taylor_matrix`, whose entries are
+    counted before it is allocated.  When ``P`` holds every coupling path
+    (``(N-1) // (M-1) <= K``) and records are more than one step apart, each
+    full record interval is one matvec with ``P**every``
+    (:func:`matrix_power`) and a final short interval takes single steps of
+    ``P``; otherwise each step is one matvec with ``P``.  Entries that fall
+    below the smallest normal float are flushed to zero from the matrices
+    and after each matvec (stiff modes decay through the subnormal range,
+    where arithmetic is slow).  Otherwise, or when ``P`` would store more
+    than ``KRON_MAX_SIZE`` entries, a step takes the series' K matvecs.
+    Every state the run computes is checked: a non-finite one raises
+    :class:`NumericFailure`, as does a norm beyond ``BLOWUP_FACTOR`` times
+    the initial one.
     """
     bound = mat.gershgorin_max_eig_bound()
     if config.strict_stability and bound > 0:
@@ -284,9 +331,9 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
             "(raise gamma_max or disable strict_stability)"
         )
     dt, n_steps = config.resolve_steps(mat.spectral_norm_bound())
-    every = config.record_every or max(1, n_steps // 1000)
+    every = int(config.record_every or max(1, n_steps // 1000))
 
-    advance = _stepper(mat, dt, config.taylor_order, n_steps)
+    stepping, stride, advance = _stepper(mat, dt, config.taylor_order, n_steps, every)
     basis = SymmetricBasis(mat.n, mat.N)
     y = basis.lift(mat.rescaled.u_in_scaled)
     n1 = mat.n
@@ -297,8 +344,12 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     norms = [norm0]
     step_norms = [norm0]
 
-    for step in range(1, n_steps + 1):
-        y = advance(y)
+    step = matvecs = 0
+    while step < n_steps:
+        take = min(stride, n_steps - step)
+        y, used = advance(y, take)
+        step += take
+        matvecs += used
         norm = basis.norm(y)
         if not math.isfinite(norm):
             raise NumericFailure(f"non-finite state at step {step}")
@@ -324,32 +375,54 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         dt=dt,
         n_steps=n_steps,
         stability_bound=bound,
+        stepping=stepping,
+        matvecs=matvecs,
     )
 
 
 def _stepper(
-    mat: CarlemanMatrix, dt: float, K: int, n_steps: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """One step of the order-K series on the symmetric operator.
+    mat: CarlemanMatrix, dt: float, K: int, n_steps: int, every: int
+) -> tuple[str, int, Callable[[np.ndarray, int], tuple[np.ndarray, int]]]:
+    """The route's name, its stride in steps, and ``advance(y, steps) -> (y, matvecs)``.
 
-    With F1 diagonal, :func:`taylor_matrix` is built when it pays: ``n_steps``
-    matvecs of its ``nnz(P)`` entries plus ``BUILD_COST * nnz(P)`` for the
-    build must undercut ``n_steps * K`` matvecs of the operator's entries, so
-    ``P`` is capped at ``n_steps K nnz(op) / (BUILD_COST + n_steps)`` entries.
+    The series takes ``n_steps * K`` matvecs of the operator's ``nnz(op)``
+    entries.  With F1 diagonal, :func:`taylor_matrix` is built when its route
+    costs less: the build (``BUILD_COST`` matvecs of ``P``), the products of
+    the fold (``PRODUCT_COST`` each) and the matvecs it takes, which are the
+    records plus the final short interval's steps when the steps between
+    records are folded, and ``n_steps`` otherwise.  So ``P`` is capped at
+    ``n_steps K nnz(op)`` over that count of matvecs.  The fold needs ``P``'s
+    pattern closed under products, which holds when no coupling path is
+    longer than K, and is taken when its products cost less than the matvecs
+    it saves.
     """
     op = mat.to_symmetric()
     if mat.f1_is_diagonal:
-        worth = n_steps * K * op.nnz // (BUILD_COST + n_steps)
-        P = taylor_matrix(op, dt, K, max_entries=worth)
+        products = every.bit_length() + every.bit_count() - 2
+        applies = n_steps // every + n_steps % every
+        fold = (
+            every > 1
+            and (mat.N - 1) // (mat.M - 1) <= K
+            and products * PRODUCT_COST + applies < n_steps
+        )
+        cost = BUILD_COST + (products * PRODUCT_COST + applies if fold else n_steps)
+        P = taylor_matrix(op, dt, K, max_entries=n_steps * K * op.nnz // cost)
         if P is not None:
+            Q = matrix_power(P, every) if fold else P
 
-            def step(y: np.ndarray) -> np.ndarray:
-                y = P @ y
-                y[np.abs(y) < _TINY] = 0.0
-                return y
+            def advance(y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
+                if fold and steps == every:
+                    return _flush(Q @ y), 1
+                for _ in range(steps):
+                    y = _flush(P @ y)
+                return y, steps
 
-            return step
-    return lambda y: taylor_step(lambda v: op @ v, y, dt, K)
+            return "taylor_matrix", every if fold else 1, advance
+
+    def series(y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
+        return taylor_step(lambda v: op @ v, y, dt, K), K
+
+    return "series", 1, series
 
 
 def success_probability(u_norm: float, gamma: float, N: int) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from carlemanlab import carleman
 from carlemanlab.carleman import (
     CarlemanVector,
     assemble,
@@ -19,7 +20,7 @@ from carlemanlab.nonlinear_ode import (
     max_stable_gamma,
     rescale,
 )
-from carlemanlab.pde import ReactionDiffusionProblem, discretize
+from carlemanlab.pde import ReactionDiffusionProblem, discretize, fourier_form
 
 from conftest import make_two_dim_instance
 
@@ -98,6 +99,42 @@ class TestSymmetricAssembly:
         held = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
         assert op.shape == (47_904, 47_904) and op.nnz == 601_184
         assert peak <= 1.5 * held
+
+    def test_fourier_build_peak_stays_near_the_operator_it_returns(self):
+        # the same grid in Fourier coordinates: a level-2 row stores about 500
+        # entries, so blocks of a fixed 256 rows peaked at 2.45 times the operator
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=8, k=1, T=0.25,
+            initial=lambda x: 0.2 * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
+        )
+        ode = discretize(pde)
+        mat = assemble(rescale(fourier_form(pde, ode).ode, float(np.linalg.norm(ode.u_in))), 3)
+        tracemalloc.start()
+        try:
+            op = mat.to_symmetric()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+        assert op.nnz == 305_954
+        assert peak <= 1.7 * held
+
+    @pytest.mark.parametrize("coordinates", ["grid", "fourier"])
+    def test_block_sizes_leave_the_arrays_unchanged(self, monkeypatch, coordinates):
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=3, d=1, m=9, k=2, T=0.3,
+            initial=lambda x: 0.4 * (1.0 + np.cos(2.0 * np.pi * x[:, 0])),
+        )
+        ode = discretize(pde)
+        stepped = ode if coordinates == "grid" else fourier_form(pde, ode).ode
+        mat = assemble(rescale(stepped, float(np.linalg.norm(ode.u_in))), 4)
+        want = mat.to_symmetric()
+        # one row per block, and one block per level
+        for cap in (1, 10**9):
+            monkeypatch.setattr(carleman, "_ENTRIES_PER_BLOCK", cap)
+            got = mat.to_symmetric()
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_over_the_entry_limit_rejected(self):
         n = 100  # 176 850 sorted multi-indices, about 5e7 entries of a dense F1

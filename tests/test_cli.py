@@ -289,6 +289,9 @@ class TestEvolveCommand:
             "stability_bound": grid.stability_bound, "component_bound_j1_T": float(bound),
         }
         assert {key: summary[key] for key in want} == want
+        # records every step: one matvec of the Taylor matrix per step
+        assert (summary["stepping"], summary["matvecs"]) == ("taylor_matrix", grid.n_steps)
+        assert grid.stepping == "series"
         _, rows = read_csv(tmp_path / "demo_trajectory.csv")
         u_hat = np.array([[float(v) for v in row[4:]] for row in rows])
         assert np.abs(u_hat - gamma * grid.block1).max() <= 1e-12 * np.abs(u_hat).max()

@@ -25,6 +25,7 @@ from carlemanlab.pde import ReactionDiffusionProblem, discretize, fourier_form
 from carlemanlab.propagator import (
     PropagationConfig,
     evolve,
+    matrix_power,
     success_probability,
     taylor_matrix,
     taylor_step,
@@ -349,26 +350,44 @@ class TestFourierRoute:
         # the flush is reached: stiff modes of the top level decay to zero
         assert np.count_nonzero(res.y_final == 0) > 0
 
-    def test_non_finite_state_raises(self):
-        # a diagonal F1 stepped far past the series' reach overflows to inf
-        ode = NonlinearODE(n=1, M=2, F1=[[-1e40]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
-        mat = assemble(ode, 3)
+    def test_non_finite_state_raises(self, monkeypatch):
+        # a diagonal F1 stepped far past the series' reach overflows; with the
+        # build and the fold taken as free, four steps recorded every two are
+        # two matvecs of P**2, and the first record is the first state checked
+        monkeypatch.setattr(propagator, "BUILD_COST", 0)
+        monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
+        config = PropagationConfig(
+            total_time=1.0, n_steps=4, record_every=2, strict_stability=False
+        )
+
+        def scalar(rate):
+            ode = NonlinearODE(n=1, M=2, F1=[[rate]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
+            return assemble(ode, 3)
+
+        res = evolve(scalar(-1.0), config)
+        assert (res.stepping, res.matvecs) == ("taylor_matrix", 2)
+        mat = scalar(-1e40)
         assert mat.f1_is_diagonal
-        config = PropagationConfig(total_time=1.0, n_steps=1, strict_stability=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailure, match="non-finite"):
+            with pytest.raises(NumericFailure, match="non-finite state at step 2"):
                 evolve(mat, config)
 
-    def test_blowup_guard_fires(self):
+    def test_blowup_guard_fires(self, monkeypatch):
         ode, form = periodic(m=8, k=1, T=1.0)
         ode_up = NonlinearODE(
             n=form.ode.n, M=2, F1=-form.ode.F1, FM=form.ode.FM, u_in=form.ode.u_in, T=1.0
         )
         mat = assemble(rescale(ode_up, float(np.linalg.norm(ode.u_in))), 3)
         assert mat.f1_is_diagonal
-        config = PropagationConfig(total_time=1.0, strict_stability=False)
-        with pytest.raises(NumericFailure, match="blow-up"):
+        # stepped one at a time the norm passes the factor at step 83; the
+        # folded route checks the record that follows
+        config = PropagationConfig(total_time=1.0, strict_stability=False, record_every=5)
+        with pytest.raises(NumericFailure, match="blow-up detected at step 85:"):
             evolve(mat, config)
+        monkeypatch.setattr(propagator, "BLOWUP_FACTOR", math.inf)
+        res = evolve(mat, config)
+        assert res.n_steps == 161
+        assert (res.stepping, res.matvecs) == ("taylor_matrix", 32 + 1)
 
     def test_route_follows_the_step_count(self, built):
         # the demo grid's P (56 650 entries against 38 323 in the operator)
@@ -428,6 +447,121 @@ class TestFourierRoute:
                 tracemalloc.stop()
         assert built == [True]
         assert peaks[1] <= 1.25 * peaks[0]
+
+
+def fourier_mat(N=3, **grid):
+    ode, form = periodic(**grid)
+    return assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), N)
+
+
+def assert_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestFoldedRecords:
+    @pytest.mark.parametrize(
+        "grid, record_every, every, remainder",
+        [({}, None, 3, 1), ({"d": 2, "m": 8, "k": 1, "T": 0.5}, 7, 7, 6)],
+        ids=["demo", "d2-m8-every7"],
+    )
+    def test_equals_single_steps_of_the_taylor_matrix(
+        self, monkeypatch, grid, record_every, every, remainder
+    ):
+        mat = fourier_mat(**grid)
+        config = PropagationConfig(total_time=grid.get("T", 1.0), record_every=record_every)
+        folded = evolve(mat, config)
+        monkeypatch.setattr(propagator, "PRODUCT_COST", 10**9)  # the fold never pays
+        stepped = evolve(mat, config)
+        n = folded.n_steps
+        assert n % every == remainder
+        assert (folded.stepping, folded.matvecs) == ("taylor_matrix", n // every + remainder)
+        assert (stepped.stepping, stepped.matvecs) == ("taylor_matrix", n)
+        np.testing.assert_array_equal(folded.times, stepped.times)
+        assert (folded.dt, folded.n_steps) == (stepped.dt, stepped.n_steps)
+        assert_close(folded.block1, stepped.block1)
+        assert_close(folded.y_final, stepped.y_final)
+        np.testing.assert_allclose(folded.y_norms, stepped.y_norms, rtol=1e-12)
+        np.testing.assert_allclose(folded.block1_share, stepped.block1_share, rtol=1e-12)
+        # one norm per state computed: each record when folded, each step otherwise
+        assert len(folded.step_norms) == len(folded.times)
+        np.testing.assert_array_equal(folded.step_norms, folded.y_norms)
+        assert len(stepped.step_norms) == n + 1
+
+    def test_open_pattern_keeps_single_steps(self, monkeypatch):
+        # at K = 1 the path from level 1 to level 3 is longer than K, so P**2
+        # stores entries P does not, and each step stays one matvec of P
+        mat = fourier_mat(m=8, k=1)
+        config = PropagationConfig(total_time=0.2, taylor_order=1, record_every=5)
+        dt, n = config.resolve_steps(mat.spectral_norm_bound())
+        P = taylor_matrix(mat.to_symmetric(), dt, 1)
+        assert matrix_power(P, 2).nnz > P.nnz
+        # at K = 1 the build never pays, and with free products only the
+        # pattern keeps the steps apart
+        monkeypatch.setattr(propagator, "BUILD_COST", 0)
+        monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
+        stepped = evolve(mat, config)
+        assert n % 5 and (stepped.stepping, stepped.matvecs) == ("taylor_matrix", n)
+        monkeypatch.setattr(propagator, "BUILD_COST", 10**12)
+        series = evolve(mat, config)
+        assert (series.stepping, series.matvecs) == ("series", n)
+        assert_close(stepped.block1, series.block1)
+        assert_close(stepped.y_final, series.y_final)
+        np.testing.assert_allclose(stepped.step_norms, series.step_norms, rtol=1e-12)
+
+    def test_fold_products_count_in_the_route_cost(self, monkeypatch):
+        # 61 steps recorded every 3 on the demo grid: P, its square and its
+        # cube cost 375 + 2 * 18 + 21 = 432 matvecs of its 56 650 entries,
+        # more than the series' 610 matvecs of the operator's 38 323 (about
+        # 413 of P's); with the products taken as free, P is built and folded
+        mat = fourier_mat(T=0.0185)
+        config = PropagationConfig(total_time=0.0185, record_every=3)
+        res = evolve(mat, config)
+        assert (res.n_steps, res.stepping, res.matvecs) == (61, "series", 610)
+        monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
+        res = evolve(mat, config)
+        assert (res.stepping, res.matvecs) == ("taylor_matrix", 21)
+
+    def test_series_counts_k_matvecs_per_step(self, built):
+        # 33 steps do not repay the build of the demo grid's P
+        res = evolve(fourier_mat(T=0.01), PropagationConfig(total_time=0.01, record_every=4))
+        assert built == [False]
+        assert (res.stepping, res.matvecs, len(res.step_norms)) == ("series", 330, 34)
+
+
+class TestMatrixPower:
+    @pytest.mark.parametrize("e", [1, 2, 3, 7, 52])
+    def test_equals_repeated_products(self, e):
+        mat = fourier_mat(m=8, k=1)
+        P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
+        want = sp.identity(P.shape[0], format="csr")
+        for _ in range(e):
+            want = want @ P
+        Q = matrix_power(P, e)
+        assert abs(Q - want).max() <= 1e-13 * abs(want).max()
+        # the pattern of P holds every coupling path, so no power adds an entry
+        assert Q.nnz <= P.nnz
+        assert not np.any((Q.data != 0) & (np.abs(Q.data) < np.finfo(float).tiny))
+
+    def test_power_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="matrix power"):
+            matrix_power(sp.identity(2, format="csr"), 0)
+
+    def test_memory_peak_of_the_fold(self):
+        # the d = 2, m = 8 grid at the step of its m = 128 analogue's fold
+        # (every = 52: five squarings and two products)
+        mat = fourier_mat(d=2, m=8, k=1)
+        P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
+        held = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+        tracemalloc.start()
+        try:
+            Q = matrix_power(P, 52)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Q.nnz <= P.nnz
+        # past P: the power so far, the square, the product being formed and
+        # the flush's scratch (measured 3.72 times P's bytes)
+        assert peak <= 4 * held
 
 
 @st.composite
