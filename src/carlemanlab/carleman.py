@@ -6,9 +6,15 @@ rescaled nonlinearity ``gamma**(M-1) FM``.  Both block families are Kronecker
 sums, so the operator commutes with permutations of tensor factors and keeps
 a symmetric lift symmetric.  :meth:`CarlemanMatrix.to_symmetric` assembles it
 on the symmetric subspace, one coordinate per non-decreasing multi-index (the
-reduced, monomial form of Carleman linearisation: Kowalski & Steeb 1991);
-this is the operator :func:`carlemanlab.propagator.evolve` steps, from
-:meth:`SymmetricBasis.lift`.
+reduced, monomial form of Carleman linearisation: Kowalski & Steeb 1991),
+each level keyed by the lexicographic rank of its multi-indices
+(:func:`level_ranks`), which fits in int64 whenever the level's count does.
+It takes any subset of those keys and returns the principal submatrix on it:
+:meth:`CarlemanMatrix.reach` gives the coordinates the lift of ``u_in`` can
+reach, few when F1 is diagonal and ``u_in`` band-limited (13 of 6 544 on the
+demo PDE at N = 3, 1 262 of about 7.3e10 at N = 13), and every one
+otherwise.  This is the operator :func:`carlemanlab.propagator.evolve`
+steps, from :meth:`SymmetricBasis.lift` on the same keys.
 
 On the flat layout (:class:`CarlemanVector`, :meth:`SymmetricBasis.expand`)
 the operator has two independent forms, each the other's oracle:
@@ -20,9 +26,10 @@ instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +61,14 @@ def level_offsets(n: int, N: int) -> list[int]:
     offsets = [0]
     for j in range(1, N + 1):
         offsets.append(offsets[-1] + n**j)
+    return offsets
+
+
+def _addressable(n: int, N: int) -> list[int]:
+    """:func:`level_offsets` of a flat layout, refused when it overflows the address space."""
+    offsets = level_offsets(n, N)
+    if offsets[-1] >= 2**62:
+        raise ValidationError("total Carleman dimension overflows the address space")
     return offsets
 
 
@@ -96,6 +111,7 @@ def initial_vector(u_in: np.ndarray, gamma: float, N: int) -> CarlemanVector:
     if not gamma > 0:
         raise ValidationError(f"scaling factor must be positive, got {gamma}")
     u = np.asarray(u_in, dtype=float) / gamma
+    _addressable(u.size, N)
     return CarlemanVector(np.concatenate([kron_power(u, j) for j in range(1, N + 1)]), u.size, N)
 
 
@@ -111,24 +127,65 @@ def symmetric_offsets(n: int, N: int) -> list[int]:
     return offsets
 
 
-def _digit_keys(digits: np.ndarray, n: int) -> np.ndarray:
-    """Row-major position of each multi-index row, the inverse of ``base_digits``."""
-    keys = np.zeros(digits.shape[0], dtype=np.int64)
-    for pos in range(digits.shape[1]):
-        keys *= n
-        keys += digits[:, pos]
-    return keys
+@lru_cache(maxsize=None)
+def _rank_table(n: int, j: int) -> np.ndarray:
+    """``C(c + i, i + 1)`` at ``[i, c]`` for ``i < j`` and ``c < n``, the terms of a level-``j`` rank.
+
+    Its largest entry, ``C(n + j - 2, j)``, is below the level's count, so the
+    table fits in int64 whenever the level's ranks do.
+    """
+    if math.comb(n + j - 1, j) >= 2**63:
+        raise ValidationError(f"level {j} of n = {n} has more sorted multi-indices than int64 ranks")
+    return np.array(
+        [[math.comb(c + i, i + 1) for c in range(n)] for i in range(j)], dtype=np.int64
+    )
 
 
-def sorted_keys(n: int, j: int) -> np.ndarray:
-    """Row-major positions of the non-decreasing multi-indices of level ``j``, ascending."""
-    keys = np.arange(n, dtype=np.int64)
-    for _ in range(j - 1):
-        last = keys % n
-        reps = n - last
-        starts = np.repeat(np.cumsum(reps) - reps, reps)
-        keys = np.repeat(keys * n + last, reps) + (np.arange(starts.size) - starts)
-    return keys
+def level_ranks(T: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic position of each sorted multi-index row of ``T`` within its level.
+
+    The reversed complements ``c_i = n - 1 - T[:, j-1-i]`` are sorted too,
+    and ``sum_i C(c_i + i, i + 1)`` is their combinatorial (colex) rank, which
+    runs against the lexicographic order of ``T``.  A rank fits in int64
+    whenever the level's count ``C(n+j-1, j)`` does, at any ``n**j``.
+    """
+    j = T.shape[1]
+    table = _rank_table(n, j)
+    colex = np.zeros(T.shape[0], dtype=np.int64)
+    for i in range(j):
+        colex += table[i, n - 1 - T[:, j - 1 - i]]
+    return (math.comb(n + j - 1, j) - 1) - colex
+
+
+def level_digits(ranks, n: int, j: int) -> np.ndarray:
+    """Sorted multi-indices of level ``j`` at ``ranks``, one row each; inverts :func:`level_ranks`."""
+    table = _rank_table(n, j)
+    rest = (math.comb(n + j - 1, j) - 1) - np.asarray(ranks, dtype=np.int64)
+    T = np.empty((rest.size, j), dtype=np.int64)
+    for i in range(j - 1, -1, -1):
+        c = np.searchsorted(table[i], rest, side="right") - 1
+        rest = rest - table[i, c]
+        T[:, j - 1 - i] = n - 1 - c
+    return T
+
+
+def full_levels(n: int, N: int) -> list[range]:
+    """Every rank of levels ``1..N``: the key set of the whole symmetric subspace."""
+    return [range(math.comb(n + j - 1, j)) for j in range(1, N + 1)]
+
+
+def _take(level, a: int, b: int) -> np.ndarray:
+    """Ranks ``a..b-1`` of a level's sorted ranks, an array or a whole level's ``range``."""
+    part = level[a:b]
+    return np.arange(part.start, part.stop) if isinstance(part, range) else part
+
+
+def _locate(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each rank in the sorted ``keys``, and whether it is there."""
+    at = np.searchsorted(keys, ranks)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == ranks[hit]
+    return at, hit
 
 
 def ranges(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -142,23 +199,27 @@ def ranges(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
 def _sorted_blocks(n: int, keys, weigh=None, cap: int = _CHUNK):
     """Blocks of sorted multi-indices, level after level.
 
-    ``keys`` holds :func:`sorted_keys` of levels ``1, 2, ...``.  A block holds
-    ``cap`` multi-indices, or, given ``weigh(j, digits)`` (one weight per
-    row of digits), multi-indices whose weights add up to about ``cap``.
-    Yields each block's level ``j``, the position of its first multi-index in
-    the stacked symmetric coordinates, and its digits, one row per
-    multi-index.
+    ``keys`` holds the sorted ranks (:func:`level_ranks`) of levels
+    ``1, 2, ...``.  A block holds ``cap`` multi-indices, or, given
+    ``weigh(j, digits)`` (one weight per row of digits), multi-indices whose
+    weights add up to about ``cap``.  Yields each block's level ``j``, the
+    position of its first multi-index in the stacked coordinates, and its
+    digits, one row per multi-index.
     """
     at = 0
     for j, level in enumerate(keys, start=1):
+        if not len(level):
+            continue
         if weigh is None:
-            weights = np.ones(level.size)
+            weights = np.ones(len(level))
         else:
-            starts = range(0, level.size, cap)
-            weights = np.concatenate([weigh(j, base_digits(level[s : s + cap], n, j)) for s in starts])
+            starts = range(0, len(level), cap)
+            weights = np.concatenate(
+                [weigh(j, level_digits(_take(level, s, s + cap), n, j)) for s in starts]
+            )
         for a, b in ranges(weights, cap):
-            yield j, at + a, base_digits(level[a:b], n, j)
-        at += level.size
+            yield j, at + a, level_digits(_take(level, a, b), n, j)
+        at += len(level)
 
 
 def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,33 +231,41 @@ def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SymmetricBasis:
-    """One coordinate per sorted multi-index of levels ``1..N``.
+    """One coordinate per sorted multi-index of ``keys``, a subset of levels ``1..N``.
 
-    Representatives follow each other in the order of :func:`sorted_keys`,
-    level after level.  ``weights`` holds each one's orbit size
+    ``keys`` holds each level's sorted ranks (:func:`level_ranks`); left
+    unset, it is every multi-index (:func:`full_levels`).  Coordinates follow
+    the ranks, level after level.  ``weights`` holds each one's orbit size
     ``j! / prod(counts!)``, so ``sqrt(sum(weights * z**2))`` is the 2-norm of
-    the symmetric vector ``z`` stands for.
+    the symmetric vector ``z`` stands for, every coordinate outside ``keys``
+    being zero.
     """
 
     n: int
     N: int
+    keys: list | None = field(default=None, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._offsets = symmetric_offsets(self.n, self.N)
-        self._flat_offsets = level_offsets(self.n, self.N)
+        levels = full_levels(self.n, self.N) if self.keys is None else self.keys
+        self.keys = [_take(level, 0, len(level)) for level in levels]
+        self._offsets = np.cumsum([0] + [level.size for level in self.keys]).tolist()
         factorial = np.array([math.factorial(k) for k in range(self.N + 1)], dtype=float)
-        self.weights = np.empty(self._offsets[-1])
+        self.weights = np.empty(self.dimension)
         for where, digits in self._blocks():
             first, counts = _multiplicities(digits)
             self.weights[where] = factorial[digits.shape[1]] / np.prod(
                 np.where(first, factorial[counts], 1.0), axis=1
             )
 
+    @property
+    def dimension(self) -> int:
+        """Number of coordinates."""
+        return self._offsets[-1]
+
     def _blocks(self):
         """Per block of representatives: its slice of ``z`` and its sorted digits."""
-        keys = (sorted_keys(self.n, j) for j in range(1, self.N + 1))
-        for _, at, digits in _sorted_blocks(self.n, keys):
+        for _, at, digits in _sorted_blocks(self.n, self.keys):
             yield slice(at, at + digits.shape[0]), digits
 
     def lift(self, u: np.ndarray) -> np.ndarray:
@@ -208,22 +277,29 @@ class SymmetricBasis:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n,):
             raise ValidationError(f"state of shape {u.shape} does not have n = {self.n} entries")
-        z = np.empty(self._offsets[-1])
+        z = np.empty(self.dimension)
         for where, digits in self._blocks():
             z[where] = digit_products(u, digits)
         return z
 
+    def first_level(self, z: np.ndarray) -> np.ndarray:
+        """Level 1 of ``z`` on all ``n`` entries, zero outside ``keys``."""
+        out = np.zeros(self.n)
+        out[self.keys[0]] = z[: self._offsets[1]]
+        return out
+
     def expand(self, z: np.ndarray) -> np.ndarray:
-        """Flat state whose every entry is the value of its representative in ``z``."""
-        out = np.empty(self._flat_offsets[-1])
-        for j in range(1, self.N + 1):
-            keys, size, at = sorted_keys(self.n, j), self.n**j, self._flat_offsets[j - 1]
-            level = z[self._offsets[j - 1] : self._offsets[j]]
+        """Flat state whose every entry is the value of its representative in ``z``, or zero."""
+        out = np.zeros(_addressable(self.n, self.N)[-1])
+        at = 0
+        for j, keys in enumerate(self.keys, start=1):
+            size, level = self.n**j, z[self._offsets[j - 1] : self._offsets[j]]
             for start in range(0, size, _CHUNK):
                 stop = min(start + _CHUNK, size)
                 digits = np.sort(base_digits(np.arange(start, stop), self.n, j), axis=1)
-                ranks = np.searchsorted(keys, _digit_keys(digits, self.n))
-                out[at + start : at + stop] = level[ranks]
+                where, hit = _locate(keys, level_ranks(digits, self.n))
+                out[at + start : at + stop][hit] = level[where[hit]]
+            at += size
         return out
 
     def norm(self, z: np.ndarray) -> float:
@@ -255,8 +331,6 @@ class CarlemanMatrix:
             raise ValidationError(
                 f"truncation order must exceed the nonlinearity order: N={N} <= M={M}"
             )
-        if self.total_dimension >= 2**62:
-            raise ValidationError("total Carleman dimension overflows the address space")
         self._f1_sparse = sp.csr_matrix(self.rescaled.F1)
 
     # -- shape bookkeeping --------------------------------------------------
@@ -315,7 +389,7 @@ class CarlemanMatrix:
         :meth:`to_sparse` and :meth:`to_symmetric`; no production path calls it.
         """
         N, M = self.N, self.M
-        offsets = level_offsets(self.n, N)
+        offsets = _addressable(self.n, N)
         if y.shape != (offsets[-1],):
             raise ValidationError(
                 f"vector of shape {y.shape} does not match dimension {offsets[-1]}"
@@ -356,7 +430,7 @@ class CarlemanMatrix:
         return self.coupling * total
 
     def to_sparse(self) -> sp.csr_matrix:
-        check_size(self.total_dimension, ASSEMBLY_MAX_DIM, "sparse Carleman assembly")
+        check_size(_addressable(self.n, self.N)[-1], ASSEMBLY_MAX_DIM, "sparse Carleman assembly")
         N, M = self.N, self.M
         grid: list[list[object]] = [[None] * N for _ in range(N)]
         for j in range(1, N + 1):
@@ -369,7 +443,7 @@ class CarlemanMatrix:
         return out
 
     def dense(self) -> np.ndarray:
-        check_size(self.total_dimension, DENSE_MAX_DIM, "dense Carleman matrix")
+        check_size(_addressable(self.n, self.N)[-1], DENSE_MAX_DIM, "dense Carleman matrix")
         return self.to_sparse().toarray()
 
     # -- assembly on the symmetric subspace -----------------------------------
@@ -386,7 +460,7 @@ class CarlemanMatrix:
         A row family is ``(indptr, digits, values)``: row ``v`` holds the
         multi-indices that replace one factor ``v``.  F1 contributes single
         digits; FM contributes its column digits sorted, with entries whose
-        digits are permutations of each other summed.
+        digits are permutations of each other summed and sums of zero dropped.
         """
         n, M = self.n, self.M
         coo = self._f1_sparse.tocoo()
@@ -394,65 +468,129 @@ class CarlemanMatrix:
         f1_off = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
         base = self.rescaled.base
         rows, _, vals = base.fm_coordinates
-        width = n**M
+        width = math.comb(n + M - 1, M)
         keys, inverse = np.unique(
-            rows * width + _digit_keys(np.sort(base.fm_digits, axis=1), n), return_inverse=True
+            rows * width + level_ranks(np.sort(base.fm_digits, axis=1), n), return_inverse=True
         )
-        fm_rows = keys // width
+        sums = np.bincount(inverse, weights=vals, minlength=keys.size)
+        keys, sums = keys[sums != 0], sums[sums != 0]
         fm = (
-            np.searchsorted(fm_rows, np.arange(n + 1)),
-            base_digits(keys % width, n, M),
-            np.bincount(inverse, weights=vals, minlength=keys.size),
+            np.searchsorted(keys // width, np.arange(n + 1)),
+            level_digits(keys % width, n, M),
+            sums,
         )
         return self._f1_sparse.diagonal(), (f1_off.indptr, f1_off.indices[:, None], f1_off.data), fm
 
-    def symmetric_nnz(self) -> int:
-        """Entries :meth:`to_symmetric` stores, counted before it allocates any.
+    def _row_entries(self, j: int, T: np.ndarray) -> np.ndarray:
+        """Entries each sorted multi-index row of ``T`` (level ``j``) stores at most.
 
-        Row ``I`` of level ``j`` stores its diagonal entry plus, for each
-        distinct value ``v`` in ``I``, one entry per off-diagonal F1 entry of
-        row ``v`` and (when level ``j+M-1`` exists) one per sorted FM entry of
-        row ``v``.  ``C(n+j-1, j) - C(n+j-2, j)`` sorted multi-indices of
-        level ``j`` contain a given value.
+        Its diagonal entry plus, for each distinct value ``v`` in it, one per
+        off-diagonal F1 entry of row ``v`` and, when level ``j+M-1`` exists,
+        one per sorted FM entry of row ``v``.
         """
-        n, M, N = self.n, self.M, self.N
         _, f1_off, fm = self._symmetric_parts
+        per_value = np.diff(f1_off[0]) + (np.diff(fm[0]) if j + self.M - 1 <= self.N else 0)
+        first, _ = _multiplicities(T)
+        return 1 + np.where(first, per_value[T], 0).sum(axis=1)
+
+    def symmetric_nnz(self, keys=None) -> int:
+        """Bound on the entries :meth:`to_symmetric` stores, counted before it allocates any.
+
+        The sum of :meth:`_row_entries` over the rows of ``keys`` (every
+        sorted multi-index when unset), walked in blocks.  Every row stores
+        its diagonal entry, so a key set with more rows than
+        ``KRON_MAX_SIZE`` is counted by its rows alone.  Exact when no two
+        entries of a row meet in one column and none sums to zero.
+        """
+        keys = full_levels(self.n, self.N) if keys is None else keys
+        rows = sum(len(level) for level in keys)
+        if rows > KRON_MAX_SIZE:
+            return rows
         total = 0
-        for j in range(1, N + 1):
-            rows = math.comb(n + j - 1, j)
-            per_value = f1_off[2].size + (fm[2].size if j + M - 1 <= N else 0)
-            total += rows + (rows - math.comb(n + j - 2, j)) * per_value
+        for j, level in enumerate(keys, start=1):
+            for s in range(0, len(level), _ENTRIES_PER_BLOCK):
+                T = level_digits(_take(level, s, s + _ENTRIES_PER_BLOCK), self.n, j)
+                total += int(self._row_entries(j, T).sum())
         return total
 
-    def to_symmetric(self) -> sp.csr_matrix:
-        """The operator on the symmetric subspace of :class:`SymmetricBasis`.
+    def reach(self) -> list:
+        """Sorted ranks, level by level, of the coordinates the lifted ``u_in`` can reach.
+
+        When F1 is diagonal, level ``j`` of the operator moves level ``j``
+        only along its diagonal and couples in level ``j+M-1``, so a
+        coordinate can leave zero only if it is nonzero at the start or its
+        row couples to a reachable coordinate of level ``j+M-1``.  Level
+        ``N``'s reach is the support of the lift (the sorted multi-indices
+        over the nonzero entries of ``u_in``); level ``j``'s is its support
+        plus every sorted ``(rest, v)`` such that ``rest`` and a sorted FM
+        column tuple of row ``v`` make up a reachable multi-index of level
+        ``j+M-1``.  Every other coordinate stays exactly zero, so stepping
+        the operator on the reach (:meth:`to_symmetric`) gives the same
+        trajectory.  Otherwise every coordinate (:func:`full_levels`).
+        """
+        n, M, N = self.n, self.M, self.N
+        if not self.f1_is_diagonal:
+            return full_levels(n, N)
+        support = np.flatnonzero(self.rescaled.u_in_scaled)
+        own = [math.comb(support.size + j - 1, j) for j in range(1, N + 1)]
+        check_size(sum(own), KRON_MAX_SIZE, "symmetric Carleman operator entries")
+        _, _, (ptr, digits, _) = self._symmetric_parts
+        # FM's sorted column tuples by rank, each with its row
+        columns = level_ranks(digits, n)
+        order = np.argsort(columns, kind="stable")
+        columns, owner = columns[order], np.repeat(np.arange(n), np.diff(ptr))[order]
+        levels: list = [None] * N
+        for j in range(N, 0, -1):
+            # the lift's support: the sorted multi-indices of the support's positions
+            found = [np.empty(0, dtype=np.int64)]
+            for s in range(0, own[j - 1], _CHUNK):
+                picked = level_digits(np.arange(s, min(s + _CHUNK, own[j - 1])), support.size, j)
+                found.append(level_ranks(support[picked], n))
+            if j + M - 1 <= N:
+                coupled = levels[j + M - 2]
+                picks = list(itertools.combinations(range(j + M - 1), M))
+                for s in range(0, coupled.size, _CHUNK):
+                    D = level_digits(coupled[s : s + _CHUNK], n, j + M - 1)
+                    for pick in picks:
+                        rest = np.delete(D, pick, axis=1)
+                        query = level_ranks(D[:, pick], n)
+                        lo = np.searchsorted(columns, query, side="left")
+                        count = np.searchsorted(columns, query, side="right") - lo
+                        src = np.repeat(np.arange(query.size), count)
+                        at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(src.size)
+                        T = np.sort(np.concatenate([rest[src], owner[at, None]], axis=1), axis=1)
+                        found.append(np.unique(level_ranks(T, n)))
+            levels[j - 1] = np.unique(np.concatenate(found))
+            check_size(
+                sum(level.size for level in levels[j - 1 :]), KRON_MAX_SIZE,
+                "symmetric Carleman operator entries",
+            )
+        return levels
+
+    def to_symmetric(self, keys=None) -> sp.csr_matrix:
+        """The operator on the coordinates ``keys`` of :class:`SymmetricBasis` (every one when unset).
 
         Entry ``(I, J)`` sums the full operator's row ``I`` over every flat
         column whose sorted multi-index is ``J``, so
-        ``basis.expand(op @ z) == full @ basis.expand(z)``.  Built block by
-        block from F1's rows and FM's digits; the full operator never exists.
+        ``basis.expand(op @ z) == full @ basis.expand(z)`` on the whole
+        subspace.  On a subset it is the principal submatrix: columns outside
+        ``keys`` are dropped.  Built block by block from F1's rows and FM's
+        digits; the full operator never exists.  The CSR is canonical: each
+        row's entries in one column are summed, off-diagonal sums of zero
+        are dropped, and every diagonal entry is stored.
         """
         n, M, N = self.n, self.M, self.N
-        nnz = self.symmetric_nnz()
+        keys = full_levels(n, N) if keys is None else keys
+        nnz = self.symmetric_nnz(keys)
         # every row stores its diagonal entry, so rows <= entries <= KRON_MAX_SIZE
         # < 2**31 and the int32 ``indices`` and ``indptr`` below cannot overflow
         check_size(nnz, KRON_MAX_SIZE, "symmetric Carleman operator entries")
+        keys = [_take(level, 0, len(level)) for level in keys]
         diag, f1_off, fm = self._symmetric_parts
-        offsets = symmetric_offsets(n, N)
-        keys = [sorted_keys(n, j) for j in range(1, N + 1)]
+        offsets = np.cumsum([0] + [level.size for level in keys]).tolist()
         data = np.empty(nnz)
         indices = np.empty(nnz, dtype=np.int32)
         indptr = np.zeros(offsets[-1] + 1, dtype=np.int32)
-        # each row stores its diagonal entry and, per distinct value v in it,
-        # F1's off-diagonal entries of row v and FM's sorted ones when coupled;
-        # a block weighs each row one more, for its digits and multiplicities
-        # take about as much scratch as an entry
-        f1_per = np.diff(f1_off[0])
-        per_value = [f1_per + (np.diff(fm[0]) if j + M - 1 <= N else 0) for j in range(1, N + 1)]
-
-        def stored(j: int, T: np.ndarray) -> np.ndarray:
-            first, _ = _multiplicities(T)
-            return 2 + np.where(first, per_value[j - 1][T], 0).sum(axis=1)
 
         def write(j: int, at: int, T: np.ndarray, pos: int) -> int:
             """Store the rows of block ``T`` from entry ``pos`` on; returns the next free entry."""
@@ -472,24 +610,38 @@ class CarlemanMatrix:
                 entry = starts + np.arange(src.size)
                 rest = T[row[src]][np.arange(j) != slot[src, None]].reshape(src.size, j - 1)
                 tuples = np.sort(np.concatenate([rest, digits[entry]], axis=1), axis=1)
-                rows.append(row[src])
-                ranks = np.searchsorted(keys[level - 1], _digit_keys(tuples, n))
-                cols.append(offsets[level - 1] + ranks)
-                vals.append(scale * mult[src] * entries[entry])
+                where, hit = _locate(keys[level - 1], level_ranks(tuples, n))
+                rows.append(row[src[hit]])
+                cols.append(offsets[level - 1] + where[hit])
+                vals.append(scale * mult[src[hit]] * entries[entry[hit]])
             r, c, v = (np.concatenate(parts) for parts in (rows, cols, vals))
             order = np.lexsort((c, r))
-            indices[pos : pos + order.size] = c[order]
-            data[pos : pos + order.size] = v[order]
+            r, c, v = r[order], c[order], v[order]
+            new = np.ones(r.size, dtype=bool)
+            new[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+            starts = np.flatnonzero(new)
+            r, c, v = r[starts], c[starts], np.add.reduceat(v, starts)
+            kept = (v != 0) | (c == at + r)
+            r, c, v = r[kept], c[kept], v[kept]
+            indices[pos : pos + r.size] = c
+            data[pos : pos + r.size] = v
             indptr[at + 1 : at + T.shape[0] + 1] = pos + np.cumsum(
                 np.bincount(r, minlength=T.shape[0])
             )
-            return pos + order.size
+            return pos + r.size
 
+        # a block weighs each row one more than its entries, for its digits and
+        # multiplicities take about as much scratch as an entry
         pos = 0
-        for j, at, T in _sorted_blocks(n, keys, stored, _ENTRIES_PER_BLOCK):
+        for j, at, T in _sorted_blocks(
+            n, keys, lambda j, T: 1 + self._row_entries(j, T), _ENTRIES_PER_BLOCK
+        ):
             pos = write(j, at, T, pos)
-        if pos != nnz:
-            raise NumericFailure(f"symmetric operator stored {pos} entries, counted {nnz}")
+        if pos > nnz:
+            raise NumericFailure(f"symmetric operator stored {pos} entries, counted at most {nnz}")
+        # trim the count's slack in place
+        data.resize(pos, refcheck=False)
+        indices.resize(pos, refcheck=False)
         return sp.csr_matrix((data, indices, indptr), shape=(offsets[-1], offsets[-1]))
 
     # -- spectral bookkeeping -------------------------------------------------

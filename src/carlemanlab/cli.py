@@ -351,8 +351,8 @@ def _run_pipeline(ctx: RunContext) -> dict:
     """Shared evolve machinery: returns summary metrics and trajectory rows.
 
     A PDE is stepped in its Fourier form (:func:`~carlemanlab.pde.fourier_form`),
-    where F1 is diagonal and a Taylor step can be one matvec, and level 1 is
-    mapped back to the grid; gamma, N, the reference and the bound come from
+    where F1 is diagonal, a Taylor step can be one matvec and band-limited
+    data reaches few coordinates, and level 1 is mapped back to the grid; gamma, N, the reference and the bound come from
     the grid problem.  When the Fourier form or its symmetric operator is over
     a size limit (its nonlinearity couples far more modes than the grid's
     couples points, so it can be while the grid fits), the grid is stepped.
@@ -376,12 +376,14 @@ def _run_pipeline(ctx: RunContext) -> dict:
     if problem is not None:
         try:
             fourier = rd.fourier_form(problem, ode)
-            result = prop.evolve(carl.assemble(node.rescale(fourier.ode, gamma), N), config)
+            mat = carl.assemble(node.rescale(fourier.ode, gamma), N)
+            result = prop.evolve(mat, config)
         except SizeLimitError:
             # a denser nonlinearity than the grid's: step the grid problem instead
             fourier = None
     if result is None:
-        result = prop.evolve(carl.assemble(node.rescale(ode, gamma), N), config)
+        mat = carl.assemble(node.rescale(ode, gamma), N)
+        result = prop.evolve(mat, config)
     block1 = result.block1 if fourier is None else fourier.to_grid(result.block1)
     reference = node.reference_solve(
         ode, T=ode.T, tol=float(numerics["reference_tol"]), t_eval=result.times
@@ -409,6 +411,10 @@ def _run_pipeline(ctx: RunContext) -> dict:
         "coordinates": "ode" if fourier is None else "fourier",
         "stepping": result.stepping,
         "matvecs": result.matvecs,
+        "reach": result.basis.dimension,
+        "symmetric_dimension": mat.symmetric_dimension,
+        "operator_entries": result.operator_entries,
+        "dropped_mass": 0.0 if fourier is None else fourier.dropped_mass,
         "stability_bound": result.stability_bound,
         "final_share": float(result.block1_share[-1]),
         "final_y_norm": float(result.y_norms[-1]),

@@ -243,12 +243,15 @@ class FourierForm:
     With ``Q`` the ``d``-fold Kronecker power of ``axis_basis``
     (:func:`real_fourier_basis`), ``ode`` is the grid ODE for ``v = Q^T u``:
     ``F1 = Q^T F1 Q`` is diagonal and ``FM = Q^T FM Q^(x M)`` couples modes
-    whose frequencies add up.
+    whose frequencies add up.  ``dropped_mass`` is the 2-norm of the
+    coefficients of ``Q^T u_in`` that :func:`fourier_form` set to zero as
+    rounding.
     """
 
     ode: NonlinearODE
     axis_basis: np.ndarray
     d: int
+    dropped_mass: float = 0.0
 
     def to_grid(self, v: np.ndarray) -> np.ndarray:
         """Grid values ``Q v`` of mode coefficients (the last axis of ``v``)."""
@@ -264,7 +267,10 @@ def fourier_form(
     ``D sum_axes lambda(f_axis) + c`` from the closed-form spectrum
     (:func:`~carlemanlab.stencil.laplacian_eigenvalues_periodic`).  The
     pointwise ``b u^M`` becomes ``b`` times the per-axis products of
-    :func:`_mode_products`, and ``u_in`` becomes ``Q^T u_in``.  An orthogonal
+    :func:`_mode_products`, and ``u_in`` becomes ``Q^T u_in``, whose
+    coefficients within the transform's own rounding bound
+    ``d m eps |u_in|_2`` are set to zero (their 2-norm is ``dropped_mass``),
+    so that band-limited data keeps its support.  An orthogonal
     change of basis keeps ``lambda0``, ``|F1|`` and ``|FM|``, so they are
     copied from the grid problem and every scalar derived from them (gamma,
     N, the Gershgorin bound, the step rule) is bit for bit the grid's; a
@@ -304,9 +310,15 @@ def fourier_form(
         vals = (vals[:, None] * values[None, :]).reshape(-1)
     FM = sp.csr_matrix((vals, (rows, col)), shape=(n, n**M))
     Q = real_fourier_basis(m)
-    modal = NonlinearODE(n=n, M=M, F1=F1, FM=FM, u_in=_along_axes(Q.T, ode.u_in, d), T=ode.T)
+    u_in = _along_axes(Q.T, ode.u_in, d)
+    # each axis transform is a dot with a unit column of Q, which rounds by at
+    # most m eps |u_in|_2 to first order: a coefficient within d times that is zero
+    rounding = np.abs(u_in) <= d * m * np.finfo(float).eps * np.linalg.norm(ode.u_in)
+    dropped = float(np.linalg.norm(u_in[rounding]))
+    u_in[rounding] = 0.0
+    modal = NonlinearODE(n=n, M=M, F1=F1, FM=FM, u_in=u_in, T=ode.T)
     vars(modal).update(lambda0=ode.lambda0, f1_norm=ode.f1_norm, fm_norm=ode.fm_norm)
-    return FourierForm(ode=modal, axis_basis=Q, d=d)
+    return FourierForm(ode=modal, axis_basis=Q, d=d, dropped_mass=dropped)
 
 
 # ---------------------------------------------------------------------------

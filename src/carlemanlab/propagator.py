@@ -6,13 +6,16 @@ series costs K matvecs per step (:func:`taylor_step`).  When F1 is diagonal
 (a periodic problem in its Fourier form, :func:`carlemanlab.pde.fourier_form`)
 the level blocks of the symmetric operator are diagonal and its couplings
 nilpotent, so the same polynomial stays sparse; :func:`evolve` precomputes it
-(:func:`taylor_matrix`) when enough steps repay the build, and a step is then
-one matvec.  When every coupling path already fits in that matrix ``P`` (no
-path longer than K), its powers keep its sparsity, so the steps between two
-records are folded into one precomputed ``P**every`` (:func:`matrix_power`)
-and a record interval is one matvec.  Vectors carry their true magnitudes
-end to end; quantum-style normalisation only appears in the
-measurement-probability formulas.
+by Horner's rule on a counted pattern (:func:`taylor_matrix`) when enough
+steps repay the build, and a step is then one matvec.  When every coupling
+path already fits in that matrix ``P`` (no path longer than K), its powers
+keep its sparsity, so the steps between two records are folded into one
+precomputed ``P**every`` (:func:`matrix_power`, within a memory limit) and a
+record interval is one matvec.  Only the coordinates the lift can reach
+(:meth:`CarlemanMatrix.reach`) are stepped; :class:`EvolveResult` carries
+their basis, the reach's size and the operator's entries.  Vectors carry
+their true magnitudes end to end; quantum-style normalisation only appears
+in the measurement-probability formulas.
 """
 
 from __future__ import annotations
@@ -31,16 +34,22 @@ from .limits import KRON_MAX_SIZE
 #: ``evolve`` raises :class:`NumericFailure` when ``|y|`` exceeds this times ``|y0|``
 BLOWUP_FACTOR = 1e6
 
-#: paths per row block of the :func:`taylor_matrix` walk, and paths extended at once
-_PATHS_PER_BLOCK = 1 << 13
-_PATHS_PER_STEP = 1 << 11
+#: pattern entries per row block of :func:`taylor_matrix`'s count and fill
+_PATTERN_PER_BLOCK = 1 << 16
+
+#: entries flushed at once by :func:`_flush`
+_FLUSH_CHUNK = 1 << 12
 
 #: building one entry of the Taylor matrix takes about as long as a matvec
-#: spends on this many stored entries: the P route broke even at about 65
-#: steps on the Fourier form of the demo grid and 60 on the d = 2, m = 8
-#: grid, 375 and 365 by the rule of :func:`_stepper` (2-core Xeon VM, one
-#: BLAS thread, best of 3 evolves)
-BUILD_COST = 375
+#: spends on this many stored entries.  Break-even step counts of the P route
+#: (build time over the time a single step of P saves against a series step)
+#: gave 655 and 668 by the rule of :func:`_stepper` on the full Fourier form
+#: of the demo grid (116-118 steps), 472 and 555 on the d = 2, m = 8 grid
+#: (79-93 steps), and on the reach of the seeded benchmark profiles 208 and
+#: 255 (demo, 83 coordinates) and 617 and 746 (d = 2, m = 8, 943
+#: coordinates); the median is about 600 (2-core Xeon VM, one BLAS thread,
+#: best of 5 builds and 50 steps, two rounds)
+BUILD_COST = 600
 
 #: one sparse product of two matrices with ``P``'s sparsity takes about as long
 #: as this many matvecs of ``P``: 18.2 on the Fourier form of the demo grid
@@ -82,108 +91,108 @@ def taylor_matrix(
 
     ``op`` must keep its columns sorted and store every row's diagonal entry
     first, as :meth:`CarlemanMatrix.to_symmetric` does when F1 is diagonal.
-    Split ``dt op`` into its diagonal ``x`` and strictly upper part ``V``.
-    Entry ``(I, J)`` of ``P`` sums, over the paths ``I = I_0 -> ... -> I_q = J``
-    along entries of ``V``, the product of those entries times the divided
-    difference of the Taylor polynomial on the diagonal entries the path
-    visits, ``sum_{r <= K-q} h_r(x_{I_0}, ..., x_{I_q}) / (q+r)!`` (``h_r`` is
-    the complete homogeneous symmetric polynomial of degree ``r``, built one
-    node at a time by ``h_r <- h_r + x h_(r-1)``).  Summed coefficient by
-    coefficient, it needs no care where diagonal entries coincide, and paths
-    longer than ``K`` add nothing.
-
-    Rows are walked in blocks of about ``_PATHS_PER_BLOCK`` paths, and paths
-    are extended ``_PATHS_PER_STEP`` at a time, so the walk's memory stays
-    small next to the operator and ``P``.  A first walk counts the entries,
-    stopping once they pass ``max_entries``, before a second walk writes
-    them once.
+    ``P`` stores the pattern of ``(I + op)**K``: the pairs joined by at most
+    K entries of ``op``.  A first pass counts that pattern, block of rows by
+    block of rows as boolean sparse products (:func:`_block_pattern`), and
+    returns None before anything is allocated when it is over.  A second
+    pass fills each block's rows ``E`` by Horner's rule,
+    ``G <- E + G (dt op) / l`` for ``l = K .. 1`` from ``G = E``, flushing
+    entries below the smallest normal float to zero after each product; the
+    values land on the block's pattern, so ``P`` keeps every path's entry,
+    an exact zero included, and its powers never store more entries.
+    Every product stays within its block's pattern, which holds at most
+    about ``_PATTERN_PER_BLOCK`` entries.
     """
     if K < 1:
         raise ValidationError(f"Taylor order must be >= 1, got {K}")
     dim = op.shape[0]
-    ptr, cols, vals = op.indptr, op.indices, op.data
+    ptr, cols = op.indptr, op.indices
     if (
         np.any(ptr[1:] == ptr[:-1])
         or not op.has_sorted_indices
         or not np.array_equal(cols[ptr[:-1]], np.arange(dim))
     ):
         raise ValidationError("the Taylor matrix needs each row's diagonal stored first")
-    coef = np.cumprod(np.concatenate([[1.0], 1.0 / np.arange(1, K + 1)]))
-    # paths of length <= K leaving each row, to size the blocks (float32 is plenty)
+    limit = min(max_entries, KRON_MAX_SIZE)
+    links = sp.csr_matrix((np.ones(op.nnz, dtype=bool), cols, ptr), shape=op.shape)
+    # a row's pattern holds at most its paths of at most K off-diagonal entries
+    # (float32 is plenty) and at most dim columns, which sizes the blocks
     paths = np.ones(dim, dtype=np.float32)
     for _ in range(K):
         longer = 1.0 + np.add.reduceat(paths[cols], ptr[:-1]) - paths
         if np.array_equal(longer, paths):
             break
         paths = longer
-    blocks = ranges(paths, _PATHS_PER_BLOCK)
+    blocks = ranges(np.minimum(paths, dim), _PATTERN_PER_BLOCK)
     del paths, longer
-
-    def walk(a: int, b: int, values: bool):
-        """Key ``(I - a) dim + J`` of each path from rows ``a..b-1``, and its term if ``values``."""
-        rows = np.arange(a, b)
-        keys = [(rows - a) * dim + rows]
-        terms, H, weight = [], None, None
-        if values:
-            H = (dt * vals[ptr[rows]]) ** np.arange(K + 1)[:, None]
-            weight = np.ones(rows.size)
-            terms.append(coef @ H)
-        frontier = [(1, rows, rows, weight, H)]
-        while frontier:
-            q, origin, node, weight, H = frontier.pop()
-            per = ptr[node + 1] - ptr[node] - 1
-            for lo, hi in ranges(per, _PATHS_PER_STEP):
-                count = per[lo:hi]
-                total = int(count.sum())
-                if total == 0:
-                    continue
-                # the off-diagonal entries of each parent's row, one path each
-                at = np.repeat(ptr[node[lo:hi]] + 1 - (np.cumsum(count) - count), count)
-                at += np.arange(total)
-                child, source = cols[at], np.repeat(origin[lo:hi], count)
-                keys.append((source - a) * dim + child)
-                if values:
-                    w = np.repeat(weight[lo:hi], count) * (dt * vals[at])
-                    h = np.repeat(H[: K - q + 1, lo:hi], count, axis=1)
-                    z = dt * vals[ptr[child]]
-                    for r in range(1, K - q + 1):
-                        h[r] += z * h[r - 1]
-                    terms.append(w * (coef[q:] @ h))
-                further = ptr[child + 1] - ptr[child] > 1
-                if q < K and further.any():
-                    frontier.append((
-                        q + 1, source[further], child[further],
-                        w[further] if values else None, h[:, further] if values else None,
-                    ))
-        if values:
-            return np.concatenate(keys), np.concatenate(terms)
-        return np.concatenate(keys)
-
     nnz = 0
     for a, b in blocks:
-        keys = np.sort(walk(a, b, False))
-        nnz += 1 + np.count_nonzero(keys[1:] != keys[:-1])
+        nnz += _block_pattern(links, a, b, K).nnz
         # nnz <= KRON_MAX_SIZE < 2**31, so int32 indices and indptr cannot overflow
-        if nnz > min(max_entries, KRON_MAX_SIZE):
+        if nnz > limit:
             return None
+    step = dt * op
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=np.int32)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     pos = 0
     for a, b in blocks:
-        keys, terms = walk(a, b, True)
-        keys, inverse = np.unique(keys, return_inverse=True)
+        pattern = _block_pattern(links, a, b, K)
+        E = _unit_rows(a, b, dim, float)
+        G = E
+        for ell in range(K, 0, -1):
+            G = G @ step
+            G.data /= ell
+            _flush(G.data)
+            G = E + G
+        G.sort_indices()
+        keys = _row_keys(pattern, dim)
         stop = pos + keys.size
-        indices[pos:stop] = keys % dim
-        data[pos:stop] = np.bincount(inverse, weights=terms, minlength=keys.size)
-        indptr[a + 1 : b + 1] = pos + np.cumsum(np.bincount(keys // dim, minlength=b - a))
+        data[pos:stop] = 0.0
+        data[pos + np.searchsorted(keys, _row_keys(G, dim))] = G.data
+        indices[pos:stop] = pattern.indices
+        indptr[a + 1 : b + 1] = pos + pattern.indptr[1:]
         pos = stop
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
+def _unit_rows(a: int, b: int, dim: int, dtype) -> sp.csr_matrix:
+    """Rows ``a..b-1`` of the ``dim x dim`` identity."""
+    return sp.csr_matrix(
+        (np.ones(b - a, dtype=dtype), np.arange(a, b), np.arange(b - a + 1)), shape=(b - a, dim)
+    )
+
+
+def _row_keys(block: sp.csr_matrix, dim: int) -> np.ndarray:
+    """``row * dim + column`` of each stored entry of a canonical block, ascending."""
+    rows = np.repeat(np.arange(block.shape[0], dtype=np.int64), np.diff(block.indptr))
+    return rows * dim + block.indices
+
+
+def _block_pattern(links: sp.csr_matrix, a: int, b: int, K: int) -> sp.csr_matrix:
+    """Rows ``a..b-1`` of the boolean pattern of ``links**K``, sorted.
+
+    ``links`` is the pattern of ``op`` with its diagonal, so each row holds
+    the columns reached along at most K entries of ``op``.
+    """
+    pattern = _unit_rows(a, b, links.shape[0], bool)
+    for _ in range(K):
+        longer = pattern @ links
+        if longer.nnz == pattern.nnz:
+            break
+        pattern = longer
+    pattern.sort_indices()
+    return pattern
+
+
 def _flush(values: np.ndarray) -> np.ndarray:
-    """``values`` with the entries below the smallest normal float set to zero, in place."""
-    values[np.abs(values) < _TINY] = 0.0
+    """``values`` with the entries below the smallest normal float set to zero, in place.
+
+    In chunks, so the scratch stays small next to a matrix's entries.
+    """
+    for start in range(0, values.size, _FLUSH_CHUNK):
+        part = values[start : start + _FLUSH_CHUNK]
+        part[np.abs(part) < _TINY] = 0.0
     return values
 
 
@@ -194,15 +203,20 @@ def _product(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     return c
 
 
-def matrix_power(P: sp.csr_matrix, e: int) -> sp.csr_matrix:
+def matrix_power(P: sp.csr_matrix, e: int, max_entries: int = KRON_MAX_SIZE) -> sp.csr_matrix | None:
     """``P**e`` (``e >= 1``) by repeated squaring, flushing subnormal entries after each product.
 
     Takes ``e.bit_length() + e.bit_count() - 2`` sparse products.  For a
     :func:`taylor_matrix` whose pattern holds every coupling path, each
-    product stores no more entries than ``P``.
+    product stores no more entries than ``P``, and besides ``P`` the fold
+    holds at most three such matrices at once: the power so far, the current
+    square and the product being formed.  None, before any product, when
+    those three could store more than ``max_entries`` entries.
     """
     if e < 1:
         raise ValidationError(f"matrix power must be >= 1, got {e}")
+    if e > 1 and 3 * P.nnz > max_entries:
+        return None
     power, square = None, P
     while True:
         if e & 1:
@@ -280,8 +294,11 @@ class EvolveResult:
     arrays are thinned to the recording grid.  ``stepping`` names the route,
     ``"series"`` (K matvecs of the operator per step) or ``"taylor_matrix"``;
     ``matvecs`` counts the applications of the matrix stepped, the operator,
-    ``P`` or its folded power.  ``y_final`` is in the coordinates of
-    :class:`SymmetricBasis`; ``SymmetricBasis(n, N).expand`` gives its flat layout.
+    ``P`` or its folded power.  ``basis`` is the :class:`SymmetricBasis` of
+    the coordinates stepped (the reach, :meth:`CarlemanMatrix.reach`) and
+    ``operator_entries`` the entries of the operator on them; ``y_final`` is
+    in ``basis``'s coordinates, and ``basis.expand`` gives its flat layout.
+    ``block1`` holds level 1 on all ``n`` entries.
     """
 
     times: np.ndarray
@@ -295,6 +312,8 @@ class EvolveResult:
     stability_bound: float
     stepping: str
     matvecs: int
+    basis: SymmetricBasis
+    operator_entries: int
 
 
 def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
@@ -304,9 +323,12 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     the operator keeps it so.  The steps therefore run on the symmetric
     operator (:meth:`CarlemanMatrix.to_symmetric`), one coordinate per sorted
     multi-index, from :meth:`SymmetricBasis.lift`, with norms taken in the
-    orbit-weighted norm, which equals the 2-norm of the flat state.  A problem
-    whose symmetric operator would store more than ``KRON_MAX_SIZE`` entries
-    is rejected before the operator, the basis or the state is allocated.
+    orbit-weighted norm, which equals the 2-norm of the flat state.  Only the
+    coordinates the lift can reach are stepped (:meth:`CarlemanMatrix.reach`:
+    with F1 diagonal, those coupled to the support of ``u_in``; otherwise
+    all); the others stay exactly zero.  A problem whose symmetric operator
+    would store more than ``KRON_MAX_SIZE`` entries is rejected before the
+    operator, the basis or the state is allocated.
 
     When F1 is diagonal (:attr:`CarlemanMatrix.f1_is_diagonal`) and the
     matvecs saved repay the build (:func:`_stepper`), the steps use the
@@ -333,14 +355,16 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     dt, n_steps = config.resolve_steps(mat.spectral_norm_bound())
     every = int(config.record_every or max(1, n_steps // 1000))
 
-    stepping, stride, advance = _stepper(mat, dt, config.taylor_order, n_steps, every)
-    basis = SymmetricBasis(mat.n, mat.N)
+    keys = mat.reach()
+    stepping, stride, advance, entries = _stepper(
+        mat, keys, dt, config.taylor_order, n_steps, every
+    )
+    basis = SymmetricBasis(mat.n, mat.N, keys)
     y = basis.lift(mat.rescaled.u_in_scaled)
-    n1 = mat.n
     norm0 = basis.norm(y)
     times = [0.0]
-    block1 = [y[:n1].copy()]
-    share1 = [float(y[:n1] @ y[:n1]) / norm0**2]
+    block1 = [basis.first_level(y)]
+    share1 = [float(block1[0] @ block1[0]) / norm0**2]
     norms = [norm0]
     step_norms = [norm0]
 
@@ -361,8 +385,8 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
             )
         if step % every == 0 or step == n_steps:
             times.append(step * dt)
-            block1.append(y[:n1].copy())
-            share1.append(float(y[:n1] @ y[:n1]) / norm**2)
+            block1.append(basis.first_level(y))
+            share1.append(float(block1[-1] @ block1[-1]) / norm**2)
             norms.append(norm)
 
     return EvolveResult(
@@ -377,13 +401,16 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         stability_bound=bound,
         stepping=stepping,
         matvecs=matvecs,
+        basis=basis,
+        operator_entries=entries,
     )
 
 
 def _stepper(
-    mat: CarlemanMatrix, dt: float, K: int, n_steps: int, every: int
-) -> tuple[str, int, Callable[[np.ndarray, int], tuple[np.ndarray, int]]]:
-    """The route's name, its stride in steps, and ``advance(y, steps) -> (y, matvecs)``.
+    mat: CarlemanMatrix, keys: list, dt: float, K: int, n_steps: int, every: int
+) -> tuple[str, int, Callable[[np.ndarray, int], tuple[np.ndarray, int]], int]:
+    """The route's name, its stride in steps, ``advance(y, steps) -> (y, matvecs)``
+    and the operator's entries, on the coordinates ``keys``.
 
     The series takes ``n_steps * K`` matvecs of the operator's ``nnz(op)``
     entries.  With F1 diagonal, :func:`taylor_matrix` is built when its route
@@ -394,9 +421,10 @@ def _stepper(
     ``n_steps K nnz(op)`` over that count of matvecs.  The fold needs ``P``'s
     pattern closed under products, which holds when no coupling path is
     longer than K, and is taken when its products cost less than the matvecs
-    it saves.
+    it saves and :func:`matrix_power`'s memory gate lets it; otherwise each
+    step is one matvec of ``P``.
     """
-    op = mat.to_symmetric()
+    op = mat.to_symmetric(keys)
     if mat.f1_is_diagonal:
         products = every.bit_length() + every.bit_count() - 2
         applies = n_steps // every + n_steps % every
@@ -408,7 +436,8 @@ def _stepper(
         cost = BUILD_COST + (products * PRODUCT_COST + applies if fold else n_steps)
         P = taylor_matrix(op, dt, K, max_entries=n_steps * K * op.nnz // cost)
         if P is not None:
-            Q = matrix_power(P, every) if fold else P
+            Q = matrix_power(P, every, KRON_MAX_SIZE) if fold else None
+            fold = Q is not None
 
             def advance(y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
                 if fold and steps == every:
@@ -417,12 +446,12 @@ def _stepper(
                     y = _flush(P @ y)
                 return y, steps
 
-            return "taylor_matrix", every if fold else 1, advance
+            return "taylor_matrix", every if fold else 1, advance, op.nnz
 
     def series(y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
         return taylor_step(lambda v: op @ v, y, dt, K), K
 
-    return "series", 1, series
+    return "series", 1, series, op.nnz
 
 
 def success_probability(u_norm: float, gamma: float, N: int) -> float:

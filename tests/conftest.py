@@ -30,6 +30,18 @@ def make_two_dim_instance(M: int, R: float, skew: float = 0.1) -> NonlinearODE:
     return NonlinearODE(n=2, M=M, F1=F1, FM=FM, u_in=w, T=1.0)
 
 
+def full_spectrum(values: np.ndarray, seed: int = 0) -> np.ndarray:
+    """``values`` plus 1 % seeded noise, rescaled to their 2-norm, so every Fourier mode is nonzero.
+
+    Band-limited data reaches few coordinates of a Fourier-form lift
+    (``CarlemanMatrix.reach``); this data keeps the 2-norm of ``values``, and
+    with it gamma, R and the step count, while its reach is every coordinate.
+    """
+    rng = np.random.default_rng(seed)
+    noisy = values + 0.01 * np.abs(values).max() * rng.standard_normal(values.shape)
+    return noisy * (np.linalg.norm(values) / np.linalg.norm(noisy))
+
+
 def raised_cosine(x: np.ndarray) -> np.ndarray:
     return 0.4 * (1.0 + np.cos(2.0 * np.pi * x[:, 0]))
 

@@ -176,7 +176,7 @@ class TestGlobalBound:
 
     def test_dominates_stacked_error_vector(self, bernoulli_ode):
         # oracle: near-exact evolve vs reference, all levels stacked
-        from carlemanlab.carleman import SymmetricBasis, assemble
+        from carlemanlab.carleman import assemble
         from carlemanlab.nonlinear_ode import kron_power, reference_solve, rescale
         from carlemanlab.propagator import PropagationConfig, evolve
 
@@ -188,7 +188,7 @@ class TestGlobalBound:
         ref = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=np.array([1.0]))
         u_T = ref.u[-1] / gamma
         lifted = np.concatenate([kron_power(u_T, j) for j in range(1, N + 1)])
-        eta_norm = np.linalg.norm(lifted - SymmetricBasis(mat.n, N).expand(res.y_final))
+        eta_norm = np.linalg.norm(lifted - res.basis.expand(res.y_final))
         assert eta_norm <= global_error_bound(bernoulli_ode, None, N, 1.0) + 1e-8
 
 

@@ -21,6 +21,8 @@ from carlemanlab import propagator as prop
 from carlemanlab.errors import SizeLimitError
 from carlemanlab.limits import KRON_MAX_SIZE
 
+from conftest import full_spectrum
+
 BERNOULLI = {
     "schema_version": 1,
     "command": "bounds",
@@ -307,15 +309,18 @@ class TestEvolveCommand:
     ):
         # the Fourier nonlinearity couples up to (2m)^M mode tuples where the
         # grid's couples m points: its enumeration (M = 4: 62^4 wave tuples)
-        # or its symmetric operator (M = 3: 200 124 entries against the
-        # grid's 161 474, under a lowered limit) is over a size limit while
-        # the grid's operator fits
+        # or its symmetric operator (M = 3: at most 200 124 entries against
+        # the grid's 161 474, under a lowered limit) is over a size limit
+        # while the grid's operator fits; full-spectrum data reaches every
+        # coordinate of the Fourier form
         monkeypatch.setattr(carl, "KRON_MAX_SIZE", limit)
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "evolve"
         config["pde"].update(
             M=M, m=m, k=1, T=1e-4, initial={"profile": "raised_cosine", "amplitude": 0.1}
         )
+        values = cli.pde_from_config(config["pde"]).initial_grid()
+        config["pde"]["initial"] = {"values": full_spectrum(values).tolist()}
         config["numerics"] = {"N": N, "K": 10}
         problem = cli.pde_from_config(config["pde"])
         ode = rd.discretize(problem)

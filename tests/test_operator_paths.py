@@ -19,8 +19,8 @@ from carlemanlab.carleman import (
     SymmetricBasis,
     assemble,
     initial_vector,
+    level_digits,
     level_offsets,
-    sorted_keys,
     symmetric_offsets,
 )
 from carlemanlab.nonlinear_ode import NonlinearODE, kron_power, rescale
@@ -101,8 +101,9 @@ def test_symmetric_lift_holds_the_flat_lift_representatives(problem):
     flat = initial_vector(ode.u_in, gamma, N).flat
     sym, full = symmetric_offsets(ode.n, N), level_offsets(ode.n, N)
     for j in range(1, N + 1):
-        np.testing.assert_array_equal(
-            lift[sym[j - 1] : sym[j]], flat[full[j - 1] + sorted_keys(ode.n, j)]
-        )
+        # row-major flat positions of the sorted multi-indices, in rank order
+        digits = level_digits(np.arange(sym[j] - sym[j - 1]), ode.n, j)
+        positions = digits @ ode.n ** np.arange(j - 1, -1, -1)
+        np.testing.assert_array_equal(lift[sym[j - 1] : sym[j]], flat[full[j - 1] + positions])
     # the lift's levels are symmetric up to the rounding of their products
     np.testing.assert_allclose(basis.expand(lift), flat, rtol=1e-14, atol=0)

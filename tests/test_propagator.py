@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlemanlab.carleman import CarlemanVector, SymmetricBasis, assemble, initial_vector
+from carlemanlab.carleman import CarlemanVector, assemble, initial_vector
 from carlemanlab.errors import NumericFailure, ValidationError
 from carlemanlab.limits import KRON_MAX_SIZE
 from carlemanlab.nonlinear_ode import (
@@ -33,7 +33,7 @@ from carlemanlab.propagator import (
 )
 from carlemanlab.bounds import component_error_bound
 
-from conftest import make_two_dim_instance, raised_cosine
+from conftest import full_spectrum, make_two_dim_instance, raised_cosine
 
 
 class TestTaylorStep:
@@ -98,7 +98,7 @@ class TestEvolve:
         defect = res.n_steps * taylor_step_defect_bound(
             mat.spectral_norm_bound(), res.dt, 4, res.y_norms.max()
         )
-        y_final = SymmetricBasis(mat.n, mat.N).expand(res.y_final)
+        y_final = res.basis.expand(res.y_final)
         assert np.linalg.norm(y_final - exact) <= defect
 
     def test_modes_agree(self):
@@ -166,7 +166,7 @@ class TestEvolve:
         for _ in range(res.n_steps):
             y = taylor_step(lambda v: full @ v, y, res.dt, K)
             norms.append(np.linalg.norm(y))
-        y_final = SymmetricBasis(mat.n, mat.N).expand(res.y_final)
+        y_final = res.basis.expand(res.y_final)
         assert np.linalg.norm(y_final - y) <= 1e-12 * np.linalg.norm(y)
         np.testing.assert_allclose(res.step_norms, norms, rtol=1e-12)
 
@@ -235,12 +235,18 @@ class TestEvolve:
             evolve(mat, PropagationConfig(total_time=T, **knobs))
 
 
-def periodic(d=1, m=32, k=2, M=2, T=1.0, amplitude=0.4, c=-2.0):
-    """The demo PDE family on a d-dimensional periodic grid, its grid ODE and Fourier form."""
+def periodic(d=1, m=32, k=2, M=2, T=1.0, amplitude=0.4, c=-2.0, full=False):
+    """The demo PDE family on a d-dimensional periodic grid, its grid ODE and Fourier form.
+
+    ``full`` perturbs the raised cosine into :func:`full_spectrum` data, whose
+    reach is every coordinate.
+    """
     problem = ReactionDiffusionProblem(
         diffusion=0.2, c=c, b=0.5, M=M, d=d, m=m, k=k, T=T,
         initial=lambda x: amplitude * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
     )
+    if full:
+        problem.initial = full_spectrum(problem.initial_grid())
     ode = discretize(problem)
     return ode, fourier_form(problem, ode)
 
@@ -322,7 +328,10 @@ class TestFourierRoute:
         [(1, 32, 2, 2, 3, 0.1), (2, 8, 1, 2, 3, 0.25), (1, 9, 2, 3, 4, 0.3)],
         ids=["demo-grid", "d2-m8", "odd-m-M3"],
     )
-    def test_agrees_with_the_grid_series(self, built, d, m, k, M, N, T):
+    def test_agrees_with_the_grid_series(self, monkeypatch, built, d, m, k, M, N, T):
+        # with the build taken as free, so that the 79 steps of the d = 2 grid
+        # take P on its few reached coordinates as the others do
+        monkeypatch.setattr(propagator, "BUILD_COST", 0)
         ode, form = periodic(d=d, m=m, k=k, M=M, T=T)
         gamma = float(np.linalg.norm(ode.u_in))
         config = PropagationConfig(total_time=T, taylor_order=10)
@@ -341,13 +350,17 @@ class TestFourierRoute:
         np.testing.assert_allclose(modal.block1_share, grid.block1_share, rtol=1e-12)
 
     def test_no_subnormal_entries_at_the_demo_horizon(self):
-        ode, form = periodic()
-        mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
-        res = evolve(mat, PropagationConfig(total_time=1.0))
-        assert res.n_steps == 3286
-        tiny = np.finfo(float).tiny
-        assert not np.any((res.y_final != 0) & (np.abs(res.y_final) < tiny))
+        # on the raised cosine's reach, and on full-spectrum data, whose reach
+        # holds every stiff mode of the top level
+        for full in (False, True):
+            ode, form = periodic(full=full)
+            mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
+            res = evolve(mat, PropagationConfig(total_time=1.0))
+            assert res.n_steps == 3286
+            tiny = np.finfo(float).tiny
+            assert not np.any((res.y_final != 0) & (np.abs(res.y_final) < tiny))
         # the flush is reached: stiff modes of the top level decay to zero
+        assert res.basis.dimension == mat.symmetric_dimension
         assert np.count_nonzero(res.y_final == 0) > 0
 
     def test_non_finite_state_raises(self, monkeypatch):
@@ -390,9 +403,9 @@ class TestFourierRoute:
         assert (res.stepping, res.matvecs) == ("taylor_matrix", 32 + 1)
 
     def test_route_follows_the_step_count(self, built):
-        # the demo grid's P (56 650 entries against 38 323 in the operator)
-        # repays its build after about 65 steps
-        ode, form = periodic(T=1.0)
+        # the demo grid's P (56 621 entries against 37 755 in the operator,
+        # every coordinate reached) repays its build after about 105 steps
+        ode, form = periodic(T=1.0, full=True)
         mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
         few = evolve(mat, PropagationConfig(total_time=0.01))
         many = evolve(mat, PropagationConfig(total_time=0.1))
@@ -402,7 +415,8 @@ class TestFourierRoute:
     def test_oversized_taylor_matrix_keeps_the_series(self, monkeypatch, built):
         # with the entry limit between the operator's and P's entry counts,
         # evolve steps the series after counting P, without allocating it
-        ode, form = periodic(d=2, m=8, k=1, T=0.5)
+        # (on full-spectrum data, whose reach is every coordinate)
+        ode, form = periodic(d=2, m=8, k=1, T=0.5, full=True)
         mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
         config = PropagationConfig(total_time=0.5)
         op_nnz = mat.symmetric_nnz()
@@ -411,8 +425,8 @@ class TestFourierRoute:
         build = mat.to_symmetric
         after_build = []
 
-        def measured():
-            op = build()
+        def measured(keys):
+            op = build(keys)
             tracemalloc.reset_peak()
             after_build.append(tracemalloc.get_traced_memory()[0])
             return op
@@ -509,17 +523,18 @@ class TestFoldedRecords:
         np.testing.assert_allclose(stepped.step_norms, series.step_norms, rtol=1e-12)
 
     def test_fold_products_count_in_the_route_cost(self, monkeypatch):
-        # 61 steps recorded every 3 on the demo grid: P, its square and its
-        # cube cost 375 + 2 * 18 + 21 = 432 matvecs of its 56 650 entries,
-        # more than the series' 610 matvecs of the operator's 38 323 (about
-        # 413 of P's); with the products taken as free, P is built and folded
-        mat = fourier_mat(T=0.0185)
-        config = PropagationConfig(total_time=0.0185, record_every=3)
+        # 97 steps recorded every 3 on the demo grid (every coordinate
+        # reached): P, its square and its cube cost 600 + 2 * 18 + 33 = 669
+        # matvecs of its 56 621 entries, more than the series' 970 matvecs of
+        # the operator's 37 755 (about 647 of P's); with the products taken
+        # as free, P is built and folded
+        mat = fourier_mat(T=0.0295, full=True)
+        config = PropagationConfig(total_time=0.0295, record_every=3)
         res = evolve(mat, config)
-        assert (res.n_steps, res.stepping, res.matvecs) == (61, "series", 610)
+        assert (res.n_steps, res.stepping, res.matvecs) == (97, "series", 970)
         monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
         res = evolve(mat, config)
-        assert (res.stepping, res.matvecs) == ("taylor_matrix", 21)
+        assert (res.stepping, res.matvecs) == ("taylor_matrix", 33)
 
     def test_series_counts_k_matvecs_per_step(self, built):
         # 33 steps do not repay the build of the demo grid's P
@@ -563,6 +578,48 @@ class TestMatrixPower:
         # the flush's scratch (measured 3.72 times P's bytes)
         assert peak <= 4 * held
 
+    @pytest.mark.parametrize("grid", [{}, {"d": 2, "m": 8, "k": 1}], ids=["demo", "d2-m8"])
+    def test_flush_in_place_keeps_the_fold_near_three_matrices(self, grid):
+        # the power so far, the square and the product: the flush's scratch is
+        # a few thousand entries, not a float copy of the product (measured
+        # 3.11 times P's bytes on the d = 2, m = 8 grid, 3.72 with the copy)
+        mat = fourier_mat(full=True, **grid)
+        P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
+        held = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+        tracemalloc.start()
+        try:
+            Q = matrix_power(P, 52)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Q.nnz <= P.nnz
+        assert peak <= 3.2 * held
+
+    def test_fold_over_its_limit_refused_before_any_product(self):
+        mat = fourier_mat(m=8, k=1)
+        P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
+        tracemalloc.start()
+        try:
+            assert matrix_power(P, 52, max_entries=3 * P.nnz - 1) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert matrix_power(P, 1, max_entries=0) is P
+        assert matrix_power(P, 52, max_entries=3 * P.nnz).nnz <= P.nnz
+
+    def test_evolve_steps_singly_when_the_fold_is_over_its_limit(self, monkeypatch):
+        mat = fourier_mat()
+        config = PropagationConfig(total_time=1.0)
+        folded = evolve(mat, config)
+        assert (folded.stepping, folded.matvecs) == ("taylor_matrix", 1096)
+        op = mat.to_symmetric(mat.reach())
+        P = taylor_matrix(op, folded.dt, 10)
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 3 * P.nnz - 1)
+        stepped = evolve(mat, config)
+        assert (stepped.stepping, stepped.matvecs) == ("taylor_matrix", stepped.n_steps)
+        assert_close(stepped.block1, folded.block1)
+
 
 @st.composite
 def linear_problems(draw):
@@ -597,7 +654,7 @@ def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
     mat = assemble(rescale(ode, gamma), N)
     config = PropagationConfig(total_time=T, taylor_order=K)
     res = evolve(mat, config)
-    y_final = CarlemanVector(SymmetricBasis(mat.n, mat.N).expand(res.y_final), mat.n, mat.N)
+    y_final = CarlemanVector(res.basis.expand(res.y_final), mat.n, mat.N)
     F1 = ode.F1.toarray() if sp.issparse(ode.F1) else ode.F1
     v = scipy.linalg.expm(T * F1) @ ode.u_in / gamma
     top = res.step_norms.max()
