@@ -526,12 +526,14 @@ class CarlemanMatrix:
         column tuple of row ``v`` make up a reachable multi-index of level
         ``j+M-1``.  Every other coordinate stays exactly zero, so stepping
         the operator on the reach (:meth:`to_symmetric`) gives the same
-        trajectory.  Otherwise every coordinate (:func:`full_levels`).
+        trajectory.  Otherwise, or when every entry of ``u_in`` is nonzero,
+        every coordinate (:func:`full_levels`).
         """
         n, M, N = self.n, self.M, self.N
-        if not self.f1_is_diagonal:
-            return full_levels(n, N)
         support = np.flatnonzero(self.rescaled.u_in_scaled)
+        # a full support makes every level's support the whole level
+        if not self.f1_is_diagonal or support.size == n:
+            return full_levels(n, N)
         own = [math.comb(support.size + j - 1, j) for j in range(1, N + 1)]
         check_size(sum(own), KRON_MAX_SIZE, "symmetric Carleman operator entries")
         _, _, (ptr, digits, _) = self._symmetric_parts
