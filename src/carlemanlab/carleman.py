@@ -222,6 +222,14 @@ def _sorted_blocks(n: int, keys, weigh=None, cap: int = _CHUNK):
         at += len(level)
 
 
+def _settle(found: list, above: int) -> np.ndarray:
+    """The distinct ranks of ``found``, refused when they and the ``above`` rows
+    of higher levels pass ``KRON_MAX_SIZE``: each row stores at least its diagonal entry."""
+    ranks = np.unique(np.concatenate(found))
+    check_size(above + ranks.size, KRON_MAX_SIZE, "symmetric Carleman operator entries")
+    return ranks
+
+
 def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For sorted multi-index rows: where each value first occurs, and its count there."""
     first = np.ones(T.shape, dtype=bool)
@@ -528,6 +536,12 @@ class CarlemanMatrix:
         the operator on the reach (:meth:`to_symmetric`) gives the same
         trajectory.  Otherwise, or when every entry of ``u_in`` is nonzero,
         every coordinate (:func:`full_levels`).
+
+        Each row of the operator stores its diagonal entry, so a reach of
+        more than ``KRON_MAX_SIZE`` coordinates is refused as soon as its
+        found coordinates pass that count.  Candidates are merged into the
+        level's reach whenever they outnumber it, so they never hold more
+        ranks than the reach so far plus one block's.
         """
         n, M, N = self.n, self.M, self.N
         support = np.flatnonzero(self.rescaled.u_in_scaled)
@@ -543,11 +557,13 @@ class CarlemanMatrix:
         columns, owner = columns[order], np.repeat(np.arange(n), np.diff(ptr))[order]
         levels: list = [None] * N
         for j in range(N, 0, -1):
+            above = sum(level.size for level in levels[j:])
             # the lift's support: the sorted multi-indices of the support's positions
             found = [np.empty(0, dtype=np.int64)]
             for s in range(0, own[j - 1], _CHUNK):
                 picked = level_digits(np.arange(s, min(s + _CHUNK, own[j - 1])), support.size, j)
                 found.append(level_ranks(support[picked], n))
+            reached, found, pending = _settle(found, above), [], 0
             if j + M - 1 <= N:
                 coupled = levels[j + M - 2]
                 picks = list(itertools.combinations(range(j + M - 1), M))
@@ -562,11 +578,13 @@ class CarlemanMatrix:
                         at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(src.size)
                         T = np.sort(np.concatenate([rest[src], owner[at, None]], axis=1), axis=1)
                         found.append(np.unique(level_ranks(T, n)))
-            levels[j - 1] = np.unique(np.concatenate(found))
-            check_size(
-                sum(level.size for level in levels[j - 1 :]), KRON_MAX_SIZE,
-                "symmetric Carleman operator entries",
-            )
+                        pending += found[-1].size
+                    # merge once the candidates outnumber the level's reach so
+                    # far: they never hold more than its ranks and one block's
+                    if pending > reached.size:
+                        reached, found, pending = _settle([reached, *found], above), [], 0
+                reached = _settle([reached, *found], above)
+            levels[j - 1] = reached
         return levels
 
     def to_symmetric(self, keys=None) -> sp.csr_matrix:

@@ -27,7 +27,8 @@ ASSEMBLY_MAX_DIM = 200_000
 #: entries per array of this many float64 (80 MB).  It covers
 #: Kronecker-power vectors and the stored entries of the symmetric operator
 #: (``CarlemanMatrix.symmetric_nnz``), counted before it is allocated, so over
-#: it ``evolve`` raises instead of stepping; the one-step Taylor matrix
+#: it ``evolve`` raises instead of stepping, as it does over this many
+#: coordinates in the reach (``CarlemanMatrix.reach``); the one-step Taylor matrix
 #: (``propagator.taylor_matrix``), over which ``evolve`` keeps the K-matvec
 #: series; and the nonlinearity of ``pde.fourier_form`` and its enumeration
 #: of mode products, over which the CLI steps a PDE on its grid.

@@ -35,7 +35,7 @@ from .limits import KRON_MAX_SIZE
 BLOWUP_FACTOR = 1e6
 
 #: pattern entries per row block of :func:`taylor_matrix`'s count and fill
-_PATTERN_PER_BLOCK = 1 << 16
+_PATTERN_PER_BLOCK = 1 << 14
 
 #: entries flushed at once by :func:`_flush`
 _FLUSH_CHUNK = 1 << 12
@@ -43,13 +43,13 @@ _FLUSH_CHUNK = 1 << 12
 #: building one entry of the Taylor matrix takes about as long as a matvec
 #: spends on this many stored entries.  Break-even step counts of the P route
 #: (build time over the time a single step of P saves against a series step)
-#: gave 655 and 668 by the rule of :func:`_stepper` on the full Fourier form
-#: of the demo grid (116-118 steps), 472 and 555 on the d = 2, m = 8 grid
-#: (79-93 steps), and on the reach of the seeded benchmark profiles 208 and
-#: 255 (demo, 83 coordinates) and 617 and 746 (d = 2, m = 8, 943
-#: coordinates); the median is about 600 (2-core Xeon VM, one BLAS thread,
-#: best of 5 builds and 50 steps, two rounds)
-BUILD_COST = 600
+#: gave, by the rule of :func:`_stepper`, 317, 370 and 368 on the full
+#: Fourier form of the demo grid (56-65 steps), 339, 490 and 486 on the
+#: d = 2, m = 8 grid (57-82 steps), and on the reach of the seeded benchmark
+#: profiles 157, 239 and 160 (demo, 83 coordinates) and 343, 240 and 143
+#: (d = 2, m = 8, 943 coordinates); the median is about 330 (2-core Xeon VM,
+#: one BLAS thread, best of 9 builds and 200 steps, three rounds)
+BUILD_COST = 330
 
 #: one sparse product of two matrices with ``P``'s sparsity takes about as long
 #: as this many matvecs of ``P``: 18.2 on the Fourier form of the demo grid
@@ -93,15 +93,17 @@ def taylor_matrix(
     first, as :meth:`CarlemanMatrix.to_symmetric` does when F1 is diagonal.
     ``P`` stores the pattern of ``(I + op)**K``: the pairs joined by at most
     K entries of ``op``.  A first pass counts that pattern, block of rows by
-    block of rows as boolean sparse products (:func:`_block_pattern`), and
-    returns None before anything is allocated when it is over.  A second
-    pass fills each block's rows ``E`` by Horner's rule,
-    ``G <- E + G (dt op) / l`` for ``l = K .. 1`` from ``G = E``, flushing
-    entries below the smallest normal float to zero after each product; the
-    values land on the block's pattern, so ``P`` keeps every path's entry,
-    an exact zero included, and its powers never store more entries.
-    Every product stays within its block's pattern, which holds at most
-    about ``_PATTERN_PER_BLOCK`` entries.
+    block of rows as boolean sparse products (:func:`_block_pattern`),
+    keeping each block's columns, which are ``P``'s ``indices``, and returns
+    None before any value is allocated when it is over.  A second pass fills
+    each block's rows ``E`` by Horner's rule,
+    ``G <- E + (G op) dt / l`` for ``l = K .. 1`` from ``G = E``, flushing
+    entries below the smallest normal float to zero after each product
+    (:func:`_plus_unit` adds ``E``); the values land on the block's pattern,
+    so ``P`` keeps every path's entry, an exact zero included, and its
+    powers never store more entries.  Each block of either pass holds about
+    ``_PATTERN_PER_BLOCK`` entries of the pattern, so every product stays
+    within a few times that many.
     """
     if K < 1:
         raise ValidationError(f"Taylor order must be >= 1, got {K}")
@@ -125,34 +127,37 @@ def taylor_matrix(
         paths = longer
     blocks = ranges(np.minimum(paths, dim), _PATTERN_PER_BLOCK)
     del paths, longer
-    nnz = 0
+    # each block's pattern, its rows of P's ``indices`` and ``indptr``, is kept
+    # from the count, and released as soon as it is copied into P
+    nnz, patterns = 0, []
     for a, b in blocks:
-        nnz += _block_pattern(links, a, b, K).nnz
+        pattern = _block_pattern(links, a, b, K)
+        nnz += pattern.nnz
         # nnz <= KRON_MAX_SIZE < 2**31, so int32 indices and indptr cannot overflow
         if nnz > limit:
             return None
-    step = dt * op
-    data = np.empty(nnz)
+        patterns.append((pattern.indptr, pattern.indices))
     indices = np.empty(nnz, dtype=np.int32)
     indptr = np.zeros(dim + 1, dtype=np.int32)
-    pos = 0
+    patterns.reverse()
     for a, b in blocks:
-        pattern = _block_pattern(links, a, b, K)
-        E = _unit_rows(a, b, dim, float)
-        G = E
+        block_ptr, block_cols = patterns.pop()
+        indices[indptr[a] : indptr[a] + block_cols.size] = block_cols
+        indptr[a + 1 : b + 1] = indptr[a] + block_ptr[1:]
+    del links
+    data = np.zeros(nnz)
+    # the fill's blocks hold about _PATTERN_PER_BLOCK entries of the pattern
+    for a, b in ranges(np.diff(indptr), _PATTERN_PER_BLOCK):
+        G = _unit_rows(a, b, dim, float)
         for ell in range(K, 0, -1):
-            G = G @ step
-            G.data /= ell
+            G = G @ op
+            G.data *= dt / ell
             _flush(G.data)
-            G = E + G
+            G = _plus_unit(G, a)
         G.sort_indices()
-        keys = _row_keys(pattern, dim)
-        stop = pos + keys.size
-        data[pos:stop] = 0.0
-        data[pos + np.searchsorted(keys, _row_keys(G, dim))] = G.data
-        indices[pos:stop] = pattern.indices
-        indptr[a + 1 : b + 1] = pos + pattern.indptr[1:]
-        pos = stop
+        lo, hi = indptr[a], indptr[b]
+        where = _row_keys(indptr[a : b + 1] - lo, indices[lo:hi], dim)
+        data[lo + np.searchsorted(where, _row_keys(G.indptr, G.indices, dim))] = G.data
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
@@ -163,10 +168,24 @@ def _unit_rows(a: int, b: int, dim: int, dtype) -> sp.csr_matrix:
     )
 
 
-def _row_keys(block: sp.csr_matrix, dim: int) -> np.ndarray:
-    """``row * dim + column`` of each stored entry of a canonical block, ascending."""
-    rows = np.repeat(np.arange(block.shape[0], dtype=np.int64), np.diff(block.indptr))
-    return rows * dim + block.indices
+def _plus_unit(G: sp.csr_matrix, a: int) -> sp.csr_matrix:
+    """``G`` plus rows ``a..`` of the identity, in place when every row stores its diagonal entry.
+
+    A row of ``G @ op`` lacks it only where the product sums to zero, as
+    where ``op``'s diagonal entry is zero; then the sum is a sparse one.
+    """
+    rows = np.repeat(np.arange(a, a + G.shape[0], dtype=np.int32), np.diff(G.indptr))
+    diagonal = G.indices == rows
+    if np.count_nonzero(diagonal) < G.shape[0]:
+        return _unit_rows(a, a + G.shape[0], G.shape[1], float) + G
+    G.data[diagonal] += 1.0
+    return G
+
+
+def _row_keys(indptr: np.ndarray, indices: np.ndarray, dim: int) -> np.ndarray:
+    """``row * dim + column`` of each stored entry of a canonical block of rows, ascending."""
+    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    return rows * dim + indices
 
 
 def _block_pattern(links: sp.csr_matrix, a: int, b: int, K: int) -> sp.csr_matrix:
@@ -203,7 +222,7 @@ def _product(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     return c
 
 
-def matrix_power(P: sp.csr_matrix, e: int, max_entries: int = KRON_MAX_SIZE) -> sp.csr_matrix | None:
+def matrix_power(P: sp.csr_matrix, e: int) -> sp.csr_matrix | None:
     """``P**e`` (``e >= 1``) by repeated squaring, flushing subnormal entries after each product.
 
     Takes ``e.bit_length() + e.bit_count() - 2`` sparse products.  For a
@@ -211,11 +230,11 @@ def matrix_power(P: sp.csr_matrix, e: int, max_entries: int = KRON_MAX_SIZE) -> 
     product stores no more entries than ``P``, and besides ``P`` the fold
     holds at most three such matrices at once: the power so far, the current
     square and the product being formed.  None, before any product, when
-    those three could store more than ``max_entries`` entries.
+    those three could store more than ``KRON_MAX_SIZE`` entries.
     """
     if e < 1:
         raise ValidationError(f"matrix power must be >= 1, got {e}")
-    if e > 1 and 3 * P.nnz > max_entries:
+    if e > 1 and 3 * P.nnz > KRON_MAX_SIZE:
         return None
     power, square = None, P
     while True:
@@ -436,7 +455,7 @@ def _stepper(
         cost = BUILD_COST + (products * PRODUCT_COST + applies if fold else n_steps)
         P = taylor_matrix(op, dt, K, max_entries=n_steps * K * op.nnz // cost)
         if P is not None:
-            Q = matrix_power(P, every, KRON_MAX_SIZE) if fold else None
+            Q = matrix_power(P, every) if fold else None
             fold = Q is not None
 
             def advance(y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:

@@ -404,7 +404,7 @@ class TestFourierRoute:
 
     def test_route_follows_the_step_count(self, built):
         # the demo grid's P (56 621 entries against 37 755 in the operator,
-        # every coordinate reached) repays its build after about 105 steps
+        # every coordinate reached) repays its build after about 58 steps
         ode, form = periodic(T=1.0, full=True)
         mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
         few = evolve(mat, PropagationConfig(total_time=0.01))
@@ -447,7 +447,8 @@ class TestFourierRoute:
     def test_memory_peak_stays_near_the_grid_route(self, monkeypatch, built):
         # two steps, with the build taken as free so that P is built
         monkeypatch.setattr(propagator, "BUILD_COST", 0)
-        ode, form = periodic(d=2, m=8, k=1, T=0.25)
+        # full-spectrum data, so the Fourier side builds P on every coordinate
+        ode, form = periodic(d=2, m=8, k=1, T=0.25, full=True)
         gamma = float(np.linalg.norm(ode.u_in))
         peaks = []
         for stepped in (ode, form.ode):
@@ -523,18 +524,18 @@ class TestFoldedRecords:
         np.testing.assert_allclose(stepped.step_norms, series.step_norms, rtol=1e-12)
 
     def test_fold_products_count_in_the_route_cost(self, monkeypatch):
-        # 97 steps recorded every 3 on the demo grid (every coordinate
-        # reached): P, its square and its cube cost 600 + 2 * 18 + 33 = 669
-        # matvecs of its 56 621 entries, more than the series' 970 matvecs of
-        # the operator's 37 755 (about 647 of P's); with the products taken
+        # 55 steps recorded every 3 on the demo grid (every coordinate
+        # reached): P, its square and its cube cost 330 + 2 * 18 + 19 = 385
+        # matvecs of its 56 621 entries, more than the series' 550 matvecs of
+        # the operator's 37 755 (about 367 of P's); with the products taken
         # as free, P is built and folded
-        mat = fourier_mat(T=0.0295, full=True)
-        config = PropagationConfig(total_time=0.0295, record_every=3)
+        mat = fourier_mat(T=0.0166, full=True)
+        config = PropagationConfig(total_time=0.0166, record_every=3)
         res = evolve(mat, config)
-        assert (res.n_steps, res.stepping, res.matvecs) == (97, "series", 970)
+        assert (res.n_steps, res.stepping, res.matvecs) == (55, "series", 550)
         monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
         res = evolve(mat, config)
-        assert (res.stepping, res.matvecs) == ("taylor_matrix", 33)
+        assert (res.stepping, res.matvecs) == ("taylor_matrix", 19)
 
     def test_series_counts_k_matvecs_per_step(self, built):
         # 33 steps do not repay the build of the demo grid's P
@@ -562,51 +563,40 @@ class TestMatrixPower:
             matrix_power(sp.identity(2, format="csr"), 0)
 
     def test_memory_peak_of_the_fold(self):
-        # the d = 2, m = 8 grid at the step of its m = 128 analogue's fold
-        # (every = 52: five squarings and two products)
-        mat = fourier_mat(d=2, m=8, k=1)
-        P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
-        held = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
-        tracemalloc.start()
-        try:
-            Q = matrix_power(P, 52)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert Q.nnz <= P.nnz
-        # past P: the power so far, the square, the product being formed and
-        # the flush's scratch (measured 3.72 times P's bytes)
-        assert peak <= 4 * held
+        # every = 52, the step of the d = 2, m = 128 grid's fold: five
+        # squarings and two products, on the operator of every coordinate of
+        # the demo grid and of the d = 2, m = 8 one
+        for grid in ({}, {"d": 2, "m": 8, "k": 1}):
+            mat = fourier_mat(**grid)
+            P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
+            held = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+            tracemalloc.start()
+            try:
+                Q = matrix_power(P, 52)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert Q.nnz <= P.nnz
+            # past P: the power so far, the square and the product being
+            # formed; the flush's scratch is a few thousand entries, not a
+            # float copy of the product (3.72 times P's bytes with the copy)
+            assert peak <= 3.2 * held
 
-    @pytest.mark.parametrize("grid", [{}, {"d": 2, "m": 8, "k": 1}], ids=["demo", "d2-m8"])
-    def test_flush_in_place_keeps_the_fold_near_three_matrices(self, grid):
-        # the power so far, the square and the product: the flush's scratch is
-        # a few thousand entries, not a float copy of the product (measured
-        # 3.11 times P's bytes on the d = 2, m = 8 grid, 3.72 with the copy)
-        mat = fourier_mat(full=True, **grid)
-        P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
-        held = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
-        tracemalloc.start()
-        try:
-            Q = matrix_power(P, 52)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert Q.nnz <= P.nnz
-        assert peak <= 3.2 * held
-
-    def test_fold_over_its_limit_refused_before_any_product(self):
+    def test_fold_over_its_limit_refused_before_any_product(self, monkeypatch):
         mat = fourier_mat(m=8, k=1)
         P = taylor_matrix(mat.to_symmetric(), 1.0 / mat.spectral_norm_bound(), 10)
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 3 * P.nnz - 1)
         tracemalloc.start()
         try:
-            assert matrix_power(P, 52, max_entries=3 * P.nnz - 1) is None
+            assert matrix_power(P, 52) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1024
-        assert matrix_power(P, 1, max_entries=0) is P
-        assert matrix_power(P, 52, max_entries=3 * P.nnz).nnz <= P.nnz
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 0)
+        assert matrix_power(P, 1) is P
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 3 * P.nnz)
+        assert matrix_power(P, 52).nnz <= P.nnz
 
     def test_evolve_steps_singly_when_the_fold_is_over_its_limit(self, monkeypatch):
         mat = fourier_mat()

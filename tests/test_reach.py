@@ -9,6 +9,7 @@ CLI demo against its truncation bound and step certificate.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from carlemanlab import carleman, cli
 from carlemanlab import nonlinear_ode as node
 from carlemanlab import pde as rd
 from carlemanlab.carleman import SymmetricBasis, assemble, full_levels
+from carlemanlab.errors import SizeLimitError
 from carlemanlab.nonlinear_ode import rescale
 from carlemanlab.propagator import (
     PropagationConfig,
@@ -125,6 +127,34 @@ class TestReach:
             reached[frontier] = True
         assert 0 < reached.sum() < reached.size
         np.testing.assert_array_equal(reach_mask(mat, mat.reach()), reached)
+
+    def test_over_the_limit_refused_without_holding_every_candidate(self, monkeypatch):
+        # diagonal F1, dense FM and one zero entry of u_in: the support's
+        # sorted multi-indices (12 375) fit in the limit and the reach
+        # (13 819) does not, so the refusal comes from the reach itself
+        n, N = 12, 6
+        rng = np.random.default_rng(0)
+        u = rng.uniform(0.5, 1.0, n)
+        u[0] = 0.0
+        ode = node.NonlinearODE(
+            n=n, M=2, F1=np.diag(-1.0 - np.arange(n)), FM=rng.standard_normal((n, n * n)) / n,
+            u_in=u, T=1.0,
+        )
+        mat = assemble(rescale(ode, 1.0), N)
+        assert sum(len(level) for level in mat.reach()) == 13_819
+        limit = 13_000
+        monkeypatch.setattr(carleman, "KRON_MAX_SIZE", limit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                mat.reach()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the reach's ranks, the candidates merged into them and one block's
+        # scratch (0.70 MB measured); holding every candidate of a level
+        # until its end took 7.3 MB
+        assert peak < 12 * 8 * limit
 
     def test_band_limited_support_is_exact(self):
         # the raised cosine holds modes 0 and 1; the rest is the transform's rounding
