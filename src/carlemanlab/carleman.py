@@ -504,9 +504,12 @@ class CarlemanMatrix:
     def symmetric_nnz(self, keys=None) -> int:
         """Bound on the entries :meth:`to_symmetric` stores, counted before it allocates any.
 
-        The sum of :meth:`_row_entries` over the rows of ``keys`` (every
-        sorted multi-index when unset), walked in blocks.  Every row stores
-        its diagonal entry, so a key set with more rows than
+        ``keys`` defaults to every sorted multi-index.  When a level is whole
+        (a ``range`` of ranks, as :func:`full_levels` gives), each row counts
+        :meth:`_row_entries`; on subsets of every level (arrays of ranks, as
+        :meth:`reach` gives), its diagonal entry and its couplings whose
+        columns lie in ``keys`` (:meth:`_couplings`).  Walked in blocks.
+        Every row stores its diagonal entry, so a key set with more rows than
         ``KRON_MAX_SIZE`` is counted by its rows alone.  Exact when no two
         entries of a row meet in one column and none sums to zero.
         """
@@ -514,12 +517,43 @@ class CarlemanMatrix:
         rows = sum(len(level) for level in keys)
         if rows > KRON_MAX_SIZE:
             return rows
+        whole = any(isinstance(level, range) for level in keys)
         total = 0
         for j, level in enumerate(keys, start=1):
             for s in range(0, len(level), _ENTRIES_PER_BLOCK):
                 T = level_digits(_take(level, s, s + _ENTRIES_PER_BLOCK), self.n, j)
-                total += int(self._row_entries(j, T).sum())
+                if whole:
+                    total += int(self._row_entries(j, T).sum())
+                else:
+                    couplings = self._couplings(j, T, keys)
+                    total += T.shape[0] + sum(r.size for _, r, _, _ in couplings)
         return total
+
+    def _couplings(self, j: int, T: np.ndarray, keys: list):
+        """Off-diagonal entries of block ``T``'s rows (level ``j``) whose columns lie in ``keys``.
+
+        ``keys`` holds each level's sorted ranks as an array.  One family at a
+        time, F1's off-diagonal entries and then, when level ``j+M-1``
+        exists, FM's, yields the level of the family's columns and, per
+        entry, its row in ``T``, its column's position in that level's keys
+        and its value.  A row's entries may meet in one column.
+        """
+        _, f1_off, fm = self._symmetric_parts
+        families = [(f1_off, j, 1.0)]
+        if j + self.M - 1 <= self.N:
+            families.append((fm, j + self.M - 1, self.coupling))
+        first, counts = _multiplicities(T)
+        row, slot = np.nonzero(first)
+        value, mult = T[row, slot], counts[row, slot]
+        for (ptr, digits, entries), level, scale in families:
+            per = ptr[value + 1] - ptr[value]
+            src = np.repeat(np.arange(row.size), per)
+            starts = np.repeat(ptr[value] - (np.cumsum(per) - per), per)
+            entry = starts + np.arange(src.size)
+            rest = T[row[src]][np.arange(j) != slot[src, None]].reshape(src.size, j - 1)
+            tuples = np.sort(np.concatenate([rest, digits[entry]], axis=1), axis=1)
+            where, hit = _locate(keys[level - 1], level_ranks(tuples, self.n))
+            yield level, row[src[hit]], where[hit], scale * mult[src[hit]] * entries[entry[hit]]
 
     def reach(self) -> list:
         """Sorted ranks, level by level, of the coordinates the lifted ``u_in`` can reach.
@@ -599,14 +633,14 @@ class CarlemanMatrix:
         row's entries in one column are summed, off-diagonal sums of zero
         are dropped, and every diagonal entry is stored.
         """
-        n, M, N = self.n, self.M, self.N
-        keys = full_levels(n, N) if keys is None else keys
+        n = self.n
+        keys = full_levels(n, self.N) if keys is None else keys
         nnz = self.symmetric_nnz(keys)
         # every row stores its diagonal entry, so rows <= entries <= KRON_MAX_SIZE
         # < 2**31 and the int32 ``indices`` and ``indptr`` below cannot overflow
         check_size(nnz, KRON_MAX_SIZE, "symmetric Carleman operator entries")
         keys = [_take(level, 0, len(level)) for level in keys]
-        diag, f1_off, fm = self._symmetric_parts
+        diag = self._symmetric_parts[0]
         offsets = np.cumsum([0] + [level.size for level in keys]).tolist()
         data = np.empty(nnz)
         indices = np.empty(nnz, dtype=np.int32)
@@ -614,26 +648,13 @@ class CarlemanMatrix:
 
         def write(j: int, at: int, T: np.ndarray, pos: int) -> int:
             """Store the rows of block ``T`` from entry ``pos`` on; returns the next free entry."""
-            families = [(f1_off, j, 1.0)]
-            if j + M - 1 <= N:
-                families.append((fm, j + M - 1, self.coupling))
-            first, counts = _multiplicities(T)
             rows = [np.arange(T.shape[0])]
             cols = [np.arange(at, at + T.shape[0])]
             vals = [diag[T].sum(axis=1)]
-            row, slot = np.nonzero(first)
-            value, mult = T[row, slot], counts[row, slot]
-            for (ptr, digits, entries), level, scale in families:
-                per = ptr[value + 1] - ptr[value]
-                src = np.repeat(np.arange(row.size), per)
-                starts = np.repeat(ptr[value] - (np.cumsum(per) - per), per)
-                entry = starts + np.arange(src.size)
-                rest = T[row[src]][np.arange(j) != slot[src, None]].reshape(src.size, j - 1)
-                tuples = np.sort(np.concatenate([rest, digits[entry]], axis=1), axis=1)
-                where, hit = _locate(keys[level - 1], level_ranks(tuples, n))
-                rows.append(row[src[hit]])
-                cols.append(offsets[level - 1] + where[hit])
-                vals.append(scale * mult[src[hit]] * entries[entry[hit]])
+            for level, r, where, v in self._couplings(j, T, keys):
+                rows.append(r)
+                cols.append(offsets[level - 1] + where)
+                vals.append(v)
             r, c, v = (np.concatenate(parts) for parts in (rows, cols, vals))
             order = np.lexsort((c, r))
             r, c, v = r[order], c[order], v[order]

@@ -6,12 +6,14 @@ series costs K matvecs per step (:func:`taylor_step`).  When F1 is diagonal
 (a periodic problem in its Fourier form, :func:`carlemanlab.pde.fourier_form`)
 the level blocks of the symmetric operator are diagonal and its couplings
 nilpotent, so the same polynomial stays sparse; :func:`evolve` precomputes it
-by Horner's rule on a counted pattern (:func:`taylor_matrix`) when enough
-steps repay the build, and a step is then one matvec.  When every coupling
+by Horner's rule on a counted pattern (:func:`taylor_matrix`) whenever it
+fits the size limit, and a step is then one matvec.  When every coupling
 path already fits in that matrix ``P`` (no path longer than K), its powers
 keep its sparsity, so the steps between two records are folded into one
 precomputed ``P**every`` (:func:`matrix_power`, within a memory limit) and a
-record interval is one matvec.  Only the coordinates the lift can reach
+record interval is one matvec.  The route follows from this structure and
+the size limits alone, with no cost model; the series remains where it is
+the only route.  Only the coordinates the lift can reach
 (:meth:`CarlemanMatrix.reach`) are stepped; :class:`EvolveResult` carries
 their basis, the reach's size and the operator's entries.  Vectors carry
 their true magnitudes end to end; quantum-style normalisation only appears
@@ -40,23 +42,6 @@ _PATTERN_PER_BLOCK = 1 << 14
 #: entries flushed at once by :func:`_flush`
 _FLUSH_CHUNK = 1 << 12
 
-#: building one entry of the Taylor matrix takes about as long as a matvec
-#: spends on this many stored entries.  Break-even step counts of the P route
-#: (build time over the time a single step of P saves against a series step)
-#: gave, by the rule of :func:`_stepper`, 317, 370 and 368 on the full
-#: Fourier form of the demo grid (56-65 steps), 339, 490 and 486 on the
-#: d = 2, m = 8 grid (57-82 steps), and on the reach of the seeded benchmark
-#: profiles 157, 239 and 160 (demo, 83 coordinates) and 343, 240 and 143
-#: (d = 2, m = 8, 943 coordinates); the median is about 330 (2-core Xeon VM,
-#: one BLAS thread, best of 9 builds and 200 steps, three rounds)
-BUILD_COST = 330
-
-#: one sparse product of two matrices with ``P``'s sparsity takes about as long
-#: as this many matvecs of ``P``: 18.2 on the Fourier form of the demo grid
-#: and 18.0 on the d = 2, m = 8 grid (2-core Xeon VM, one BLAS thread, best
-#: of 3 products against best of 20 matvecs)
-PRODUCT_COST = 18
-
 #: the smallest normal float64; the one-matvec step flushes entries below it to zero
 _TINY = np.finfo(float).tiny
 
@@ -81,13 +66,10 @@ def taylor_step(
     return acc
 
 
-def taylor_matrix(
-    op: sp.csr_matrix, dt: float, K: int, max_entries: int = KRON_MAX_SIZE
-) -> sp.csr_matrix | None:
+def taylor_matrix(op: sp.csr_matrix, dt: float, K: int) -> sp.csr_matrix | None:
     """``P = sum_{l<=K} (dt op)^l / l!`` for an upper-triangular ``op``, or None.
 
-    None when ``P`` would store more than ``max_entries`` entries (at most
-    ``KRON_MAX_SIZE``).
+    None when ``P`` would store more than ``KRON_MAX_SIZE`` entries.
 
     ``op`` must keep its columns sorted and store every row's diagonal entry
     first, as :meth:`CarlemanMatrix.to_symmetric` does when F1 is diagonal.
@@ -115,7 +97,6 @@ def taylor_matrix(
         or not np.array_equal(cols[ptr[:-1]], np.arange(dim))
     ):
         raise ValidationError("the Taylor matrix needs each row's diagonal stored first")
-    limit = min(max_entries, KRON_MAX_SIZE)
     links = sp.csr_matrix((np.ones(op.nnz, dtype=bool), cols, ptr), shape=op.shape)
     # a row's pattern holds at most its paths of at most K off-diagonal entries
     # (float32 is plenty) and at most dim columns, which sizes the blocks
@@ -134,7 +115,7 @@ def taylor_matrix(
         pattern = _block_pattern(links, a, b, K)
         nnz += pattern.nnz
         # nnz <= KRON_MAX_SIZE < 2**31, so int32 indices and indptr cannot overflow
-        if nnz > limit:
+        if nnz > KRON_MAX_SIZE:
             return None
         patterns.append((pattern.indptr, pattern.indices))
     indices = np.empty(nnz, dtype=np.int32)
@@ -349,21 +330,22 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     would store more than ``KRON_MAX_SIZE`` entries is rejected before the
     operator, the basis or the state is allocated.
 
-    When F1 is diagonal (:attr:`CarlemanMatrix.f1_is_diagonal`) and the
-    matvecs saved repay the build (:func:`_stepper`), the steps use the
-    precomputed series ``P`` of :func:`taylor_matrix`, whose entries are
-    counted before it is allocated.  When ``P`` holds every coupling path
-    (``(N-1) // (M-1) <= K``) and records are more than one step apart, each
-    full record interval is one matvec with ``P**every``
-    (:func:`matrix_power`) and a final short interval takes single steps of
-    ``P``; otherwise each step is one matvec with ``P``.  Entries that fall
-    below the smallest normal float are flushed to zero from the matrices
-    and after each matvec (stiff modes decay through the subnormal range,
-    where arithmetic is slow).  Otherwise, or when ``P`` would store more
-    than ``KRON_MAX_SIZE`` entries, a step takes the series' K matvecs.
-    Every state the run computes is checked: a non-finite one raises
-    :class:`NumericFailure`, as does a norm beyond ``BLOWUP_FACTOR`` times
-    the initial one.
+    The route follows from the operator's structure and the size limits.
+    When F1 is diagonal (:attr:`CarlemanMatrix.f1_is_diagonal`) and there is
+    a step to take, the steps use the precomputed series ``P`` of
+    :func:`taylor_matrix`, whose entries are counted before it is allocated,
+    unless it would store more than ``KRON_MAX_SIZE`` entries.  When ``P``
+    holds every coupling path (``(N-1) // (M-1) <= K``) and records are more
+    than one step apart and at most ``n_steps``, each full record interval
+    is one matvec with ``P**every`` (:func:`matrix_power`, unless its memory
+    gate refuses) and a final short interval takes single steps of ``P``;
+    otherwise each step is one matvec with ``P``.  Entries that fall below
+    the smallest normal float are flushed to zero from the matrices and
+    after each matvec (stiff modes decay through the subnormal range, where
+    arithmetic is slow).  Without ``P``, a step takes the series' K matvecs
+    of the operator.  Every state the run computes is checked: a non-finite
+    one raises :class:`NumericFailure`, as does a norm beyond
+    ``BLOWUP_FACTOR`` times the initial one.
     """
     bound = mat.gershgorin_max_eig_bound()
     if config.strict_stability and bound > 0:
@@ -373,11 +355,15 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         )
     dt, n_steps = config.resolve_steps(mat.spectral_norm_bound())
     every = int(config.record_every or max(1, n_steps // 1000))
+    K = config.taylor_order
 
     keys = mat.reach()
-    stepping, stride, advance, entries = _stepper(
-        mat, keys, dt, config.taylor_order, n_steps, every
-    )
+    op = mat.to_symmetric(keys)
+    P = taylor_matrix(op, dt, K) if mat.f1_is_diagonal and n_steps > 0 else None
+    Q = None
+    if P is not None and 1 < every <= n_steps and (mat.N - 1) // (mat.M - 1) <= K:
+        Q = matrix_power(P, every)
+    stride = every if Q is not None else 1
     basis = SymmetricBasis(mat.n, mat.N, keys)
     y = basis.lift(mat.rescaled.u_in_scaled)
     norm0 = basis.norm(y)
@@ -390,9 +376,17 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     step = matvecs = 0
     while step < n_steps:
         take = min(stride, n_steps - step)
-        y, used = advance(y, take)
+        if P is None:
+            y = taylor_step(lambda v: op @ v, y, dt, K)
+            matvecs += K
+        elif take == every and Q is not None:
+            y = _flush(Q @ y)
+            matvecs += 1
+        else:
+            for _ in range(take):
+                y = _flush(P @ y)
+            matvecs += take
         step += take
-        matvecs += used
         norm = basis.norm(y)
         if not math.isfinite(norm):
             raise NumericFailure(f"non-finite state at step {step}")
@@ -418,59 +412,11 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         dt=dt,
         n_steps=n_steps,
         stability_bound=bound,
-        stepping=stepping,
+        stepping="series" if P is None else "taylor_matrix",
         matvecs=matvecs,
         basis=basis,
-        operator_entries=entries,
+        operator_entries=op.nnz,
     )
-
-
-def _stepper(
-    mat: CarlemanMatrix, keys: list, dt: float, K: int, n_steps: int, every: int
-) -> tuple[str, int, Callable[[np.ndarray, int], tuple[np.ndarray, int]], int]:
-    """The route's name, its stride in steps, ``advance(y, steps) -> (y, matvecs)``
-    and the operator's entries, on the coordinates ``keys``.
-
-    The series takes ``n_steps * K`` matvecs of the operator's ``nnz(op)``
-    entries.  With F1 diagonal, :func:`taylor_matrix` is built when its route
-    costs less: the build (``BUILD_COST`` matvecs of ``P``), the products of
-    the fold (``PRODUCT_COST`` each) and the matvecs it takes, which are the
-    records plus the final short interval's steps when the steps between
-    records are folded, and ``n_steps`` otherwise.  So ``P`` is capped at
-    ``n_steps K nnz(op)`` over that count of matvecs.  The fold needs ``P``'s
-    pattern closed under products, which holds when no coupling path is
-    longer than K, and is taken when its products cost less than the matvecs
-    it saves and :func:`matrix_power`'s memory gate lets it; otherwise each
-    step is one matvec of ``P``.
-    """
-    op = mat.to_symmetric(keys)
-    if mat.f1_is_diagonal:
-        products = every.bit_length() + every.bit_count() - 2
-        applies = n_steps // every + n_steps % every
-        fold = (
-            every > 1
-            and (mat.N - 1) // (mat.M - 1) <= K
-            and products * PRODUCT_COST + applies < n_steps
-        )
-        cost = BUILD_COST + (products * PRODUCT_COST + applies if fold else n_steps)
-        P = taylor_matrix(op, dt, K, max_entries=n_steps * K * op.nnz // cost)
-        if P is not None:
-            Q = matrix_power(P, every) if fold else None
-            fold = Q is not None
-
-            def advance(y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-                if fold and steps == every:
-                    return _flush(Q @ y), 1
-                for _ in range(steps):
-                    y = _flush(P @ y)
-                return y, steps
-
-            return "taylor_matrix", every if fold else 1, advance, op.nnz
-
-    def series(y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-        return taylor_step(lambda v: op @ v, y, dt, K), K
-
-    return "series", 1, series, op.nnz
 
 
 def success_probability(u_norm: float, gamma: float, N: int) -> float:

@@ -293,19 +293,21 @@ class TestTaylorMatrix:
         with pytest.raises(ValidationError, match="diagonal stored first"):
             taylor_matrix(op, 0.1, 4)
 
-    def test_over_the_entry_cap_none_before_allocation(self):
+    def test_over_the_entry_cap_none_before_allocation(self, monkeypatch):
         ode, form = periodic(d=2, m=8, k=1)
         op = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3).to_symmetric()
         nnz = taylor_matrix(op, 0.01, 10).nnz
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", nnz - 1)
         tracemalloc.start()
         try:
-            assert taylor_matrix(op, 0.01, 10, max_entries=nnz - 1) is None
+            assert taylor_matrix(op, 0.01, 10) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the count alone: less than half of P's 12 bytes per entry
         assert peak < 6 * nnz
-        assert taylor_matrix(op, 0.01, 10, max_entries=nnz).nnz == nnz
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", nnz)
+        assert taylor_matrix(op, 0.01, 10).nnz == nnz
 
 
 @pytest.fixture
@@ -328,10 +330,7 @@ class TestFourierRoute:
         [(1, 32, 2, 2, 3, 0.1), (2, 8, 1, 2, 3, 0.25), (1, 9, 2, 3, 4, 0.3)],
         ids=["demo-grid", "d2-m8", "odd-m-M3"],
     )
-    def test_agrees_with_the_grid_series(self, monkeypatch, built, d, m, k, M, N, T):
-        # with the build taken as free, so that the 79 steps of the d = 2 grid
-        # take P on its few reached coordinates as the others do
-        monkeypatch.setattr(propagator, "BUILD_COST", 0)
+    def test_agrees_with_the_grid_series(self, built, d, m, k, M, N, T):
         ode, form = periodic(d=d, m=m, k=k, M=M, T=T)
         gamma = float(np.linalg.norm(ode.u_in))
         config = PropagationConfig(total_time=T, taylor_order=10)
@@ -363,12 +362,10 @@ class TestFourierRoute:
         assert res.basis.dimension == mat.symmetric_dimension
         assert np.count_nonzero(res.y_final == 0) > 0
 
-    def test_non_finite_state_raises(self, monkeypatch):
-        # a diagonal F1 stepped far past the series' reach overflows; with the
-        # build and the fold taken as free, four steps recorded every two are
-        # two matvecs of P**2, and the first record is the first state checked
-        monkeypatch.setattr(propagator, "BUILD_COST", 0)
-        monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
+    def test_non_finite_state_raises(self):
+        # a diagonal F1 stepped far past the series' reach overflows; four
+        # steps recorded every two are two matvecs of P**2, and the first
+        # record is the first state checked
         config = PropagationConfig(
             total_time=1.0, n_steps=4, record_every=2, strict_stability=False
         )
@@ -402,15 +399,34 @@ class TestFourierRoute:
         assert res.n_steps == 161
         assert (res.stepping, res.matvecs) == ("taylor_matrix", 32 + 1)
 
-    def test_route_follows_the_step_count(self, built):
-        # the demo grid's P (56 621 entries against 37 755 in the operator,
-        # every coordinate reached) repays its build after about 58 steps
-        ode, form = periodic(T=1.0, full=True)
-        mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
-        few = evolve(mat, PropagationConfig(total_time=0.01))
-        many = evolve(mat, PropagationConfig(total_time=0.1))
-        assert (few.n_steps, many.n_steps) == (33, 329)
-        assert built == [False, True]
+    @pytest.mark.parametrize("full", [False, True], ids=["raised-cosine", "full-spectrum"])
+    def test_short_diagonal_run_takes_the_taylor_matrix(self, built, full):
+        # 33 steps: F1 is diagonal and P fits the limit, so P is built
+        # however few steps it serves
+        res = evolve(fourier_mat(T=0.01, full=full), PropagationConfig(total_time=0.01))
+        assert built == [True]
+        assert (res.n_steps, res.stepping, res.matvecs) == (33, "taylor_matrix", 33)
+
+    def test_no_step_builds_nothing(self, built):
+        res = evolve(fourier_mat(), PropagationConfig(total_time=0.0))
+        assert built == []
+        assert (res.n_steps, res.stepping, res.matvecs) == (0, "series", 0)
+        np.testing.assert_array_equal(res.times, [0.0])
+
+    def test_records_past_the_run_never_fold(self, monkeypatch):
+        # a fold needs a full record interval within the run's 33 steps
+        powers = []
+
+        def recorded(P, e):
+            powers.append(e)
+            return matrix_power(P, e)
+
+        monkeypatch.setattr(propagator, "matrix_power", recorded)
+        mat = fourier_mat(T=0.01)
+        res = evolve(mat, PropagationConfig(total_time=0.01, record_every=34))
+        assert powers == [] and (res.stepping, res.matvecs) == ("taylor_matrix", 33)
+        res = evolve(mat, PropagationConfig(total_time=0.01, record_every=33))
+        assert powers == [33] and (res.stepping, res.matvecs) == ("taylor_matrix", 1)
 
     def test_oversized_taylor_matrix_keeps_the_series(self, monkeypatch, built):
         # with the entry limit between the operator's and P's entry counts,
@@ -441,13 +457,12 @@ class TestFourierRoute:
         assert built == [False]
         # past the operator: the count, the state and the records, well under P
         assert peak - after_build[0] < 6 * P_nnz
-        monkeypatch.setattr(propagator, "BUILD_COST", 10**12)
+        # refused at its first block of rows, P leaves the same series
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 0)
         np.testing.assert_array_equal(res.y_final, evolve(mat, config).y_final)
 
-    def test_memory_peak_stays_near_the_grid_route(self, monkeypatch, built):
-        # two steps, with the build taken as free so that P is built
-        monkeypatch.setattr(propagator, "BUILD_COST", 0)
-        # full-spectrum data, so the Fourier side builds P on every coordinate
+    def test_memory_peak_stays_near_the_grid_route(self, built):
+        # two steps; full-spectrum data, so the Fourier side builds P on every coordinate
         ode, form = periodic(d=2, m=8, k=1, T=0.25, full=True)
         gamma = float(np.linalg.norm(ode.u_in))
         peaks = []
@@ -485,7 +500,7 @@ class TestFoldedRecords:
         mat = fourier_mat(**grid)
         config = PropagationConfig(total_time=grid.get("T", 1.0), record_every=record_every)
         folded = evolve(mat, config)
-        monkeypatch.setattr(propagator, "PRODUCT_COST", 10**9)  # the fold never pays
+        monkeypatch.setattr(propagator, "matrix_power", lambda P, e: None)  # the fold is refused
         stepped = evolve(mat, config)
         n = folded.n_steps
         assert n % every == remainder
@@ -510,35 +525,17 @@ class TestFoldedRecords:
         dt, n = config.resolve_steps(mat.spectral_norm_bound())
         P = taylor_matrix(mat.to_symmetric(), dt, 1)
         assert matrix_power(P, 2).nnz > P.nnz
-        # at K = 1 the build never pays, and with free products only the
-        # pattern keeps the steps apart
-        monkeypatch.setattr(propagator, "BUILD_COST", 0)
-        monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
         stepped = evolve(mat, config)
         assert n % 5 and (stepped.stepping, stepped.matvecs) == ("taylor_matrix", n)
-        monkeypatch.setattr(propagator, "BUILD_COST", 10**12)
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 0)  # no room for P
         series = evolve(mat, config)
         assert (series.stepping, series.matvecs) == ("series", n)
         assert_close(stepped.block1, series.block1)
         assert_close(stepped.y_final, series.y_final)
         np.testing.assert_allclose(stepped.step_norms, series.step_norms, rtol=1e-12)
 
-    def test_fold_products_count_in_the_route_cost(self, monkeypatch):
-        # 55 steps recorded every 3 on the demo grid (every coordinate
-        # reached): P, its square and its cube cost 330 + 2 * 18 + 19 = 385
-        # matvecs of its 56 621 entries, more than the series' 550 matvecs of
-        # the operator's 37 755 (about 367 of P's); with the products taken
-        # as free, P is built and folded
-        mat = fourier_mat(T=0.0166, full=True)
-        config = PropagationConfig(total_time=0.0166, record_every=3)
-        res = evolve(mat, config)
-        assert (res.n_steps, res.stepping, res.matvecs) == (55, "series", 550)
-        monkeypatch.setattr(propagator, "PRODUCT_COST", 0)
-        res = evolve(mat, config)
-        assert (res.stepping, res.matvecs) == ("taylor_matrix", 19)
-
-    def test_series_counts_k_matvecs_per_step(self, built):
-        # 33 steps do not repay the build of the demo grid's P
+    def test_series_counts_k_matvecs_per_step(self, monkeypatch, built):
+        monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 0)  # no room for P
         res = evolve(fourier_mat(T=0.01), PropagationConfig(total_time=0.01, record_every=4))
         assert built == [False]
         assert (res.stepping, res.matvecs, len(res.step_norms)) == ("series", 330, 34)

@@ -178,6 +178,16 @@ class TestCanonicalOperator:
         assert np.all((op.data != 0) | diagonal)
         assert op.nnz <= mat.symmetric_nnz(mat.reach() if coordinates == "fourier-reach" else None)
 
+    def test_reach_count_skips_couplings_out_of_the_reach(self, monkeypatch):
+        # N = 13: the reach's rows couple into 111 894 coordinates in all, of
+        # which 8 113 entries are stored; a count of every coupling refused
+        # this operator under a limit it fits
+        mat = fourier_mat(13)
+        keys = mat.reach()
+        monkeypatch.setattr(carleman, "KRON_MAX_SIZE", 50_000)
+        op = mat.to_symmetric(keys)
+        assert op.nnz == 8_113 <= mat.symmetric_nnz(keys) <= 50_000
+
     def test_summing_duplicates_changes_no_value(self):
         # the demo's Fourier form stored 38 323 entries with 539 duplicates,
         # whose sums left 29 exact zeros: 37 755 remain
@@ -221,6 +231,8 @@ def test_demo_at_the_papers_order_runs_through_the_cli(tmp_path):
     assert cli.main(["--config", str(config_path), "--out", str(tmp_path)]) == 0
     res = json.loads((tmp_path / "demo_n13_evolve.json").read_text())["results"]
     assert (res["coordinates"], res["N"], res["reach"]) == ("fourier", 13, 1262)
+    # F1 is diagonal and P fits, so each of the 14 243 steps is one matvec of P
+    assert (res["stepping"], res["matvecs"]) == ("taylor_matrix", 14_243)
     assert res["reach"] < res["symmetric_dimension"] == carleman.symmetric_offsets(32, 13)[-1]
     assert 0 < res["dropped_mass"] < 1e-14
     # criterion 13's rule in grid units: the level-1 bound plus the step certificate
