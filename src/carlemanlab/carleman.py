@@ -18,10 +18,11 @@ steps, from :meth:`SymmetricBasis.lift` on the same keys.
 
 On the flat layout (:class:`CarlemanVector`, :meth:`SymmetricBasis.expand`)
 the operator has two independent forms, each the other's oracle:
-:meth:`CarlemanMatrix.apply` contracts sparse F1 or FM with one tensor
-factor at a time and never materialises a block, and
-:meth:`CarlemanMatrix.to_sparse` assembles the full operator for small
-instances.
+:meth:`CarlemanMatrix.apply` applies each block's Kronecker sum with
+:func:`~carlemanlab.nonlinear_ode.kron_sum_apply`, one sparse contraction of
+F1 or FM per tensor factor, and never materialises a block, and
+:meth:`CarlemanMatrix.to_sparse` assembles the full operator from
+:func:`~carlemanlab.nonlinear_ode.kron_sum` for small instances.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .limits import (
     check_size,
 )
 from .nonlinear_ode import (
-    NonlinearODE, RescaledODE, base_digits, digit_products, kron_power, rescale,
+    NonlinearODE, RescaledODE, base_digits, digit_products, kron_power, kron_sum,
+    kron_sum_apply, rescale,
 )
 
 #: multi-indices per block of the level walks of :class:`SymmetricBasis`
@@ -378,26 +380,15 @@ class CarlemanMatrix:
 
     # -- matrix-free action, the assemblies' oracle -------------------------
 
-    def _apply_axis(self, op: sp.csr_matrix, y: np.ndarray, j: int, i: int) -> np.ndarray:
-        """Contract F1 or FM (``op``) with the factors of ``y`` from ``i`` (1-based) on.
-
-        The result is a level-``j`` vector: F1 replaces factor ``i``, FM the
-        ``M`` factors ``i..i+M-1``.
-        """
-        n, width = self.n, op.shape[1]
-        a, b = n ** (i - 1), n ** (j - i)
-        flat = y.reshape(a, width, b).transpose(1, 0, 2).reshape(width, a * b)
-        out = (op @ flat).reshape(n, a, b)
-        return out.transpose(1, 0, 2).reshape(-1)
-
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Action on a stacked vector laid out as in :class:`CarlemanVector`.
 
-        One sparse contraction per tensor factor, independent of
-        :meth:`to_sparse` and :meth:`to_symmetric`; no production path calls it.
+        One sparse contraction per tensor factor (:func:`kron_sum_apply`),
+        independent of :meth:`to_sparse` and :meth:`to_symmetric`; no
+        production path calls it.
         """
-        N, M = self.N, self.M
-        offsets = _addressable(self.n, N)
+        n, N, M = self.n, self.N, self.M
+        offsets = _addressable(n, N)
         if y.shape != (offsets[-1],):
             raise ValidationError(
                 f"vector of shape {y.shape} does not match dimension {offsets[-1]}"
@@ -405,46 +396,22 @@ class CarlemanMatrix:
         out = np.zeros(offsets[-1])
         for j in range(1, N + 1):
             acc = out[offsets[j - 1] : offsets[j]]
-            for i in range(1, j + 1):
-                acc += self._apply_axis(self._f1_sparse, y[offsets[j - 1] : offsets[j]], j, i)
+            acc += kron_sum_apply(self._f1_sparse, y[offsets[j - 1] : offsets[j]], n, j)
             if j + M - 1 <= N:
                 src = y[offsets[j + M - 2] : offsets[j + M - 1]]
-                fm_acc = np.zeros(self.n**j)
-                for i in range(1, j + 1):
-                    fm_acc += self._apply_axis(self.rescaled.base.FM, src, j, i)
-                acc += self.coupling * fm_acc
+                acc += self.coupling * kron_sum_apply(self.rescaled.base.FM, src, n, j)
         return out
 
     # -- explicit assembly (small instances) ---------------------------------
 
-    def _diag_block(self, j: int) -> sp.csr_matrix:
-        n = self.n
-        total = sp.csr_matrix((n**j, n**j))
-        for i in range(1, j + 1):
-            left = sp.identity(n ** (i - 1), format="csr")
-            right = sp.identity(n ** (j - i), format="csr")
-            total = total + sp.kron(sp.kron(left, self._f1_sparse), right, format="csr")
-        return total
-
-    def _off_block(self, j: int) -> sp.csr_matrix:
-        """Block coupling level ``j+M-1`` into level ``j`` (rescaling included)."""
-        n, M = self.n, self.M
-        fm = self.rescaled.base.FM
-        total = sp.csr_matrix((n**j, n ** (j + M - 1)))
-        for i in range(1, j + 1):
-            left = sp.identity(n ** (i - 1), format="csr")
-            right = sp.identity(n ** (j - i), format="csr")
-            total = total + sp.kron(sp.kron(left, fm), right, format="csr")
-        return self.coupling * total
-
     def to_sparse(self) -> sp.csr_matrix:
-        check_size(_addressable(self.n, self.N)[-1], ASSEMBLY_MAX_DIM, "sparse Carleman assembly")
-        N, M = self.N, self.M
+        n, N, M = self.n, self.N, self.M
+        check_size(_addressable(n, N)[-1], ASSEMBLY_MAX_DIM, "sparse Carleman assembly")
         grid: list[list[object]] = [[None] * N for _ in range(N)]
         for j in range(1, N + 1):
-            grid[j - 1][j - 1] = self._diag_block(j)
+            grid[j - 1][j - 1] = kron_sum(self._f1_sparse, n, j)
             if j + M - 1 <= N:
-                grid[j - 1][j + M - 2] = self._off_block(j)
+                grid[j - 1][j + M - 2] = self.coupling * kron_sum(self.rescaled.base.FM, n, j)
         out = sp.bmat(grid, format="csr")
         out.sum_duplicates()
         out.eliminate_zeros()

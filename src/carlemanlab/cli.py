@@ -170,7 +170,7 @@ def ode_from_config(section: dict) -> node.NonlinearODE:
     :func:`~carlemanlab.pde.discretize` holds it.
     """
     _require(section, ["n", "M", "F1", "FM", "u_in", "T"], "ode")
-    n, M = int(section["n"]), int(section["M"])
+    n, M = (whole_number(section, key, "ode", required=True) for key in ("n", "M"))
     if isinstance(section["F1"], dict):
         F1 = _matrix_from_entries(section["F1"], (n, n))
         if n <= DENSE_F1_MAX_N:
@@ -179,7 +179,8 @@ def ode_from_config(section: dict) -> node.NonlinearODE:
         F1 = np.asarray(section["F1"], dtype=float)
     return node.NonlinearODE(
         n=n, M=M, F1=F1, FM=_matrix_from_entries(section["FM"], (n, n**M)),
-        u_in=np.asarray(section["u_in"], dtype=float), T=float(section["T"]),
+        u_in=np.asarray(section["u_in"], dtype=float),
+        T=real_number(section, "T", "ode", required=True),
     )
 
 
@@ -212,30 +213,31 @@ def pde_from_config(section: dict) -> rd.ReactionDiffusionProblem:
             raise ValidationError(
                 f"unknown initial profile {name!r}; known: {sorted(_PROFILES)}"
             )
-        amp = float(init_spec.get("amplitude", 1.0))
+        amp = real_number({"amplitude": 1.0, **init_spec}, "amplitude", "pde", required=True)
         profile = _PROFILES[name]
         initial = lambda x, _p=profile, _a=amp: _p(x, _a)  # noqa: E731
     else:
         raise ValidationError("pde initial condition needs 'profile' or 'values'")
-    return rd.ReactionDiffusionProblem(
-        diffusion=float(section["diffusion"]),
-        c=float(section["c"]),
-        b=float(section["b"]),
-        M=int(section["M"]),
-        d=int(section["d"]),
-        m=int(section["m"]),
-        k=int(section["k"]),
-        initial=initial,
-        T=float(section["T"]),
-    )
+    reals = {key: real_number(section, key, "pde", required=True)
+             for key in ("diffusion", "c", "b", "T")}
+    wholes = {key: whole_number(section, key, "pde", required=True) for key in ("M", "d", "m", "k")}
+    return rd.ReactionDiffusionProblem(**reals, **wholes, initial=initial)
 
 
 def numerics_from_config(config: dict) -> dict:
+    """The numerics knobs over their defaults, each number read as a whole or real number.
+
+    A knob with a default needs a value; ``null`` unsets the others.
+    """
     out = dict(NUMERIC_DEFAULTS)
     out.update(config.get("numerics", {}))
     unknown = set(out) - set(NUMERIC_DEFAULTS)
     if unknown:
         raise ValidationError(f"unknown numerics keys: {sorted(unknown)}")
+    for key, default in NUMERIC_DEFAULTS.items():
+        if key != "gamma_mode":
+            read = whole_number if key in ("N", "K", "n_steps", "record_every") else real_number
+            out[key] = read(out, key, required=default is not None)
     return out
 
 
@@ -257,31 +259,46 @@ def resolve_gamma(numerics: dict, ode: node.NonlinearODE) -> float:
     if mode == "explicit":
         if numerics["gamma"] is None:
             raise ValidationError("gamma_mode 'explicit' needs a 'gamma' value")
-        return float(numerics["gamma"])
+        return numerics["gamma"]
     raise ValidationError(f"unknown gamma_mode {mode!r}")
 
 
-def whole_number(numerics: dict, key: str) -> int | None:
-    """The integer value of a numerics knob, or ``None`` when unset.
+def real_number(
+    section: dict, key: str, where: str = "numerics", required: bool = False
+) -> float | None:
+    """The float value of ``section[key]``, or ``None`` when it is ``null`` and not ``required``.
 
-    A value with a fractional part (or not a number at all) is refused, so a
-    knob is never silently truncated; integral floats such as ``10.0`` pass.
+    Anything but a finite JSON number (a string, a boolean, a list, ``null``
+    where a value is required) is refused, so text is never parsed as a number.
     """
-    value = numerics[key]
-    if value is None:
+    value = section[key]
+    if value is None and not required:
         return None
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and float(value).is_integer()):
-        raise ValidationError(f"numerics {key!r} must be a whole number, got {value!r}")
-    return int(value)
+    if not (number and math.isfinite(value)):
+        raise ValidationError(f"{where} {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def whole_number(
+    section: dict, key: str, where: str = "numerics", required: bool = False
+) -> int | None:
+    """Like :func:`real_number`, the integer value of ``section[key]``.
+
+    A value with a fractional part is refused, so a number is never silently
+    truncated; integral floats such as ``10.0`` pass.
+    """
+    number = real_number(section, key, where, required)
+    if number is not None and not number.is_integer():
+        raise ValidationError(f"{where} {key!r} must be a whole number, got {section[key]!r}")
+    return None if number is None else int(section[key])
 
 
 def resolve_order(numerics: dict, ode: node.NonlinearODE) -> int:
-    N = whole_number(numerics, "N")
-    if N is not None:
-        return N
+    if numerics["N"] is not None:
+        return numerics["N"]
     R = node.r_ratio(ode)
-    return bd.required_carleman_order(R, ode.M, float(numerics["epsilon"]))
+    return bd.required_carleman_order(R, ode.M, numerics["epsilon"])
 
 
 def validate_config(config: dict) -> None:
@@ -361,16 +378,14 @@ def _run_pipeline(ctx: RunContext) -> dict:
     numerics = numerics_from_config(ctx.config)
     gamma = resolve_gamma(numerics, ode)
     N = resolve_order(numerics, ode)
-    K = whole_number(numerics, "K")
-    if K is None:
-        raise ValidationError("numerics 'K' must be a whole number, got None")
+    K = numerics["K"]
     config = prop.PropagationConfig(
         total_time=ode.T,
         taylor_order=K,
         dt=numerics["dt"],
-        n_steps=whole_number(numerics, "n_steps"),
+        n_steps=numerics["n_steps"],
         strict_stability=ctx.strict_stability,
-        record_every=whole_number(numerics, "record_every"),
+        record_every=numerics["record_every"],
     )
     fourier, result = None, None
     if problem is not None:
@@ -386,7 +401,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
         result = prop.evolve(mat, config)
     block1 = result.block1 if fourier is None else fourier.to_grid(result.block1)
     reference = node.reference_solve(
-        ode, T=ode.T, tol=float(numerics["reference_tol"]), t_eval=result.times
+        ode, T=ode.T, tol=numerics["reference_tol"], t_eval=result.times
     )
     u_hat = gamma * block1
     err = np.linalg.norm(u_hat - reference.u, axis=1)
@@ -442,7 +457,7 @@ def _cmd_bounds(ctx: RunContext) -> None:
     numerics = numerics_from_config(ctx.config)
     gamma = resolve_gamma(numerics, ode)
     report = bd.make_bound_report(
-        ode, gamma=gamma, N=whole_number(numerics, "N"), eps=float(numerics["epsilon"]),
+        ode, gamma=gamma, N=numerics["N"], eps=numerics["epsilon"],
     )
     write_json(ctx.path("bounds.json"), {"results": report.as_dict()}, ctx.digest, ctx.config)
     rows = []
@@ -471,7 +486,7 @@ def _cmd_pde(ctx: RunContext) -> None:
     payload["results"]["derivative_bound_estimate"] = inputs.derivative_bound
     try:
         payload["results"]["required_grid_points"] = rd.required_grid_points(
-            problem, inputs, float(numerics_from_config(ctx.config)["epsilon"])
+            problem, inputs, numerics_from_config(ctx.config)["epsilon"]
         )
     except ValidationError as exc:
         payload["results"]["required_grid_points"] = None
@@ -494,10 +509,11 @@ def _cmd_pde(ctx: RunContext) -> None:
 
 def _cmd_cost(ctx: RunContext) -> None:
     numerics = numerics_from_config(ctx.config)
-    eps = float(numerics["epsilon"])
+    eps = numerics["epsilon"]
     if "pde" in ctx.config:
         problem = pde_from_config(ctx.config["pde"])
-        estimate = ct.pde_cost_estimate(problem, problem.T, eps)
+        T = problem.T
+        estimate = ct.pde_cost_estimate(problem, T, eps)
         fm_norm = abs(problem.b)
         lam_f1 = ct.pde_lambda_f1(problem)
         extra = {
@@ -506,6 +522,7 @@ def _cmd_cost(ctx: RunContext) -> None:
         }
     else:
         ode = ode_from_config(ctx.config["ode"])
+        T = ode.T
         gamma = resolve_gamma(numerics, ode)
         lam_f1 = numerics["lambda_f1"]
         lam_fm = numerics["lambda_fm"]
@@ -514,7 +531,7 @@ def _cmd_cost(ctx: RunContext) -> None:
         if lam_fm is None:
             lam_fm = ode.fm_norm
         estimate = ct.ode_cost_estimate(
-            ode, gamma, ode.T, eps, float(lam_f1), float(lam_fm)
+            ode, gamma, T, eps, float(lam_f1), float(lam_fm)
         )
         fm_norm = ode.fm_norm
         extra = {"diffusion": 1.0, "d": 1, "n": ode.n, "sparsity": 3,
@@ -522,7 +539,7 @@ def _cmd_cost(ctx: RunContext) -> None:
     comparison = ct.prior_work_comparison(
         u_in_norm=estimate.u_in_norm,
         u_T_norm=estimate.u_T_norm,
-        T=float(ctx.config.get("pde", ctx.config.get("ode"))["T"]),
+        T=T,
         eps=eps,
         N=estimate.N,
         lam_f1=float(lam_f1),

@@ -3,6 +3,8 @@
 The nonlinearity matrix ``FM`` maps the M-fold Kronecker power of the state
 back to state space and is always held sparsely; the Kronecker power itself is
 never materialised except through :func:`kron_power` under the size limit.
+Kronecker sums ``sum_i I (x) op (x) I`` (of F1, of FM, of a Laplacian's axis
+operator) are assembled by :func:`kron_sum` and applied by :func:`kron_sum_apply`.
 """
 
 from __future__ import annotations
@@ -337,6 +339,29 @@ def kron_power(u: np.ndarray, j: int) -> np.ndarray:
     out = u
     for _ in range(j - 1):
         out = np.kron(out, u)
+    return out
+
+
+def kron_sum(op: MatrixLike, n: int, j: int) -> sp.csr_matrix:
+    """``sum_{i=1..j} I_{n^(i-1)} (x) op (x) I_{n^(j-i)}`` as CSR; ``op`` may be rectangular (FM)."""
+    rows, cols = op.shape
+    total = sp.csr_matrix((rows * n ** (j - 1), cols * n ** (j - 1)))
+    for i in range(1, j + 1):
+        left = sp.identity(n ** (i - 1), format="csr")
+        right = sp.identity(n ** (j - i), format="csr")
+        total = total + sp.kron(sp.kron(left, op), right, format="csr")
+    return total
+
+
+def kron_sum_apply(op: sp.csr_matrix, y: np.ndarray, n: int, j: int) -> np.ndarray:
+    """``kron_sum(op, n, j) @ y`` without assembling it: one sparse contraction of ``op``
+    per tensor factor, with the one (F1) or ``M`` (FM) factors of ``y`` from factor ``i`` on."""
+    rows, width = op.shape
+    out = np.zeros(rows * n ** (j - 1))
+    for i in range(1, j + 1):
+        a, b = n ** (i - 1), n ** (j - i)
+        flat = y.reshape(a, width, b).transpose(1, 0, 2).reshape(width, a * b)
+        out += (op @ flat).reshape(rows, a, b).transpose(1, 0, 2).reshape(-1)
     return out
 
 

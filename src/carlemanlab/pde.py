@@ -126,10 +126,9 @@ def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
     """Sample the initial data and assemble ``F1 = D L_{k,d} + c I`` and ``FM``."""
     lap = build_laplacian_dd(pde.k, pde.d, pde.m, bc="periodic")
     n = pde.n
+    F1 = (pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")).tocsr()
     if n <= DENSE_F1_MAX_N:
-        F1 = pde.diffusion * lap.dense() + pde.c * np.eye(n)
-    else:
-        F1 = (pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")).tocsr()
+        F1 = F1.toarray()
     FM = one_sparse_nonlinearity(n, pde.M, pde.b)
     return NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)
 

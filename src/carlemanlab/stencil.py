@@ -10,7 +10,7 @@ as exact rationals until an operator is materialised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericFailure, ValidationError
 from .limits import DENSE_MAX_DIM, check_size
+from .nonlinear_ode import kron_sum, kron_sum_apply
 
 #: factorials beyond this order overflow the usefulness of float conversion
 MAX_ORDER = 16
@@ -112,11 +113,12 @@ def _one_sided_weights(offsets: list[int]) -> list[Fraction]:
 class LaplacianOperator:
     """Discretised Laplacian on ``[0,1]^d`` with spacing ``h = 1/m``.
 
-    ``axis_matrix`` is the one-dimensional operator; the d-dimensional action
-    is the Kronecker sum over axes, applied axis by axis so the full matrix is
-    only formed by :meth:`dense`.  For Dirichlet boundaries the unknowns are
-    the ``m-1`` interior nodes per axis and ``boundary_columns`` carries the
-    weights multiplying the two known endpoint values.
+    ``axis_matrix`` is the one-dimensional operator; the d-dimensional one is
+    its Kronecker sum over axes, applied axis by axis by :meth:`matvec`
+    (``kron_sum_apply``) and assembled by :meth:`sparse` (``kron_sum``).  For
+    Dirichlet boundaries the unknowns are the ``m-1`` interior nodes per axis
+    and ``boundary_columns`` carries the weights multiplying the two known
+    endpoint values.
     """
 
     order: int
@@ -125,7 +127,6 @@ class LaplacianOperator:
     bc: str
     axis_matrix: sp.csr_matrix
     boundary_columns: sp.csr_matrix | None = None
-    _axis_dense: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def h(self) -> float:
@@ -145,43 +146,15 @@ class LaplacianOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (n,):
             raise ValidationError(f"matvec expects shape ({n},), got {v.shape}")
-        if self.dim == 1:
-            return self.axis_matrix @ v
-        m = self.axis_size
-        tensor = v.reshape((m,) * self.dim)
-        out = np.zeros_like(tensor)
-        for axis in range(self.dim):
-            moved = np.moveaxis(tensor, axis, 0).reshape(m, -1)
-            term = (self.axis_matrix @ moved).reshape((m,) + (m,) * (self.dim - 1))
-            out += np.moveaxis(term, 0, axis)
-        return out.reshape(n)
+        return kron_sum_apply(self.axis_matrix, v, self.axis_size, self.dim)
 
     def dense(self) -> np.ndarray:
-        n = self.shape[0]
-        check_size(n, DENSE_MAX_DIM, "dense Laplacian")
-        if self._axis_dense is None:
-            self._axis_dense = self.axis_matrix.toarray()
-        if self.dim == 1:
-            return self._axis_dense.copy()
-        m = self.axis_size
-        total = np.zeros((n, n))
-        for axis in range(self.dim):
-            left = np.eye(m ** axis)
-            right = np.eye(m ** (self.dim - 1 - axis))
-            total += np.kron(np.kron(left, self._axis_dense), right)
-        return total
+        check_size(self.shape[0], DENSE_MAX_DIM, "dense Laplacian")
+        return self.sparse().toarray()
 
     def sparse(self) -> sp.csr_matrix:
         """Full Kronecker-sum operator in sparse form (nnz grows only linearly)."""
-        if self.dim == 1:
-            return self.axis_matrix.copy()
-        m = self.axis_size
-        total = sp.csr_matrix(self.shape)
-        for axis in range(self.dim):
-            left = sp.identity(m**axis, format="csr")
-            right = sp.identity(m ** (self.dim - 1 - axis), format="csr")
-            total = total + sp.kron(sp.kron(left, self.axis_matrix), right, format="csr")
-        return total
+        return kron_sum(self.axis_matrix, self.axis_size, self.dim)
 
 
 def circulant_first_row(table: StencilTable, m: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from carlemanlab import pde as rd
 from carlemanlab import propagator as prop
 from carlemanlab.errors import SizeLimitError
 from carlemanlab.limits import KRON_MAX_SIZE
+from carlemanlab.stencil import laplacian_eigenvalues_periodic
 
 from conftest import full_spectrum
 
@@ -145,6 +146,18 @@ class TestFiguresCommand:
         header, rows = read_csv(tmp_path / "fig_fdconv.csv")
         assert header == ["k", "m", "err_max", "err_2"]
         assert len(rows) == 4
+
+    def test_eigs_rows_are_the_circulant_spectrum(self, tmp_path):
+        config = {
+            "schema_version": 1, "command": "figures", "figure": "eigs",
+            "figure_params": {"k": 2, "m": 12}, "output": {"prefix": "fig"}, "seed": 0,
+        }
+        assert run_config(config, tmp_path) == 0
+        header, rows = read_csv(tmp_path / "fig_eigs.csv")
+        assert header == ["k", "m", "ell", "eigenvalue"]
+        assert [(int(k), int(m), int(ell)) for k, m, ell, _ in rows] == [(2, 12, l) for l in range(12)]
+        got = [float(row[3]) for row in rows]
+        assert got == laplacian_eigenvalues_periodic(2, 12).tolist()
 
     def test_unknown_figure_is_validation_error(self, tmp_path):
         config = {"schema_version": 1, "command": "figures", "figure": "nope", "seed": 0}
@@ -463,6 +476,20 @@ class TestLinearizeAndCost:
         assert prior["calls"] is None and prior["detail"]["N_prior"] is None
         assert "N is infinite" in prior["flags"][0]
 
+    def test_pde_cost_takes_the_closed_form_at_gamma_max(self, tmp_path):
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "cost"
+        config["pde"]["m"] = 32
+        config["numerics"] = {"epsilon": 1e-2}
+        assert run_config(config, tmp_path) == 0
+        est = json.loads((tmp_path / "demo_cost.json").read_text())["results"]["estimate"]
+        ode = rd.discretize(cli.pde_from_config(config["pde"]))
+        assert est["N"] == 13
+        assert est["gamma"] == node.max_stable_gamma(ode)
+        # the paper's rescaling claim: at gamma_max the geometric series sums in closed form
+        closed = est["u_in_norm"] / (est["u_T_norm"] * np.sqrt(1.0 - est["R"] ** 2))
+        assert est["amplification"] == pytest.approx(closed, rel=1e-12)
+
 
 class TestValidation:
     def test_unknown_command(self, tmp_path):
@@ -491,6 +518,28 @@ class TestValidation:
         config = json.loads(json.dumps(BERNOULLI))
         config["ode"]["FM"] = {"entries": [[0, 0, 1.5]]}  # R = 1.5
         assert run_config(config, tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("numerics", "epsilon", "abc"),
+            ("numerics", "epsilon", None),
+            ("numerics", "reference_tol", [1e-10]),
+            ("numerics", "gamma", "x"),
+            ("numerics", "dt", "0.001"),
+            ("pde", "diffusion", "abc"),
+            ("pde", "T", None),
+            ("pde", "m", 16.7),
+            ("pde", "k", "2"),
+        ],
+    )
+    def test_malformed_number_is_validation_exit(self, tmp_path, capsys, section, key, value):
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "evolve"
+        config["numerics"].update(N=3, gamma_mode="explicit", gamma=1.0)
+        config[section][key] = value
+        assert run_config(config, tmp_path) == 2
+        assert "validation error" in capsys.readouterr().err
 
 
 class TestNumberFormatting:

@@ -217,6 +217,12 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             config.resolve_steps(norm_bound=1.0)
 
+    def test_dt_alone_sets_the_step_count(self):
+        assert PropagationConfig(total_time=1.0, dt=0.25).resolve_steps(norm_bound=1.0) == (0.25, 4)
+        # 3 steps of 0.3 miss the horizon
+        with pytest.raises(ValidationError):
+            PropagationConfig(total_time=1.0, dt=0.3).resolve_steps(norm_bound=1.0)
+
     @pytest.mark.parametrize("T", [0.0, 1.0])
     @pytest.mark.parametrize(
         "knobs, match",

@@ -99,8 +99,12 @@ class TestLaplacianDD:
         out = op.matvec(np.ones(op.shape[0]))
         np.testing.assert_allclose(out, 0.0, atol=1e-8)
 
-    def test_matvec_matches_dense(self):
-        op = build_laplacian_dd(1, 2, 5)
+    # (2, 3, 7) has a middle axis in its 3-fold sum; Dirichlet axes are not circulant
+    @pytest.mark.parametrize(
+        "k, d, m, bc", [(1, 2, 5, "periodic"), (2, 3, 7, "periodic"), (2, 2, 9, "dirichlet")]
+    )
+    def test_matvec_matches_dense(self, k, d, m, bc):
+        op = build_laplacian_dd(k, d, m, bc)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(op.shape[0])
         np.testing.assert_allclose(op.matvec(v), op.dense() @ v, atol=1e-10)
