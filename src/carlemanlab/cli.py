@@ -148,12 +148,26 @@ def _require(section: dict, keys: list[str], where: str) -> None:
         raise ValidationError(f"{where} section is missing required keys: {missing}")
 
 
-def _matrix_from_entries(spec: dict | list, shape: tuple[int, int]) -> sp.csr_matrix:
-    entries = spec["entries"] if isinstance(spec, dict) else spec
-    rows = [int(e[0]) for e in entries]
-    cols = [int(e[1]) for e in entries]
-    vals = [float(e[2]) for e in entries]
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+def _matrix_from_entries(spec: dict | list, shape: tuple[int, int], name: str) -> sp.csr_matrix:
+    """A sparse matrix from ``[row, column, value]`` triplets, bare or under ``"entries"``.
+
+    Every cell is read by :func:`real_array`'s rule, and the indices must be
+    whole numbers inside ``shape``.
+    """
+    section = spec if isinstance(spec, dict) else {"entries": spec}
+    _require(section, ["entries"], name)
+    triplets = real_array(section, "entries", name)
+    if triplets.size == 0:
+        triplets = triplets.reshape(0, 3)
+    if triplets.ndim != 2 or triplets.shape[1] != 3:
+        raise ValidationError(f"{name} entries must be [row, column, value] triplets")
+    index = triplets[:, :2]
+    if not np.all(index == np.floor(index)):
+        raise ValidationError(f"{name} entry indices must be whole numbers")
+    if not np.all((index >= 0) & (index < shape)):
+        raise ValidationError(f"{name} entry index outside its shape {shape}")
+    rows, cols = index.astype(np.int64).T
+    return sp.csr_matrix((triplets[:, 2], (rows, cols)), shape=shape)
 
 
 def _matrix_to_entries(matrix: Any) -> dict:
@@ -172,14 +186,14 @@ def ode_from_config(section: dict) -> node.NonlinearODE:
     _require(section, ["n", "M", "F1", "FM", "u_in", "T"], "ode")
     n, M = (whole_number(section, key, "ode", required=True) for key in ("n", "M"))
     if isinstance(section["F1"], dict):
-        F1 = _matrix_from_entries(section["F1"], (n, n))
+        F1 = _matrix_from_entries(section["F1"], (n, n), "ode F1")
         if n <= DENSE_F1_MAX_N:
             F1 = F1.toarray()
     else:
-        F1 = np.asarray(section["F1"], dtype=float)
+        F1 = real_array(section, "F1", "ode")
     return node.NonlinearODE(
-        n=n, M=M, F1=F1, FM=_matrix_from_entries(section["FM"], (n, n**M)),
-        u_in=np.asarray(section["u_in"], dtype=float),
+        n=n, M=M, F1=F1, FM=_matrix_from_entries(section["FM"], (n, n**M), "ode FM"),
+        u_in=real_array(section, "u_in", "ode"),
         T=real_number(section, "T", "ode", required=True),
     )
 
@@ -206,7 +220,7 @@ def pde_from_config(section: dict) -> rd.ReactionDiffusionProblem:
     _require(section, ["diffusion", "c", "b", "M", "d", "m", "k", "T", "initial"], "pde")
     init_spec = section["initial"]
     if "values" in init_spec:
-        initial: rd.InitialCondition = np.asarray(init_spec["values"], dtype=float)
+        initial: rd.InitialCondition = real_array(init_spec, "values", "pde initial")
     elif "profile" in init_spec:
         name = init_spec["profile"]
         if name not in _PROFILES:
@@ -274,10 +288,44 @@ def real_number(
     value = section[key]
     if value is None and not required:
         return None
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value)):
+    if not _is_finite_number(value):
         raise ValidationError(f"{where} {key!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _is_finite_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _leaves(value: Any):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def real_array(section: dict, key: str, where: str) -> np.ndarray:
+    """``section[key]``, a number or a rectangular nesting of lists of numbers, as a float array.
+
+    Every number is read by the rule of :func:`real_number`, so text is
+    refused here as well.
+    """
+    for leaf in _leaves(section[key]):
+        if not _is_finite_number(leaf):
+            raise ValidationError(f"{where} {key!r} must hold finite numbers, got {leaf!r}")
+    try:
+        return np.array(section[key], dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"{where} {key!r} is not a rectangular array") from exc
+
+
+def whole_array(section: dict, key: str, where: str) -> list[int]:
+    """Like :func:`real_array` for a flat list of whole numbers, as Python ints."""
+    values = real_array(section, key, where)
+    if values.ndim != 1 or not np.all(values == np.floor(values)):
+        raise ValidationError(f"{where} {key!r} must be a list of whole numbers")
+    return [int(v) for v in values]
 
 
 def whole_number(
@@ -564,25 +612,28 @@ def _cmd_cost(ctx: RunContext) -> None:
 def _cmd_figures(ctx: RunContext) -> None:
     figure = ctx.config.get("figure")
     params = ctx.config.get("figure_params", {})
+    if not isinstance(params, dict):
+        raise ValidationError("figure_params must be a JSON object")
+    where = "figure_params"
     if figure == "maxnorm":
-        k_list = params.get("k_list", [2, 3, 4])
-        tau_max = float(params.get("tau_max", 1.0))
-        n_tau = int(params.get("n_tau", 400))
-        m = int(params.get("m", 64))
+        params = {"k_list": [2, 3, 4], "tau_max": 1.0, "n_tau": 400, "m": 64, **params}
+        k_list = whole_array(params, "k_list", where)
+        tau_max = real_number(params, "tau_max", where, required=True)
+        n_tau, m = (whole_number(params, key, where, required=True) for key in ("n_tau", "m"))
         rows = []
         for k in k_list:
             taus, norms = st.semigroup_inf_norm_curve(k, tau_max=tau_max, n_tau=n_tau, m=m)
             rows.extend([[k, t, v] for t, v in zip(taus, norms)])
         write_csv(ctx.path("maxnorm.csv"), ["k", "tau", "inf_norm"], rows, ctx.digest, ctx.config)
     elif figure == "fdconv":
-        k_list = params.get("k_list", [1, 2])
-        m_list = params.get("m_list", [16, 32, 64, 128])
+        params = {"k_list": [1, 2], "m_list": [16, 32, 64, 128], **params}
+        k_list, m_list = (whole_array(params, key, where) for key in ("k_list", "m_list"))
         table = st.convergence_study(k_list, m_list)
         rows = [[r.order, r.points, r.err_max, r.err_2] for r in table]
         write_csv(ctx.path("fdconv.csv"), ["k", "m", "err_max", "err_2"], rows, ctx.digest, ctx.config)
     elif figure == "eigs":
-        k = int(params.get("k", 1))
-        m = int(params.get("m", 16))
+        params = {"k": 1, "m": 16, **params}
+        k, m = (whole_number(params, key, where, required=True) for key in ("k", "m"))
         eigs = st.laplacian_eigenvalues_periodic(k, m)
         rows = [[k, m, ell, val] for ell, val in enumerate(eigs)]
         write_csv(ctx.path("eigs.csv"), ["k", "m", "ell", "eigenvalue"], rows, ctx.digest, ctx.config)

@@ -125,7 +125,7 @@ def ode_cost_estimate(
     u_in_norm = float(np.linalg.norm(ode.u_in))
     assumptions = ["leading-order: unit constants, natural logs clamped at 1"]
     if u_T_norm is None:
-        traj = reference_solve(ode, T=T)
+        traj = reference_solve(ode, T=T, t_eval=np.array([0.0, T]))
         u_T_norm = float(np.linalg.norm(traj.u[-1]))
         assumptions.append("u(T) norm measured by the reference integrator")
     else:

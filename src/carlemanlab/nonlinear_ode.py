@@ -77,7 +77,10 @@ class NonlinearODE:
         self.FM = _as_csr(self.FM, (self.n, big), "FM")
         if not np.all(np.isfinite(self.FM.data)):
             raise ValidationError("FM contains non-finite entries")
-        self.u_in = np.asarray(self.u_in, dtype=float).reshape(self.n)
+        self.u_in = np.asarray(self.u_in, dtype=float)
+        if self.u_in.size != self.n:
+            raise ValidationError(f"u_in has {self.u_in.size} values, expected {self.n}")
+        self.u_in = self.u_in.reshape(self.n)
 
     # -- sparse nonlinearity internals ------------------------------------
 
@@ -386,8 +389,9 @@ def reference_solve(
     controlled to ``tol`` in mixed absolute/relative form and the solution is
     sampled at 101 uniform times unless ``t_eval`` is given.
 
-    The method follows from the problem: implicit Radau IIA with the analytic
-    :meth:`NonlinearODE.jacobian` when ``n <= DENSE_F1_MAX_N`` and
+    The method follows from the problem: ODEPACK's LSODA (compiled; it
+    switches between Adams and BDF, solving with the analytic
+    :meth:`NonlinearODE.jacobian`) when ``n <= DENSE_F1_MAX_N`` and
     ``T |F1|_inf > STIFF_REFERENCE_SCALE`` (there an explicit step is capped
     by stability, ``h <~ 6 / |F1|``, not by accuracy), and the explicit
     DOP853 pair otherwise.  The trajectory records which one ran.
@@ -401,7 +405,7 @@ def reference_solve(
     if t_eval is None:
         t_eval = np.linspace(0.0, horizon, 101)
     stiff = ode.n <= DENSE_F1_MAX_N and horizon * ode.f1_inf_norm > STIFF_REFERENCE_SCALE
-    method = "Radau" if stiff else "DOP853"
+    method = "LSODA" if stiff else "DOP853"
     if horizon == 0.0:
         return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy(), method=method)
 

@@ -75,10 +75,11 @@ class ReactionDiffusionProblem:
         return np.stack([ax.reshape(-1) for ax in mesh], axis=1)
 
     def initial_grid(self) -> np.ndarray:
-        if callable(self.initial):
-            vals = np.asarray(self.initial(self.grid()), dtype=float).reshape(self.n)
-        else:
-            vals = np.asarray(self.initial, dtype=float).reshape(self.n)
+        table = self.initial(self.grid()) if callable(self.initial) else self.initial
+        vals = np.asarray(table, dtype=float)
+        if vals.size != self.n:
+            raise ValidationError(f"initial condition has {vals.size} values, expected {self.n}")
+        vals = vals.reshape(self.n)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("initial condition contains non-finite values")
         return vals

@@ -163,6 +163,23 @@ class TestFiguresCommand:
         config = {"schema_version": 1, "command": "figures", "figure": "nope", "seed": 0}
         assert run_config(config, tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "figure, params",
+        [
+            ("eigs", {"k": 1.9, "m": "16"}),
+            ("maxnorm", {"k_list": [2.5], "n_tau": 200, "m": 16}),
+            ("maxnorm", {"k_list": [2], "tau_max": "1.0", "n_tau": 200, "m": 16}),
+            ("fdconv", {"m_list": ["16"]}),
+        ],
+    )
+    def test_malformed_figure_params_are_validation_exit(self, tmp_path, figure, params):
+        config = {
+            "schema_version": 1, "command": "figures", "figure": figure,
+            "figure_params": params, "output": {"prefix": "fig"}, "seed": 0,
+        }
+        assert run_config(config, tmp_path) == 2
+        assert not list(tmp_path.glob("fig_*.csv"))
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -538,6 +555,36 @@ class TestValidation:
         config["command"] = "evolve"
         config["numerics"].update(N=3, gamma_mode="explicit", gamma=1.0)
         config[section][key] = value
+        assert run_config(config, tmp_path) == 2
+        assert "validation error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("u_in", ["1.0"]),
+            ("u_in", ["abc"]),
+            ("u_in", [True]),
+            ("u_in", [1.0, 2.0]),
+            ("F1", [["-1.0"]]),
+            ("F1", [[-1.0], [1.0, 2.0]]),
+            ("FM", {"entries": [[0, 0, "0.5"]]}),
+            ("FM", {"entries": [[0.5, 0, 0.5]]}),
+            ("FM", {"entries": [[0, 1, 0.5]]}),
+            ("FM", {"entries": [[0, 0]]}),
+            ("FM", {}),
+        ],
+    )
+    def test_malformed_array_is_validation_exit(self, tmp_path, capsys, key, value):
+        config = json.loads(json.dumps(BERNOULLI))
+        config["ode"][key] = value
+        assert run_config(config, tmp_path) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [["0.4"] * 16, ["abc"] * 16, [0.4] * 15])
+    def test_malformed_initial_values_are_validation_exit(self, tmp_path, capsys, values):
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["pde"]["initial"] = {"values": values}
         assert run_config(config, tmp_path) == 2
         assert "validation error" in capsys.readouterr().err
 

@@ -203,9 +203,9 @@ class TestReferenceSolve:
 
 
 class TestReferenceMethod:
-    """Radau with the analytic Jacobian where an explicit step is stability-capped."""
+    """LSODA with the analytic Jacobian where an explicit step is stability-capped."""
 
-    @pytest.mark.parametrize("factor, method", [(0.9, "DOP853"), (1.1, "Radau")])
+    @pytest.mark.parametrize("factor, method", [(0.9, "DOP853"), (1.1, "LSODA")])
     def test_method_follows_stiffness_scale(self, factor, method):
         # u' = -rate u, so T |F1|_inf = rate T; sample at t = 1/rate, where u = 1/e
         rate = factor * STIFF_REFERENCE_SCALE
@@ -215,7 +215,7 @@ class TestReferenceMethod:
         assert traj.u[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
     def test_no_dense_jacobian_above_dense_f1_limit(self):
-        # stiff enough for Radau, but a dense Jacobian is not allowed here
+        # stiff enough for LSODA, but a dense Jacobian is not allowed here
         n = DENSE_F1_MAX_N + 1
         rate = 1.1 * STIFF_REFERENCE_SCALE
         F1 = sp.identity(n, format="csr") * -rate
@@ -226,19 +226,36 @@ class TestReferenceMethod:
         with pytest.raises(ValidationError):
             ode.jacobian(ode.u_in)
 
-    def test_radau_matches_direct_dop853_on_refined_demo(self):
+    def test_lsoda_matches_direct_dop853_on_refined_demo(self):
         pde = ReactionDiffusionProblem(
             diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=64, k=2,
             initial=raised_cosine, T=1.0,
         )
         ode = discretize(pde)
         traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0]))
-        assert traj.method == "Radau"
+        assert traj.method == "LSODA"
         direct = solve_ivp(
             lambda _, u: ode.rhs(u), (0.0, 1.0), ode.u_in, method="DOP853",
             rtol=1e-10, atol=1e-10, t_eval=np.array([0.0, 1.0]),
         )
         assert np.abs(traj.u[-1] - direct.y[:, -1]).max() <= 1e-9
+
+
+    def test_lsoda_within_ten_tol_of_tight_dop853_on_finest_refinement_grid(self):
+        # the refinement study's fine reference: m = 128, k = 3, |F1|_inf T far above the scale
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=128, k=3,
+            initial=raised_cosine, T=1.0,
+        )
+        ode = discretize(pde)
+        tol = 1e-10
+        traj = reference_solve(ode, T=1.0, tol=tol, t_eval=np.array([0.0, 1.0]))
+        assert traj.method == "LSODA"
+        direct = solve_ivp(
+            lambda _, u: ode.rhs(u), (0.0, 1.0), ode.u_in, method="DOP853",
+            rtol=1e-13, atol=1e-13, t_eval=np.array([0.0, 1.0]),
+        )
+        assert np.abs(traj.u[-1] - direct.y[:, -1]).max() <= 10 * tol
 
 
 @st.composite
