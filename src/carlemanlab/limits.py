@@ -43,8 +43,8 @@ KRON_MAX_SIZE = 10**7
 #: samples; 2-core Xeon VM, one BLAS thread, best of 7 solves) LSODA took
 #: 6.8 ms against DOP853's 82 ms at 3 347 (m = 56, k = 2) and 11.9 ms
 #: against 85 ms at 3 793 (m = 56, k = 3), so LSODA would win below the
-#: scale too.  The scale stays where Radau IIA, the former stiff method,
-#: broke even, so that every problem under it keeps DOP853 and the
+#: scale too.  The scale stays where the former implicit Runge-Kutta
+#: route broke even, so that every problem under it keeps DOP853 and the
 #: trajectories and artifacts it gave.
 STIFF_REFERENCE_SCALE = 3500.0
 
