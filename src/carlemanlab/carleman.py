@@ -475,7 +475,8 @@ class CarlemanMatrix:
         (a ``range`` of ranks, as :func:`full_levels` gives), each row counts
         :meth:`_row_entries`; on subsets of every level (arrays of ranks, as
         :meth:`reach` gives), its diagonal entry and its couplings whose
-        columns lie in ``keys`` (:meth:`_couplings`).  Walked in blocks.
+        columns lie in ``keys`` (:meth:`_couplings`), walked in the blocks
+        :meth:`to_symmetric` writes, so counting takes no more scratch than writing.
         Every row stores its diagonal entry, so a key set with more rows than
         ``KRON_MAX_SIZE`` is counted by its rows alone.  Exact when no two
         entries of a row meet in one column and none sums to zero.
@@ -484,17 +485,26 @@ class CarlemanMatrix:
         rows = sum(len(level) for level in keys)
         if rows > KRON_MAX_SIZE:
             return rows
-        whole = any(isinstance(level, range) for level in keys)
         total = 0
-        for j, level in enumerate(keys, start=1):
-            for s in range(0, len(level), _ENTRIES_PER_BLOCK):
-                T = level_digits(_take(level, s, s + _ENTRIES_PER_BLOCK), self.n, j)
-                if whole:
+        if any(isinstance(level, range) for level in keys):
+            for j, level in enumerate(keys, start=1):
+                for s in range(0, len(level), _ENTRIES_PER_BLOCK):
+                    T = level_digits(_take(level, s, s + _ENTRIES_PER_BLOCK), self.n, j)
                     total += int(self._row_entries(j, T).sum())
-                else:
-                    couplings = self._couplings(j, T, keys)
-                    total += T.shape[0] + sum(r.size for _, r, _, _ in couplings)
+            return total
+        for j, _, T in self._entry_blocks(keys):
+            total += T.shape[0] + sum(r.size for _, r, _, _ in self._couplings(j, T, keys))
         return total
+
+    def _entry_blocks(self, keys):
+        """Blocks of ``keys`` (:func:`_sorted_blocks`) of about ``_ENTRIES_PER_BLOCK`` entries.
+
+        A row weighs one more than its entries, as its digits and
+        multiplicities take about as much scratch as an entry.
+        """
+        return _sorted_blocks(
+            self.n, keys, lambda j, T: 1 + self._row_entries(j, T), _ENTRIES_PER_BLOCK
+        )
 
     def _couplings(self, j: int, T: np.ndarray, keys: list):
         """Off-diagonal entries of block ``T``'s rows (level ``j``) whose columns lie in ``keys``.
@@ -638,12 +648,8 @@ class CarlemanMatrix:
             )
             return pos + r.size
 
-        # a block weighs each row one more than its entries, for its digits and
-        # multiplicities take about as much scratch as an entry
         pos = 0
-        for j, at, T in _sorted_blocks(
-            n, keys, lambda j, T: 1 + self._row_entries(j, T), _ENTRIES_PER_BLOCK
-        ):
+        for j, at, T in self._entry_blocks(keys):
             pos = write(j, at, T, pos)
         if pos > nnz:
             raise NumericFailure(f"symmetric operator stored {pos} entries, counted at most {nnz}")
@@ -674,9 +680,9 @@ class CarlemanMatrix:
         return float(best)
 
     def spectral_norm_bound(self) -> float:
-        """``N |F1| + (N-M+1) gamma**(M-1) |FM|``, from the block structure."""
+        """Block-structure bound ``N |F1| + (N-M+1) gamma**(M-1) |FM|`` (:func:`lambda_value`)."""
         base = self.rescaled.base
-        return self.N * base.f1_norm + (self.N - self.M + 1) * self.coupling * base.fm_norm
+        return lambda_value(self.N, self.M, self.gamma, base.f1_norm, base.fm_norm)
 
     def sparsity_count(self) -> int:
         """Measured maximum number of nonzeros in any assembled row."""

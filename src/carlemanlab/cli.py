@@ -358,6 +358,9 @@ def validate_config(config: dict) -> None:
     command = config.get("command")
     if command not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}, got {command!r}")
+    for section in ("numerics", "output"):
+        if not isinstance(config.get(section, {}), dict):
+            raise ValidationError(f"{section!r} must be a JSON object")
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +659,15 @@ _SWEEP_AXES = {
 
 def _cmd_sweep(ctx: RunContext) -> None:
     axes = ctx.config.get("axes", [])
+    if not isinstance(axes, list) or not all(isinstance(axis, dict) for axis in axes):
+        raise ValidationError("sweep 'axes' must be a list of JSON objects")
     for axis in axes:
         if axis.get("name") not in _SWEEP_AXES:
             raise ValidationError(
                 f"unknown sweep axis {axis.get('name')!r}; known: {sorted(_SWEEP_AXES)}"
             )
+        if not isinstance(axis.get("values"), list):
+            raise ValidationError(f"sweep axis {axis['name']!r} needs a list of 'values'")
     names = [axis["name"] for axis in axes]
     value_lists = [axis["values"] for axis in axes] or [[None]]
     points = list(itertools.product(*value_lists)) if axes else [()]
@@ -759,6 +766,8 @@ def main(argv: list[str] | None = None) -> int:
                 config = json.load(handle)
         else:
             config = {}
+        if not isinstance(config, dict):
+            raise ValidationError("config must be a JSON object")
         if args.command:
             config["command"] = args.command[0]
             if len(args.command) > 1 and args.command[0] == "figures":

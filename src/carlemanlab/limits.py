@@ -1,5 +1,4 @@
-"""Size policy: the four limits every module checks before it allocates,
-and the stiffness scale that picks the reference integrator.
+"""Size policy: the four limits every module checks before it allocates.
 
 An oversized problem fails fast with :class:`ValidationError` instead of
 running out of memory or stalling in dense linear algebra.
@@ -10,8 +9,9 @@ from __future__ import annotations
 from .errors import SizeLimitError
 
 #: F1 is held dense up to this state dimension and sparse above it.  Dense
-#: keeps the 2-norm of F1 exact and the reference integrator's Jacobian
-#: cheap; a dense n x n F1 stays below 2 MiB.
+#: keeps the 2-norm of F1 exact and bounds the dense Jacobian, so up to it
+#: the reference integrator is LSODA with that Jacobian and above it
+#: explicit DOP853; a dense n x n F1 stays below 2 MiB.
 DENSE_F1_MAX_N = 512
 
 #: explicit dense matrices (Laplacian, Carleman operator, Matrix Market
@@ -33,20 +33,6 @@ ASSEMBLY_MAX_DIM = 200_000
 #: series; and the nonlinearity of ``pde.fourier_form`` and its enumeration
 #: of mode products, over which the CLI steps a PDE on its grid.
 KRON_MAX_SIZE = 10**7
-
-#: ``reference_solve`` integrates with compiled LSODA and the analytic
-#: Jacobian instead of explicit DOP853 when ``n <= DENSE_F1_MAX_N`` and the
-#: horizon times ``|F1|_inf`` (the largest absolute row sum of F1) exceeds
-#: this.  An explicit step is capped by stability near ``6 / |F1|``, so
-#: DOP853's RHS count grows like ``T |F1|_inf`` (about 1.9 per unit), while
-#: LSODA's stays near 500 at tol 1e-10.  On the demo PDE (T = 1, 101
-#: samples; 2-core Xeon VM, one BLAS thread, best of 7 solves) LSODA took
-#: 6.8 ms against DOP853's 82 ms at 3 347 (m = 56, k = 2) and 11.9 ms
-#: against 85 ms at 3 793 (m = 56, k = 3), so LSODA would win below the
-#: scale too.  The scale stays where the former implicit Runge-Kutta
-#: route broke even, so that every problem under it keeps DOP853 and the
-#: trajectories and artifacts it gave.
-STIFF_REFERENCE_SCALE = 3500.0
 
 
 def check_size(size: int, limit: int, what: str) -> None:

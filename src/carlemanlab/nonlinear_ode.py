@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from .errors import NumericFailure, ValidationError
-from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, STIFF_REFERENCE_SCALE, check_size
+from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_size
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
@@ -146,11 +146,6 @@ class NonlinearODE:
     def f1_norm(self) -> float:
         """Spectral norm of F1."""
         return operator_spectral_norm(self.F1)
-
-    @cached_property
-    def f1_inf_norm(self) -> float:
-        """Largest absolute row sum of F1: a bound on its spectral radius, in O(nnz)."""
-        return float(abs(self.F1).sum(axis=1).max())
 
     @cached_property
     def fm_norm(self) -> float:
@@ -389,12 +384,12 @@ def reference_solve(
     controlled to ``tol`` in mixed absolute/relative form and the solution is
     sampled at 101 uniform times unless ``t_eval`` is given.
 
-    The method follows from the problem: ODEPACK's LSODA (compiled; it
-    switches between Adams and BDF, solving with the analytic
-    :meth:`NonlinearODE.jacobian`) when ``n <= DENSE_F1_MAX_N`` and
-    ``T |F1|_inf > STIFF_REFERENCE_SCALE`` (there an explicit step is capped
-    by stability, ``h <~ 6 / |F1|``, not by accuracy), and the explicit
-    DOP853 pair otherwise.  The trajectory records which one ran.
+    The method follows from the dense-F1 limit: ODEPACK's compiled LSODA
+    (Adams or BDF, with the analytic :meth:`NonlinearODE.jacobian`) when
+    ``n <= DENSE_F1_MAX_N``, where that Jacobian exists, at ``tol / 10``
+    (its global error runs about ten times its local tolerance; clamped to
+    scipy's floor ``100 eps``), and explicit DOP853 otherwise.  The
+    trajectory records which method ran.
     """
     ode = _coerce_ode(ode)
     if not 1e-13 <= tol <= 1e-6:
@@ -404,19 +399,20 @@ def reference_solve(
         raise ValidationError("horizon must be non-negative")
     if t_eval is None:
         t_eval = np.linspace(0.0, horizon, 101)
-    stiff = ode.n <= DENSE_F1_MAX_N and horizon * ode.f1_inf_norm > STIFF_REFERENCE_SCALE
-    method = "LSODA" if stiff else "DOP853"
+    lsoda = ode.n <= DENSE_F1_MAX_N
+    method = "LSODA" if lsoda else "DOP853"
     if horizon == 0.0:
         return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy(), method=method)
 
-    options = {"jac": lambda _, u: ode.jacobian(u)} if stiff else {}
+    options = {"jac": lambda _, u: ode.jacobian(u)} if lsoda else {}
+    step_tol = max(tol / 10, 100 * np.finfo(float).eps) if lsoda else tol
     sol = solve_ivp(
         lambda _, u: ode.rhs(u),
         (0.0, horizon),
         ode.u_in,
         method=method,
-        rtol=tol,
-        atol=tol,
+        rtol=step_tol,
+        atol=step_tol,
         t_eval=np.asarray(t_eval, dtype=float),
         dense_output=False,
         **options,

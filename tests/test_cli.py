@@ -257,7 +257,7 @@ class TestEvolveCommand:
         assert len(rows) == 11
         summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
         assert summary["measured_error_T"] <= summary["component_bound_j1_T"] + 1e-8
-        assert summary["reference_method"] == "DOP853"
+        assert summary["reference_method"] == "LSODA"
         shares = [float(r[3]) for r in rows]
         assert all(s >= 1.0 / 4 - 1e-12 for s in shares)
 
@@ -388,7 +388,7 @@ class TestSweepCommand:
         assert header[0] == "N"
         errs = [float(r[header.index("measured_error_T")]) for r in rows]
         assert [int(r[0]) for r in rows] == [3, 4, 5, 6]
-        assert {r[header.index("reference_method")] for r in rows} == {"DOP853"}
+        assert {r[header.index("reference_method")] for r in rows} == {"LSODA"}
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_empty_axes_single_point(self, tmp_path):
@@ -530,6 +530,23 @@ class TestValidation:
         ])
         assert code == 0
         assert (tmp_path / "demo_linearize.json").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda config: [config],
+            lambda config: {**config, "numerics": [1]},
+            lambda config: {**config, "output": [1]},
+            lambda config: {**config, "command": "sweep", "axes": [3]},
+            lambda config: {**config, "command": "sweep", "axes": [{"name": "N"}]},
+            lambda config: {**config, "command": "sweep", "axes": [{"name": "N", "values": 3}]},
+        ],
+        ids=["top-level-array", "numerics-array", "output-array", "axis-not-object",
+             "axis-without-values", "axis-values-not-list"],
+    )
+    def test_malformed_container_is_validation_exit(self, tmp_path, capsys, change):
+        assert run_config(change(json.loads(json.dumps(BERNOULLI))), tmp_path) == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_r_at_least_one_is_validation_exit(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))

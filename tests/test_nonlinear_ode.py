@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from carlemanlab import nonlinear_ode
 from carlemanlab.bounds import make_bound_report
 from carlemanlab.carleman import assemble
 from carlemanlab.errors import ValidationError
-from carlemanlab.limits import DENSE_F1_MAX_N, STIFF_REFERENCE_SCALE
+from carlemanlab.limits import DENSE_F1_MAX_N
 from carlemanlab.nonlinear_ode import (
     NonlinearODE,
     fm_spectral_norm,
@@ -203,21 +204,22 @@ class TestReferenceSolve:
 
 
 class TestReferenceMethod:
-    """LSODA with the analytic Jacobian where an explicit step is stability-capped."""
+    """LSODA with the analytic Jacobian up to the dense-F1 limit, DOP853 above it."""
 
-    @pytest.mark.parametrize("factor, method", [(0.9, "DOP853"), (1.1, "LSODA")])
-    def test_method_follows_stiffness_scale(self, factor, method):
-        # u' = -rate u, so T |F1|_inf = rate T; sample at t = 1/rate, where u = 1/e
-        rate = factor * STIFF_REFERENCE_SCALE
-        ode = NonlinearODE(n=1, M=2, F1=[[-rate]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
+    @pytest.mark.parametrize("n", [1, DENSE_F1_MAX_N])
+    @pytest.mark.parametrize("rate", [1.0, 3850.0])
+    def test_lsoda_up_to_the_dense_f1_limit_stiff_or_not(self, n, rate):
+        # u' = -rate u; sample at t = 1/rate, where u = 1/e
+        F1 = sp.identity(n, format="csr") * -rate
+        ode = NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n))
         traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0 / rate]))
-        assert traj.method == method
-        assert traj.u[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
+        assert traj.method == "LSODA"
+        np.testing.assert_allclose(traj.u[-1], np.exp(-1.0), atol=1e-9)
 
     def test_no_dense_jacobian_above_dense_f1_limit(self):
-        # stiff enough for LSODA, but a dense Jacobian is not allowed here
+        # stiff, but a dense Jacobian is not allowed here
         n = DENSE_F1_MAX_N + 1
-        rate = 1.1 * STIFF_REFERENCE_SCALE
+        rate = 3850.0
         F1 = sp.identity(n, format="csr") * -rate
         ode = NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n))
         traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0 / rate]))
@@ -225,6 +227,14 @@ class TestReferenceMethod:
         np.testing.assert_allclose(traj.u[-1], np.exp(-1.0), atol=1e-9)
         with pytest.raises(ValidationError):
             ode.jacobian(ode.u_in)
+
+    def test_tightest_tolerance_runs_without_warnings(self, bernoulli_ode):
+        # LSODA gets tol / 10, clamped to scipy's rtol floor 100 eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = reference_solve(bernoulli_ode, T=1.0, tol=1e-13)
+        assert traj.method == "LSODA"
+        assert traj.u[-1, 0] == pytest.approx(2.0 / (1.0 + np.e), abs=1e-12)
 
     def test_lsoda_matches_direct_dop853_on_refined_demo(self):
         pde = ReactionDiffusionProblem(
@@ -242,7 +252,7 @@ class TestReferenceMethod:
 
 
     def test_lsoda_within_ten_tol_of_tight_dop853_on_finest_refinement_grid(self):
-        # the refinement study's fine reference: m = 128, k = 3, |F1|_inf T far above the scale
+        # the refinement study's finest reference: m = 128, k = 3
         pde = ReactionDiffusionProblem(
             diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=128, k=3,
             initial=raised_cosine, T=1.0,

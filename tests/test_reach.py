@@ -188,6 +188,30 @@ class TestCanonicalOperator:
         op = mat.to_symmetric(keys)
         assert op.nnz == 8_113 <= mat.symmetric_nnz(keys) <= 50_000
 
+    def test_reach_count_peak_stays_near_the_operator(self):
+        # d = 2, m = 8, k = 1 with waves in the two lowest modes per axis: a
+        # 0.40 MiB operator on 5 745 rows at N = 4, whose count walked blocks
+        # of 8 192 rows and peaked at 49.5 MiB
+        def profile(x):
+            waves = np.cos(2.0 * np.pi * np.arange(1, 3) * x[:, :, None] + 1.0).sum(axis=2)
+            raised = 0.2 * np.prod(1.0 + np.cos(2.0 * np.pi * (x + 0.3)), axis=1)
+            return raised + 0.004 * waves.sum(axis=1)
+
+        problem = rd.ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=8, k=1, T=0.25, initial=profile,
+        )
+        ode = rd.discretize(problem)
+        mat = assemble(rescale(rd.fourier_form(problem, ode).ode, float(np.linalg.norm(ode.u_in))), 4)
+        keys = mat.reach()
+        tracemalloc.start()
+        try:
+            op = mat.to_symmetric(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.shape == (5_745, 5_745) and op.nnz == 32_743
+        assert peak < 4 * 2**20
+
     def test_summing_duplicates_changes_no_value(self):
         # the demo's Fourier form stored 38 323 entries with 539 duplicates,
         # whose sums left 29 exact zeros: 37 755 remain
