@@ -69,8 +69,7 @@ def level_offsets(n: int, N: int) -> list[int]:
 def _addressable(n: int, N: int) -> list[int]:
     """:func:`level_offsets` of a flat layout, refused when it overflows the address space."""
     offsets = level_offsets(n, N)
-    if offsets[-1] >= 2**62:
-        raise ValidationError("total Carleman dimension overflows the address space")
+    check_size(offsets[-1], 2**62 - 1, "flat Carleman dimension")
     return offsets
 
 
@@ -136,8 +135,7 @@ def _rank_table(n: int, j: int) -> np.ndarray:
     Its largest entry, ``C(n + j - 2, j)``, is below the level's count, so the
     table fits in int64 whenever the level's ranks do.
     """
-    if math.comb(n + j - 1, j) >= 2**63:
-        raise ValidationError(f"level {j} of n = {n} has more sorted multi-indices than int64 ranks")
+    check_size(math.comb(n + j - 1, j), 2**63 - 1, f"level {j} of n = {n}, ranked in int64,")
     return np.array(
         [[math.comb(c + i, i + 1) for c in range(n)] for i in range(j)], dtype=np.int64
     )
@@ -174,6 +172,11 @@ def level_digits(ranks, n: int, j: int) -> np.ndarray:
 def full_levels(n: int, N: int) -> list[range]:
     """Every rank of levels ``1..N``: the key set of the whole symmetric subspace."""
     return [range(math.comb(n + j - 1, j)) for j in range(1, N + 1)]
+
+
+def _count(level) -> int:
+    """Number of ranks in a level's keys; exact past int64 for a whole level's ``range``."""
+    return level.stop - level.start if isinstance(level, range) else level.size
 
 
 def _take(level, a: int, b: int) -> np.ndarray:
@@ -333,7 +336,6 @@ class CarlemanMatrix:
 
     rescaled: RescaledODE
     N: int
-    _f1_sparse: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         M, N = self.M, self.N
@@ -341,7 +343,6 @@ class CarlemanMatrix:
             raise ValidationError(
                 f"truncation order must exceed the nonlinearity order: N={N} <= M={M}"
             )
-        self._f1_sparse = sp.csr_matrix(self.rescaled.F1)
 
     # -- shape bookkeeping --------------------------------------------------
 
@@ -374,7 +375,7 @@ class CarlemanMatrix:
         Then every level block of :meth:`to_symmetric` is diagonal and the
         operator is upper triangular, each row storing its diagonal first.
         """
-        f1 = self._f1_sparse
+        f1 = self.rescaled.F1
         rows = np.repeat(np.arange(self.n), np.diff(f1.indptr))
         return bool(np.array_equal(f1.indices, rows))
 
@@ -396,7 +397,7 @@ class CarlemanMatrix:
         out = np.zeros(offsets[-1])
         for j in range(1, N + 1):
             acc = out[offsets[j - 1] : offsets[j]]
-            acc += kron_sum_apply(self._f1_sparse, y[offsets[j - 1] : offsets[j]], n, j)
+            acc += kron_sum_apply(self.rescaled.F1, y[offsets[j - 1] : offsets[j]], n, j)
             if j + M - 1 <= N:
                 src = y[offsets[j + M - 2] : offsets[j + M - 1]]
                 acc += self.coupling * kron_sum_apply(self.rescaled.base.FM, src, n, j)
@@ -409,7 +410,7 @@ class CarlemanMatrix:
         check_size(_addressable(n, N)[-1], ASSEMBLY_MAX_DIM, "sparse Carleman assembly")
         grid: list[list[object]] = [[None] * N for _ in range(N)]
         for j in range(1, N + 1):
-            grid[j - 1][j - 1] = kron_sum(self._f1_sparse, n, j)
+            grid[j - 1][j - 1] = kron_sum(self.rescaled.F1, n, j)
             if j + M - 1 <= N:
                 grid[j - 1][j + M - 2] = self.coupling * kron_sum(self.rescaled.base.FM, n, j)
         out = sp.bmat(grid, format="csr")
@@ -437,11 +438,10 @@ class CarlemanMatrix:
         digits; FM contributes its column digits sorted, with entries whose
         digits are permutations of each other summed and sums of zero dropped.
         """
-        n, M = self.n, self.M
-        coo = self._f1_sparse.tocoo()
+        n, M, base = self.n, self.M, self.rescaled.base
+        coo = base.F1.tocoo()
         off = coo.row != coo.col
         f1_off = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
-        base = self.rescaled.base
         rows, _, vals = base.fm_coordinates
         width = math.comb(n + M - 1, M)
         keys, inverse = np.unique(
@@ -454,7 +454,7 @@ class CarlemanMatrix:
             level_digits(keys % width, n, M),
             sums,
         )
-        return self._f1_sparse.diagonal(), (f1_off.indptr, f1_off.indices[:, None], f1_off.data), fm
+        return base.F1.diagonal(), (f1_off.indptr, f1_off.indices[:, None], f1_off.data), fm
 
     def _row_entries(self, j: int, T: np.ndarray) -> np.ndarray:
         """Entries each sorted multi-index row of ``T`` (level ``j``) stores at most.
@@ -482,7 +482,7 @@ class CarlemanMatrix:
         entries of a row meet in one column and none sums to zero.
         """
         keys = full_levels(self.n, self.N) if keys is None else keys
-        rows = sum(len(level) for level in keys)
+        rows = sum(_count(level) for level in keys)
         if rows > KRON_MAX_SIZE:
             return rows
         total = 0

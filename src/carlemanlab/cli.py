@@ -33,7 +33,7 @@ from . import pde as rd
 from . import propagator as prop
 from . import stencil as st
 from .errors import NumericFailure, SizeLimitError, ValidationError
-from .limits import DENSE_F1_MAX_N, DENSE_MAX_DIM
+from .limits import DENSE_MAX_DIM
 
 SCHEMA_VERSION = 1
 WORKER_ENV = "CARLEMANLAB_WORKERS"
@@ -50,8 +50,6 @@ NUMERIC_DEFAULTS = {
     "gamma_mode": "norm_uin",
     "gamma": None,
     "reference_tol": 1e-10,
-    "lambda_f1": None,
-    "lambda_fm": None,
     "record_every": None,
 }
 
@@ -178,17 +176,11 @@ def _matrix_to_entries(matrix: Any) -> dict:
 
 
 def ode_from_config(section: dict) -> node.NonlinearODE:
-    """Problem schema: n, M, F1 (dense rows or coordinate triplets), FM triplets, u_in, T.
-
-    F1 given as triplets is held dense up to the dense-F1 limit, as
-    :func:`~carlemanlab.pde.discretize` holds it.
-    """
+    """Problem schema: n, M, F1 (dense rows or coordinate triplets), FM triplets, u_in, T."""
     _require(section, ["n", "M", "F1", "FM", "u_in", "T"], "ode")
     n, M = (whole_number(section, key, "ode", required=True) for key in ("n", "M"))
     if isinstance(section["F1"], dict):
         F1 = _matrix_from_entries(section["F1"], (n, n), "ode F1")
-        if n <= DENSE_F1_MAX_N:
-            F1 = F1.toarray()
     else:
         F1 = real_array(section, "F1", "ode")
     return node.NonlinearODE(
@@ -400,13 +392,9 @@ def _cmd_linearize(ctx: RunContext) -> None:
     }
     if mat.total_dimension <= DENSE_MAX_DIM:
         payload["results"]["max_row_nonzeros"] = mat.sparsity_count()
-    lam_f1, lam_fm = numerics["lambda_f1"], numerics["lambda_fm"]
     if problem is not None:
-        lam_f1 = ct.pde_lambda_f1(problem) if lam_f1 is None else lam_f1
-        lam_fm = abs(problem.b) if lam_fm is None else lam_fm
-    if lam_f1 is not None and lam_fm is not None:
         payload["results"]["lambda_carleman"] = carl.lambda_value(
-            N, ode.M, gamma, float(lam_f1), float(lam_fm)
+            N, ode.M, gamma, ct.pde_lambda_f1(problem), abs(problem.b)
         )
     if ctx.config.get("export_dense", False):
         mtx_path = ctx.path("matrix.mtx")
@@ -535,15 +523,15 @@ def _cmd_pde(ctx: RunContext) -> None:
         derivative_bound=rd.estimate_derivative_bound(problem)
     )
     payload["results"]["derivative_bound_estimate"] = inputs.derivative_bound
+    numerics = numerics_from_config(ctx.config)
     try:
         payload["results"]["required_grid_points"] = rd.required_grid_points(
-            problem, inputs, numerics_from_config(ctx.config)["epsilon"]
+            problem, inputs, numerics["epsilon"]
         )
     except ValidationError as exc:
         payload["results"]["required_grid_points"] = None
         payload["results"]["required_grid_points_note"] = str(exc)
     if problem.c < 0:
-        numerics = numerics_from_config(ctx.config)
         N = resolve_order(numerics, ode)
         g_value = st.g_kappa(problem.k)
         maxnorm_T = bd.maxnorm_error_bound(problem, N, 1, problem.T, g_value)
@@ -575,16 +563,8 @@ def _cmd_cost(ctx: RunContext) -> None:
         ode = ode_from_config(ctx.config["ode"])
         T = ode.T
         gamma = resolve_gamma(numerics, ode)
-        lam_f1 = numerics["lambda_f1"]
-        lam_fm = numerics["lambda_fm"]
-        if lam_f1 is None:
-            lam_f1 = ode.f1_norm
-        if lam_fm is None:
-            lam_fm = ode.fm_norm
-        estimate = ct.ode_cost_estimate(
-            ode, gamma, T, eps, float(lam_f1), float(lam_fm)
-        )
-        fm_norm = ode.fm_norm
+        lam_f1, fm_norm = ode.f1_norm, ode.fm_norm
+        estimate = ct.ode_cost_estimate(ode, gamma, T, eps, lam_f1, fm_norm)
         extra = {"diffusion": 1.0, "d": 1, "n": ode.n, "sparsity": 3,
                  "decay": abs(ode.lambda0), "M": ode.M}
     comparison = ct.prior_work_comparison(

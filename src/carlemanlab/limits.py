@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from .errors import SizeLimitError
 
-#: F1 is held dense up to this state dimension and sparse above it.  Dense
-#: keeps the 2-norm of F1 exact and bounds the dense Jacobian, so up to it
-#: the reference integrator is LSODA with that Jacobian and above it
-#: explicit DOP853; a dense n x n F1 stays below 2 MiB.
+#: dense linear algebra on F1 up to this state dimension: LAPACK spectra
+#: (``lambda0`` and the exact 2-norm of F1) and the dense analytic Jacobian,
+#: and with it the reference integrator (LSODA up to it, explicit DOP853
+#: above); a dense n x n copy stays below 2 MiB.  F1 itself is held as CSR at
+#: every dimension.
 DENSE_F1_MAX_N = 512
 
 #: explicit dense matrices (Laplacian, Carleman operator, Matrix Market

@@ -1,8 +1,9 @@
 """Dissipative nonlinear ODEs ``du/dt = F1 u + FM u^(x M)`` and their rescaling.
 
-The nonlinearity matrix ``FM`` maps the M-fold Kronecker power of the state
-back to state space and is always held sparsely; the Kronecker power itself is
-never materialised except through :func:`kron_power` under the size limit.
+``F1`` and the nonlinearity matrix ``FM``, which maps the M-fold Kronecker
+power of the state back to state space, are always held as CSR; the Kronecker
+power itself is never materialised except through :func:`kron_power` under the
+size limit.
 Kronecker sums ``sum_i I (x) op (x) I`` (of F1, of FM, of a Laplacian's axis
 operator) are assembled by :func:`kron_sum` and applied by :func:`kron_sum_apply`.
 """
@@ -25,12 +26,23 @@ MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 
 def _as_csr(matrix: MatrixLike, shape: tuple[int, int], name: str) -> sp.csr_matrix:
-    if sp.issparse(matrix):
-        out = matrix.tocsr()
-    else:
-        out = sp.csr_matrix(np.asarray(matrix, dtype=float))
-    if out.shape != shape:
-        raise ValidationError(f"{name} has shape {out.shape}, expected {shape}")
+    """``matrix`` as canonical float CSR (no duplicates, no stored zeros), checked for
+    ``shape`` and finite entries.
+
+    A dense matrix and its sparse copy give the same CSR; a non-canonical
+    sparse input is canonicalised on a copy, never in place.
+    """
+    if not sp.issparse(matrix):
+        matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != shape:
+        raise ValidationError(f"{name} has shape {matrix.shape}, expected {shape}")
+    out = sp.csr_matrix(matrix, dtype=float)
+    if not np.all(np.isfinite(out.data)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    if not (out.has_canonical_format and out.data.all()):
+        out = out.copy()
+        out.sum_duplicates()
+        out.eliminate_zeros()
     return out
 
 
@@ -38,9 +50,12 @@ def _as_csr(matrix: MatrixLike, shape: tuple[int, int], name: str) -> sp.csr_mat
 class NonlinearODE:
     """Problem data for ``du/dt = F1 u + FM u^(x M)``, ``u(0) = u_in``.
 
-    ``F1`` is dense or sparse ``n x n``; ``FM`` is sparse ``n x n**M`` given
-    directly or as anything scipy can convert.  Dissipativity is a derived
-    property (``lambda0 < 0``), not an assumption baked into construction.
+    ``F1`` (``n x n``) and ``FM`` (``n x n**M``) may be given dense or sparse,
+    as anything scipy can convert; both are held as CSR at every ``n``
+    (:func:`_as_csr`).  Dense linear algebra on F1 (its spectral scalars and
+    the Jacobian) is bounded by ``DENSE_F1_MAX_N``, not its storage.
+    Dissipativity is a derived property (``lambda0 < 0``), not an assumption
+    baked into construction.
 
     Quantities derived from ``F1`` and ``FM`` (the FM triplets and digits,
     ``lambda0``, ``|F1|``, ``|FM|``) are computed on first use and cached on
@@ -50,8 +65,8 @@ class NonlinearODE:
 
     n: int
     M: int
-    F1: MatrixLike
-    FM: MatrixLike
+    F1: sp.csr_matrix
+    FM: sp.csr_matrix
     u_in: np.ndarray
     T: float = 1.0
 
@@ -63,20 +78,9 @@ class NonlinearODE:
         if self.T < 0:
             raise ValidationError(f"time horizon must be non-negative, got {self.T}")
         big = self.n ** self.M
-        if big >= 2**63:
-            raise ValidationError(f"n**M = {big} is not index-addressable")
-        if sp.issparse(self.F1):
-            self.F1 = self.F1.tocsr()
-            values = self.F1.data
-        else:
-            self.F1 = values = np.asarray(self.F1, dtype=float)
-        if self.F1.shape != (self.n, self.n):
-            raise ValidationError(f"F1 has shape {self.F1.shape}, expected {(self.n, self.n)}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("F1 contains non-finite entries")
+        check_size(big, 2**63 - 1, "FM column index n**M")
+        self.F1 = _as_csr(self.F1, (self.n, self.n), "F1")
         self.FM = _as_csr(self.FM, (self.n, big), "FM")
-        if not np.all(np.isfinite(self.FM.data)):
-            raise ValidationError("FM contains non-finite entries")
         self.u_in = np.asarray(self.u_in, dtype=float)
         if self.u_in.size != self.n:
             raise ValidationError(f"u_in has {self.u_in.size} values, expected {self.n}")
@@ -124,7 +128,7 @@ class NonlinearODE:
         dimension.
         """
         check_size(self.n, DENSE_F1_MAX_N, "dense Jacobian dimension")
-        jac = self.F1.toarray() if sp.issparse(self.F1) else self.F1.copy()
+        jac = self.F1.toarray()
         rows, _, vals = self.fm_coordinates
         factors = u[self.fm_digits]
         for p in range(self.M):
@@ -177,7 +181,7 @@ class RescaledODE:
         return self.base.M
 
     @property
-    def F1(self) -> MatrixLike:
+    def F1(self) -> sp.csr_matrix:
         return self.base.F1
 
     @property

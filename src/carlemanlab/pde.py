@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericFailure, ValidationError
-from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_size
+from .limits import KRON_MAX_SIZE, check_size
 from .nonlinear_ode import NonlinearODE, base_digits, max_stable_gamma, r_ratio
 from .stencil import build_laplacian_dd, laplacian_eigenvalues_periodic
 
@@ -124,12 +124,13 @@ def one_sparse_nonlinearity(n: int, M: int, b: float) -> sp.csr_matrix:
 
 
 def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
-    """Sample the initial data and assemble ``F1 = D L_{k,d} + c I`` and ``FM``."""
+    """Sample the initial data and assemble ``F1 = D L_{k,d} + c I`` and ``FM``, both CSR.
+
+    F1 stores at most ``2kd + 1`` entries per row, at every grid size.
+    """
     lap = build_laplacian_dd(pde.k, pde.d, pde.m, bc="periodic")
     n = pde.n
-    F1 = (pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")).tocsr()
-    if n <= DENSE_F1_MAX_N:
-        F1 = F1.toarray()
+    F1 = pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")
     FM = one_sparse_nonlinearity(n, pde.M, pde.b)
     return NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)
 

@@ -218,24 +218,19 @@ class TestPdeCommand:
         assert maxnorm["converges_in_N"] is True
         assert 0.0 <= maxnorm["eta1_at_T"] <= 1.0
         assert maxnorm["g_kappa"] > 1.0
-        exported = json.loads((tmp_path / "demo_ode_config.json").read_text())["ode"]
-        ode = cli.ode_from_config(exported)
-        assert ode.n == 16
-        assert ode.fm_is_one_sparse
-        want = rd.discretize(cli.pde_from_config(PDE_DEMO["pde"]))
-        assert isinstance(ode.F1, np.ndarray)
-        np.testing.assert_array_equal(ode.F1, want.F1)
-
-    def test_export_above_the_dense_f1_limit(self, tmp_path):
-        config = json.loads(json.dumps(PDE_DEMO))
-        config["pde"].update(d=2, m=24, b=0.1)  # n = 576; R < 1 needs the smaller b
-        assert run_config(config, tmp_path) == 0
-        exported = json.loads((tmp_path / "demo_ode_config.json").read_text())["ode"]
-        ode = cli.ode_from_config(exported)
-        want = rd.discretize(cli.pde_from_config(config["pde"]))
-        assert ode.n == 576
-        assert sp.issparse(ode.F1)
-        assert (ode.F1 != want.F1).nnz == 0
+        # the export gives back the discretised F1, as CSR, on both sides of the dense-F1 limit
+        above = json.loads(json.dumps(PDE_DEMO))
+        above["pde"].update(d=2, m=24, b=0.1)  # n = 576; R < 1 needs the smaller b
+        (tmp_path / "above").mkdir()
+        assert run_config(above, tmp_path / "above") == 0
+        for config, out, n in ((PDE_DEMO, tmp_path, 16), (above, tmp_path / "above", 576)):
+            exported = json.loads((out / "demo_ode_config.json").read_text())["ode"]
+            ode = cli.ode_from_config(exported)
+            want = rd.discretize(cli.pde_from_config(config["pde"]))
+            assert ode.n == n
+            assert ode.fm_is_one_sparse
+            assert isinstance(ode.F1, sp.csr_matrix)
+            np.testing.assert_array_equal(ode.F1.toarray(), want.F1.toarray())
 
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))
@@ -547,6 +542,30 @@ class TestValidation:
     def test_malformed_container_is_validation_exit(self, tmp_path, capsys, change):
         assert run_config(change(json.loads(json.dumps(BERNOULLI))), tmp_path) == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lambda_f1", "lambda_fm"])
+    def test_removed_subnormalisation_keys_are_validation_exit(self, tmp_path, capsys, key):
+        config = json.loads(json.dumps(BERNOULLI))
+        config["command"] = "cost"
+        config["numerics"][key] = 1.0
+        assert run_config(config, tmp_path) == 2
+        assert "unknown numerics keys" in capsys.readouterr().err
+
+    def test_levels_past_int64_are_validation_exit(self, tmp_path, capsys):
+        # a non-diagonal F1 steps every coordinate: C(266, 11) > 2**63 at level 11
+        n = 256
+        ring = [[i, i, -2.0] for i in range(n)] + [[i, (i + 1) % n, 0.5] for i in range(n)]
+        config = {
+            "command": "evolve",
+            "ode": {
+                "n": n, "M": 2, "F1": {"entries": ring},
+                "FM": {"entries": [[i, i * (n + 1), 0.1] for i in range(n)]},
+                "u_in": [0.01] * n, "T": 1.0,
+            },
+            "numerics": {"N": 11},
+        }
+        assert run_config(config, tmp_path) == 2
+        assert "symmetric Carleman operator entries" in capsys.readouterr().err
 
     def test_r_at_least_one_is_validation_exit(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))

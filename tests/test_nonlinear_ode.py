@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from carlemanlab import nonlinear_ode
 from carlemanlab.bounds import make_bound_report
 from carlemanlab.carleman import assemble
-from carlemanlab.errors import ValidationError
+from carlemanlab.errors import SizeLimitError, ValidationError
 from carlemanlab.limits import DENSE_F1_MAX_N
 from carlemanlab.nonlinear_ode import (
     NonlinearODE,
@@ -91,6 +91,24 @@ class TestScalarsComputedOnce:
         make_bound_report(ode, eps=0.01)
         assemble(rescale(ode, gamma), 4).gershgorin_max_eig_bound()
         assert len(calls) == 1
+
+
+class TestDenseLinearAlgebraOnCsrF1:
+    """Up to the dense-F1 limit the CSR F1 is densified, so every result is a dense F1's, bit for bit."""
+
+    def test_demo_scalars_and_jacobian_equal_the_dense_computation(self, demo_pde):
+        ode = discretize(demo_pde)
+        dense = ode.F1.toarray()
+        assert ode.lambda0 == float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
+        assert ode.lambda0 == lambda0(dense)
+        assert ode.f1_norm == float(np.linalg.norm(dense, 2))
+        assert ode.f1_norm == operator_spectral_norm(dense)
+        # the one-sparse b u_i^2 adds b u_i on the diagonal once per digit position
+        u = ode.u_in
+        want = dense.copy()
+        for _ in range(2):
+            want[np.diag_indices(ode.n)] += demo_pde.b * u
+        assert np.array_equal(ode.jacobian(u), want)
 
 
 class TestRRatio:
@@ -290,7 +308,7 @@ def jacobian_cases(draw):
 def test_jacobian_is_the_derivative_of_the_kronecker_power(case):
     # J v = F1 v + FM sum_p u^(x p) (x) v (x) u^(x (M-1-p))
     ode, u, v = case
-    F1 = ode.F1.toarray() if sp.issparse(ode.F1) else ode.F1
+    F1 = ode.F1.toarray()
     FM = ode.FM.toarray()
     kron = functools.partial(functools.reduce, np.kron)
     slots = [[u] * p + [v] + [u] * (ode.M - 1 - p) for p in range(ode.M)]
@@ -352,6 +370,28 @@ class TestConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n", [1, DENSE_F1_MAX_N, DENSE_F1_MAX_N + 1])
+    @pytest.mark.parametrize("form", ["list", "ndarray", "sparse"])
+    def test_f1_is_held_as_csr_for_every_input_and_size(self, n, form):
+        want = -2.0 * np.eye(n) + np.eye(n, k=1)
+        F1 = {"list": want.tolist(), "ndarray": want, "sparse": sp.coo_matrix(want)}[form]
+        ode = NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n))
+        assert isinstance(ode.F1, sp.csr_matrix)
+        assert ode.F1.has_canonical_format and ode.F1.nnz == 2 * n - 1
+        np.testing.assert_array_equal(ode.F1.toarray(), want)
+
+    def test_stored_zeros_of_a_sparse_f1_are_dropped_on_a_copy(self):
+        # a stored zero off the diagonal: the caller's matrix keeps it, the problem does not
+        F1 = sp.csr_matrix(([-1.0, 0.0, -2.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+        ode = NonlinearODE(n=2, M=2, F1=F1, FM=sp.csr_matrix((2, 4)), u_in=[1.0, 0.0])
+        assert F1.nnz == 3 and ode.F1.nnz == 2
+        assert assemble(ode, 3).f1_is_diagonal
+
+    def test_unaddressable_kronecker_width_is_a_size_refusal(self):
+        # n**M = 2**66: refused before F1 or FM is read
+        with pytest.raises(SizeLimitError):
+            NonlinearODE(n=2**22, M=3, F1=None, FM=None, u_in=None)
 
     def test_non_finite_sparse_f1_rejected(self):
         F1 = sp.csr_matrix(np.array([[-1.0, np.nan], [0.0, -1.0]]))

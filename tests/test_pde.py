@@ -45,7 +45,7 @@ class TestDiscretize:
         assert lambda0(ode.F1) == pytest.approx(-2.0, abs=1e-10)
 
     def test_f1_symmetric(self, demo_pde):
-        F1 = discretize(demo_pde).F1
+        F1 = discretize(demo_pde).F1.toarray()
         np.testing.assert_allclose(F1, F1.T, atol=1e-9)
 
     def test_nonlinearity_pattern_m2_n2(self):
@@ -237,7 +237,7 @@ class TestFourierForm:
         form = fourier_form(problem, ode)
         Q = functools.reduce(np.kron, [form.axis_basis] * problem.d)
         np.testing.assert_allclose(Q.T @ Q, np.eye(problem.n), rtol=0, atol=1e-13)
-        F1 = np.asarray(ode.F1)
+        F1 = ode.F1.toarray()
         scale = np.linalg.norm(F1, 2)
         assert np.abs(Q.T @ F1 @ Q - form.ode.F1.toarray()).max() <= 1e-13 * scale
         assert form.ode.F1.nnz == np.count_nonzero(form.ode.F1.diagonal())

@@ -648,7 +648,7 @@ def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
     config = PropagationConfig(total_time=T, taylor_order=K)
     res = evolve(mat, config)
     y_final = CarlemanVector(res.basis.expand(res.y_final), mat.n, mat.N)
-    F1 = ode.F1.toarray() if sp.issparse(ode.F1) else ode.F1
+    F1 = ode.F1.toarray()
     v = scipy.linalg.expm(T * F1) @ ode.u_in / gamma
     top = res.step_norms.max()
     defect = res.n_steps * taylor_step_defect_bound(mat.spectral_norm_bound(), res.dt, K, top)
