@@ -218,19 +218,25 @@ class TestPdeCommand:
         assert maxnorm["converges_in_N"] is True
         assert 0.0 <= maxnorm["eta1_at_T"] <= 1.0
         assert maxnorm["g_kappa"] > 1.0
-        # the export gives back the discretised F1, as CSR, on both sides of the dense-F1 limit
-        above = json.loads(json.dumps(PDE_DEMO))
-        above["pde"].update(d=2, m=24, b=0.1)  # n = 576; R < 1 needs the smaller b
-        (tmp_path / "above").mkdir()
-        assert run_config(above, tmp_path / "above") == 0
-        for config, out, n in ((PDE_DEMO, tmp_path, 16), (above, tmp_path / "above", 576)):
-            exported = json.loads((out / "demo_ode_config.json").read_text())["ode"]
-            ode = cli.ode_from_config(exported)
-            want = rd.discretize(cli.pde_from_config(config["pde"]))
-            assert ode.n == n
-            assert ode.fm_is_one_sparse
-            assert isinstance(ode.F1, sp.csr_matrix)
-            np.testing.assert_array_equal(ode.F1.toarray(), want.F1.toarray())
+        exported = json.loads((tmp_path / "demo_ode_config.json").read_text())["ode"]
+        ode = cli.ode_from_config(exported)
+        assert ode.n == 16
+        assert ode.fm_is_one_sparse
+        want = rd.discretize(cli.pde_from_config(PDE_DEMO["pde"]))
+        assert isinstance(ode.F1, sp.csr_matrix)
+        np.testing.assert_array_equal(ode.F1.toarray(), want.F1.toarray())
+
+    def test_export_above_the_dense_f1_limit(self, tmp_path):
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["pde"].update(d=2, m=24, b=0.1)  # n = 576; R < 1 needs the smaller b
+        assert run_config(config, tmp_path) == 0
+        exported = json.loads((tmp_path / "demo_ode_config.json").read_text())["ode"]
+        ode = cli.ode_from_config(exported)
+        want = rd.discretize(cli.pde_from_config(config["pde"]))
+        assert ode.n == 576
+        assert ode.fm_is_one_sparse
+        assert isinstance(ode.F1, sp.csr_matrix)
+        assert (ode.F1 != want.F1).nnz == 0
 
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))
