@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import gammaln
 
 from .errors import NumericFailure, ValidationError
-from .nonlinear_ode import NonlinearODE, RescaledODE, max_stable_gamma, r_ratio
+from .nonlinear_ode import NonlinearODE, max_stable_gamma, r_ratio
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pde import ReactionDiffusionProblem
@@ -99,15 +99,13 @@ def f_closed(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndar
     return out if np.ndim(tau) else float(out[0])
 
 
-def f_quadrature(
-    j: int, k: int, M: int, tau: float | np.ndarray, abs_tol: float = 1e-10
-) -> float | np.ndarray:
+def f_quadrature(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndarray:
     """Error factor via the nested-integral recurrence, integrated adaptively.
 
     The recurrence ``f_{j,k} (tau) = j int_0^tau exp(-j (tau - s))
     f_{j+M-1, k-1}(s) ds`` with base ``1 - exp(-j tau)`` is the derivative
     relation ``f_k' = j_k (f_{k-1} - f_k)`` for the whole tower, which is
-    integrated to well below ``abs_tol``.  Independent of the closed form.
+    integrated at absolute tolerance 1e-13.  Independent of the closed form.
     """
     _validate_fjk(j, k, M)
     if k > _MAX_QUAD_DEPTH:
@@ -140,7 +138,7 @@ def f_quadrature(
         np.zeros(k),
         method="DOP853",
         rtol=1e-12,
-        atol=min(abs_tol * 1e-3, 1e-13),
+        atol=1e-13,
         t_eval=positive,
     )
     if not sol.success:
@@ -195,47 +193,22 @@ def omega_index(N: int, M: int, j: int) -> int:
 # error bounds
 # ---------------------------------------------------------------------------
 
-def _base_quantities(ode: NonlinearODE | RescaledODE) -> tuple[NonlinearODE, float, float, float]:
-    base = ode.base if isinstance(ode, RescaledODE) else ode
-    lam = base.lambda0
-    fm = base.fm_norm
-    unorm = float(np.linalg.norm(base.u_in))
-    return base, lam, fm, unorm
+def global_error_bound(ode: NonlinearODE, N: int, t: float | np.ndarray) -> float | np.ndarray:
+    """Bound on the norm of the whole stacked error vector at ``gamma = |u_in|``.
 
-
-def global_error_bound(
-    ode: NonlinearODE | RescaledODE,
-    gamma: float | None,
-    N: int,
-    t: float | np.ndarray,
-    allow_nondefault_gamma: bool = False,
-) -> float | np.ndarray:
-    """Bound on the norm of the whole stacked error vector.
-
-    ``(M-1) |FM| |u_in|^(M-1) (1 - exp(N (lambda0 + gamma^(M-1) |FM|) t))
-    / |lambda0 + gamma^(M-1) |FM||``.  Stated for ``gamma = |u_in|``; any
-    other value must be opted into explicitly.
+    ``(M-1) |FM| |u_in|^(M-1) (1 - exp(N (lambda0 + |u_in|^(M-1) |FM|) t))
+    / |lambda0 + |u_in|^(M-1) |FM||``: the bound is stated for that rescaling
+    only, and its exponent argument is negative whenever it applies.
     """
-    base, lam, fm, unorm = _base_quantities(ode)
-    M = base.M
+    lam, fm, M = ode.lambda0, ode.fm_norm, ode.M
+    unorm = float(np.linalg.norm(ode.u_in))
     if lam >= 0:
         raise ValidationError(f"not dissipative: lambda0 = {lam} >= 0")
     if abs(lam) <= unorm ** (M - 1) * fm:
         raise ValidationError(
             "bound requires |lambda0| > |u_in|^(M-1) |FM| (nonlinearity too strong)"
         )
-    if gamma is None:
-        gamma = unorm
-    elif abs(gamma - unorm) > 1e-12 * max(unorm, 1.0) and not allow_nondefault_gamma:
-        raise ValidationError(
-            "the global bound is stated for gamma = |u_in|; pass "
-            "allow_nondefault_gamma=True to evaluate it anyway"
-        )
-    decay = lam + gamma ** (M - 1) * fm
-    if decay >= 0:
-        raise ValidationError(
-            f"exponent argument lambda0 + gamma^(M-1) |FM| = {decay} must be negative"
-        )
+    decay = lam + unorm ** (M - 1) * fm
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")
@@ -244,7 +217,7 @@ def global_error_bound(
 
 
 def component_error_bound(
-    ode: NonlinearODE | RescaledODE,
+    ode: NonlinearODE,
     N: int,
     j: int,
     t: float | np.ndarray,
@@ -254,25 +227,21 @@ def component_error_bound(
 
     ``k`` is the level-set exponent for ``j``; at ``j = 1`` this is the
     end-to-end bound on the extracted solution.  ``gamma`` defaults to
-    ``|u_in|``; the value of the bound is scale-invariant apart from the
+    ``|u_in|`` and must be positive and finite; the value of the bound is scale-invariant apart from the
     explicit ``(|u_in|/gamma)^j`` prefactor.
     """
-    if isinstance(ode, RescaledODE) and gamma is None:
-        gamma = ode.gamma
-    base, lam, _, unorm = _base_quantities(ode)
-    M = base.M
-    if lam >= 0:
-        raise ValidationError(f"not dissipative: lambda0 = {lam} >= 0")
-    R = r_ratio(base)
+    R = r_ratio(ode)  # refuses lambda0 >= 0
     if R >= 1:
         raise ValidationError(f"bound requires R < 1, got R = {R}")
-    k = omega_index(N, M, j)
-    if gamma is None:
-        gamma = unorm
+    k = omega_index(N, ode.M, j)
+    unorm = float(np.linalg.norm(ode.u_in))
+    gamma = unorm if gamma is None else gamma
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValidationError(f"scaling factor must be positive and finite, got {gamma}")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")
-    f = f_value(j, k, M, abs(lam) * t)
+    f = f_value(j, k, ode.M, abs(ode.lambda0) * t)
     vals = (unorm / gamma) ** j * R**k * np.asarray(f)
     return vals if vals.ndim else float(vals)
 
@@ -394,9 +363,9 @@ def make_bound_report(
     gamma: float | None = None,
     N: int | None = None,
     eps: float | None = None,
-    times: np.ndarray | None = None,
 ) -> BoundReport:
-    """Assemble verdicts, required order, and per-level bound curves."""
+    """Assemble verdicts, required order, and per-level bound curves on
+    ``linspace(0, T, 101)``."""
     lam = ode.lambda0
     R = r_ratio(ode)
     unorm = float(np.linalg.norm(ode.u_in))
@@ -408,9 +377,7 @@ def make_bound_report(
         refined = refined_carleman_order(R, ode.M, eps, lam, ode.T)
     if N is None:
         N = required if required is not None else ode.M + 1
-    if times is None:
-        times = np.linspace(0.0, ode.T, 101)
-    times = np.asarray(times, dtype=float)
+    times = np.linspace(0.0, ode.T, 101)
     eta = {
         j: np.asarray(component_error_bound(ode, N, j, times, gamma=gamma))
         for j in range(1, N + 1)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import itertools
 import json
@@ -18,7 +19,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -36,7 +36,6 @@ from .errors import NumericFailure, SizeLimitError, ValidationError
 from .limits import DENSE_MAX_DIM
 
 SCHEMA_VERSION = 1
-WORKER_ENV = "CARLEMANLAB_WORKERS"
 
 COMMANDS = ("linearize", "evolve", "bounds", "pde", "cost", "figures", "sweep")
 
@@ -101,13 +100,8 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(
-    path: str, header: list[str], rows: list[list], digest: str, config: dict | None = None
-) -> None:
-    lines = [f"# config_hash={digest}"]
-    if config is not None:
-        lines.append(f"# config={canonical_config_text(config)}")
-    lines.append(",".join(header))
+def write_csv(path: str, header: list[str], rows: list[list], digest: str, config: dict) -> None:
+    lines = [f"# config_hash={digest}", f"# config={canonical_config_text(config)}", ",".join(header)]
     for row in rows:
         lines.append(",".join([_CELL_FORMATS.get(type(x), format_number)(x) for x in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -363,7 +357,6 @@ def validate_config(config: dict) -> None:
 class RunContext:
     config: dict
     out_dir: str
-    workers: int
     strict_stability: bool
     digest: str
 
@@ -411,7 +404,8 @@ def _run_pipeline(ctx: RunContext) -> dict:
     data reaches few coordinates, and level 1 is mapped back to the grid; gamma, N, the reference and the bound come from
     the grid problem.  When the Fourier form or its symmetric operator is over
     a size limit (its nonlinearity couples far more modes than the grid's
-    couples points, so it can be while the grid fits), the grid is stepped.
+    couples points, so it can be while the grid fits), the grid is stepped;
+    when the grid is over a limit too, the error names both refusals.
     """
     ode, problem = resolve_problem(ctx.config)
     numerics = numerics_from_config(ctx.config)
@@ -426,18 +420,23 @@ def _run_pipeline(ctx: RunContext) -> dict:
         strict_stability=ctx.strict_stability,
         record_every=numerics["record_every"],
     )
-    fourier, result = None, None
+    fourier, result, refusal = None, None, None
     if problem is not None:
         try:
             fourier = rd.fourier_form(problem, ode)
             mat = carl.assemble(node.rescale(fourier.ode, gamma), N)
             result = prop.evolve(mat, config)
-        except SizeLimitError:
+        except SizeLimitError as exc:
             # a denser nonlinearity than the grid's: step the grid problem instead
-            fourier = None
+            fourier, refusal = None, exc
     if result is None:
         mat = carl.assemble(node.rescale(ode, gamma), N)
-        result = prop.evolve(mat, config)
+        try:
+            result = prop.evolve(mat, config)
+        except SizeLimitError as exc:
+            if refusal is None:
+                raise
+            raise SizeLimitError(f"Fourier form: {refusal}; grid: {exc}") from exc
     block1 = result.block1 if fourier is None else fourier.to_grid(result.block1)
     reference = node.reference_solve(
         ode, T=ode.T, tol=numerics["reference_tol"], t_eval=result.times
@@ -637,6 +636,12 @@ _SWEEP_AXES = {
 }
 
 
+_SWEEP_METRICS = (
+    "measured_error_T", "max_measured_error", "component_bound_j1_T",
+    "final_share", "final_y_norm", "N", "dt", "n_steps", "reference_method",
+)
+
+
 def _cmd_sweep(ctx: RunContext) -> None:
     axes = ctx.config.get("axes", [])
     if not isinstance(axes, list) or not all(isinstance(axis, dict) for axis in axes):
@@ -649,42 +654,24 @@ def _cmd_sweep(ctx: RunContext) -> None:
         if not isinstance(axis.get("values"), list):
             raise ValidationError(f"sweep axis {axis['name']!r} needs a list of 'values'")
     names = [axis["name"] for axis in axes]
-    value_lists = [axis["values"] for axis in axes] or [[None]]
-    points = list(itertools.product(*value_lists)) if axes else [()]
-
-    def run_point(values: tuple) -> dict:
-        import copy
-
+    if len(set(names)) < len(names):
+        raise ValidationError(f"sweep axes repeat a name: {names}")
+    # a metric that is also an axis (N, dt) would repeat the axis value
+    metric_keys = [key for key in _SWEEP_METRICS if key not in names]
+    rows = []
+    for point in itertools.product(*[axis["values"] for axis in axes]):
         config = copy.deepcopy(ctx.config)
-        for name, value in zip(names, values):
+        for name, value in zip(names, point):
             section, key = _SWEEP_AXES[name]
             config.setdefault(section, {})[key] = value
             if name == "gamma":
                 config["numerics"]["gamma_mode"] = "explicit"
-        sub = RunContext(
-            config=config, out_dir=ctx.out_dir, workers=1,
+        summary = _run_pipeline(RunContext(
+            config=config, out_dir=ctx.out_dir,
             strict_stability=ctx.strict_stability, digest=ctx.digest,
-        )
-        summary = _run_pipeline(sub)
-        summary.pop("rows")
-        summary.pop("reference_rows")
-        return summary
-
-    if ctx.workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=ctx.workers) as pool:
-            summaries = list(pool.map(run_point, points))
-    else:
-        summaries = [run_point(p) for p in points]
-
-    metric_keys = [
-        "measured_error_T", "max_measured_error", "component_bound_j1_T",
-        "final_share", "final_y_norm", "N", "dt", "n_steps", "reference_method",
-    ]
+        ))
+        rows.append(list(point) + [summary[k] for k in metric_keys])
     header = names + metric_keys
-    rows = [
-        list(point) + [summary[k] for k in metric_keys]
-        for point, summary in zip(points, summaries)
-    ]
     write_csv(ctx.path("sweep.csv"), header, rows, ctx.digest, ctx.config)
 
 
@@ -703,12 +690,11 @@ _HANDLERS = {
 # entry point
 # ---------------------------------------------------------------------------
 
-def run(config: dict, out_dir: str, workers: int = 1, strict_stability: bool = True) -> None:
+def run(config: dict, out_dir: str, strict_stability: bool = True) -> None:
     validate_config(config)
     ctx = RunContext(
         config=config,
         out_dir=out_dir,
-        workers=workers,
         strict_stability=strict_stability,
         digest=config_hash(config),
     )
@@ -733,7 +719,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", nargs="*", help="optional command [target] overriding the config")
     parser.add_argument("--config", help="path to the JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=None, help="sweep worker cap")
     parser.add_argument(
         "--strict-stability", type=_parse_bool, default=True,
         help="require a non-positive Gershgorin bound before evolving",
@@ -754,10 +739,7 @@ def main(argv: list[str] | None = None) -> int:
                 config["figure"] = args.command[1]
         config.setdefault("schema_version", SCHEMA_VERSION)
         config.setdefault("seed", 0)
-        workers = args.workers
-        if workers is None:
-            workers = int(os.environ.get(WORKER_ENV, "1"))
-        run(config, args.out, workers=workers, strict_stability=args.strict_stability)
+        run(config, args.out, strict_stability=args.strict_stability)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -206,13 +206,13 @@ def prior_work_comparison(
     d: int = 1,
     n: int = 2,
     sparsity: int = 3,
-    history_norm: float = 1.0,
     decay: float = 1.0,
     this_work_calls: Optional[float] = None,
 ) -> list[PriorWorkRow]:
     """Evaluate earlier complexity formulas next to the present estimate.
 
-    Poly-log factors are instantiated with exponent 1 and unit constants.
+    Poly-log factors are instantiated with exponent 1 and unit constants, and
+    the Euler-based formula's history-state norm with 1.
     The state-norm power ``|u_in|^(2N)`` in the Euler-based formula is
     surfaced explicitly; the order selector of the Taylor-based prior work
     divides by ``log(1/|u_in|)`` and is flagged as undefined at
@@ -224,12 +224,9 @@ def prior_work_comparison(
         rows.append(PriorWorkRow(name="this_work", calls=this_work_calls))
 
     exp_factor = u_in_norm ** (2 * N)
-    polylog = _log_factor(
-        abs(decay) * diffusion * d * M * n ** (1.0 / d) * N * sparsity * T
-        / (history_norm * eps)
-    )
+    polylog = _log_factor(abs(decay) * diffusion * d * M * n ** (1.0 / d) * N * sparsity * T / eps)
     an_calls = (
-        (1.0 / (history_norm**2 * eps))
+        (1.0 / eps)
         * sparsity
         * T**2
         * diffusion**2

@@ -10,6 +10,7 @@ operator) are assembled by :func:`kron_sum` and applied by :func:`kron_sum_apply
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -159,18 +160,23 @@ class NonlinearODE:
 
 @dataclass
 class RescaledODE:
-    """Variable change ``u_tilde = u / gamma`` applied to a base problem.
+    """Variable change ``u_tilde = u / gamma`` applied to a base problem: the
+    ``(base, gamma)`` pair a :class:`~carlemanlab.carleman.CarlemanMatrix` reads.
 
     The rescaled system keeps ``F1`` and multiplies the nonlinearity by
     ``gamma**(M-1)``; trajectories satisfy ``u_tilde(t) = u(t) / gamma``.
+    ``gamma`` must be positive and finite (``max_stable_gamma`` is infinite
+    when FM vanishes).  The analysis functions take the base problem.
     """
 
     base: NonlinearODE
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValidationError(f"scaling factor must be positive, got {self.gamma}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValidationError(
+                f"scaling factor must be positive and finite, got {self.gamma}"
+            )
 
     @property
     def n(self) -> int:
@@ -185,22 +191,8 @@ class RescaledODE:
         return self.base.F1
 
     @property
-    def FM_scaled(self) -> sp.csr_matrix:
-        return self.base.FM * (self.gamma ** (self.base.M - 1))
-
-    @property
     def u_in_scaled(self) -> np.ndarray:
         return self.base.u_in / self.gamma
-
-    def as_ode(self) -> NonlinearODE:
-        return NonlinearODE(
-            n=self.base.n,
-            M=self.base.M,
-            F1=self.base.F1,
-            FM=self.FM_scaled,
-            u_in=self.u_in_scaled,
-            T=self.base.T,
-        )
 
 
 def rescale(ode: NonlinearODE, gamma: float) -> RescaledODE:
@@ -220,41 +212,34 @@ def _arpack_start(length: int) -> np.ndarray:
 def lambda0(F1: MatrixLike) -> float:
     """Maximum eigenvalue of the symmetric part ``(F1 + F1^T)/2``.
 
-    LAPACK on a dense F1, and on a sparse one up to the dense-F1 limit;
-    seeded ARPACK (Lanczos) on the sparse symmetric part above the limit, so
+    ``F1``, dense or sparse, is read as float CSR.  LAPACK up to the dense-F1
+    limit; seeded ARPACK (Lanczos) on the sparse symmetric part above it, so
     no dense ``n x n`` copy is made there.
     """
-    if sp.issparse(F1):
-        if not np.all(np.isfinite(F1.data)):
-            raise ValidationError("F1 contains non-finite entries")
-        if F1.shape[0] > DENSE_F1_MAX_N:
-            sym = (0.5 * (F1 + F1.T)).tocsr()
-            try:
-                top = eigsh(
-                    sym, k=1, which="LA", v0=_arpack_start(sym.shape[0]),
-                    return_eigenvectors=False,
-                )
-            except ArpackNoConvergence as exc:
-                raise NumericFailure(f"ARPACK did not converge for lambda0: {exc}") from exc
-            return float(top[0])
+    F1 = sp.csr_matrix(F1, dtype=float)
+    if not np.all(np.isfinite(F1.data)):
+        raise ValidationError("F1 contains non-finite entries")
+    if F1.shape[0] <= DENSE_F1_MAX_N:
         dense = F1.toarray()
-    else:
-        dense = np.asarray(F1, dtype=float)
-        if not np.all(np.isfinite(dense)):
-            raise ValidationError("F1 contains non-finite entries")
-    sym = 0.5 * (dense + dense.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
+        return float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
+    sym = (0.5 * (F1 + F1.T)).tocsr()
+    try:
+        top = eigsh(
+            sym, k=1, which="LA", v0=_arpack_start(sym.shape[0]), return_eigenvectors=False,
+        )
+    except ArpackNoConvergence as exc:
+        raise NumericFailure(f"ARPACK did not converge for lambda0: {exc}") from exc
+    return float(top[0])
 
 
 def operator_spectral_norm(A: MatrixLike) -> float:
     """Largest singular value.
 
-    LAPACK on a dense matrix, and on a sparse one whose dense copy holds no
-    more entries than a dense F1 at the dense-F1 limit; seeded ARPACK
-    (``svds``) on larger sparse matrices.
+    ``A``, dense or sparse, is read as float CSR.  LAPACK when its dense copy
+    holds no more entries than a dense F1 at the dense-F1 limit; seeded
+    ARPACK (``svds``) above that.
     """
-    if not sp.issparse(A):
-        return float(np.linalg.norm(np.asarray(A, dtype=float), 2))
+    A = sp.csr_matrix(A, dtype=float)
     if A.nnz == 0:
         return 0.0
     if A.shape[0] * A.shape[1] <= DENSE_F1_MAX_N**2:
@@ -275,16 +260,12 @@ def fm_spectral_norm(ode: NonlinearODE) -> float:
     return operator_spectral_norm(ode.FM)
 
 
-def _coerce_ode(ode: NonlinearODE | RescaledODE) -> NonlinearODE:
-    return ode.as_ode() if isinstance(ode, RescaledODE) else ode
-
-
-def r_ratio(ode: NonlinearODE | RescaledODE) -> float:
+def r_ratio(ode: NonlinearODE) -> float:
     """Nonlinearity-to-dissipation ratio ``|FM| |u_in|^(M-1) / |lambda0|``.
 
-    Scale-invariant: the rescaled system reports the same value.
+    Scale-invariant: the system rescaled by any ``gamma``, ``(F1,
+    gamma^(M-1) FM, u_in / gamma)``, has the same value.
     """
-    ode = _coerce_ode(ode)
     lam = ode.lambda0
     if lam >= 0:
         raise ValidationError(f"not dissipative: lambda0 = {lam} >= 0")
@@ -377,7 +358,7 @@ class Trajectory:
 
 
 def reference_solve(
-    ode: NonlinearODE | RescaledODE,
+    ode: NonlinearODE,
     T: float | None = None,
     tol: float = 1e-10,
     t_eval: np.ndarray | None = None,
@@ -395,7 +376,6 @@ def reference_solve(
     scipy's floor ``100 eps``), and explicit DOP853 otherwise.  The
     trajectory records which method ran.
     """
-    ode = _coerce_ode(ode)
     if not 1e-13 <= tol <= 1e-6:
         raise ValidationError(f"tolerance {tol} outside [1e-13, 1e-6]")
     horizon = ode.T if T is None else float(T)

@@ -326,7 +326,8 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     orbit-weighted norm, which equals the 2-norm of the flat state.  Only the
     coordinates the lift can reach are stepped (:meth:`CarlemanMatrix.reach`:
     with F1 diagonal, those coupled to the support of ``u_in``; otherwise
-    all); the others stay exactly zero.  A problem whose symmetric operator
+    all); the others stay exactly zero.  A zero ``u_in``, whose lift reaches
+    no coordinate, is refused first.  A problem whose symmetric operator
     would store more than ``KRON_MAX_SIZE`` entries is rejected before the
     operator, the basis or the state is allocated.
 
@@ -347,6 +348,8 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     one raises :class:`NumericFailure`, as does a norm beyond
     ``BLOWUP_FACTOR`` times the initial one.
     """
+    if not np.any(mat.rescaled.u_in_scaled):
+        raise ValidationError("initial state is zero: its lift reaches no coordinate")
     bound = mat.gershgorin_max_eig_bound()
     if config.strict_stability and bound > 0:
         raise ValidationError(

@@ -30,6 +30,14 @@ def make_two_dim_instance(M: int, R: float, skew: float = 0.1) -> NonlinearODE:
     return NonlinearODE(n=2, M=M, F1=F1, FM=FM, u_in=w, T=1.0)
 
 
+def rescaled_ode(ode: NonlinearODE, gamma: float) -> NonlinearODE:
+    """The problem in the variable ``u / gamma``: ``(F1, gamma^(M-1) FM, u_in / gamma)``."""
+    return NonlinearODE(
+        n=ode.n, M=ode.M, F1=ode.F1, FM=ode.FM * gamma ** (ode.M - 1), u_in=ode.u_in / gamma,
+        T=ode.T,
+    )
+
+
 def full_spectrum(values: np.ndarray, seed: int = 0) -> np.ndarray:
     """``values`` plus 1 % seeded noise, rescaled to their 2-norm, so every Fourier mode is nonzero.
 

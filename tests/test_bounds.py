@@ -150,29 +150,23 @@ class TestOmegaSets:
 
 class TestGlobalBound:
     def test_zero_time(self, bernoulli_ode):
-        assert global_error_bound(bernoulli_ode, None, 4, 0.0) == 0.0
+        assert global_error_bound(bernoulli_ode, 4, 0.0) == 0.0
 
     def test_vanishing_nonlinearity(self):
         import scipy.sparse as sp
 
         ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
-        assert global_error_bound(ode, None, 4, 1.0) == 0.0
+        assert global_error_bound(ode, 4, 1.0) == 0.0
 
     def test_hand_value(self, bernoulli_ode):
         # (M-1) |FM| |u_in| (1 - exp(-2)) / 0.5 with N=4, t=1
-        got = global_error_bound(bernoulli_ode, None, 4, 1.0)
+        got = global_error_bound(bernoulli_ode, 4, 1.0)
         assert got == pytest.approx(1.0 - np.exp(-2.0), rel=1e-12)
-
-    def test_nondefault_gamma_gated(self, bernoulli_ode):
-        with pytest.raises(ValidationError, match="gamma"):
-            global_error_bound(bernoulli_ode, 1.7, 4, 1.0)
-        val = global_error_bound(bernoulli_ode, 1.7, 4, 1.0, allow_nondefault_gamma=True)
-        assert np.isfinite(val) and val >= 0
 
     def test_strong_nonlinearity_rejected(self):
         ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[2.0]], u_in=[1.0])
         with pytest.raises(ValidationError):
-            global_error_bound(ode, None, 4, 1.0)
+            global_error_bound(ode, 4, 1.0)
 
     def test_dominates_stacked_error_vector(self, bernoulli_ode):
         # oracle: near-exact evolve vs reference, all levels stacked
@@ -189,7 +183,7 @@ class TestGlobalBound:
         u_T = ref.u[-1] / gamma
         lifted = np.concatenate([kron_power(u_T, j) for j in range(1, N + 1)])
         eta_norm = np.linalg.norm(lifted - res.basis.expand(res.y_final))
-        assert eta_norm <= global_error_bound(bernoulli_ode, None, N, 1.0) + 1e-8
+        assert eta_norm <= global_error_bound(bernoulli_ode, N, 1.0) + 1e-8
 
 
 class TestComponentBound:

@@ -401,22 +401,33 @@ class TestSweepCommand:
         _, rows = read_csv(tmp_path / "demo_sweep.csv")
         assert len(rows) == 1
 
-    def test_workers_do_not_change_output(self, tmp_path):
+    @pytest.mark.parametrize("axes", [["N"], ["dt"], ["K", "N"]])
+    def test_header_names_are_unique(self, tmp_path, axes):
+        # N and dt are also metrics; an axis replaces the metric's column
         config = json.loads(json.dumps(BERNOULLI))
         config["command"] = "sweep"
-        config["numerics"] = {"K": 8, "n_steps": 50}
-        config["axes"] = [{"name": "N", "values": [3, 4, 5]}]
-        run_config(config, tmp_path, extra_args=("--workers", "1"))
-        serial = (tmp_path / "demo_sweep.csv").read_bytes()
-        run_config(config, tmp_path, extra_args=("--workers", "3"))
-        parallel = (tmp_path / "demo_sweep.csv").read_bytes()
-        assert serial == parallel
+        config["numerics"] = {"N": 4, "K": 8, "dt": 0.02}
+        values = {"N": [3, 4], "dt": [0.02, 0.01], "K": [8]}
+        config["axes"] = [{"name": name, "values": values[name]} for name in axes]
+        assert run_config(config, tmp_path) == 0
+        header, rows = read_csv(tmp_path / "demo_sweep.csv")
+        assert len(header) == len(set(header))
+        assert header[: len(axes)] == axes
+        assert {"N", "dt", "n_steps", "measured_error_T"} <= set(header)
+        assert all(len(row) == len(header) for row in rows)
+
+    def test_repeated_axis_rejected(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BERNOULLI))
+        config["command"] = "sweep"
+        config["axes"] = [{"name": "N", "values": [3]}, {"name": "N", "values": [4]}]
+        assert run_config(config, tmp_path) == 2
+        assert "repeat" in capsys.readouterr().err
 
     @settings(deadline=None, max_examples=20)
     @given(st.data())
-    def test_workers_do_not_change_output_bytes(self, data):
+    def test_sweep_output_bytes_are_deterministic(self, data):
         """A random small problem and one or two random axes: the sweep file is
-        the same byte for byte with one worker and with two."""
+        the same byte for byte on two runs."""
         n = data.draw(st.sampled_from([1, 2]), "n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
         G = rng.standard_normal((n, n))
@@ -455,10 +466,10 @@ class TestSweepCommand:
         }
         outputs = []
         with tempfile.TemporaryDirectory() as tmp:
-            for workers in ("1", "2"):
-                out = Path(tmp) / workers
+            for run in ("first", "second"):
+                out = Path(tmp) / run
                 out.mkdir()
-                assert run_config(config, out, extra_args=("--workers", workers)) == 0
+                assert run_config(config, out) == 0
                 outputs.append((out / "demo_sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -572,6 +583,55 @@ class TestValidation:
         }
         assert run_config(config, tmp_path) == 2
         assert "symmetric Carleman operator entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"ode": {"n": 2, "M": 2, "F1": [[-1.0, 0.0], [0.0, -2.0]],
+                     "FM": {"entries": [[0, 0, 0.5], [1, 3, 0.3]]}, "u_in": [0.0, 0.0], "T": 1.0}},
+            {"ode": {"n": 2, "M": 2, "F1": [[-1.0, 0.2], [0.1, -2.0]],
+                     "FM": {"entries": [[0, 0, 0.5], [1, 3, 0.3]]}, "u_in": [0.0, 0.0], "T": 1.0}},
+            {"pde": {**PDE_DEMO["pde"], "initial": {"profile": "constant", "amplitude": 0.0}}},
+        ],
+        ids=["ode-diagonal-F1", "ode-coupled-F1", "pde-constant-zero"],
+    )
+    def test_zero_initial_state_is_validation_exit(self, tmp_path, capsys, section):
+        # an explicit gamma and N get past the |u_in| = 0 refusals of gamma and R
+        config = {"command": "evolve", **section,
+                  "numerics": {"N": 4, "gamma_mode": "explicit", "gamma": 1.0}}
+        assert run_config(config, tmp_path) == 2
+        assert "initial state is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["linearize", "evolve"])
+    def test_infinite_gamma_is_validation_exit(self, tmp_path, capsys, command):
+        # FM = 0: gamma_max = (|lambda0| / |FM|)^(1/(M-1)) is infinite
+        config = json.loads(json.dumps(BERNOULLI))
+        config["command"] = command
+        config["ode"]["FM"] = {"entries": []}
+        config["numerics"] = {"N": 4, "gamma_mode": "gamma_max"}
+        assert run_config(config, tmp_path) == 2
+        assert "positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / f"demo_{command}.json").exists()
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_non_positive_gamma_in_bounds_is_validation_exit(self, tmp_path, capsys, gamma):
+        # (|u_in| / gamma)^j divided by zero at gamma = 0 and gave negative bounds below it
+        config = json.loads(json.dumps(BERNOULLI))
+        config["numerics"] = {"gamma_mode": "explicit", "gamma": gamma}
+        assert run_config(config, tmp_path) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_refused_fourier_form_and_grid_are_both_named(self, tmp_path, capsys):
+        # d = 2, m = 16: level 11 of the Fourier form's 256 modes has more ranks
+        # than int64 holds, and the grid's symmetric operator is over KRON_MAX_SIZE
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "evolve"
+        config["pde"].update(d=2, initial={"profile": "raised_cosine", "amplitude": 0.1})
+        config["numerics"] = {"N": 11}
+        assert run_config(config, tmp_path) == 2
+        err = capsys.readouterr().err
+        fourier, grid = err.index("ranked in int64"), err.index("symmetric Carleman operator")
+        assert err.index("Fourier form") < fourier < err.index("grid:") < grid
 
     def test_r_at_least_one_is_validation_exit(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))

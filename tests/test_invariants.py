@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlemanlab.bounds import required_carleman_order
-from carlemanlab.nonlinear_ode import NonlinearODE, lambda0, r_ratio, rescale
+from carlemanlab.nonlinear_ode import NonlinearODE, lambda0, r_ratio
+
+from conftest import rescaled_ode
 
 SETTINGS = settings(deadline=None)
 
@@ -40,7 +42,7 @@ def dissipative_problems(draw):
 def test_r_is_invariant_under_rescaling(ode, gamma):
     # |FM| gamma^(M-1) * (|u_in| / gamma)^(M-1) = |FM| |u_in|^(M-1); the two
     # sides differ only by the rounding of the scaled entries and norms
-    assert math.isclose(r_ratio(rescale(ode, gamma)), r_ratio(ode), rel_tol=1e-12)
+    assert math.isclose(r_ratio(rescaled_ode(ode, gamma)), r_ratio(ode), rel_tol=1e-12)
 
 
 @SETTINGS

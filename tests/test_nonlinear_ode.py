@@ -29,7 +29,7 @@ from carlemanlab.nonlinear_ode import (
 )
 from carlemanlab.pde import discretize, ReactionDiffusionProblem
 
-from conftest import make_two_dim_instance, raised_cosine
+from conftest import make_two_dim_instance, raised_cosine, rescaled_ode
 
 
 class TestLambda0:
@@ -67,8 +67,15 @@ class TestSparseSpectralScalars:
 
     def test_lambda0_matches_dense(self, sparse_f1):
         dense = sparse_f1.toarray()
+        want = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
         scale = np.linalg.norm(dense, 2)
-        assert abs(lambda0(sparse_f1) - lambda0(dense)) <= 1e-12 * scale
+        assert abs(lambda0(sparse_f1) - want) <= 1e-12 * scale
+
+    def test_dense_input_takes_the_sparse_route(self, sparse_f1):
+        # every input is read as CSR, so above the limit a dense one takes ARPACK too
+        dense = sparse_f1.toarray()
+        assert lambda0(dense) == lambda0(sparse_f1)
+        assert operator_spectral_norm(dense) == operator_spectral_norm(sparse_f1)
 
     def test_spectral_norm_matches_dense(self, sparse_f1):
         want = np.linalg.norm(sparse_f1.toarray(), 2)
@@ -143,25 +150,24 @@ class TestRRatio:
 class TestRescale:
     def test_identity_at_gamma_one(self, bernoulli_ode):
         resc = rescale(bernoulli_ode, 1.0)
-        np.testing.assert_allclose(resc.FM_scaled.toarray(), bernoulli_ode.FM.toarray())
         np.testing.assert_allclose(resc.u_in_scaled, bernoulli_ode.u_in)
 
     def test_scalar_example_invariance(self, bernoulli_ode):
-        resc = rescale(bernoulli_ode, 2.0)
-        np.testing.assert_allclose(resc.FM_scaled.toarray(), [[1.0]])
-        np.testing.assert_allclose(resc.u_in_scaled, [0.5])
-        assert r_ratio(resc) == pytest.approx(0.5)
+        scaled = rescaled_ode(bernoulli_ode, 2.0)
+        np.testing.assert_allclose(scaled.FM.toarray(), [[1.0]])
+        np.testing.assert_allclose(rescale(bernoulli_ode, 2.0).u_in_scaled, [0.5])
+        assert r_ratio(scaled) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5, 7.0])
     def test_r_invariance_generic(self, gamma):
         ode = make_two_dim_instance(3, 0.45)
-        assert r_ratio(rescale(ode, gamma)) == pytest.approx(r_ratio(ode), rel=1e-12)
+        assert r_ratio(rescaled_ode(ode, gamma)) == pytest.approx(r_ratio(ode), rel=1e-12)
 
     def test_trajectory_consistency(self, bernoulli_ode):
         # oracle route: integrate both systems, undo the scaling
         tol = 1e-10
         base = reference_solve(bernoulli_ode, T=1.0, tol=tol)
-        scaled = reference_solve(rescale(bernoulli_ode, 2.0), T=1.0, tol=tol)
+        scaled = reference_solve(rescaled_ode(bernoulli_ode, 2.0), T=1.0, tol=tol)
         assert np.abs(2.0 * scaled.u - base.u).max() <= 10 * tol
 
     def test_nonpositive_gamma_rejected(self, bernoulli_ode):
