@@ -11,7 +11,7 @@ its rounding large against the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING
 
@@ -341,7 +341,6 @@ class BoundReport:
     stability: dict[str, bool]
     required_N: int | None = None
     refined_N: int | None = None
-    notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -354,7 +353,6 @@ class BoundReport:
             "stability": self.stability,
             "required_N": self.required_N,
             "refined_N": self.refined_N,
-            "notes": self.notes,
         }
 
 
@@ -387,9 +385,6 @@ def make_bound_report(
         "contractive_nonlinearity": R < 1,
         "gamma_within_stable_range": gamma <= gamma_max,
     }
-    notes = []
-    if gamma != unorm:
-        notes.append("gamma differs from |u_in|; global-bound comparisons are gated")
     return BoundReport(
         R=R,
         lam0=lam,
@@ -400,5 +395,4 @@ def make_bound_report(
         stability=stability,
         required_N=required,
         refined_N=refined,
-        notes=notes,
     )

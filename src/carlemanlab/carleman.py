@@ -12,8 +12,8 @@ each level keyed by the lexicographic rank of its multi-indices
 It takes any subset of those keys and returns the principal submatrix on it:
 :meth:`CarlemanMatrix.reach` gives the coordinates the lift of ``u_in`` can
 reach, few when F1 is diagonal and ``u_in`` band-limited (13 of 6 544 on the
-demo PDE at N = 3, 1 262 of about 7.3e10 at N = 13), and every one
-otherwise.  This is the operator :func:`carlemanlab.propagator.evolve`
+demo PDE at N = 3, 1 262 of about 7.3e10 at N = 13), and ``None``, every
+one, otherwise.  This is the operator :func:`carlemanlab.propagator.evolve`
 steps, from :meth:`SymmetricBasis.lift` on the same keys.
 
 On the flat layout (:class:`CarlemanVector`, :meth:`SymmetricBasis.expand`)
@@ -169,22 +169,6 @@ def level_digits(ranks, n: int, j: int) -> np.ndarray:
     return T
 
 
-def full_levels(n: int, N: int) -> list[range]:
-    """Every rank of levels ``1..N``: the key set of the whole symmetric subspace."""
-    return [range(math.comb(n + j - 1, j)) for j in range(1, N + 1)]
-
-
-def _count(level) -> int:
-    """Number of ranks in a level's keys; exact past int64 for a whole level's ``range``."""
-    return level.stop - level.start if isinstance(level, range) else level.size
-
-
-def _take(level, a: int, b: int) -> np.ndarray:
-    """Ranks ``a..b-1`` of a level's sorted ranks, an array or a whole level's ``range``."""
-    part = level[a:b]
-    return np.arange(part.start, part.stop) if isinstance(part, range) else part
-
-
 def _locate(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each rank in the sorted ``keys``, and whether it is there."""
     at = np.searchsorted(keys, ranks)
@@ -213,18 +197,18 @@ def _sorted_blocks(n: int, keys, weigh=None, cap: int = _CHUNK):
     """
     at = 0
     for j, level in enumerate(keys, start=1):
-        if not len(level):
+        if not level.size:
             continue
         if weigh is None:
-            weights = np.ones(len(level))
+            weights = np.ones(level.size)
         else:
-            starts = range(0, len(level), cap)
+            starts = range(0, level.size, cap)
             weights = np.concatenate(
-                [weigh(j, level_digits(_take(level, s, s + cap), n, j)) for s in starts]
+                [weigh(j, level_digits(level[s : s + cap], n, j)) for s in starts]
             )
         for a, b in ranges(weights, cap):
-            yield j, at + a, level_digits(_take(level, a, b), n, j)
-        at += len(level)
+            yield j, at + a, level_digits(level[a:b], n, j)
+        at += level.size
 
 
 def _settle(found: list, above: int) -> np.ndarray:
@@ -246,12 +230,12 @@ def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SymmetricBasis:
     """One coordinate per sorted multi-index of ``keys``, a subset of levels ``1..N``.
 
-    ``keys`` holds each level's sorted ranks (:func:`level_ranks`); left
-    unset, it is every multi-index (:func:`full_levels`).  Coordinates follow
-    the ranks, level after level.  ``weights`` holds each one's orbit size
-    ``j! / prod(counts!)``, so ``sqrt(sum(weights * z**2))`` is the 2-norm of
-    the symmetric vector ``z`` stands for, every coordinate outside ``keys``
-    being zero.
+    ``keys`` holds each level's sorted ranks (:func:`level_ranks`) as an
+    array; left ``None``, it is every multi-index, each level's ranks built
+    here.  Coordinates follow the ranks, level after level.  ``weights``
+    holds each one's orbit size ``j! / prod(counts!)``, so
+    ``sqrt(sum(weights * z**2))`` is the 2-norm of the symmetric vector ``z``
+    stands for, every coordinate outside ``keys`` being zero.
     """
 
     n: int
@@ -260,8 +244,8 @@ class SymmetricBasis:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        levels = full_levels(self.n, self.N) if self.keys is None else self.keys
-        self.keys = [_take(level, 0, len(level)) for level in levels]
+        if self.keys is None:
+            self.keys = [np.arange(math.comb(self.n + j - 1, j)) for j in range(1, self.N + 1)]
         self._offsets = np.cumsum([0] + [level.size for level in self.keys]).tolist()
         factorial = np.array([math.factorial(k) for k in range(self.N + 1)], dtype=float)
         self.weights = np.empty(self.dimension)
@@ -471,27 +455,31 @@ class CarlemanMatrix:
     def symmetric_nnz(self, keys=None) -> int:
         """Bound on the entries :meth:`to_symmetric` stores, counted before it allocates any.
 
-        ``keys`` defaults to every sorted multi-index.  When a level is whole
-        (a ``range`` of ranks, as :func:`full_levels` gives), each row counts
-        :meth:`_row_entries`; on subsets of every level (arrays of ranks, as
-        :meth:`reach` gives), its diagonal entry and its couplings whose
-        columns lie in ``keys`` (:meth:`_couplings`), walked in the blocks
-        :meth:`to_symmetric` writes, so counting takes no more scratch than writing.
-        Every row stores its diagonal entry, so a key set with more rows than
+        With ``keys`` left ``None`` (every sorted multi-index), each row
+        counts :meth:`_row_entries`, summed in closed form: a value occurs in
+        ``C(n+j-2, j-1)`` sorted multi-indices of level ``j``, so the count is
+        the rows plus ``C(n+j-2, j-1)`` times the off-diagonal F1 entries and,
+        when level ``j+M-1`` exists, the sorted FM entries, over every level.
+        On arrays of ranks (as :meth:`reach` gives), each row counts its
+        diagonal entry and its couplings whose columns lie in ``keys``
+        (:meth:`_couplings`), walked in the blocks :meth:`to_symmetric`
+        writes, so counting takes no more scratch than writing.  Every row
+        stores its diagonal entry, so a key set with more rows than
         ``KRON_MAX_SIZE`` is counted by its rows alone.  Exact when no two
         entries of a row meet in one column and none sums to zero.
         """
-        keys = full_levels(self.n, self.N) if keys is None else keys
-        rows = sum(_count(level) for level in keys)
+        n, M, N = self.n, self.M, self.N
+        rows = self.symmetric_dimension if keys is None else sum(level.size for level in keys)
         if rows > KRON_MAX_SIZE:
             return rows
+        if keys is None:
+            _, (f1_ptr, _, _), (fm_ptr, _, _) = self._symmetric_parts
+            f1, fm = int(f1_ptr[-1]), int(fm_ptr[-1])
+            return rows + sum(
+                math.comb(n + j - 2, j - 1) * (f1 + (fm if j + M - 1 <= N else 0))
+                for j in range(1, N + 1)
+            )
         total = 0
-        if any(isinstance(level, range) for level in keys):
-            for j, level in enumerate(keys, start=1):
-                for s in range(0, len(level), _ENTRIES_PER_BLOCK):
-                    T = level_digits(_take(level, s, s + _ENTRIES_PER_BLOCK), self.n, j)
-                    total += int(self._row_entries(j, T).sum())
-            return total
         for j, _, T in self._entry_blocks(keys):
             total += T.shape[0] + sum(r.size for _, r, _, _ in self._couplings(j, T, keys))
         return total
@@ -532,7 +520,7 @@ class CarlemanMatrix:
             where, hit = _locate(keys[level - 1], level_ranks(tuples, self.n))
             yield level, row[src[hit]], where[hit], scale * mult[src[hit]] * entries[entry[hit]]
 
-    def reach(self) -> list:
+    def reach(self) -> list | None:
         """Sorted ranks, level by level, of the coordinates the lifted ``u_in`` can reach.
 
         When F1 is diagonal, level ``j`` of the operator moves level ``j``
@@ -546,7 +534,7 @@ class CarlemanMatrix:
         ``j+M-1``.  Every other coordinate stays exactly zero, so stepping
         the operator on the reach (:meth:`to_symmetric`) gives the same
         trajectory.  Otherwise, or when every entry of ``u_in`` is nonzero,
-        every coordinate (:func:`full_levels`).
+        ``None``: every coordinate.
 
         Each row of the operator stores its diagonal entry, so a reach of
         more than ``KRON_MAX_SIZE`` coordinates is refused as soon as its
@@ -558,7 +546,7 @@ class CarlemanMatrix:
         support = np.flatnonzero(self.rescaled.u_in_scaled)
         # a full support makes every level's support the whole level
         if not self.f1_is_diagonal or support.size == n:
-            return full_levels(n, N)
+            return None
         own = [math.comb(support.size + j - 1, j) for j in range(1, N + 1)]
         check_size(sum(own), KRON_MAX_SIZE, "symmetric Carleman operator entries")
         _, _, (ptr, digits, _) = self._symmetric_parts
@@ -599,7 +587,7 @@ class CarlemanMatrix:
         return levels
 
     def to_symmetric(self, keys=None) -> sp.csr_matrix:
-        """The operator on the coordinates ``keys`` of :class:`SymmetricBasis` (every one when unset).
+        """The operator on the coordinates ``keys`` of :class:`SymmetricBasis` (``None``: all).
 
         Entry ``(I, J)`` sums the full operator's row ``I`` over every flat
         column whose sorted multi-index is ``J``, so
@@ -611,12 +599,12 @@ class CarlemanMatrix:
         are dropped, and every diagonal entry is stored.
         """
         n = self.n
-        keys = full_levels(n, self.N) if keys is None else keys
         nnz = self.symmetric_nnz(keys)
         # every row stores its diagonal entry, so rows <= entries <= KRON_MAX_SIZE
         # < 2**31 and the int32 ``indices`` and ``indptr`` below cannot overflow
         check_size(nnz, KRON_MAX_SIZE, "symmetric Carleman operator entries")
-        keys = [_take(level, 0, len(level)) for level in keys]
+        if keys is None:
+            keys = [np.arange(math.comb(n + j - 1, j)) for j in range(1, self.N + 1)]
         diag = self._symmetric_parts[0]
         offsets = np.cumsum([0] + [level.size for level in keys]).tolist()
         data = np.empty(nnz)

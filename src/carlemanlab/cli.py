@@ -39,6 +39,12 @@ SCHEMA_VERSION = 1
 
 COMMANDS = ("linearize", "evolve", "bounds", "pde", "cost", "figures", "sweep")
 
+#: the keys a config may hold at its top level
+CONFIG_KEYS = (
+    "schema_version", "command", "seed", "ode", "pde", "numerics", "output", "figure",
+    "figure_params", "axes", "export_dense",
+)
+
 #: numeric knobs and their documented defaults; physical parameters have none
 NUMERIC_DEFAULTS = {
     "N": None,  # derived from epsilon when absent
@@ -140,6 +146,21 @@ def _require(section: dict, keys: list[str], where: str) -> None:
         raise ValidationError(f"{where} section is missing required keys: {missing}")
 
 
+def _known(section: dict, keys, where: str) -> None:
+    """Refuse a key of ``section`` outside ``keys``, so a misspelt one is never ignored."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _over_defaults(section: dict, defaults: dict, where: str) -> dict:
+    """``section``'s values over ``defaults``, refused when it holds any other key."""
+    _known(section, defaults, where)
+    return {**defaults, **section}
+
+
 def _matrix_from_entries(spec: dict | list, shape: tuple[int, int], name: str) -> sp.csr_matrix:
     """A sparse matrix from ``[row, column, value]`` triplets, bare or under ``"entries"``.
 
@@ -171,7 +192,9 @@ def _matrix_to_entries(matrix: Any) -> dict:
 
 def ode_from_config(section: dict) -> node.NonlinearODE:
     """Problem schema: n, M, F1 (dense rows or coordinate triplets), FM triplets, u_in, T."""
-    _require(section, ["n", "M", "F1", "FM", "u_in", "T"], "ode")
+    keys = ["n", "M", "F1", "FM", "u_in", "T"]
+    _require(section, keys, "ode")
+    _known(section, keys, "ode")
     n, M = (whole_number(section, key, "ode", required=True) for key in ("n", "M"))
     if isinstance(section["F1"], dict):
         F1 = _matrix_from_entries(section["F1"], (n, n), "ode F1")
@@ -203,8 +226,11 @@ _PROFILES: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 
 
 def pde_from_config(section: dict) -> rd.ReactionDiffusionProblem:
-    _require(section, ["diffusion", "c", "b", "M", "d", "m", "k", "T", "initial"], "pde")
+    keys = ["diffusion", "c", "b", "M", "d", "m", "k", "T", "initial"]
+    _require(section, keys, "pde")
+    _known(section, keys, "pde")
     init_spec = section["initial"]
+    _known(init_spec, ["values", "profile", "amplitude"], "pde initial")
     if "values" in init_spec:
         initial: rd.InitialCondition = real_array(init_spec, "values", "pde initial")
     elif "profile" in init_spec:
@@ -229,11 +255,7 @@ def numerics_from_config(config: dict) -> dict:
 
     A knob with a default needs a value; ``null`` unsets the others.
     """
-    out = dict(NUMERIC_DEFAULTS)
-    out.update(config.get("numerics", {}))
-    unknown = set(out) - set(NUMERIC_DEFAULTS)
-    if unknown:
-        raise ValidationError(f"unknown numerics keys: {sorted(unknown)}")
+    out = _over_defaults(config.get("numerics", {}), NUMERIC_DEFAULTS, "numerics")
     for key, default in NUMERIC_DEFAULTS.items():
         if key != "gamma_mode":
             read = whole_number if key in ("N", "K", "n_steps", "record_every") else real_number
@@ -338,6 +360,7 @@ def resolve_order(numerics: dict, ode: node.NonlinearODE) -> int:
 def validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
+    _known(config, CONFIG_KEYS, "config")
     version = config.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version}")
@@ -347,6 +370,9 @@ def validate_config(config: dict) -> None:
     for section in ("numerics", "output"):
         if not isinstance(config.get(section, {}), dict):
             raise ValidationError(f"{section!r} must be a JSON object")
+    _known(config.get("output", {}), ["prefix"], "output")
+    if not isinstance(config.get("export_dense", False), bool):
+        raise ValidationError(f"export_dense must be true or false, got {config['export_dense']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +620,11 @@ def _cmd_cost(ctx: RunContext) -> None:
 def _cmd_figures(ctx: RunContext) -> None:
     figure = ctx.config.get("figure")
     params = ctx.config.get("figure_params", {})
-    if not isinstance(params, dict):
-        raise ValidationError("figure_params must be a JSON object")
     where = "figure_params"
     if figure == "maxnorm":
-        params = {"k_list": [2, 3, 4], "tau_max": 1.0, "n_tau": 400, "m": 64, **params}
+        params = _over_defaults(
+            params, {"k_list": [2, 3, 4], "tau_max": 1.0, "n_tau": 400, "m": 64}, where
+        )
         k_list = whole_array(params, "k_list", where)
         tau_max = real_number(params, "tau_max", where, required=True)
         n_tau, m = (whole_number(params, key, where, required=True) for key in ("n_tau", "m"))
@@ -608,13 +634,14 @@ def _cmd_figures(ctx: RunContext) -> None:
             rows.extend([[k, t, v] for t, v in zip(taus, norms)])
         write_csv(ctx.path("maxnorm.csv"), ["k", "tau", "inf_norm"], rows, ctx.digest, ctx.config)
     elif figure == "fdconv":
-        params = {"k_list": [1, 2], "m_list": [16, 32, 64, 128], **params}
+        defaults = {"k_list": [1, 2], "m_list": [16, 32, 64, 128]}
+        params = _over_defaults(params, defaults, where)
         k_list, m_list = (whole_array(params, key, where) for key in ("k_list", "m_list"))
         table = st.convergence_study(k_list, m_list)
         rows = [[r.order, r.points, r.err_max, r.err_2] for r in table]
         write_csv(ctx.path("fdconv.csv"), ["k", "m", "err_max", "err_2"], rows, ctx.digest, ctx.config)
     elif figure == "eigs":
-        params = {"k": 1, "m": 16, **params}
+        params = _over_defaults(params, {"k": 1, "m": 16}, where)
         k, m = (whole_number(params, key, where, required=True) for key in ("k", "m"))
         eigs = st.laplacian_eigenvalues_periodic(k, m)
         rows = [[k, m, ell, val] for ell, val in enumerate(eigs)]

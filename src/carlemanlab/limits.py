@@ -25,8 +25,10 @@ DENSE_MAX_DIM = 4096
 #: stored entries instead (``KRON_MAX_SIZE``).
 ASSEMBLY_MAX_DIM = 200_000
 
-#: entries per array of this many float64 (80 MB).  It covers
-#: Kronecker-power vectors and the stored entries of the symmetric operator
+#: entries per array of this many float64 (80 MB).  It covers the PDE grid
+#: operator, ``n (2kd + 1)`` entries (``pde.discretize``, which refuses a
+#: larger grid before it builds anything), Kronecker-power vectors and the
+#: stored entries of the symmetric operator
 #: (``CarlemanMatrix.symmetric_nnz``), counted before it is allocated, so over
 #: it ``evolve`` raises instead of stepping, as it does over this many
 #: coordinates in the reach (``CarlemanMatrix.reach``); the one-step Taylor matrix

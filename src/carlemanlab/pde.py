@@ -126,10 +126,13 @@ def one_sparse_nonlinearity(n: int, M: int, b: float) -> sp.csr_matrix:
 def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
     """Sample the initial data and assemble ``F1 = D L_{k,d} + c I`` and ``FM``, both CSR.
 
-    F1 stores at most ``2kd + 1`` entries per row, at every grid size.
+    F1 stores at most ``2kd + 1`` entries per row, at every grid size; a
+    grid whose operator would store more than ``KRON_MAX_SIZE`` entries,
+    ``n (2kd + 1)``, is refused before anything is built or sampled.
     """
-    lap = build_laplacian_dd(pde.k, pde.d, pde.m, bc="periodic")
     n = pde.n
+    check_size(n * (2 * pde.k * pde.d + 1), KRON_MAX_SIZE, "grid operator entries")
+    lap = build_laplacian_dd(pde.k, pde.d, pde.m, bc="periodic")
     F1 = pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")
     FM = one_sparse_nonlinearity(n, pde.M, pde.b)
     return NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)

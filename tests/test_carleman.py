@@ -21,12 +21,23 @@ from carlemanlab.nonlinear_ode import (
     rescale,
 )
 from carlemanlab.pde import ReactionDiffusionProblem, discretize, fourier_form
+from carlemanlab.propagator import PropagationConfig, evolve
 
-from conftest import make_two_dim_instance
+from conftest import make_two_dim_instance, raised_cosine
 
 
 def scalar_ode(b: float = 0.5) -> NonlinearODE:
     return NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[b]], u_in=[1.0], T=1.0)
+
+
+def dense_f1_ode(n: int = 100) -> NonlinearODE:
+    """Distinct decay rates plus a small dense coupling: every entry of F1 stored."""
+    F1 = -np.diag(np.linspace(1.0, 2.0, n)) + 1e-3 * np.ones((n, n))
+    return NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.full(n, 0.1), T=0.02)
+
+
+def walked(*args):
+    raise AssertionError("whole levels are counted by formula, without visiting a row")
 
 
 class TestAssembly:
@@ -149,6 +160,43 @@ class TestSymmetricAssembly:
             got = mat.to_symmetric()
             for name in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize(
+        "grid, N, entries",
+        [
+            ((1, 32, 2), 3, 79_408),
+            ((2, 8, 1), 3, 601_184),
+            ((1, 110, 2), 3, 2_981_385),
+            ((1, 32, 2), 5, 8_185_176),
+            ((2, 12, 2), 3, 12_733_464),
+            (None, 3, 51_171_750),
+        ],
+        ids=["demo-N3", "d2-m8-k1", "m110", "demo-N5", "d2-m12-k2", "100-dense"],
+    )
+    def test_whole_levels_are_counted_without_a_walk(self, monkeypatch, grid, N, entries):
+        if grid is None:
+            mat = assemble(dense_f1_ode(), N)
+        else:
+            d, m, k = grid
+            mat = assemble(discretize(ReactionDiffusionProblem(
+                diffusion=0.2, c=-2.0, b=0.5, M=2, d=d, m=m, k=k, T=1.0, initial=raised_cosine,
+            )), N)
+        monkeypatch.setattr(carleman.CarlemanMatrix, "_row_entries", walked)
+        monkeypatch.setattr(carleman.CarlemanMatrix, "_entry_blocks", walked)
+        assert mat.symmetric_nnz() == entries
+
+    def test_over_the_entry_limit_refused_without_a_walk(self, monkeypatch):
+        # N = 4: 4 598 125 sorted multi-indices, whose rows a walk visited
+        mat = assemble(dense_f1_ode(), 4)
+        monkeypatch.setattr(carleman.CarlemanMatrix, "_row_entries", walked)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="symmetric Carleman operator entries"):
+                evolve(mat, PropagationConfig(total_time=0.02, taylor_order=6, n_steps=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_over_the_entry_limit_rejected(self):
         n = 100  # 176 850 sorted multi-indices, about 5e7 entries of a dense F1

@@ -87,6 +87,7 @@ class TestBoundsCommand:
         assert payload["results"]["R"] == pytest.approx(0.5)
         assert payload["results"]["required_N"] == 7
         assert payload["config_hash"] == cli.config_hash(BERNOULLI)
+        assert "notes" not in payload["results"]
 
     def test_bound_sweep_columns(self, tmp_path):
         run_config(BERNOULLI, tmp_path)
@@ -242,6 +243,15 @@ class TestPdeCommand:
         broken = json.loads(json.dumps(PDE_DEMO))
         del broken["pde"]["c"]
         assert run_config(broken, tmp_path) == 2
+
+    def test_grid_of_a_first_order_stencil_is_refused_by_its_size(self, tmp_path, capsys):
+        # the grid required_grid_points asks of k = 1 at epsilon = 1e-2 on the demo:
+        # a 1.74 GiB index array was the first thing it ran out of memory on
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["pde"].update(m=233_289_207, k=1)
+        assert run_config(config, tmp_path) == 2
+        assert "grid operator entries" in capsys.readouterr().err
+        assert not list(tmp_path.glob("demo_*.json"))
 
 
 class TestEvolveCommand:
@@ -559,6 +569,32 @@ class TestValidation:
     def test_malformed_container_is_validation_exit(self, tmp_path, capsys, change):
         assert run_config(change(json.loads(json.dumps(BERNOULLI))), tmp_path) == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, misspelt",
+        [
+            ({**PDE_DEMO, "numeric": {"N": 3, "K": 4}}, "config"),
+            ({**PDE_DEMO, "output": {"prefx": "typo"}}, "output"),
+            ({**PDE_DEMO, "pde": {**PDE_DEMO["pde"], "bc": "dirichlet"}}, "pde"),
+            ({**PDE_DEMO, "pde": {**PDE_DEMO["pde"], "initial": {"profile": "constant",
+                                                                   "amplitdue": 0.2}}},
+             "pde initial"),
+            ({**BERNOULLI, "ode": {**BERNOULLI["ode"], "t": 2.0}}, "ode"),
+            ({"command": "figures", "figure": "eigs", "figure_params": {"k": 2, "n": 12}},
+             "figure_params"),
+        ],
+        ids=["top-level", "output", "pde", "pde-initial", "ode", "figure-params"],
+    )
+    def test_misspelt_key_is_validation_exit(self, tmp_path, capsys, config, misspelt):
+        assert run_config(config, tmp_path) == 2
+        assert f"unknown {misspelt} keys" in capsys.readouterr().err
+        assert not [p for p in tmp_path.iterdir() if p.name != "cfg.json"]
+
+    def test_export_dense_is_read_as_a_boolean(self, tmp_path, capsys):
+        config = {**PDE_DEMO, "command": "linearize", "export_dense": "false"}
+        assert run_config(config, tmp_path) == 2
+        assert "export_dense must be true or false" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.mtx"))
 
     @pytest.mark.parametrize("key", ["lambda_f1", "lambda_fm"])
     def test_removed_subnormalisation_keys_are_validation_exit(self, tmp_path, capsys, key):

@@ -94,6 +94,16 @@ def test_symmetric_operator_equals_assembled_matvec_on_symmetric_vectors(problem
 
 @SETTINGS
 @given(problems())
+def test_whole_level_count_equals_the_walked_count(problem):
+    ode, gamma, N = problem
+    mat = assemble(rescale(ode, gamma), N)
+    offsets = symmetric_offsets(mat.n, N)
+    every = [np.arange(offsets[j] - offsets[j - 1]) for j in range(1, N + 1)]
+    assert mat.symmetric_nnz() == mat.symmetric_nnz(every)
+
+
+@SETTINGS
+@given(problems())
 def test_symmetric_lift_holds_the_flat_lift_representatives(problem):
     ode, gamma, N = problem
     basis = SymmetricBasis(ode.n, N)

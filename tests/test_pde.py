@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlemanlab.errors import ValidationError
+from carlemanlab.errors import SizeLimitError, ValidationError
 from carlemanlab.nonlinear_ode import kron_power, lambda0, r_ratio, reference_solve
 from carlemanlab.pde import (
     DiscretisationErrorInputs,
@@ -76,6 +76,19 @@ class TestDiscretize:
 
         assert sp.issparse(ode.F1)
         assert lambda0(ode.F1) == pytest.approx(-2.0, abs=1e-8)
+
+    def test_grid_over_the_entry_limit_refused_before_it_is_built(self):
+        # k = 1, d = 1 stores 3 entries per point: 3 333 334 points make
+        # 10 000 002 > KRON_MAX_SIZE, refused before the Laplacian or the data
+        pde = make_pde(m=3_333_334, k=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="grid operator entries of size 10000002"):
+                discretize(pde)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestStabilityReport:

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from carlemanlab import carleman, cli
 from carlemanlab import nonlinear_ode as node
 from carlemanlab import pde as rd
-from carlemanlab.carleman import SymmetricBasis, assemble, full_levels
+from carlemanlab.carleman import SymmetricBasis, assemble, symmetric_offsets
 from carlemanlab.errors import SizeLimitError
 from carlemanlab.nonlinear_ode import rescale
 from carlemanlab.propagator import (
@@ -64,13 +64,13 @@ def fourier_mat(N, **grid):
 def evolve_everywhere(monkeypatch, mat, config):
     """``evolve`` with the reach taken as every coordinate."""
     with monkeypatch.context() as patch:
-        patch.setattr(mat, "reach", lambda: full_levels(mat.n, mat.N))
+        patch.setattr(mat, "reach", lambda: None)
         return evolve(mat, config)
 
 
 def reach_mask(mat, keys):
     mask = np.zeros(mat.symmetric_dimension, dtype=bool)
-    offsets = np.cumsum([0] + [len(level) for level in full_levels(mat.n, mat.N)])
+    offsets = symmetric_offsets(mat.n, mat.N)
     for at, level in zip(offsets, keys):
         mask[at + level] = True
     return mask
@@ -96,7 +96,7 @@ class TestReach:
 
     def test_full_spectrum_reach_is_every_coordinate(self, monkeypatch):
         mat = fourier_mat(3, profile="full")
-        assert mat.reach() == full_levels(mat.n, 3)
+        assert mat.reach() is None
         config = PropagationConfig(total_time=0.2)
         res = evolve(mat, config)
         everywhere = evolve_everywhere(monkeypatch, mat, config)
@@ -110,7 +110,7 @@ class TestReach:
         ode, _ = demo_form(m=8)
         mat = assemble(rescale(ode, float(np.linalg.norm(ode.u_in))), 3)
         assert not mat.f1_is_diagonal
-        assert mat.reach() == full_levels(8, 3)
+        assert mat.reach() is None
 
     @pytest.mark.parametrize("N", [4, 5])
     def test_cubic_reach_matches_a_search_of_the_full_operator(self, N):
