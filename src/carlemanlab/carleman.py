@@ -7,9 +7,10 @@ sums, so the operator commutes with permutations of tensor factors and keeps
 a symmetric lift symmetric.  :meth:`CarlemanMatrix.to_symmetric` assembles it
 on the symmetric subspace, one coordinate per non-decreasing multi-index (the
 reduced, monomial form of Carleman linearisation: Kowalski & Steeb 1991),
-each level keyed by the lexicographic rank of its multi-indices
-(:func:`level_ranks`), which fits in int64 whenever the level's count does.
-It takes any subset of those keys and returns the principal submatrix on it:
+each level keyed by its multi-indices themselves: rows of digits in the
+smallest unsigned type that holds ``n - 1``, in lexicographic order, compared
+as bytes (:func:`_key`), so no level is too deep to key.  It takes any
+subset of those keys and returns the principal submatrix on it:
 :meth:`CarlemanMatrix.reach` gives the coordinates the lift of ``u_in`` can
 reach, few when F1 is diagonal and ``u_in`` band-limited (13 of 6 544 on the
 demo PDE at N = 3, 1 262 of about 7.3e10 at N = 13), and ``None``, every
@@ -30,12 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericFailure, ValidationError
+from .errors import ValidationError
 from .limits import (
     ASSEMBLY_MAX_DIM,
     DENSE_MAX_DIM,
@@ -128,52 +129,47 @@ def symmetric_offsets(n: int, N: int) -> list[int]:
     return offsets
 
 
-@lru_cache(maxsize=None)
-def _rank_table(n: int, j: int) -> np.ndarray:
-    """``C(c + i, i + 1)`` at ``[i, c]`` for ``i < j`` and ``c < n``, the terms of a level-``j`` rank.
+def _digit_type(n: int) -> np.dtype:
+    """Smallest unsigned type that holds the digits ``0 .. n-1``, big-endian."""
+    return np.min_scalar_type(n - 1).newbyteorder(">")
 
-    Its largest entry, ``C(n + j - 2, j)``, is below the level's count, so the
-    table fits in int64 whenever the level's ranks do.
+
+def _key(T: np.ndarray) -> np.ndarray:
+    """One opaque key per row of digits of ``T``, ordered as the rows are lexicographically.
+
+    The digits of a row, big-endian and contiguous, compare byte by byte as
+    the row compares digit by digit, so the keys sort, ``unique`` and
+    ``searchsorted`` in the lexicographic order of their rows.
     """
-    check_size(math.comb(n + j - 1, j), 2**63 - 1, f"level {j} of n = {n}, ranked in int64,")
-    return np.array(
-        [[math.comb(c + i, i + 1) for c in range(n)] for i in range(j)], dtype=np.int64
-    )
+    T = np.ascontiguousarray(T, dtype=T.dtype.newbyteorder(">"))
+    return T.view((np.void, T.shape[1] * T.itemsize)).ravel()
 
 
-def level_ranks(T: np.ndarray, n: int) -> np.ndarray:
-    """Lexicographic position of each sorted multi-index row of ``T`` within its level.
+def _whole_levels(n: int, N: int) -> list[np.ndarray]:
+    """Every sorted multi-index of levels ``1..N``, in lexicographic order, one row each.
 
-    The reversed complements ``c_i = n - 1 - T[:, j-1-i]`` are sorted too,
-    and ``sum_i C(c_i + i, i + 1)`` is their combinatorial (colex) rank, which
-    runs against the lexicographic order of ``T``.  A rank fits in int64
-    whenever the level's count ``C(n+j-1, j)`` does, at any ``n**j``.
+    Level ``j`` extends each row of level ``j-1`` by every digit from its
+    last on, so it comes out in order.
     """
-    j = T.shape[1]
-    table = _rank_table(n, j)
-    colex = np.zeros(T.shape[0], dtype=np.int64)
-    for i in range(j):
-        colex += table[i, n - 1 - T[:, j - 1 - i]]
-    return (math.comb(n + j - 1, j) - 1) - colex
+    dtype = _digit_type(n)
+    levels = [np.arange(n, dtype=dtype)[:, None]]
+    for j in range(2, N + 1):
+        below = levels[-1]
+        last = below[:, -1].astype(np.intp)
+        count = n - last
+        level = np.empty((int(count.sum()), j), dtype=dtype)
+        level[:, :-1] = np.repeat(below, count, axis=0)
+        level[:, -1] = np.arange(level.shape[0]) - np.repeat(np.cumsum(count) - count - last, count)
+        levels.append(level)
+    return levels
 
 
-def level_digits(ranks, n: int, j: int) -> np.ndarray:
-    """Sorted multi-indices of level ``j`` at ``ranks``, one row each; inverts :func:`level_ranks`."""
-    table = _rank_table(n, j)
-    rest = (math.comb(n + j - 1, j) - 1) - np.asarray(ranks, dtype=np.int64)
-    T = np.empty((rest.size, j), dtype=np.int64)
-    for i in range(j - 1, -1, -1):
-        c = np.searchsorted(table[i], rest, side="right") - 1
-        rest = rest - table[i, c]
-        T[:, j - 1 - i] = n - 1 - c
-    return T
-
-
-def _locate(keys: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each rank in the sorted ``keys``, and whether it is there."""
-    at = np.searchsorted(keys, ranks)
+def _locate(keys: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each row of ``T`` among the sorted rows ``keys``, and whether it is there."""
+    keys, T = _key(keys), _key(T)
+    at = np.searchsorted(keys, T)
     hit = at < keys.size
-    hit[hit] = keys[at[hit]] == ranks[hit]
+    hit[hit] = keys[at[hit]] == T[hit]
     return at, hit
 
 
@@ -185,38 +181,12 @@ def ranges(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
 
-def _sorted_blocks(n: int, keys, weigh=None, cap: int = _CHUNK):
-    """Blocks of sorted multi-indices, level after level.
-
-    ``keys`` holds the sorted ranks (:func:`level_ranks`) of levels
-    ``1, 2, ...``.  A block holds ``cap`` multi-indices, or, given
-    ``weigh(j, digits)`` (one weight per row of digits), multi-indices whose
-    weights add up to about ``cap``.  Yields each block's level ``j``, the
-    position of its first multi-index in the stacked coordinates, and its
-    digits, one row per multi-index.
-    """
-    at = 0
-    for j, level in enumerate(keys, start=1):
-        if not level.size:
-            continue
-        if weigh is None:
-            weights = np.ones(level.size)
-        else:
-            starts = range(0, level.size, cap)
-            weights = np.concatenate(
-                [weigh(j, level_digits(level[s : s + cap], n, j)) for s in starts]
-            )
-        for a, b in ranges(weights, cap):
-            yield j, at + a, level_digits(level[a:b], n, j)
-        at += level.size
-
-
 def _settle(found: list, above: int) -> np.ndarray:
-    """The distinct ranks of ``found``, refused when they and the ``above`` rows
-    of higher levels pass ``KRON_MAX_SIZE``: each row stores at least its diagonal entry."""
-    ranks = np.unique(np.concatenate(found))
-    check_size(above + ranks.size, KRON_MAX_SIZE, "symmetric Carleman operator entries")
-    return ranks
+    """The distinct keys (:func:`_key`) of ``found``, refused when they and the ``above``
+    rows of higher levels pass ``KRON_MAX_SIZE``: each row stores at least its diagonal entry."""
+    keys = np.unique(np.concatenate(found))
+    check_size(above + keys.size, KRON_MAX_SIZE, "symmetric Carleman operator entries")
+    return keys
 
 
 def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,10 +200,10 @@ def _multiplicities(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SymmetricBasis:
     """One coordinate per sorted multi-index of ``keys``, a subset of levels ``1..N``.
 
-    ``keys`` holds each level's sorted ranks (:func:`level_ranks`) as an
-    array; left ``None``, it is every multi-index, each level's ranks built
-    here.  Coordinates follow the ranks, level after level.  ``weights``
-    holds each one's orbit size ``j! / prod(counts!)``, so
+    ``keys`` holds each level's sorted multi-indices as an array of digit
+    rows in lexicographic order; left ``None``, it is every multi-index,
+    each level built here.  Coordinates follow the rows, level after level.
+    ``weights`` holds each one's orbit size ``j! / prod(counts!)``, so
     ``sqrt(sum(weights * z**2))`` is the 2-norm of the symmetric vector ``z``
     stands for, every coordinate outside ``keys`` being zero.
     """
@@ -245,8 +215,8 @@ class SymmetricBasis:
 
     def __post_init__(self) -> None:
         if self.keys is None:
-            self.keys = [np.arange(math.comb(self.n + j - 1, j)) for j in range(1, self.N + 1)]
-        self._offsets = np.cumsum([0] + [level.size for level in self.keys]).tolist()
+            self.keys = _whole_levels(self.n, self.N)
+        self._offsets = np.cumsum([0] + [len(level) for level in self.keys]).tolist()
         factorial = np.array([math.factorial(k) for k in range(self.N + 1)], dtype=float)
         self.weights = np.empty(self.dimension)
         for where, digits in self._blocks():
@@ -261,9 +231,11 @@ class SymmetricBasis:
         return self._offsets[-1]
 
     def _blocks(self):
-        """Per block of representatives: its slice of ``z`` and its sorted digits."""
-        for _, at, digits in _sorted_blocks(self.n, self.keys):
-            yield slice(at, at + digits.shape[0]), digits
+        """Per block of ``_CHUNK`` representatives: its slice of ``z`` and its sorted digits."""
+        for at, level in zip(self._offsets, self.keys):
+            for s in range(0, len(level), _CHUNK):
+                digits = level[s : s + _CHUNK]
+                yield slice(at + s, at + s + len(digits)), digits
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         """Representatives of the Carleman lift of ``u``, without forming the flat lift.
@@ -282,19 +254,19 @@ class SymmetricBasis:
     def first_level(self, z: np.ndarray) -> np.ndarray:
         """Level 1 of ``z`` on all ``n`` entries, zero outside ``keys``."""
         out = np.zeros(self.n)
-        out[self.keys[0]] = z[: self._offsets[1]]
+        out[self.keys[0][:, 0]] = z[: self._offsets[1]]
         return out
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         """Flat state whose every entry is the value of its representative in ``z``, or zero."""
         out = np.zeros(_addressable(self.n, self.N)[-1])
-        at = 0
+        at, dtype = 0, _digit_type(self.n)
         for j, keys in enumerate(self.keys, start=1):
             size, level = self.n**j, z[self._offsets[j - 1] : self._offsets[j]]
             for start in range(0, size, _CHUNK):
                 stop = min(start + _CHUNK, size)
                 digits = np.sort(base_digits(np.arange(start, stop), self.n, j), axis=1)
-                where, hit = _locate(keys, level_ranks(digits, self.n))
+                where, hit = _locate(keys, digits.astype(dtype))
                 out[at + start : at + stop][hit] = level[where[hit]]
             at += size
         return out
@@ -418,27 +390,25 @@ class CarlemanMatrix:
         """F1's diagonal, and the other entries of F1 and of FM as CSR-like rows.
 
         A row family is ``(indptr, digits, values)``: row ``v`` holds the
-        multi-indices that replace one factor ``v``.  F1 contributes single
-        digits; FM contributes its column digits sorted, with entries whose
-        digits are permutations of each other summed and sums of zero dropped.
+        multi-indices that replace one factor ``v``, one row of digits
+        (:func:`_digit_type`) each.  F1 contributes single digits; FM
+        contributes its column digits sorted, with entries whose digits are
+        permutations of each other summed and sums of zero dropped.
         """
-        n, M, base = self.n, self.M, self.rescaled.base
+        n, base = self.n, self.rescaled.base
+        dtype = _digit_type(n)
         coo = base.F1.tocoo()
         off = coo.row != coo.col
         f1_off = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
         rows, _, vals = base.fm_coordinates
-        width = math.comb(n + M - 1, M)
-        keys, inverse = np.unique(
-            rows * width + level_ranks(np.sort(base.fm_digits, axis=1), n), return_inverse=True
-        )
+        # one key per (row, sorted column digits), in the order of the rows, then of the digits
+        entries = np.column_stack([rows, np.sort(base.fm_digits, axis=1)]).astype(dtype)
+        keys, inverse = np.unique(_key(entries), return_inverse=True)
         sums = np.bincount(inverse, weights=vals, minlength=keys.size)
-        keys, sums = keys[sums != 0], sums[sums != 0]
-        fm = (
-            np.searchsorted(keys // width, np.arange(n + 1)),
-            level_digits(keys % width, n, M),
-            sums,
-        )
-        return base.F1.diagonal(), (f1_off.indptr, f1_off.indices[:, None], f1_off.data), fm
+        kept = keys[sums != 0].view(dtype).reshape(-1, entries.shape[1])
+        fm = (np.searchsorted(kept[:, 0], np.arange(n + 1)), kept[:, 1:], sums[sums != 0])
+        f1 = (f1_off.indptr, f1_off.indices.astype(dtype)[:, None], f1_off.data)
+        return base.F1.diagonal(), f1, fm
 
     def _row_entries(self, j: int, T: np.ndarray) -> np.ndarray:
         """Entries each sorted multi-index row of ``T`` (level ``j``) stores at most.
@@ -452,56 +422,55 @@ class CarlemanMatrix:
         first, _ = _multiplicities(T)
         return 1 + np.where(first, per_value[T], 0).sum(axis=1)
 
-    def symmetric_nnz(self, keys=None) -> int:
-        """Bound on the entries :meth:`to_symmetric` stores, counted before it allocates any.
+    def symmetric_nnz(self) -> int:
+        """Bound on the entries :meth:`to_symmetric` stores on every coordinate, counted first.
 
-        With ``keys`` left ``None`` (every sorted multi-index), each row
-        counts :meth:`_row_entries`, summed in closed form: a value occurs in
-        ``C(n+j-2, j-1)`` sorted multi-indices of level ``j``, so the count is
-        the rows plus ``C(n+j-2, j-1)`` times the off-diagonal F1 entries and,
-        when level ``j+M-1`` exists, the sorted FM entries, over every level.
-        On arrays of ranks (as :meth:`reach` gives), each row counts its
-        diagonal entry and its couplings whose columns lie in ``keys``
-        (:meth:`_couplings`), walked in the blocks :meth:`to_symmetric`
-        writes, so counting takes no more scratch than writing.  Every row
-        stores its diagonal entry, so a key set with more rows than
-        ``KRON_MAX_SIZE`` is counted by its rows alone.  Exact when no two
-        entries of a row meet in one column and none sums to zero.
+        Each row counts :meth:`_row_entries`, summed in closed form: a value
+        occurs in ``C(n+j-2, j-1)`` sorted multi-indices of level ``j``, so
+        the count is the rows plus ``C(n+j-2, j-1)`` times the off-diagonal
+        F1 entries and, when level ``j+M-1`` exists, the sorted FM entries,
+        over every level.  Every row stores its diagonal entry, so with more
+        rows than ``KRON_MAX_SIZE`` the count is the rows alone.  Exact when
+        no two entries of a row meet in one column and none sums to zero.
         """
         n, M, N = self.n, self.M, self.N
-        rows = self.symmetric_dimension if keys is None else sum(level.size for level in keys)
+        rows = self.symmetric_dimension
         if rows > KRON_MAX_SIZE:
             return rows
-        if keys is None:
-            _, (f1_ptr, _, _), (fm_ptr, _, _) = self._symmetric_parts
-            f1, fm = int(f1_ptr[-1]), int(fm_ptr[-1])
-            return rows + sum(
-                math.comb(n + j - 2, j - 1) * (f1 + (fm if j + M - 1 <= N else 0))
-                for j in range(1, N + 1)
-            )
-        total = 0
-        for j, _, T in self._entry_blocks(keys):
-            total += T.shape[0] + sum(r.size for _, r, _, _ in self._couplings(j, T, keys))
-        return total
+        _, (f1_ptr, _, _), (fm_ptr, _, _) = self._symmetric_parts
+        f1, fm = int(f1_ptr[-1]), int(fm_ptr[-1])
+        return rows + sum(
+            math.comb(n + j - 2, j - 1) * (f1 + (fm if j + M - 1 <= N else 0))
+            for j in range(1, N + 1)
+        )
 
     def _entry_blocks(self, keys):
-        """Blocks of ``keys`` (:func:`_sorted_blocks`) of about ``_ENTRIES_PER_BLOCK`` entries.
+        """Blocks of the sorted multi-indices ``keys``, level after level, of about
+        ``_ENTRIES_PER_BLOCK`` entries each.
 
-        A row weighs one more than its entries, as its digits and
-        multiplicities take about as much scratch as an entry.
+        A row weighs one more than its entries (:meth:`_row_entries`), as its
+        digits and multiplicities take about as much scratch as an entry.
+        Yields each block's level ``j``, the position of its first
+        multi-index in the stacked coordinates, and its digits.
         """
-        return _sorted_blocks(
-            self.n, keys, lambda j, T: 1 + self._row_entries(j, T), _ENTRIES_PER_BLOCK
-        )
+        cap, at = _ENTRIES_PER_BLOCK, 0
+        for j, level in enumerate(keys, start=1):
+            if len(level):
+                rows = (level[s : s + cap] for s in range(0, len(level), cap))
+                weights = np.concatenate([1 + self._row_entries(j, T) for T in rows])
+                for a, b in ranges(weights, cap):
+                    yield j, at + a, level[a:b]
+            at += len(level)
 
     def _couplings(self, j: int, T: np.ndarray, keys: list):
         """Off-diagonal entries of block ``T``'s rows (level ``j``) whose columns lie in ``keys``.
 
-        ``keys`` holds each level's sorted ranks as an array.  One family at a
-        time, F1's off-diagonal entries and then, when level ``j+M-1``
-        exists, FM's, yields the level of the family's columns and, per
-        entry, its row in ``T``, its column's position in that level's keys
-        and its value.  A row's entries may meet in one column.
+        ``keys`` holds each level's sorted multi-indices as an array of digit
+        rows.  One family at a time, F1's off-diagonal entries and then, when
+        level ``j+M-1`` exists, FM's, yields the level of the family's
+        columns and, per entry, its row in ``T``, its column's position in
+        that level's keys and its value.  A row's entries may meet in one
+        column.
         """
         _, f1_off, fm = self._symmetric_parts
         families = [(f1_off, j, 1.0)]
@@ -509,7 +478,7 @@ class CarlemanMatrix:
             families.append((fm, j + self.M - 1, self.coupling))
         first, counts = _multiplicities(T)
         row, slot = np.nonzero(first)
-        value, mult = T[row, slot], counts[row, slot]
+        value, mult = T[row, slot].astype(np.intp), counts[row, slot]
         for (ptr, digits, entries), level, scale in families:
             per = ptr[value + 1] - ptr[value]
             src = np.repeat(np.arange(row.size), per)
@@ -517,11 +486,11 @@ class CarlemanMatrix:
             entry = starts + np.arange(src.size)
             rest = T[row[src]][np.arange(j) != slot[src, None]].reshape(src.size, j - 1)
             tuples = np.sort(np.concatenate([rest, digits[entry]], axis=1), axis=1)
-            where, hit = _locate(keys[level - 1], level_ranks(tuples, self.n))
+            where, hit = _locate(keys[level - 1], tuples)
             yield level, row[src[hit]], where[hit], scale * mult[src[hit]] * entries[entry[hit]]
 
     def reach(self) -> list | None:
-        """Sorted ranks, level by level, of the coordinates the lifted ``u_in`` can reach.
+        """Sorted multi-indices, level by level, of the coordinates the lifted ``u_in`` can reach.
 
         When F1 is diagonal, level ``j`` of the operator moves level ``j``
         only along its diagonal and couples in level ``j+M-1``, so a
@@ -533,57 +502,69 @@ class CarlemanMatrix:
         column tuple of row ``v`` make up a reachable multi-index of level
         ``j+M-1``.  Every other coordinate stays exactly zero, so stepping
         the operator on the reach (:meth:`to_symmetric`) gives the same
-        trajectory.  Otherwise, or when every entry of ``u_in`` is nonzero,
-        ``None``: every coordinate.
+        trajectory.  Each level is an array of digit rows in lexicographic
+        order, as :class:`SymmetricBasis` keys them.  Otherwise, or when
+        every entry of ``u_in`` is nonzero, ``None``: every coordinate.
 
         Each row of the operator stores its diagonal entry, so a reach of
         more than ``KRON_MAX_SIZE`` coordinates is refused as soon as its
         found coordinates pass that count.  Candidates are merged into the
         level's reach whenever they outnumber it, so they never hold more
-        ranks than the reach so far plus one block's.
+        keys than the reach so far plus one block's.
         """
         n, M, N = self.n, self.M, self.N
         support = np.flatnonzero(self.rescaled.u_in_scaled)
         # a full support makes every level's support the whole level
         if not self.f1_is_diagonal or support.size == n:
             return None
-        own = [math.comb(support.size + j - 1, j) for j in range(1, N + 1)]
-        check_size(sum(own), KRON_MAX_SIZE, "symmetric Carleman operator entries")
+        own = sum(math.comb(support.size + j - 1, j) for j in range(1, N + 1))
+        check_size(own, KRON_MAX_SIZE, "symmetric Carleman operator entries")
+        dtype = _digit_type(n)
+        # the lift's support: the sorted multi-indices of the support's positions
+        lifted = _whole_levels(support.size, N)
         _, _, (ptr, digits, _) = self._symmetric_parts
-        # FM's sorted column tuples by rank, each with its row
-        columns = level_ranks(digits, n)
+        # FM's sorted column tuples in order, each with its row
+        columns = _key(digits)
         order = np.argsort(columns, kind="stable")
-        columns, owner = columns[order], np.repeat(np.arange(n), np.diff(ptr))[order]
+        columns = columns[order]
+        owner = np.repeat(np.arange(n, dtype=dtype), np.diff(ptr))[order]
         levels: list = [None] * N
         for j in range(N, 0, -1):
-            above = sum(level.size for level in levels[j:])
-            # the lift's support: the sorted multi-indices of the support's positions
-            found = [np.empty(0, dtype=np.int64)]
-            for s in range(0, own[j - 1], _CHUNK):
-                picked = level_digits(np.arange(s, min(s + _CHUNK, own[j - 1])), support.size, j)
-                found.append(level_ranks(support[picked], n))
-            reached, found, pending = _settle(found, above), [], 0
+            above = sum(len(level) for level in levels[j:])
+            reached = _settle([_key(support.astype(dtype)[lifted[j - 1]])], above)
+            found, pending = [], 0
             if j + M - 1 <= N:
-                coupled = levels[j + M - 2]
-                picks = list(itertools.combinations(range(j + M - 1), M))
-                for s in range(0, coupled.size, _CHUNK):
-                    D = level_digits(coupled[s : s + _CHUNK], n, j + M - 1)
-                    for pick in picks:
-                        rest = np.delete(D, pick, axis=1)
-                        query = level_ranks(D[:, pick], n)
+                coupled, width = levels[j + M - 2], j + M - 1
+                picks = list(itertools.combinations(range(width), M))
+                rests = [[p for p in range(width) if p not in pick] for pick in picks]
+                # a pick that takes digit p but not the equal digit p - 1
+                # repeats the pick that takes p - 1 instead
+                repeats = np.zeros((width - 1, len(picks)), dtype=bool)
+                for i, pick in enumerate(picks):
+                    repeats[[p - 1 for p in pick if p and p - 1 not in pick], i] = True
+                picks = np.array(picks)
+                rests = np.array(rests, dtype=np.intp).reshape(len(picks), j - 1)
+                for s in range(0, len(coupled), _CHUNK):
+                    D = coupled[s : s + _CHUNK]
+                    # one pick per distinct sub-multiset of each row, _CHUNK at a time
+                    rows, chosen = np.nonzero(~((D[:, 1:] == D[:, :-1]) @ repeats))
+                    for a in range(0, rows.size, _CHUNK):
+                        row, pick = rows[a : a + _CHUNK], chosen[a : a + _CHUNK]
+                        query = _key(D[row[:, None], picks[pick]])
                         lo = np.searchsorted(columns, query, side="left")
                         count = np.searchsorted(columns, query, side="right") - lo
                         src = np.repeat(np.arange(query.size), count)
                         at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(src.size)
-                        T = np.sort(np.concatenate([rest[src], owner[at, None]], axis=1), axis=1)
-                        found.append(np.unique(level_ranks(T, n)))
+                        rest = D[row[src, None], rests[pick[src]]]
+                        T = np.sort(np.concatenate([rest, owner[at, None]], axis=1), axis=1)
+                        found.append(np.unique(_key(T)))
                         pending += found[-1].size
                     # merge once the candidates outnumber the level's reach so
-                    # far: they never hold more than its ranks and one block's
+                    # far: they never hold more than its keys and one block's
                     if pending > reached.size:
                         reached, found, pending = _settle([reached, *found], above), [], 0
                 reached = _settle([reached, *found], above)
-            levels[j - 1] = reached
+            levels[j - 1] = reached.view(dtype).reshape(-1, j)
         return levels
 
     def to_symmetric(self, keys=None) -> sp.csr_matrix:
@@ -597,22 +578,25 @@ class CarlemanMatrix:
         digits; the full operator never exists.  The CSR is canonical: each
         row's entries in one column are summed, off-diagonal sums of zero
         are dropped, and every diagonal entry is stored.
+
+        On every coordinate the closed-form count (:meth:`symmetric_nnz`)
+        refuses an operator over ``KRON_MAX_SIZE`` entries before anything is
+        allocated.  On a subset the entries are counted as they are written,
+        in the one walk of the couplings, and refused once they pass it.
         """
-        n = self.n
-        nnz = self.symmetric_nnz(keys)
         # every row stores its diagonal entry, so rows <= entries <= KRON_MAX_SIZE
         # < 2**31 and the int32 ``indices`` and ``indptr`` below cannot overflow
-        check_size(nnz, KRON_MAX_SIZE, "symmetric Carleman operator entries")
+        size = self.symmetric_nnz() if keys is None else sum(len(level) for level in keys)
+        check_size(size, KRON_MAX_SIZE, "symmetric Carleman operator entries")
         if keys is None:
-            keys = [np.arange(math.comb(n + j - 1, j)) for j in range(1, self.N + 1)]
+            keys = _whole_levels(self.n, self.N)
         diag = self._symmetric_parts[0]
-        offsets = np.cumsum([0] + [level.size for level in keys]).tolist()
-        data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=np.int32)
+        offsets = np.cumsum([0] + [len(level) for level in keys]).tolist()
+        data = np.empty(size)
+        indices = np.empty(size, dtype=np.int32)
         indptr = np.zeros(offsets[-1] + 1, dtype=np.int32)
-
-        def write(j: int, at: int, T: np.ndarray, pos: int) -> int:
-            """Store the rows of block ``T`` from entry ``pos`` on; returns the next free entry."""
+        pos = 0
+        for j, at, T in self._entry_blocks(keys):
             rows = [np.arange(T.shape[0])]
             cols = [np.arange(at, at + T.shape[0])]
             vals = [diag[T].sum(axis=1)]
@@ -629,19 +613,20 @@ class CarlemanMatrix:
             r, c, v = r[starts], c[starts], np.add.reduceat(v, starts)
             kept = (v != 0) | (c == at + r)
             r, c, v = r[kept], c[kept], v[kept]
-            indices[pos : pos + r.size] = c
-            data[pos : pos + r.size] = v
+            end = pos + r.size
+            check_size(end, KRON_MAX_SIZE, "symmetric Carleman operator entries")
+            if end > data.size:
+                # a subset's arrays start at one entry per row and double as it is written
+                size = min(max(2 * data.size, end), KRON_MAX_SIZE)
+                data.resize(size, refcheck=False)
+                indices.resize(size, refcheck=False)
+            indices[pos:end] = c
+            data[pos:end] = v
             indptr[at + 1 : at + T.shape[0] + 1] = pos + np.cumsum(
                 np.bincount(r, minlength=T.shape[0])
             )
-            return pos + r.size
-
-        pos = 0
-        for j, at, T in self._entry_blocks(keys):
-            pos = write(j, at, T, pos)
-        if pos > nnz:
-            raise NumericFailure(f"symmetric operator stored {pos} entries, counted at most {nnz}")
-        # trim the count's slack in place
+            pos = end
+        # trim the slack of the count, or of the doubling, in place
         data.resize(pos, refcheck=False)
         indices.resize(pos, refcheck=False)
         return sp.csr_matrix((data, indices, indptr), shape=(offsets[-1], offsets[-1]))

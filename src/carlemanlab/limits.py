@@ -28,8 +28,9 @@ ASSEMBLY_MAX_DIM = 200_000
 #: entries per array of this many float64 (80 MB).  It covers the PDE grid
 #: operator, ``n (2kd + 1)`` entries (``pde.discretize``, which refuses a
 #: larger grid before it builds anything), Kronecker-power vectors and the
-#: stored entries of the symmetric operator
-#: (``CarlemanMatrix.symmetric_nnz``), counted before it is allocated, so over
+#: stored entries of the symmetric operator, on every coordinate counted in
+#: closed form before it is allocated (``CarlemanMatrix.symmetric_nnz``) and on
+#: a reach counted as they are written (``CarlemanMatrix.to_symmetric``), so over
 #: it ``evolve`` raises instead of stepping, as it does over this many
 #: coordinates in the reach (``CarlemanMatrix.reach``); the one-step Taylor matrix
 #: (``propagator.taylor_matrix``), over which ``evolve`` keeps the K-matvec

@@ -83,11 +83,6 @@ class TestAssembly:
 class TestIndexWidths:
     """Refusals of index widths are size refusals, like every other limit."""
 
-    def test_ranks_past_int64_are_a_size_refusal(self):
-        # C(266, 11) sorted multi-indices at level 11 of n = 256
-        with pytest.raises(SizeLimitError, match="ranked in int64"):
-            carleman.level_ranks(np.zeros((1, 11), dtype=np.int64), 256)
-
     def test_flat_layout_past_the_address_space_is_a_size_refusal(self):
         with pytest.raises(SizeLimitError, match="flat Carleman dimension"):
             carleman.initial_vector(np.ones(2**16), 1.0, 4)

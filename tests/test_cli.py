@@ -657,16 +657,19 @@ class TestValidation:
         assert run_config(config, tmp_path) == 2
         assert "positive and finite" in capsys.readouterr().err
 
-    def test_refused_fourier_form_and_grid_are_both_named(self, tmp_path, capsys):
-        # d = 2, m = 16: level 11 of the Fourier form's 256 modes has more ranks
-        # than int64 holds, and the grid's symmetric operator is over KRON_MAX_SIZE
+    def test_refused_fourier_form_and_grid_are_both_named(self, tmp_path, capsys, monkeypatch):
+        # d = 2, m = 16, N = 11 under a limit of 10**4 entries: the lift of the
+        # Fourier form's support alone has more coordinates, and the grid's
+        # symmetric operator more rows, so both are refused by a count
+        monkeypatch.setattr(carl, "KRON_MAX_SIZE", 10**4)
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "evolve"
         config["pde"].update(d=2, initial={"profile": "raised_cosine", "amplitude": 0.1})
         config["numerics"] = {"N": 11}
         assert run_config(config, tmp_path) == 2
         err = capsys.readouterr().err
-        fourier, grid = err.index("ranked in int64"), err.index("symmetric Carleman operator")
+        fourier = err.index("symmetric Carleman operator entries")
+        grid = err.index("symmetric Carleman operator entries", fourier + 1)
         assert err.index("Fourier form") < fourier < err.index("grid:") < grid
 
     def test_r_at_least_one_is_validation_exit(self, tmp_path):

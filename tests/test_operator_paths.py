@@ -8,6 +8,7 @@ powers level by level, and its symmetric coordinates must be exactly the
 flat lift's entries at the sorted multi-indices.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from carlemanlab.carleman import (
     SymmetricBasis,
     assemble,
     initial_vector,
-    level_digits,
     level_offsets,
     symmetric_offsets,
 )
@@ -97,9 +97,13 @@ def test_symmetric_operator_equals_assembled_matvec_on_symmetric_vectors(problem
 def test_whole_level_count_equals_the_walked_count(problem):
     ode, gamma, N = problem
     mat = assemble(rescale(ode, gamma), N)
-    offsets = symmetric_offsets(mat.n, N)
-    every = [np.arange(offsets[j] - offsets[j - 1]) for j in range(1, N + 1)]
-    assert mat.symmetric_nnz() == mat.symmetric_nnz(every)
+    every = SymmetricBasis(mat.n, N).keys
+    # each row's diagonal entry and its couplings, walked one whole level at a time
+    walked = sum(
+        len(T) + sum(r.size for _, r, _, _ in mat._couplings(j, T, every))
+        for j, T in enumerate(every, start=1)
+    )
+    assert mat.symmetric_nnz() == walked
 
 
 @SETTINGS
@@ -111,8 +115,9 @@ def test_symmetric_lift_holds_the_flat_lift_representatives(problem):
     flat = initial_vector(ode.u_in, gamma, N).flat
     sym, full = symmetric_offsets(ode.n, N), level_offsets(ode.n, N)
     for j in range(1, N + 1):
-        # row-major flat positions of the sorted multi-indices, in rank order
-        digits = level_digits(np.arange(sym[j] - sym[j - 1]), ode.n, j)
+        # the sorted multi-indices in lexicographic order, and their row-major flat positions
+        digits = np.array(list(itertools.combinations_with_replacement(range(ode.n), j)))
+        np.testing.assert_array_equal(basis.keys[j - 1], digits)
         positions = digits @ ode.n ** np.arange(j - 1, -1, -1)
         np.testing.assert_array_equal(lift[sym[j - 1] : sym[j]], flat[full[j - 1] + positions])
     # the lift's levels are symmetric up to the rounding of their products

@@ -69,10 +69,13 @@ def evolve_everywhere(monkeypatch, mat, config):
 
 
 def reach_mask(mat, keys):
+    """Which of every coordinate ``keys`` holds, each located among the whole level's."""
     mask = np.zeros(mat.symmetric_dimension, dtype=bool)
     offsets = symmetric_offsets(mat.n, mat.N)
-    for at, level in zip(offsets, keys):
-        mask[at + level] = True
+    for at, every, level in zip(offsets, SymmetricBasis(mat.n, mat.N).keys, keys):
+        where, hit = carleman._locate(every, level)
+        assert hit.all()
+        mask[at + where] = True
     return mask
 
 
@@ -151,17 +154,52 @@ class TestReach:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the reach's ranks, the candidates merged into them and one block's
-        # scratch (0.70 MB measured); holding every candidate of a level
+        # the reach's keys, the candidates merged into them and one block's
+        # scratch (0.54 MB measured); holding every candidate of a level
         # until its end took 7.3 MB
         assert peak < 12 * 8 * limit
+
+    @pytest.mark.parametrize(
+        "n, M, N, support, columns",
+        [
+            # n = 1 400, M = 6: row * C(n+M-1, M) overflowed int64 for row 1 399
+            (1_400, 6, 7, [0, 7, 1_399],
+             {7: [0, 0, 0, 7, 1_399, 1_399], 1_399: [0, 7, 7, 7, 7, 1_399]}),
+            # n = 256, N = 12: C(267, 12) > 2**63 sorted multi-indices at level 12
+            (256, 2, 12, [3, 200], {3: [3, 200], 200: [200, 200]}),
+            # two-byte digits 1 < 256 whose little-endian bytes sort the other way
+            (300, 2, 6, [1, 256], {1: [1, 256], 256: [1, 1]}),
+        ],
+        ids=["n1400-M6", "n256-N12", "n300-two-byte"],
+    )
+    def test_relabelled_support_steps_the_same(self, n, M, N, support, columns):
+        # diagonal F1 and FM within the support: the reach is every sorted
+        # multi-index over the support, so relabelling the support onto
+        # 0, 1, ... in order gives the same operator and the same trajectory
+        def problem(size, label):
+            rows = [label[row] for row in columns]
+            flat = [int(np.dot([label[d] for d in digits], size ** np.arange(M - 1, -1, -1)))
+                    for digits in columns.values()]
+            FM = sp.csr_matrix(([0.3, -0.2], (rows, flat)), shape=(size, size**M))
+            u = np.zeros(size)
+            u[[label[i] for i in support]] = [0.5, -0.4, 0.3][: len(support)]
+            ode = node.NonlinearODE(n=size, M=M, F1=-sp.identity(size), FM=FM, u_in=u, T=0.5)
+            config = PropagationConfig(total_time=0.5, n_steps=20)
+            return evolve(assemble(rescale(ode, 1.0), N), config)
+
+        big = problem(n, {i: i for i in support})
+        small = problem(len(support), {i: k for k, i in enumerate(support)})
+        dimension = symmetric_offsets(len(support), N)[-1]
+        assert big.basis.dimension == small.basis.dimension == dimension
+        np.testing.assert_array_equal(big.block1[:, support], small.block1)
+        np.testing.assert_array_equal(big.y_final, small.y_final)
 
     def test_band_limited_support_is_exact(self):
         # the raised cosine holds modes 0 and 1; the rest is the transform's rounding
         _, form = demo_form()
         assert np.flatnonzero(form.ode.u_in).tolist() == [0, 1]
         assert 0 < form.dropped_mass <= 32 * np.finfo(float).eps * np.linalg.norm(form.ode.u_in)
-        assert [level.size for level in fourier_mat(3).reach()] == [4, 5, 4]
+        assert [len(level) for level in fourier_mat(3).reach()] == [4, 5, 4]
 
 
 class TestCanonicalOperator:
@@ -176,7 +214,8 @@ class TestCanonicalOperator:
         diagonal = op.indices == rows
         assert np.count_nonzero(diagonal) == op.shape[0]
         assert np.all((op.data != 0) | diagonal)
-        assert op.nnz <= mat.symmetric_nnz(mat.reach() if coordinates == "fourier-reach" else None)
+        # a principal submatrix stores at most the entries of the whole operator
+        assert op.nnz <= mat.symmetric_nnz()
 
     def test_reach_count_skips_couplings_out_of_the_reach(self, monkeypatch):
         # N = 13: the reach's rows couple into 111 894 coordinates in all, of
@@ -184,9 +223,11 @@ class TestCanonicalOperator:
         # this operator under a limit it fits
         mat = fourier_mat(13)
         keys = mat.reach()
-        monkeypatch.setattr(carleman, "KRON_MAX_SIZE", 50_000)
-        op = mat.to_symmetric(keys)
-        assert op.nnz == 8_113 <= mat.symmetric_nnz(keys) <= 50_000
+        monkeypatch.setattr(carleman, "KRON_MAX_SIZE", 8_113)
+        assert mat.to_symmetric(keys).nnz == 8_113
+        monkeypatch.setattr(carleman, "KRON_MAX_SIZE", 8_112)
+        with pytest.raises(SizeLimitError, match="symmetric Carleman operator entries"):
+            mat.to_symmetric(keys)
 
     def test_reach_count_peak_stays_near_the_operator(self):
         # d = 2, m = 8, k = 1 with waves in the two lowest modes per axis: a
