@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,13 +92,15 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_config_text(config).encode()).hexdigest()
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` in turn to a temporary file beside ``path``, then
+    rename it onto ``path``, so a reader sees the old file or the whole new one."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -106,11 +108,37 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows: list[list], digest: str, config: dict) -> None:
-    lines = [f"# config_hash={digest}", f"# config={canonical_config_text(config)}", ",".join(header)]
+#: rows of a float table formatted at once; bounds the text and the Python
+#: floats alive while a table is written
+CSV_BLOCK_ROWS = 256
+
+
+def _table_lines(table: np.ndarray) -> Iterator[str]:
+    """The CSV text of a 2-D float array, a block of rows at a time: ``%.17g`` gives
+    the same bytes as :func:`format_number` for every float."""
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        yield row_format * block.shape[0] % tuple(block.ravel().tolist())
+
+
+def _row_lines(rows: Iterable[list]) -> Iterator[str]:
+    """The CSV text of mixed-type rows, a row at a time, each cell by :data:`_CELL_FORMATS`."""
     for row in rows:
-        lines.append(",".join([_CELL_FORMATS.get(type(x), format_number)(x) for x in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        yield ",".join([_CELL_FORMATS.get(type(x), format_number)(x) for x in row]) + "\n"
+
+
+def write_csv(
+    path: str, header: list[str], rows: np.ndarray | list[list], digest: str, config: dict
+) -> None:
+    """A CSV table under two comment lines holding the config's hash and text.
+
+    ``rows`` is a 2-D float array (:func:`_table_lines`) or a list of
+    mixed-type rows (:func:`_row_lines`).
+    """
+    head = f"# config_hash={digest}\n# config={canonical_config_text(config)}\n{','.join(header)}\n"
+    lines = _table_lines(rows) if isinstance(rows, np.ndarray) else _row_lines(rows)
+    atomic_write_text(path, itertools.chain([head], lines))
 
 
 def _finite_or_null(value: Any) -> Any:
@@ -132,8 +160,8 @@ def write_json(path: str, payload: dict, digest: str, config: dict) -> None:
         "config": config,
         **payload,
     }
-    text = json.dumps(_finite_or_null(body), indent=2, sort_keys=True, allow_nan=False)
-    atomic_write_text(path, text + "\n")
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, itertools.chain(encoder.iterencode(_finite_or_null(body)), ["\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +451,9 @@ def _cmd_linearize(ctx: RunContext) -> None:
 
 
 def _run_pipeline(ctx: RunContext) -> dict:
-    """Shared evolve machinery: returns summary metrics and trajectory rows.
+    """Shared evolve machinery: returns summary metrics and, as float arrays, the
+    trajectory table (``t, y_norm, y1_norm, share_1, u_hat_*``) and the reference
+    table (``t, u_*``).
 
     A PDE is stepped in its Fourier form (:func:`~carlemanlab.pde.fourier_form`),
     where F1 is diagonal, a Taylor step can be one matvec and band-limited
@@ -469,18 +499,14 @@ def _run_pipeline(ctx: RunContext) -> dict:
     )
     u_hat = gamma * block1
     err = np.linalg.norm(u_hat - reference.u, axis=1)
-    rows = [
-        [t, y_norm, float(np.linalg.norm(level1)), share] + u
-        for t, y_norm, level1, share, u in zip(
-            result.times.tolist(), result.y_norms.tolist(), block1,
-            result.block1_share.tolist(), u_hat.tolist(),
-        )
-    ]
+    # a norm per row: an axis=1 norm rounds differently
+    y1_norms = [float(np.linalg.norm(level1)) for level1 in block1]
     bound_T = bd.component_error_bound(ode, N, 1, ode.T, gamma=gamma)
-    reference_rows = [[t] + u for t, u in zip(reference.t.tolist(), reference.u.tolist())]
     return {
-        "rows": rows,
-        "reference_rows": reference_rows,
+        "trajectory": np.column_stack(
+            [result.times, result.y_norms, y1_norms, result.block1_share, u_hat]
+        ),
+        "reference": np.column_stack([reference.t, reference.u]),
         "n": ode.n,
         "N": N,
         "gamma": gamma,
@@ -506,13 +532,13 @@ def _run_pipeline(ctx: RunContext) -> dict:
 
 def _cmd_evolve(ctx: RunContext) -> None:
     summary = _run_pipeline(ctx)
-    rows = summary.pop("rows")
-    reference_rows = summary.pop("reference_rows")
+    trajectory = summary.pop("trajectory")
+    reference = summary.pop("reference")
     n = summary["n"]
     header = ["t", "y_norm", "y1_norm", "share_1"] + [f"u_hat_{i+1}" for i in range(n)]
-    write_csv(ctx.path("trajectory.csv"), header, rows, ctx.digest, ctx.config)
+    write_csv(ctx.path("trajectory.csv"), header, trajectory, ctx.digest, ctx.config)
     ref_header = ["t"] + [f"u_{i+1}" for i in range(n)]
-    write_csv(ctx.path("reference.csv"), ref_header, reference_rows, ctx.digest, ctx.config)
+    write_csv(ctx.path("reference.csv"), ref_header, reference, ctx.digest, ctx.config)
     write_json(ctx.path("evolve.json"), {"results": summary}, ctx.digest, ctx.config)
 
 

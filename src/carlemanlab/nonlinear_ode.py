@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from .errors import NumericFailure, ValidationError
@@ -373,8 +373,11 @@ def reference_solve(
     (Adams or BDF, with the analytic :meth:`NonlinearODE.jacobian`) when
     ``n <= DENSE_F1_MAX_N``, where that Jacobian exists, at ``tol / 10``
     (its global error runs about ten times its local tolerance; clamped to
-    scipy's floor ``100 eps``), and explicit DOP853 otherwise.  The
-    trajectory records which method ran.
+    scipy's floor ``100 eps``), and explicit DOP853 otherwise.  DOP853 is
+    integrated from each sample to the next and read at the end of each
+    interval, never through its dense output, which is far less accurate
+    between steps than at them; each interval starts from the last step size
+    of the one before.  The trajectory records which method ran.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValidationError(f"tolerance {tol} outside [1e-13, 1e-6]")
@@ -388,21 +391,45 @@ def reference_solve(
     if horizon == 0.0:
         return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy(), method=method)
 
-    options = {"jac": lambda _, u: ode.jacobian(u)} if lsoda else {}
-    step_tol = max(tol / 10, 100 * np.finfo(float).eps) if lsoda else tol
-    sol = solve_ivp(
-        lambda _, u: ode.rhs(u),
-        (0.0, horizon),
-        ode.u_in,
-        method=method,
-        rtol=step_tol,
-        atol=step_tol,
-        t_eval=np.asarray(t_eval, dtype=float),
-        dense_output=False,
-        **options,
-    )
-    if not sol.success:
-        raise NumericFailure(f"reference integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > horizon or np.any(np.diff(t_eval) < 0)):
+        raise ValidationError(f"sample times must be sorted inside [0, {horizon}]")
+    if lsoda:
+        step_tol = max(tol / 10, 100 * np.finfo(float).eps)
+        sol = solve_ivp(
+            lambda _, u: ode.rhs(u),
+            (0.0, horizon),
+            ode.u_in,
+            method=method,
+            rtol=step_tol,
+            atol=step_tol,
+            t_eval=t_eval,
+            jac=lambda _, u: ode.jacobian(u),
+        )
+        if not sol.success:
+            raise NumericFailure(f"reference integration failed: {sol.message}")
+        t, u = sol.t, sol.y.T.copy()
+    else:
+        t, u = t_eval.copy(), _dop853_samples(ode, t_eval, tol)
+    if not np.all(np.isfinite(u)):
         raise NumericFailure("reference integration produced non-finite values")
-    return Trajectory(t=sol.t, u=sol.y.T.copy(), method=method)
+    return Trajectory(t=t, u=u, method=method)
+
+
+def _dop853_samples(ode: NonlinearODE, t_eval: np.ndarray, tol: float) -> np.ndarray:
+    """The state at each of the sorted, non-negative ``t_eval``, by DOP853 from each sample to the next."""
+    u = np.empty((t_eval.size, ode.n))
+    t, y, first_step = 0.0, ode.u_in, None
+    for i, sample in enumerate(t_eval):
+        if sample > t:
+            solver = DOP853(
+                lambda _, v: ode.rhs(v), t, y, sample, rtol=tol, atol=tol,
+                first_step=None if first_step is None else min(first_step, sample - t),
+            )
+            while solver.status == "running":
+                message = solver.step()
+            if solver.status == "failed":
+                raise NumericFailure(f"reference integration failed: {message}")
+            t, y, first_step = sample, solver.y, solver.step_size
+        u[i] = y
+    return u

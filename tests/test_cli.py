@@ -280,6 +280,25 @@ class TestEvolveCommand:
         # closed form of the scalar problem at the final time
         assert float(rows[-1][1]) == pytest.approx(2.0 / (1.0 + np.e), abs=1e-8)
 
+    def test_demo_tables_read_back_to_the_pipeline_arrays(self, tmp_path):
+        # the paper's demo PDE at N = 3: 1 097 recorded times, over four blocks of rows
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "evolve"
+        config["pde"]["m"] = 32
+        config["numerics"] = {"N": 3, "K": 10}
+        summary = cli._run_pipeline(cli.RunContext(
+            config=config, out_dir=str(tmp_path), strict_stability=True,
+            digest=cli.config_hash(config),
+        ))
+        assert run_config(config, tmp_path) == 0
+        lengths = set()
+        for name in ("trajectory", "reference"):
+            header, rows = read_csv(tmp_path / f"demo_{name}.csv")
+            assert all(len(row) == len(header) for row in rows)
+            assert np.array_equal([[float(cell) for cell in row] for row in rows], summary[name])
+            lengths.add(len(rows))
+        assert lengths == {1097}
+
     def test_record_every_zero_is_validation_exit(self, tmp_path):
         config = self.evolve_config()
         config["numerics"]["record_every"] = 0
@@ -751,3 +770,27 @@ class TestNumberFormatting:
             "false,-0,9.9998886718268301e-321,DOP853,0.10000000149011612,12345678901234567890\n"
             "-inf,2.5,0.33333333333333331,-4,None,1e+22\n"
         )
+        # a float array takes the block writer, with the same bytes per float
+        table = np.array([[0.1, np.inf, np.nan, -0.0], [1e-320, 1.0 / 3.0, 1e22, -np.inf]])
+        cli.write_csv(str(path), list("abcd"), table, "abc", {"x": 1})
+        assert path.read_text() == (
+            '# config_hash=abc\n# config={"x":1}\na,b,c,d\n'
+            "0.10000000000000001,inf,nan,-0\n"
+            "9.9998886718268301e-321,0.33333333333333331,1e+22,-inf\n"
+        )
+
+    def test_float_table_is_written_in_bounded_memory(self, tmp_path):
+        # the demo trajectory's shape: t, three norms and 32 modes at 1 097 times
+        table = np.random.default_rng(0).standard_normal((1097, 36)) * 10.0 ** np.arange(-17, 19)
+        header = [f"c{i}" for i in range(36)]
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            cli.write_csv(str(tmp_path / "table.csv"), header, table, "abc", {"x": 1})
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # blocks of rows join up to the bytes of the row-by-row writer
+        cli.write_csv(str(tmp_path / "rows.csv"), header, table.tolist(), "abc", {"x": 1})
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -291,6 +291,34 @@ class TestReferenceMethod:
         )
         assert np.abs(traj.u[-1] - direct.y[:, -1]).max() <= 10 * tol
 
+    def test_dop853_within_ten_tol_at_every_sample_above_the_dense_f1_limit(self):
+        # d = 2, m = 24 (n = 576) at amplitude 0.2: read through DOP853's dense
+        # output, these samples were up to 1.1e-6 off
+        pde = ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=24, k=2, T=1.0,
+            initial=lambda x: 0.2 * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
+        )
+        ode = discretize(pde)
+        tol = 1e-10
+        traj = reference_solve(ode, T=1.0, tol=tol)
+        assert traj.method == "DOP853"
+        assert traj.t.size >= 101
+        # a much tighter DOP853 run to each sample, read at the end of its last step
+        t_prev, u = 0.0, ode.u_in
+        for t, got in zip(traj.t, traj.u):
+            if t > t_prev:
+                u = solve_ivp(
+                    lambda _, v: ode.rhs(v), (t_prev, t), u, method="DOP853",
+                    rtol=1e-13, atol=1e-13,
+                ).y[:, -1]
+                t_prev = t
+            assert np.abs(got - u).max() <= 10 * tol
+
+    def test_sample_times_outside_the_horizon_are_refused(self, bernoulli_ode):
+        for t_eval in ([0.0, 1.5], [-0.5, 1.0], [0.5, 0.25]):
+            with pytest.raises(ValidationError):
+                reference_solve(bernoulli_ode, T=1.0, t_eval=np.array(t_eval))
+
 
 @st.composite
 def jacobian_cases(draw):
