@@ -392,8 +392,11 @@ def reference_solve(
         return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy(), method=method)
 
     t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > horizon or np.any(np.diff(t_eval) < 0)):
-        raise ValidationError(f"sample times must be sorted inside [0, {horizon}]")
+    if t_eval.size and not (
+        np.all(np.isfinite(t_eval)) and 0 <= t_eval[0] and t_eval[-1] <= horizon
+        and np.all(np.diff(t_eval) > 0)
+    ):
+        raise ValidationError(f"sample times must be finite, increasing and inside [0, {horizon}]")
     if lsoda:
         step_tol = max(tol / 10, 100 * np.finfo(float).eps)
         sol = solve_ivp(
@@ -417,7 +420,7 @@ def reference_solve(
 
 
 def _dop853_samples(ode: NonlinearODE, t_eval: np.ndarray, tol: float) -> np.ndarray:
-    """The state at each of the sorted, non-negative ``t_eval``, by DOP853 from each sample to the next."""
+    """The state at each of the increasing, non-negative ``t_eval``, by DOP853 from each sample to the next."""
     u = np.empty((t_eval.size, ode.n))
     t, y, first_step = 0.0, ode.u_in, None
     for i, sample in enumerate(t_eval):

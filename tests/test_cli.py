@@ -281,7 +281,7 @@ class TestEvolveCommand:
         assert float(rows[-1][1]) == pytest.approx(2.0 / (1.0 + np.e), abs=1e-8)
 
     def test_demo_tables_read_back_to_the_pipeline_arrays(self, tmp_path):
-        # the paper's demo PDE at N = 3: 1 097 recorded times, over four blocks of rows
+        # the paper's demo PDE at N = 3: 1 097 recorded times
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "evolve"
         config["pde"]["m"] = 32
@@ -770,7 +770,7 @@ class TestNumberFormatting:
             "false,-0,9.9998886718268301e-321,DOP853,0.10000000149011612,12345678901234567890\n"
             "-inf,2.5,0.33333333333333331,-4,None,1e+22\n"
         )
-        # a float array takes the block writer, with the same bytes per float
+        # a float array's cells are np.float64, with the same bytes as Python floats
         table = np.array([[0.1, np.inf, np.nan, -0.0], [1e-320, 1.0 / 3.0, 1e22, -np.inf]])
         cli.write_csv(str(path), list("abcd"), table, "abc", {"x": 1})
         assert path.read_text() == (
@@ -791,6 +791,6 @@ class TestNumberFormatting:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        # blocks of rows join up to the bytes of the row-by-row writer
+        # the array writes the bytes of its rows as lists of Python floats
         cli.write_csv(str(tmp_path / "rows.csv"), header, table.tolist(), "abc", {"x": 1})
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

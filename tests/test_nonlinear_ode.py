@@ -314,10 +314,16 @@ class TestReferenceMethod:
                 t_prev = t
             assert np.abs(got - u).max() <= 10 * tol
 
-    def test_sample_times_outside_the_horizon_are_refused(self, bernoulli_ode):
-        for t_eval in ([0.0, 1.5], [-0.5, 1.0], [0.5, 0.25]):
+    @pytest.mark.parametrize("n", [1, DENSE_F1_MAX_N + 1])
+    def test_sample_times_outside_the_horizon_are_refused(self, n):
+        # both routes refuse times that are out of order, repeated, not finite or
+        # outside [0, T]
+        F1 = sp.identity(n, format="csr") * -1.0
+        ode = NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n))
+        bad = ([0.0, 1.5], [-0.5, 1.0], [0.5, 0.25], [0.25, 0.25], [0.0, np.nan], [np.nan])
+        for t_eval in bad:
             with pytest.raises(ValidationError):
-                reference_solve(bernoulli_ode, T=1.0, t_eval=np.array(t_eval))
+                reference_solve(ode, T=1.0, t_eval=np.array(t_eval))
 
 
 @st.composite
