@@ -121,15 +121,30 @@ def write_csv(path: str, header: list[str], rows: Iterable, digest: str, config:
     atomic_write_text(path, itertools.chain([head], _row_lines(rows)))
 
 
+def _all_finite(value: Any) -> bool:
+    """Whether a JSON payload holds no non-finite float."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    return True
+
+
 def _finite_or_null(value: Any) -> Any:
-    """Replace every non-finite float in a JSON payload with ``None``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+    """Replace every non-finite float in a JSON payload with ``None``.
+
+    Only the dicts and lists that hold one are rebuilt; the rest, and an
+    all-finite payload, are returned as they are, not copied.
+    """
+    if _all_finite(value):
+        return value
     if isinstance(value, dict):
         return {key: _finite_or_null(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(v) for v in value]
-    return value
+    return None
 
 
 def write_json(path: str, payload: dict, digest: str, config: dict) -> None:

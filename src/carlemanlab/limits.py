@@ -9,10 +9,12 @@ from __future__ import annotations
 from .errors import SizeLimitError
 
 #: dense linear algebra on F1 up to this state dimension: LAPACK spectra
-#: (``lambda0`` and the exact 2-norm of F1) and the dense analytic Jacobian,
-#: and with it the reference integrator (LSODA up to it, explicit DOP853
-#: above); a dense n x n copy stays below 2 MiB.  F1 itself is held as CSR at
-#: every dimension.
+#: (``lambda0`` and the exact 2-norm of F1; seeded ARPACK above it) and the
+#: dense analytic Jacobian, and with it the reference integrator (LSODA up to
+#: it, explicit DOP853 above); a dense n x n copy stays below 2 MiB.  The
+#: spectra serve ODE inputs only: a periodic grid's come in closed form from
+#: its stencil (``pde.periodic_spectrum``) at every dimension.  F1 itself is
+#: held as CSR at every dimension.
 DENSE_F1_MAX_N = 512
 
 #: explicit dense matrices (Laplacian, Carleman operator, Matrix Market

@@ -55,6 +55,9 @@ class NonlinearODE:
     as anything scipy can convert; both are held as CSR at every ``n``
     (:func:`_as_csr`).  Dense linear algebra on F1 (its spectral scalars and
     the Jacobian) is bounded by ``DENSE_F1_MAX_N``, not its storage.
+    ``lambda0`` and ``|F1|`` come from LAPACK or ARPACK (:func:`lambda0`,
+    :func:`operator_spectral_norm`) for ODE inputs only: a periodic grid's
+    are set in closed form by :func:`carlemanlab.pde.discretize`.
     Dissipativity is a derived property (``lambda0 < 0``), not an assumption
     baked into construction.
 
@@ -109,11 +112,30 @@ class NonlinearODE:
             and cols.size == np.unique(cols).size
         )
 
+    @cached_property
+    def fm_is_diagonal(self) -> bool:
+        """FM selects the diagonal monomials ``u_i^M``, as ``pde.one_sparse_nonlinearity``
+        builds it: row ``i`` holds one entry, at the column whose digits are all ``i``."""
+        rows, _, _ = self.fm_coordinates
+        return np.array_equal(rows, np.arange(self.n)) and bool(
+            np.all(self.fm_digits == rows[:, None])
+        )
+
     def fm_contract(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate ``FM u^(x M)`` without forming the Kronecker power."""
+        """Evaluate ``FM u^(x M)`` without forming the Kronecker power.
+
+        A diagonal FM takes ``vals u^M`` with no gathers, multiplied in
+        :func:`digit_products`' order; its ``+ 0.0`` is the bincount's, which
+        turns ``-0.0`` into ``+0.0``, so both routes agree bit for bit.
+        """
         rows, _, vals = self.fm_coordinates
         if rows.size == 0:
             return np.zeros(self.n)
+        if self.fm_is_diagonal:
+            prod = u
+            for _ in range(self.M - 1):
+                prod = prod * u
+            return vals * prod + 0.0
         prod = digit_products(u, self.fm_digits)
         return np.bincount(rows, weights=vals * prod, minlength=self.n)
 

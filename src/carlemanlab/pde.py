@@ -128,14 +128,37 @@ def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
 
     F1 stores at most ``2kd + 1`` entries per row, at every grid size; a
     grid whose operator would store more than ``KRON_MAX_SIZE`` entries,
-    ``n (2kd + 1)``, is refused before anything is built or sampled.
+    ``n (2kd + 1)``, is refused before anything is built or sampled.  The
+    problem's cached ``lambda0`` and ``|F1|`` are set from
+    :func:`periodic_spectrum`, so no grid reaches LAPACK or ARPACK for them.
     """
     n = pde.n
     check_size(n * (2 * pde.k * pde.d + 1), KRON_MAX_SIZE, "grid operator entries")
     lap = build_laplacian_dd(pde.k, pde.d, pde.m, bc="periodic")
     F1 = pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")
     FM = one_sparse_nonlinearity(n, pde.M, pde.b)
-    return NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)
+    ode = NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)
+    spectrum = periodic_spectrum(pde)
+    vars(ode).update(lambda0=float(spectrum.max()), f1_norm=float(np.abs(spectrum).max()))
+    return ode
+
+
+def periodic_spectrum(pde: ReactionDiffusionProblem) -> np.ndarray:
+    """The ``n`` eigenvalues ``D sum_axes lambda(f_axis) + c`` of the grid's F1.
+
+    F1 is a symmetric circulant in each axis, so its eigenvalues come in
+    closed form (:func:`~carlemanlab.stencil.laplacian_eigenvalues_periodic`,
+    whose zero mode is exactly 0): their maximum is ``lambda0``, exactly ``c``, and
+    their largest modulus is ``|F1|``.  One per real Fourier mode, in the
+    order of :func:`real_fourier_basis` along each axis, so they are also the
+    diagonal of the Fourier form's F1.
+    """
+    m, d = pde.m, pde.d
+    lam = laplacian_eigenvalues_periodic(pde.k, m)[(np.arange(m) + 1) // 2]
+    spectrum = np.zeros((m,) * d)
+    for axis in range(d):
+        spectrum = spectrum + lam.reshape((m,) + (1,) * (d - 1 - axis))
+    return pde.diffusion * spectrum.reshape(pde.n) + pde.c
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +291,17 @@ def fourier_form(
     """Rewrite the discretised problem in the real Fourier basis of its periodic grid.
 
     Every periodic circulant is diagonal in that basis, so F1 becomes
-    ``D sum_axes lambda(f_axis) + c`` from the closed-form spectrum
-    (:func:`~carlemanlab.stencil.laplacian_eigenvalues_periodic`).  The
+    ``D sum_axes lambda(f_axis) + c``, the closed-form spectrum of
+    :func:`periodic_spectrum`.  The
     pointwise ``b u^M`` becomes ``b`` times the per-axis products of
     :func:`_mode_products`, and ``u_in`` becomes ``Q^T u_in``, whose
     coefficients within the transform's own rounding bound
     ``d m eps |u_in|_2`` are set to zero (their 2-norm is ``dropped_mass``),
     so that band-limited data keeps its support.  An orthogonal
     change of basis keeps ``lambda0``, ``|F1|`` and ``|FM|``, so they are
-    copied from the grid problem and every scalar derived from them (gamma,
-    N, the Gershgorin bound, the step rule) is bit for bit the grid's; a
+    copied from the grid problem (which :func:`discretize` takes from the
+    same spectrum) and every scalar derived from them (gamma, N, the
+    Gershgorin bound, the step rule) is bit for bit the grid's; a
     ``discretized`` problem whose ``n``, ``M``, ``T`` or ``u_in`` differ from
     ``pde``'s is refused.
     """
@@ -291,11 +315,7 @@ def fourier_form(
             raise ValidationError("the discretised problem is not the grid ODE of this problem")
     m, d, M = pde.m, pde.d, pde.M
     n = pde.n
-    lam = laplacian_eigenvalues_periodic(pde.k, m)[(np.arange(m) + 1) // 2]
-    spectrum = np.zeros((m,) * d)
-    for axis in range(d):
-        spectrum = spectrum + lam.reshape((m,) + (1,) * (d - 1 - axis))
-    F1 = sp.diags(pde.diffusion * spectrum.reshape(n) + pde.c, format="csr")
+    F1 = sp.diags(periodic_spectrum(pde), format="csr")
     keys, values = _mode_products(m, M + 1)
     check_size(values.size**d, KRON_MAX_SIZE, "Fourier nonlinearity entries")
     # a mode of the d-dimensional grid is a product of one mode per axis, so

@@ -252,14 +252,18 @@ def build_laplacian_dd(k: int, d: int, m: int, bc: str = "periodic") -> Laplacia
 # ---------------------------------------------------------------------------
 
 def laplacian_eigenvalues_periodic(k: int, m: int) -> np.ndarray:
-    """Circulant spectrum ``m^2 [a_0 + 2 sum_j a_j cos(2 pi l j / m)]`` for l=0..m-1."""
-    table = stencil_coefficients(k)
-    a = table.as_floats()
+    """Circulant spectrum ``m^2 [a_0 + 2 sum_j a_j cos(2 pi l j / m)]`` for l=0..m-1.
+
+    Evaluated as the symbol ``-4 m^2 sum_j a_j sin^2(pi l j / m)`` (the two
+    agree since ``a_0 = -2 sum_j a_j``), so the zero mode is exactly 0 and
+    nothing cancels near it.
+    """
+    a = stencil_coefficients(k).as_floats()
     ell = np.arange(m)
-    acc = np.full(m, a[0])
+    acc = np.zeros(m)
     for j in range(1, k + 1):
-        acc = acc + 2.0 * a[j] * np.cos(2.0 * np.pi * ell * j / m)
-    return (m * m) * acc
+        acc = acc - a[j] * np.sin(np.pi * ell * j / m) ** 2
+    return (4.0 * m * m) * acc
 
 
 def laplacian_norm_bound(k: int, m: int, d: int = 1) -> float:

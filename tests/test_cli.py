@@ -779,6 +779,27 @@ class TestNumberFormatting:
             "9.9998886718268301e-321,0.33333333333333331,1e+22,-inf\n"
         )
 
+    def test_all_finite_json_payload_is_not_copied(self, tmp_path):
+        # 100 000 [row, column, value] triplets, the shape of the pde export:
+        # rebuilding every list before encoding took 9.2 MiB of the writer's peak
+        payload = {"results": {"entries": [[i, i + 1, 0.5 * i] for i in range(100_000)]}}
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            cli.write_json(str(tmp_path / "finite.json"), payload, "abc", {"x": 1})
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_non_finite_json_values_are_null_and_the_payload_is_kept(self, tmp_path):
+        payload = {"a": [1.5, (float("nan"), 2.0), [3.0]], "b": {"c": float("-inf"), "d": (4.0,)}}
+        cli.write_json(str(tmp_path / "nulls.json"), payload, "abc", {"x": 1})
+        written = json.loads((tmp_path / "nulls.json").read_text())
+        assert written["a"] == [1.5, [None, 2.0], [3.0]]
+        assert written["b"] == {"c": None, "d": [4.0]}
+        assert np.isnan(payload["a"][1][0]) and payload["b"]["c"] == float("-inf")
+
     def test_float_table_is_written_in_bounded_memory(self, tmp_path):
         # the demo trajectory's shape: t, three norms and 32 modes at 1 097 times
         table = np.random.default_rng(0).standard_normal((1097, 36)) * 10.0 ** np.arange(-17, 19)

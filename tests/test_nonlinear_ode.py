@@ -104,7 +104,10 @@ class TestDenseLinearAlgebraOnCsrF1:
     """Up to the dense-F1 limit the CSR F1 is densified, so every result is a dense F1's, bit for bit."""
 
     def test_demo_scalars_and_jacobian_equal_the_dense_computation(self, demo_pde):
-        ode = discretize(demo_pde)
+        # a plain ODE from the demo grid's F1 and FM: the grid problem itself
+        # takes its scalars from the stencil's spectrum (test_pde.TestGridSpectralScalars)
+        grid = discretize(demo_pde)
+        ode = NonlinearODE(n=grid.n, M=grid.M, F1=grid.F1, FM=grid.FM, u_in=grid.u_in, T=grid.T)
         dense = ode.F1.toarray()
         assert ode.lambda0 == float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
         assert ode.lambda0 == lambda0(dense)
@@ -116,6 +119,41 @@ class TestDenseLinearAlgebraOnCsrF1:
         for _ in range(2):
             want[np.diag_indices(ode.n)] += demo_pde.b * u
         assert np.array_equal(ode.jacobian(u), want)
+
+
+class TestDiagonalNonlinearity:
+    """A grid's FM selects ``u_i^M``; ``fm_contract`` takes it without gathers."""
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_contraction_equals_the_general_one_bit_for_bit(self, M):
+        ode = discretize(ReactionDiffusionProblem(
+            diffusion=0.2, c=-2.0, b=-0.7, M=M, d=2, m=6, k=1, initial=np.ones(36),
+        ))
+        assert ode.fm_is_diagonal
+        u = np.random.default_rng(M).standard_normal(ode.n)
+        u[::5], u[1::7], u[2::9] = 0.0, -0.0, 1e-200  # signed zeros, and products that underflow
+        rows, _, vals = ode.fm_coordinates
+        prod = nonlinear_ode.digit_products(u, ode.fm_digits)
+        want = np.bincount(rows, weights=vals * prod, minlength=ode.n)
+        assert ode.fm_contract(u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "FM",
+        [
+            [[0.5, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0.5], [0.5, 0, 0, 0]],
+            [[0.5, 0, 0, 0.5], [0, 0, 0, 0.5]],
+        ],
+        ids=["missing-row", "crossed", "extra-entry"],
+    )
+    def test_other_selectors_take_the_general_contraction(self, FM):
+        ode = NonlinearODE(n=2, M=2, F1=-np.eye(2), FM=FM, u_in=[0.3, -0.4])
+        assert not ode.fm_is_diagonal
+        u = np.array([0.3, -0.4])
+        np.testing.assert_array_equal(ode.fm_contract(u), np.asarray(FM) @ kron_power(u, 2))
+
+    def test_dense_nonlinearity_is_not_diagonal(self):
+        assert not make_two_dim_instance(3, 0.4).fm_is_diagonal
 
 
 class TestRRatio:

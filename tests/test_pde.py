@@ -1,15 +1,26 @@
 """Discretisation, stability verdicts, spatial error bound, grid sizing."""
 
 import functools
+import json
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carlemanlab import cli, nonlinear_ode
 from carlemanlab.errors import SizeLimitError, ValidationError
-from carlemanlab.nonlinear_ode import kron_power, lambda0, r_ratio, reference_solve
+from carlemanlab.limits import DENSE_F1_MAX_N
+from carlemanlab.nonlinear_ode import (
+    kron_power,
+    lambda0,
+    operator_spectral_norm,
+    r_ratio,
+    reference_solve,
+)
 from carlemanlab.pde import (
     DiscretisationErrorInputs,
     ReactionDiffusionProblem,
@@ -18,6 +29,7 @@ from carlemanlab.pde import (
     estimate_derivative_bound,
     fourier_form,
     grid_matching_first_order,
+    periodic_spectrum,
     real_fourier_basis,
     required_grid_points,
     stability_report,
@@ -89,6 +101,85 @@ class TestDiscretize:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+@st.composite
+def small_grids(draw):
+    """A periodic grid with d in {1, 2, 3}, k in 1..4, n <= 512, random D > 0 and c."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    top = max(m for m in range(3, 513) if m**d <= 512)
+    k = draw(st.integers(1, min(4, (top - 1) // 2)))
+    return make_pde(
+        d=d, m=draw(st.integers(2 * k + 1, top)), k=k,
+        diffusion=draw(st.floats(1e-3, 10.0)), c=draw(st.floats(-5.0, 5.0)),
+        initial=flat_profile(0.1),
+    )
+
+
+def spectral_tolerance(f1_norm: float) -> float:
+    """``64 eps |F1|``: LAPACK's own backward-error scale at n <= 512.
+
+    The closed form is within 1 eps |F1| of the stored F1's spectrum (the
+    residual of the constant mode against ``c``), while LAPACK's ``eigvalsh``
+    strayed from it by up to 27 eps |F1| over 1 500 random grids.
+    """
+    return 64 * np.finfo(float).eps * f1_norm
+
+
+#: every committed config that poses a PDE, by file name
+GRID_CONFIGS = {
+    path.stem: config
+    for path in (Path(__file__).parent.parent / "configs").glob("*.json")
+    if "pde" in (config := json.loads(path.read_text()))
+}
+
+
+def _no_eigensolver(*args, **kwargs):
+    raise AssertionError("a periodic grid called an eigensolver")
+
+
+class TestGridSpectralScalars:
+    """``discretize`` takes ``lambda0`` and ``|F1|`` from the stencil's spectrum."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_grids())
+    def test_closed_form_matches_lapack(self, problem):
+        ode = discretize(problem)
+        tol = spectral_tolerance(ode.f1_norm)
+        spectrum = np.sort(periodic_spectrum(problem))
+        assert np.abs(spectrum - np.linalg.eigvalsh(ode.F1.toarray())).max() <= tol
+        assert ode.lambda0 == spectrum[-1] == problem.c
+        assert ode.f1_norm == np.abs(spectrum).max()
+        assert abs(ode.lambda0 - lambda0(ode.F1)) <= tol
+        assert abs(ode.f1_norm - operator_spectral_norm(ode.F1)) <= tol
+
+    def test_closed_form_matches_arpack_above_the_dense_limit(self):
+        # the n = 1 600 grid of the d = 2 analysis benchmark
+        problem = make_pde(d=2, m=40, b=0.1, initial=flat_profile(0.1))
+        ode = discretize(problem)
+        assert ode.n > DENSE_F1_MAX_N
+        tol = spectral_tolerance(ode.f1_norm)
+        assert abs(ode.lambda0 - lambda0(ode.F1)) <= tol
+        assert abs(ode.f1_norm - operator_spectral_norm(ode.F1)) <= tol
+
+    @pytest.mark.parametrize("name", sorted(GRID_CONFIGS))
+    def test_lambda0_is_c_on_every_committed_grid(self, name):
+        ode, problem = cli.resolve_problem(GRID_CONFIGS[name])
+        assert ode.lambda0 == problem.c
+
+    def test_large_grid_takes_no_eigensolver(self, monkeypatch):
+        # n = 90 000, where ARPACK's lambda0 alone took 28 s
+        monkeypatch.setattr(nonlinear_ode, "eigsh", _no_eigensolver)
+        monkeypatch.setattr(nonlinear_ode, "svds", _no_eigensolver)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+        problem = make_pde(
+            d=2, m=300, k=2, b=0.1,
+            initial=lambda x: 0.1 * np.prod(1.0 + np.cos(2 * np.pi * x), axis=1),
+        )
+        start = time.perf_counter()
+        R = r_ratio(discretize(problem))
+        assert time.perf_counter() - start < 1.0
+        assert R == pytest.approx(2.25, rel=1e-14)
 
 
 class TestStabilityReport:
@@ -283,9 +374,11 @@ class TestFourierForm:
         assert modal.lambda0 == ode.lambda0
         assert modal.f1_norm == ode.f1_norm
         assert modal.fm_norm == ode.fm_norm
-        # the copies are the orthogonal invariants they stand for
-        assert modal.F1.diagonal().max() == pytest.approx(ode.lambda0, rel=1e-12)
-        assert np.abs(modal.F1.diagonal()).max() == pytest.approx(ode.f1_norm, rel=1e-12)
+        # the copies are the orthogonal invariants they stand for, read from
+        # the one spectrum that is also the Fourier form's diagonal
+        assert np.array_equal(modal.F1.diagonal(), periodic_spectrum(demo_pde))
+        assert modal.F1.diagonal().max() == ode.lambda0
+        assert np.abs(modal.F1.diagonal()).max() == ode.f1_norm
 
     def test_memory_stays_near_the_nonlinearity(self):
         # each block of mode tuples holds its final sums, so only the kept

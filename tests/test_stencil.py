@@ -130,6 +130,14 @@ class TestPeriodicSpectrum:
         scale = np.abs(dense).max()
         assert np.abs(formula - dense).max() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lowest_mode_keeps_its_relative_accuracy(self, k):
+        # m^2 times the symbol at theta = 2 pi / m is -(2 pi)^2 (1 + O(theta^2));
+        # summing cosines cancels to eps (|a_0| + 2 sum |a_j|) / theta^2, 3e-5 here
+        eigs = laplacian_eigenvalues_periodic(k, 10**6)
+        assert eigs[0] == 0.0
+        assert eigs[1] == pytest.approx(-(2 * np.pi) ** 2, rel=1e-8)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_single_zero_rest_negative(self, k):
         eigs = laplacian_eigenvalues_periodic(k, 9)
