@@ -112,30 +112,11 @@ class NonlinearODE:
             and cols.size == np.unique(cols).size
         )
 
-    @cached_property
-    def fm_is_diagonal(self) -> bool:
-        """FM selects the diagonal monomials ``u_i^M``, as ``pde.one_sparse_nonlinearity``
-        builds it: row ``i`` holds one entry, at the column whose digits are all ``i``."""
-        rows, _, _ = self.fm_coordinates
-        return np.array_equal(rows, np.arange(self.n)) and bool(
-            np.all(self.fm_digits == rows[:, None])
-        )
-
     def fm_contract(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate ``FM u^(x M)`` without forming the Kronecker power.
-
-        A diagonal FM takes ``vals u^M`` with no gathers, multiplied in
-        :func:`digit_products`' order; its ``+ 0.0`` is the bincount's, which
-        turns ``-0.0`` into ``+0.0``, so both routes agree bit for bit.
-        """
+        """Evaluate ``FM u^(x M)`` without forming the Kronecker power."""
         rows, _, vals = self.fm_coordinates
         if rows.size == 0:
             return np.zeros(self.n)
-        if self.fm_is_diagonal:
-            prod = u
-            for _ in range(self.M - 1):
-                prod = prod * u
-            return vals * prod + 0.0
         prod = digit_products(u, self.fm_digits)
         return np.bincount(rows, weights=vals * prod, minlength=self.n)
 

@@ -121,41 +121,6 @@ class TestDenseLinearAlgebraOnCsrF1:
         assert np.array_equal(ode.jacobian(u), want)
 
 
-class TestDiagonalNonlinearity:
-    """A grid's FM selects ``u_i^M``; ``fm_contract`` takes it without gathers."""
-
-    @pytest.mark.parametrize("M", [2, 3, 4])
-    def test_contraction_equals_the_general_one_bit_for_bit(self, M):
-        ode = discretize(ReactionDiffusionProblem(
-            diffusion=0.2, c=-2.0, b=-0.7, M=M, d=2, m=6, k=1, initial=np.ones(36),
-        ))
-        assert ode.fm_is_diagonal
-        u = np.random.default_rng(M).standard_normal(ode.n)
-        u[::5], u[1::7], u[2::9] = 0.0, -0.0, 1e-200  # signed zeros, and products that underflow
-        rows, _, vals = ode.fm_coordinates
-        prod = nonlinear_ode.digit_products(u, ode.fm_digits)
-        want = np.bincount(rows, weights=vals * prod, minlength=ode.n)
-        assert ode.fm_contract(u).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize(
-        "FM",
-        [
-            [[0.5, 0, 0, 0], [0, 0, 0, 0]],
-            [[0, 0, 0, 0.5], [0.5, 0, 0, 0]],
-            [[0.5, 0, 0, 0.5], [0, 0, 0, 0.5]],
-        ],
-        ids=["missing-row", "crossed", "extra-entry"],
-    )
-    def test_other_selectors_take_the_general_contraction(self, FM):
-        ode = NonlinearODE(n=2, M=2, F1=-np.eye(2), FM=FM, u_in=[0.3, -0.4])
-        assert not ode.fm_is_diagonal
-        u = np.array([0.3, -0.4])
-        np.testing.assert_array_equal(ode.fm_contract(u), np.asarray(FM) @ kron_power(u, 2))
-
-    def test_dense_nonlinearity_is_not_diagonal(self):
-        assert not make_two_dim_instance(3, 0.4).fm_is_diagonal
-
-
 class TestRRatio:
     def test_scalar_bernoulli(self, bernoulli_ode):
         assert r_ratio(bernoulli_ode) == pytest.approx(0.5)
