@@ -67,7 +67,6 @@ from .stencil import (
     convergence_study,
     g_kappa,
     laplacian_eigenvalues_periodic,
-    laplacian_norm_bound,
     stencil_coefficients,
 )
 

@@ -339,8 +339,8 @@ class BoundReport:
     times: np.ndarray
     eta_bounds: dict[int, np.ndarray]
     stability: dict[str, bool]
-    required_N: int | None = None
-    refined_N: int | None = None
+    required_N: int
+    refined_N: int
 
     def as_dict(self) -> dict:
         return {
@@ -358,23 +358,21 @@ class BoundReport:
 
 def make_bound_report(
     ode: NonlinearODE,
+    eps: float,
     gamma: float | None = None,
     N: int | None = None,
-    eps: float | None = None,
 ) -> BoundReport:
-    """Assemble verdicts, required order, and per-level bound curves on
-    ``linspace(0, T, 101)``."""
+    """Assemble verdicts, the orders required for ``eps``, and per-level bound
+    curves on ``linspace(0, T, 101)`` at order ``N`` (the required one when absent)."""
     lam = ode.lambda0
     R = r_ratio(ode)
     unorm = float(np.linalg.norm(ode.u_in))
     gamma = unorm if gamma is None else float(gamma)
     gamma_max = max_stable_gamma(ode)
-    required = refined = None
-    if eps is not None:
-        required = required_carleman_order(R, ode.M, eps)
-        refined = refined_carleman_order(R, ode.M, eps, lam, ode.T)
+    required = required_carleman_order(R, ode.M, eps)
+    refined = refined_carleman_order(R, ode.M, eps, lam, ode.T)
     if N is None:
-        N = required if required is not None else ode.M + 1
+        N = required
     times = np.linspace(0.0, ode.T, 101)
     eta = {
         j: np.asarray(component_error_bound(ode, N, j, times, gamma=gamma))

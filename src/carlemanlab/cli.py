@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -242,12 +242,6 @@ def ode_to_config(ode: node.NonlinearODE) -> dict:
     }
 
 
-_PROFILES: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
-    "raised_cosine": lambda x, amp: amp * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
-    "constant": lambda x, amp: np.full(x.shape[0], amp),
-}
-
-
 def pde_from_config(section: dict) -> rd.ReactionDiffusionProblem:
     keys = ["diffusion", "c", "b", "M", "d", "m", "k", "T", "initial"]
     _require(section, keys, "pde")
@@ -257,14 +251,12 @@ def pde_from_config(section: dict) -> rd.ReactionDiffusionProblem:
     if "values" in init_spec:
         initial: rd.InitialCondition = real_array(init_spec, "values", "pde initial")
     elif "profile" in init_spec:
-        name = init_spec["profile"]
-        if name not in _PROFILES:
+        if init_spec["profile"] != "raised_cosine":
             raise ValidationError(
-                f"unknown initial profile {name!r}; known: {sorted(_PROFILES)}"
+                f"unknown initial profile {init_spec['profile']!r}; known: ['raised_cosine']"
             )
         amp = real_number({"amplitude": 1.0, **init_spec}, "amplitude", "pde", required=True)
-        profile = _PROFILES[name]
-        initial = lambda x, _p=profile, _a=amp: _p(x, _a)  # noqa: E731
+        initial = lambda x, a=amp: a * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1)  # noqa: E731
     else:
         raise ValidationError("pde initial condition needs 'profile' or 'values'")
     reals = {key: real_number(section, key, "pde", required=True)
@@ -638,8 +630,8 @@ def _cmd_cost(ctx: RunContext) -> None:
     )
     payload = {
         "results": {
-            "estimate": estimate.as_dict(),
-            "prior_work": [row.as_dict() for row in comparison],
+            "estimate": asdict(estimate),
+            "prior_work": [asdict(row) for row in comparison],
         }
     }
     write_json(ctx.path("cost.json"), payload, ctx.digest, ctx.config)

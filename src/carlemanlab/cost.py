@@ -48,21 +48,6 @@ class CostEstimate:
     u_T_norm: float
     assumptions: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "N": self.N,
-            "gamma": self.gamma,
-            "lambda_carleman": self.lambda_carleman,
-            "amplification": self.amplification,
-            "calls_block_encoding": self.calls_block_encoding,
-            "calls_state_prep": self.calls_state_prep,
-            "extra_gates": self.extra_gates,
-            "u_in_norm": self.u_in_norm,
-            "u_T_norm": self.u_T_norm,
-            "assumptions": list(self.assumptions),
-        }
-
 
 def amplification_factor(
     u_in_norm: float,
@@ -188,9 +173,6 @@ class PriorWorkRow:
     calls: float
     flags: list[str] = field(default_factory=list)
     detail: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "calls": self.calls, "flags": self.flags, "detail": self.detail}
 
 
 def prior_work_comparison(

@@ -134,7 +134,7 @@ def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
     """
     n = pde.n
     check_size(n * (2 * pde.k * pde.d + 1), KRON_MAX_SIZE, "grid operator entries")
-    lap = build_laplacian_dd(pde.k, pde.d, pde.m, bc="periodic")
+    lap = build_laplacian_dd(pde.k, pde.d, pde.m)
     F1 = pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")
     FM = one_sparse_nonlinearity(n, pde.M, pde.b)
     ode = NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)

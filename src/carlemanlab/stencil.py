@@ -1,10 +1,10 @@
 """High-order central finite-difference Laplacians on the unit box.
 
-Builds the one-dimensional discretised Laplacian of order ``k`` (stencil width
-``2k+1``) with periodic or Dirichlet boundaries, its d-dimensional Kronecker
-sum, closed-form circulant spectra, norm bounds, and the peak induced
-infinity-norm ``g_kappa`` of the diffusion semigroup.  Coefficients are kept
-as exact rationals until an operator is materialised.
+Builds the one-dimensional periodic Laplacian of order ``k`` (stencil width
+``2k+1``), its d-dimensional Kronecker sum, closed-form circulant spectra, the
+peak induced infinity-norm ``g_kappa`` of the diffusion semigroup, and the
+Dirichlet convergence study.  Coefficients are kept as exact rationals until
+an operator is materialised.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ class StencilTable:
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(a) for a in self.coefficients])
-
-    @property
-    def abs_sum(self) -> Fraction:
-        """``|a_0| + 2*sum_j |a_j|``, the row 1-norm of the unscaled operator."""
-        a = self.coefficients
-        return abs(a[0]) + 2 * sum(abs(x) for x in a[1:])
 
     @property
     def one_sided_abs_sum(self) -> Fraction:
@@ -111,26 +105,15 @@ def _one_sided_weights(offsets: list[int]) -> list[Fraction]:
 
 @dataclass
 class LaplacianOperator:
-    """Discretised Laplacian on ``[0,1]^d`` with spacing ``h = 1/m``.
+    """Discretised Laplacian on ``[0,1]^d``.
 
     ``axis_matrix`` is the one-dimensional operator; the d-dimensional one is
     its Kronecker sum over axes, applied axis by axis by :meth:`matvec`
-    (``kron_sum_apply``) and assembled by :meth:`sparse` (``kron_sum``).  For
-    Dirichlet boundaries the unknowns are the ``m-1`` interior nodes per axis
-    and ``boundary_columns`` carries the weights multiplying the two known
-    endpoint values.
+    (``kron_sum_apply``) and assembled by :meth:`sparse` (``kron_sum``).
     """
 
-    order: int
     dim: int
-    points_per_axis: int
-    bc: str
     axis_matrix: sp.csr_matrix
-    boundary_columns: sp.csr_matrix | None = None
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.points_per_axis
 
     @property
     def axis_size(self) -> int:
@@ -178,7 +161,11 @@ def _periodic_axis_matrix(table: StencilTable, m: int) -> sp.csr_matrix:
 
 
 def _dirichlet_axis_matrices(table: StencilTable, m: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Interior operator and boundary columns for nodes ``x_i = i/m``, i=1..m-1."""
+    """Dirichlet interior operator and boundary columns for nodes ``x_i = i/m``, i=1..m-1.
+
+    The boundary columns carry the weights multiplying the two known endpoint
+    values; rows too close to a wall use one-sided stencils.
+    """
     k = table.order
     a = table.as_floats()
     scale = float(m * m)
@@ -216,39 +203,31 @@ def _dirichlet_axis_matrices(table: StencilTable, m: int) -> tuple[sp.csr_matrix
     return sp.csr_matrix(interior), sp.csr_matrix(boundary)
 
 
-def build_laplacian_1d(k: int, m: int, bc: str = "periodic") -> LaplacianOperator:
-    """One-dimensional Laplacian of order ``k`` on ``m`` points per axis.
-
-    Periodic operators are circulant with the central stencil in every row.
-    Dirichlet operators act on the ``m-1`` interior nodes; rows too close to a
-    wall fall back to one-sided stencils of reduced order ``max(1, k-2)``.
-    """
+def _grid_stencil(k: int, m: int) -> StencilTable:
+    """The order-``k`` weights, refused on fewer than the stencil's ``2k+1`` points."""
     table = stencil_coefficients(k)
     if m < 2 * k + 1:
         raise ValidationError(f"need m >= 2k+1 = {2 * k + 1} points, got m={m}")
-    if bc == "periodic":
-        axis = _periodic_axis_matrix(table, m)
-        return LaplacianOperator(order=k, dim=1, points_per_axis=m, bc=bc, axis_matrix=axis)
-    if bc == "dirichlet":
-        interior, boundary = _dirichlet_axis_matrices(table, m)
-        return LaplacianOperator(
-            order=k, dim=1, points_per_axis=m, bc=bc,
-            axis_matrix=interior, boundary_columns=boundary,
-        )
-    raise ValidationError(f"unknown boundary condition {bc!r}")
+    return table
 
 
-def build_laplacian_dd(k: int, d: int, m: int, bc: str = "periodic") -> LaplacianOperator:
+def build_laplacian_1d(k: int, m: int) -> LaplacianOperator:
+    """One-dimensional periodic Laplacian of order ``k`` on ``m`` points: a
+    circulant with the central stencil in every row."""
+    return LaplacianOperator(dim=1, axis_matrix=_periodic_axis_matrix(_grid_stencil(k, m), m))
+
+
+def build_laplacian_dd(k: int, d: int, m: int) -> LaplacianOperator:
     """Kronecker-sum Laplacian over ``d`` axes, ``sum_mu I x ... x L_k x ... x I``."""
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    base = build_laplacian_1d(k, m, bc)
+    base = build_laplacian_1d(k, m)
     base.dim = d
     return base
 
 
 # ---------------------------------------------------------------------------
-# spectra and norms
+# spectra
 # ---------------------------------------------------------------------------
 
 def laplacian_eigenvalues_periodic(k: int, m: int) -> np.ndarray:
@@ -266,26 +245,9 @@ def laplacian_eigenvalues_periodic(k: int, m: int) -> np.ndarray:
     return (4.0 * m * m) * acc
 
 
-def laplacian_norm_bound(k: int, m: int, d: int = 1) -> float:
-    """Upper bound on the spectral norm of the d-dimensional Laplacian.
-
-    Per axis the Gershgorin/coefficient bound is
-    ``m^2 * min(|a_0| + 2 sum|a_j|, 4 pi^2 / 3)``; the Kronecker sum over d
-    axes multiplies it by d.
-    """
-    table = stencil_coefficients(k)
-    per_axis = (m * m) * min(float(table.abs_sum), 4.0 * np.pi ** 2 / 3.0)
-    return d * per_axis
-
-
 # ---------------------------------------------------------------------------
 # semigroup infinity norm
 # ---------------------------------------------------------------------------
-
-def _unit_spacing_eigenvalues(k: int, m: int) -> np.ndarray:
-    """Spectrum of the unscaled circulant (h = 1), i.e. eigenvalues of L_k / m^2."""
-    return laplacian_eigenvalues_periodic(k, m) / float(m * m)
-
 
 def semigroup_inf_norm_curve(
     k: int, tau_max: float = 1.0, n_tau: int = 256, m: int = 64
@@ -300,7 +262,7 @@ def semigroup_inf_norm_curve(
         raise ValidationError(f"tau grid too coarse: n_tau={n_tau} < 200")
     if tau_max <= 0:
         raise ValidationError("tau_max must be positive")
-    eigs = _unit_spacing_eigenvalues(k, m)
+    eigs = laplacian_eigenvalues_periodic(k, m) / float(m * m)  # of the unscaled L_k / m^2
     taus = np.linspace(0.0, tau_max, n_tau)
     factors = np.exp(np.outer(taus, eigs))
     rows = np.fft.ifft(factors, axis=1)
@@ -319,19 +281,6 @@ def g_kappa(k: int, tau_max: float = 1.0, n_tau: int = 256, m: int = 64) -> floa
     """
     _, norms = semigroup_inf_norm_curve(k, tau_max=tau_max, n_tau=n_tau, m=m)
     return float(norms.max())
-
-
-def euler_step_inf_norm(k: int, tau: float) -> float:
-    """Infinity norm of ``I + tau L_k / m^2``, independent of ``m``.
-
-    The row is ``(1 + tau a_0, tau a_1, ..., tau a_k)`` with each off-centre
-    weight appearing twice, so the norm is ``|1 + tau a_0| + 2 tau sum|a_j|``
-    for ``tau >= 0``.
-    """
-    if tau < 0:
-        raise ValidationError("tau must be non-negative")
-    a = stencil_coefficients(k).as_floats()
-    return abs(1.0 + tau * a[0]) + 2.0 * tau * np.abs(a[1:]).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +304,11 @@ def convergence_study(k_list: list[int], m_list: list[int]) -> list[ConvergenceR
     rows = []
     for k in k_list:
         for m in m_list:
-            op = build_laplacian_1d(k, m, bc="dirichlet")
+            interior, boundary = _dirichlet_axis_matrices(_grid_stencil(k, m), m)
             x = np.arange(1, m) / m
-            rhs = np.exp(x) - op.boundary_columns @ np.array([0.0, 1.0])
+            rhs = np.exp(x) - boundary @ np.array([0.0, 1.0])
             try:
-                u_num = spla.spsolve(sp.csc_matrix(op.axis_matrix), rhs)
+                u_num = spla.spsolve(sp.csc_matrix(interior), rhs)
             except Exception as exc:  # singular factorisation
                 raise NumericFailure(f"Dirichlet solve failed for k={k}, m={m}: {exc}") from exc
             if not np.all(np.isfinite(u_num)):

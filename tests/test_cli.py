@@ -160,6 +160,11 @@ class TestFiguresCommand:
         got = [float(row[3]) for row in rows]
         assert got == laplacian_eigenvalues_periodic(2, 12).tolist()
 
+    def test_eigs_without_a_config_takes_the_defaults(self, tmp_path):
+        assert cli.main(["figures", "eigs", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "run_eigs.csv")
+        assert [(int(k), int(m), int(ell)) for k, m, ell, _ in rows] == [(1, 16, l) for l in range(16)]
+
     def test_unknown_figure_is_validation_error(self, tmp_path):
         config = {"schema_version": 1, "command": "figures", "figure": "nope", "seed": 0}
         assert run_config(config, tmp_path) == 2
@@ -171,6 +176,7 @@ class TestFiguresCommand:
             ("maxnorm", {"k_list": [2.5], "n_tau": 200, "m": 16}),
             ("maxnorm", {"k_list": [2], "tau_max": "1.0", "n_tau": 200, "m": 16}),
             ("fdconv", {"m_list": ["16"]}),
+            ("fdconv", {"k_list": [2], "m_list": [4]}),  # fewer than 2k+1 points
         ],
     )
     def test_malformed_figure_params_are_validation_exit(self, tmp_path, figure, params):
@@ -199,6 +205,19 @@ class TestDeterminism:
         run_config(BERNOULLI, tmp_path)
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp_")]
         assert leftovers == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new,"
+            raise RuntimeError("formatter failed")
+
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli.atomic_write_text(str(path), chunks())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
     def test_hash_tracks_config_changes(self, tmp_path):
         run_config(BERNOULLI, tmp_path)
@@ -238,6 +257,16 @@ class TestPdeCommand:
         assert ode.fm_is_one_sparse
         assert isinstance(ode.F1, sp.csr_matrix)
         assert (ode.F1 != want.F1).nnz == 0
+
+    def test_required_grid_is_refused_where_the_bound_cannot_decay(self, tmp_path):
+        # 2(2k - 1) <= d: at k = 1, d = 2 the 2-norm error bound does not fall with n
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["pde"].update(d=2, m=8, k=1, initial={"profile": "raised_cosine", "amplitude": 0.1})
+        assert run_config(config, tmp_path) == 0
+        results = json.loads((tmp_path / "demo_stability.json").read_text())["results"]
+        assert results["required_grid_points"] is None
+        note = results["required_grid_points_note"]
+        assert "k=1" in note and "d=2" in note
 
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))
@@ -405,6 +434,19 @@ class TestEvolveCommand:
         assert run_config(
             config, tmp_path, extra_args=("--strict-stability", "false")
         ) == 0
+
+
+    def test_blow_up_is_numeric_failure_exit(self, tmp_path, capsys):
+        # u' = u + 0.1 u^2 from u = 1 passes the growth guard at step 16 of T = 15
+        config = {
+            "command": "evolve", "output": {"prefix": "demo"},
+            "ode": {"n": 1, "M": 2, "F1": [[1.0]], "FM": {"entries": [[0, 0, 0.1]]},
+                    "u_in": [1.0], "T": 15.0},
+            "numerics": {"N": 3, "K": 10},
+        }
+        assert run_config(config, tmp_path, extra_args=("--strict-stability", "false")) == 3
+        assert "numeric failure:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("demo_*"))
 
 
 class TestSweepCommand:
@@ -595,7 +637,7 @@ class TestValidation:
             ({**PDE_DEMO, "numeric": {"N": 3, "K": 4}}, "config"),
             ({**PDE_DEMO, "output": {"prefx": "typo"}}, "output"),
             ({**PDE_DEMO, "pde": {**PDE_DEMO["pde"], "bc": "dirichlet"}}, "pde"),
-            ({**PDE_DEMO, "pde": {**PDE_DEMO["pde"], "initial": {"profile": "constant",
+            ({**PDE_DEMO, "pde": {**PDE_DEMO["pde"], "initial": {"profile": "raised_cosine",
                                                                    "amplitdue": 0.2}}},
              "pde initial"),
             ({**BERNOULLI, "ode": {**BERNOULLI["ode"], "t": 2.0}}, "ode"),
@@ -646,7 +688,7 @@ class TestValidation:
                      "FM": {"entries": [[0, 0, 0.5], [1, 3, 0.3]]}, "u_in": [0.0, 0.0], "T": 1.0}},
             {"ode": {"n": 2, "M": 2, "F1": [[-1.0, 0.2], [0.1, -2.0]],
                      "FM": {"entries": [[0, 0, 0.5], [1, 3, 0.3]]}, "u_in": [0.0, 0.0], "T": 1.0}},
-            {"pde": {**PDE_DEMO["pde"], "initial": {"profile": "constant", "amplitude": 0.0}}},
+            {"pde": {**PDE_DEMO["pde"], "initial": {"profile": "raised_cosine", "amplitude": 0.0}}},
         ],
         ids=["ode-diagonal-F1", "ode-coupled-F1", "pde-constant-zero"],
     )

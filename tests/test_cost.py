@@ -1,6 +1,7 @@
 """Amplification factors, call-count estimates, prior-work evaluators."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ class TestOdeCostEstimate:
             ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 0.01, 1.0, 0.5)
             for _ in range(2)
         ]
-        assert runs[0].as_dict() == runs[1].as_dict()
+        assert asdict(runs[0]) == asdict(runs[1])
         est = runs[0]
         assert est.N == 7
         for value in (est.calls_block_encoding, est.calls_state_prep, est.extra_gates):
@@ -179,4 +180,4 @@ class TestPriorWork:
         import json
 
         rows = prior_work_comparison(**self.kwargs())
-        assert json.dumps([r.as_dict() for r in rows])
+        assert json.dumps([asdict(r) for r in rows])

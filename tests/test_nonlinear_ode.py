@@ -81,6 +81,10 @@ class TestSparseSpectralScalars:
         want = np.linalg.norm(sparse_f1.toarray(), 2)
         assert operator_spectral_norm(sparse_f1) == pytest.approx(want, rel=1e-12)
 
+    def test_zero_matrix_has_norm_zero(self, sparse_f1):
+        # above the dense limit, where a nonzero matrix goes to ARPACK
+        assert operator_spectral_norm(sp.csr_matrix(sparse_f1.shape)) == 0.0
+
 
 class TestScalarsComputedOnce:
     def test_lambda0_evaluated_once_per_problem(self, monkeypatch):
@@ -222,6 +226,17 @@ class TestReferenceSolve:
         traj = reference_solve(bernoulli_ode, T=1.0)
         assert traj.t.size == 101
         np.testing.assert_allclose(np.diff(traj.t), 0.01)
+
+    @pytest.mark.parametrize("n, method", [(1, "LSODA"), (DENSE_F1_MAX_N + 1, "DOP853")])
+    def test_zero_horizon_is_the_initial_state(self, n, method):
+        u_in = np.linspace(0.5, 1.0, n)
+        ode = NonlinearODE(
+            n=n, M=2, F1=-sp.identity(n, format="csr"), FM=sp.csr_matrix((n, n * n)), u_in=u_in,
+        )
+        traj = reference_solve(ode, T=0.0)
+        np.testing.assert_array_equal(traj.t, [0.0])
+        np.testing.assert_array_equal(traj.u, u_in[None, :])
+        assert traj.method == method
 
     def test_tolerance_window(self, bernoulli_ode):
         with pytest.raises(ValidationError):
