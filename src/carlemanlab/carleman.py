@@ -680,11 +680,3 @@ def lambda_value(N: int, M: int, gamma: float, lam_f1: float, lam_fm: float) -> 
     rescaled FM.
     """
     return N * lam_f1 + (N - M + 1) * gamma ** (M - 1) * lam_fm
-
-
-def export_matrix_market(mat: CarlemanMatrix, path: str) -> None:
-    """Write the assembled operator in Matrix Market format (small instances)."""
-    from scipy.io import mmwrite
-
-    check_size(mat.total_dimension, DENSE_MAX_DIM, "Matrix Market export")
-    mmwrite(path, mat.to_sparse())

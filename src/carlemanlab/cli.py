@@ -42,7 +42,7 @@ COMMANDS = ("linearize", "evolve", "bounds", "pde", "cost", "figures", "sweep")
 #: the keys a config may hold at its top level
 CONFIG_KEYS = (
     "schema_version", "command", "seed", "ode", "pde", "numerics", "output", "figure",
-    "figure_params", "axes", "export_dense",
+    "figure_params", "axes",
 )
 
 #: numeric knobs and their documented defaults; physical parameters have none
@@ -50,13 +50,15 @@ NUMERIC_DEFAULTS = {
     "N": None,  # derived from epsilon when absent
     "K": 10,
     "dt": None,
-    "n_steps": None,
     "epsilon": 0.01,
-    "gamma_mode": "norm_uin",
-    "gamma": None,
+    "gamma": None,  # a positive number, or a rule in GAMMA_RULES; null is "norm_uin"
     "reference_tol": 1e-10,
     "record_every": None,
 }
+
+#: the rules ``numerics.gamma`` may name in place of a number: |u_in| and the
+#: stability limit ``max_stable_gamma``
+GAMMA_RULES = ("norm_uin", "gamma_max")
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +270,22 @@ def pde_from_config(section: dict) -> rd.ReactionDiffusionProblem:
 def numerics_from_config(config: dict) -> dict:
     """The numerics knobs over their defaults, each number read as a whole or real number.
 
-    A knob with a default needs a value; ``null`` unsets the others.
+    A knob with a default needs a value; ``null`` unsets the others.  ``gamma``
+    is a positive number unless it names one of :data:`GAMMA_RULES`.
     """
     out = _over_defaults(config.get("numerics", {}), NUMERIC_DEFAULTS, "numerics")
     for key, default in NUMERIC_DEFAULTS.items():
-        if key != "gamma_mode":
-            read = whole_number if key in ("N", "K", "n_steps", "record_every") else real_number
+        if key != "gamma":
+            read = whole_number if key in ("N", "K", "record_every") else real_number
             out[key] = read(out, key, required=default is not None)
+    gamma = out["gamma"]
+    if gamma is not None and gamma not in GAMMA_RULES:
+        if not (_is_finite_number(gamma) and gamma > 0):
+            raise ValidationError(
+                f"numerics 'gamma' must be a positive and finite number or one of "
+                f"{list(GAMMA_RULES)}, got {gamma!r}"
+            )
+        out["gamma"] = float(gamma)
     return out
 
 
@@ -288,16 +299,12 @@ def resolve_problem(config: dict) -> tuple[node.NonlinearODE, rd.ReactionDiffusi
 
 
 def resolve_gamma(numerics: dict, ode: node.NonlinearODE) -> float:
-    mode = numerics["gamma_mode"]
-    if mode == "norm_uin":
+    gamma = numerics["gamma"]
+    if gamma is None or gamma == "norm_uin":
         return float(np.linalg.norm(ode.u_in))
-    if mode == "gamma_max":
+    if gamma == "gamma_max":
         return node.max_stable_gamma(ode)
-    if mode == "explicit":
-        if numerics["gamma"] is None:
-            raise ValidationError("gamma_mode 'explicit' needs a 'gamma' value")
-        return numerics["gamma"]
-    raise ValidationError(f"unknown gamma_mode {mode!r}")
+    return gamma
 
 
 def real_number(
@@ -386,8 +393,6 @@ def validate_config(config: dict) -> None:
         if not isinstance(config.get(section, {}), dict):
             raise ValidationError(f"{section!r} must be a JSON object")
     _known(config.get("output", {}), ["prefix"], "output")
-    if not isinstance(config.get("export_dense", False), bool):
-        raise ValidationError(f"export_dense must be true or false, got {config['export_dense']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +435,6 @@ def _cmd_linearize(ctx: RunContext) -> None:
         payload["results"]["lambda_carleman"] = carl.lambda_value(
             N, ode.M, gamma, ct.pde_lambda_f1(problem), abs(problem.b)
         )
-    if ctx.config.get("export_dense", False):
-        mtx_path = ctx.path("matrix.mtx")
-        carl.export_matrix_market(mat, mtx_path)
-        payload["results"]["matrix_market_file"] = os.path.basename(mtx_path)
     write_json(ctx.path("linearize.json"), payload, ctx.digest, ctx.config)
 
 
@@ -459,7 +460,6 @@ def _run_pipeline(ctx: RunContext) -> dict:
         total_time=ode.T,
         taylor_order=K,
         dt=numerics["dt"],
-        n_steps=numerics["n_steps"],
         strict_stability=ctx.strict_stability,
         record_every=numerics["record_every"],
     )
@@ -488,7 +488,8 @@ def _run_pipeline(ctx: RunContext) -> dict:
     err = np.linalg.norm(u_hat - reference.u, axis=1)
     # a norm per row: an axis=1 norm rounds differently
     y1_norms = [float(np.linalg.norm(level1)) for level1 in block1]
-    bound_T = bd.component_error_bound(ode, N, 1, ode.T, gamma=gamma)
+    # gamma * (|u_in|/gamma) R^k f, taken at gamma = |u_in| so no rescaling rounds it
+    bound_T = bd.component_error_bound(ode, N, 1, ode.T) * float(np.linalg.norm(ode.u_in))
     return {
         "trajectory": np.column_stack(
             [result.times, result.y_norms, y1_norms, result.block1_share, u_hat]
@@ -512,7 +513,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
         "final_y_norm": float(result.y_norms[-1]),
         "measured_error_T": float(err[-1]),
         "max_measured_error": float(err.max()),
-        "component_bound_j1_T": float(bound_T) * gamma,
+        "component_bound_j1_T": bound_T,
         "reference_method": reference.method,
     }
 
@@ -595,6 +596,8 @@ def _cmd_cost(ctx: RunContext) -> None:
     numerics = numerics_from_config(ctx.config)
     eps = numerics["epsilon"]
     if "pde" in ctx.config:
+        if numerics["gamma"] is not None:
+            raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
         problem = pde_from_config(ctx.config["pde"])
         T = problem.T
         estimate = ct.pde_cost_estimate(problem, T, eps)
@@ -711,8 +714,6 @@ def _cmd_sweep(ctx: RunContext) -> None:
         for name, value in zip(names, point):
             section, key = _SWEEP_AXES[name]
             config.setdefault(section, {})[key] = value
-            if name == "gamma":
-                config["numerics"]["gamma_mode"] = "explicit"
         summary = _run_pipeline(RunContext(
             config=config, out_dir=ctx.out_dir,
             strict_stability=ctx.strict_stability, digest=ctx.digest,

@@ -17,8 +17,8 @@ from .errors import SizeLimitError
 #: held as CSR at every dimension.
 DENSE_F1_MAX_N = 512
 
-#: explicit dense matrices (Laplacian, Carleman operator, Matrix Market
-#: export) up to this dimension, i.e. at most 128 MiB of float64.
+#: explicit dense matrices (Laplacian, Carleman operator) up to this
+#: dimension, i.e. at most 128 MiB of float64.
 DENSE_MAX_DIM = 4096
 
 #: full sparse assembly of the Carleman operator, ``to_sparse()`` (and

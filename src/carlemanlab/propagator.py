@@ -234,7 +234,7 @@ def taylor_step_defect_bound(norm_A: float, dt: float, K: int, y_norm: float = 1
 
 @dataclass
 class PropagationConfig:
-    """Stepping knobs; leave ``dt`` and ``n_steps`` unset for the auto rule.
+    """Stepping knobs; leave ``dt`` unset for the auto rule.
 
     The auto rule keeps the per-step Taylor argument at most one,
     ``dt = 1 / |A|_bound``, clamped to at least ``T / 10**6`` steps-wise, so
@@ -245,7 +245,6 @@ class PropagationConfig:
     total_time: float
     taylor_order: int = 10
     dt: float | None = None
-    n_steps: int | None = None
     strict_stability: bool = True
     record_every: int | None = None
 
@@ -261,21 +260,16 @@ class PropagationConfig:
             raise ValidationError("total_time must be non-negative")
         if T == 0:
             return 0.0, 0
-        if self.dt is not None and self.n_steps is not None:
-            dt, steps = float(self.dt), int(self.n_steps)
-        elif self.dt is not None:
+        if self.dt is not None:
             dt = float(self.dt)
+            if not (dt > 0 and math.isfinite(dt)):
+                raise ValidationError(f"dt must be positive and finite, got {dt}")
             steps = max(1, round(T / dt))
-        elif self.n_steps is not None:
-            steps = int(self.n_steps)
-            dt = T / steps
         else:
             dt = min(1.0 / norm_bound if norm_bound > 0 else T, T)
             dt = max(dt, T / 1e6)
             steps = math.ceil(T / dt)
             dt = T / steps
-        if steps < 1 or dt <= 0:
-            raise ValidationError(f"invalid stepping: dt={dt}, steps={steps}")
         if abs(dt * steps - T) > 1e-12 * max(abs(T), 1.0):
             raise ValidationError(
                 f"dt * steps = {dt * steps} does not reproduce T = {T} to 1e-12"

@@ -103,7 +103,7 @@ def _near_exact_block1_errors(ode, N_values, ref):
     for N in N_values:
         mat = carl.assemble(node.rescale(ode, gamma), N)
         config = prop.PropagationConfig(
-            total_time=1.0, taylor_order=16, dt=1e-3, n_steps=1000, record_every=10
+            total_time=1.0, taylor_order=16, dt=1e-3, record_every=10
         )
         res = prop.evolve(mat, config)
         eta = np.linalg.norm(res.block1 - ref.u / gamma, axis=1)
@@ -150,7 +150,7 @@ def test_criterion_05_order_selector_plug_back(bernoulli_ode):
     selector_ok = N == 7
     gamma = 1.0
     mat = carl.assemble(node.rescale(bernoulli_ode, gamma), N)
-    config = prop.PropagationConfig(total_time=1.0, taylor_order=12, n_steps=500, record_every=5)
+    config = prop.PropagationConfig(total_time=1.0, taylor_order=12, dt=1.0 / 500, record_every=5)
     res = prop.evolve(mat, config)
     ref = node.reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=res.times)
     rel_err = np.abs(gamma * res.block1[:, 0] - ref.u[:, 0]).max()  # |u_in| = 1

@@ -177,7 +177,7 @@ class TestGlobalBound:
         gamma = float(np.linalg.norm(bernoulli_ode.u_in))
         N = 4
         mat = assemble(rescale(bernoulli_ode, gamma), N)
-        config = PropagationConfig(total_time=1.0, taylor_order=16, dt=1e-3, n_steps=1000)
+        config = PropagationConfig(total_time=1.0, taylor_order=16, dt=1e-3)
         res = evolve(mat, config)
         ref = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=np.array([1.0]))
         u_T = ref.u[-1] / gamma

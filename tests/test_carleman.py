@@ -187,7 +187,7 @@ class TestSymmetricAssembly:
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitError, match="symmetric Carleman operator entries"):
-                evolve(mat, PropagationConfig(total_time=0.02, taylor_order=6, n_steps=2))
+                evolve(mat, PropagationConfig(total_time=0.02, taylor_order=6, dt=0.02 / 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -40,6 +40,10 @@ BERNOULLI = {
     "seed": 0,
 }
 
+ODE_COUPLED = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "ode_coupled.json").read_text()
+)
+
 PDE_DEMO = {
     "schema_version": 1,
     "command": "pde",
@@ -287,7 +291,7 @@ class TestEvolveCommand:
     def evolve_config(self, N=4):
         config = json.loads(json.dumps(BERNOULLI))
         config["command"] = "evolve"
-        config["numerics"] = {"N": N, "K": 8, "n_steps": 100, "record_every": 10}
+        config["numerics"] = {"N": N, "K": 8, "dt": 0.01, "record_every": 10}
         return config
 
     def test_trajectory_columns_and_summary(self, tmp_path):
@@ -334,7 +338,7 @@ class TestEvolveCommand:
         assert run_config(config, tmp_path) == 2
 
     @pytest.mark.parametrize(
-        "knob, value", [("K", 2.7), ("K", None), ("record_every", 2.5), ("n_steps", 99.5)]
+        "knob, value", [("K", 2.7), ("K", None), ("record_every", 2.5)]
     )
     def test_non_integer_stepping_knob_is_validation_exit(self, tmp_path, knob, value):
         config = self.evolve_config()
@@ -348,7 +352,7 @@ class TestEvolveCommand:
         as_floats.mkdir()
         config = self.evolve_config()
         assert run_config(config, as_ints) == 0
-        config["numerics"].update(N=4.0, K=8.0, n_steps=100.0, record_every=10.0)
+        config["numerics"].update(N=4.0, K=8.0, record_every=10.0)
         assert run_config(config, as_floats) == 0
         trajectories = [read_csv(out / "demo_trajectory.csv") for out in (as_ints, as_floats)]
         assert trajectories[0] == trajectories[1]
@@ -428,7 +432,6 @@ class TestEvolveCommand:
 
     def test_strict_stability_flag_controls_exit(self, tmp_path):
         config = self.evolve_config()
-        config["numerics"]["gamma_mode"] = "explicit"
         config["numerics"]["gamma"] = 10.0  # far above gamma_max = 2
         assert run_config(config, tmp_path) == 2
         assert run_config(
@@ -453,7 +456,7 @@ class TestSweepCommand:
     def test_order_sweep_monotone_error(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))
         config["command"] = "sweep"
-        config["numerics"] = {"K": 12, "n_steps": 200, "record_every": 20}
+        config["numerics"] = {"K": 12, "dt": 0.005, "record_every": 20}
         config["axes"] = [{"name": "N", "values": [3, 4, 5, 6]}]
         assert run_config(config, tmp_path) == 0
         header, rows = read_csv(tmp_path / "demo_sweep.csv")
@@ -466,7 +469,7 @@ class TestSweepCommand:
     def test_empty_axes_single_point(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))
         config["command"] = "sweep"
-        config["numerics"] = {"N": 4, "K": 8, "n_steps": 50}
+        config["numerics"] = {"N": 4, "K": 8, "dt": 0.02}
         config["axes"] = []
         assert run_config(config, tmp_path) == 0
         _, rows = read_csv(tmp_path / "demo_sweep.csv")
@@ -486,6 +489,19 @@ class TestSweepCommand:
         assert header[: len(axes)] == axes
         assert {"N", "dt", "n_steps", "measured_error_T"} <= set(header)
         assert all(len(row) == len(header) for row in rows)
+
+    def test_rescaling_leaves_the_solution_and_bound_unchanged(self, tmp_path):
+        # the paper's claim 2 on the coupled ODE: gamma = 1, |u_in| and gamma_max
+        # (Gershgorin bounds -1.01, -1.19, -0.65) give the same extracted solution
+        # to rounding and the same level-1 bound, one row each
+        config = {**ODE_COUPLED, "command": "sweep",
+                  "axes": [{"name": "gamma", "values": [1.0, "norm_uin", "gamma_max"]}]}
+        assert run_config(config, tmp_path) == 0
+        header, rows = read_csv(tmp_path / "ode_coupled_sweep.csv")
+        assert [row[0] for row in rows] == ["1", "norm_uin", "gamma_max"]
+        errs = [float(row[header.index("measured_error_T")]) for row in rows]
+        assert max(errs) - min(errs) <= 1e-10 * max(errs)
+        assert len({row[header.index("component_bound_j1_T")] for row in rows}) == 1
 
     def test_repeated_axis_rejected(self, tmp_path, capsys):
         config = json.loads(json.dumps(BERNOULLI))
@@ -530,7 +546,7 @@ class TestSweepCommand:
                 "FM": {"entries": [[i, c, FM[i, c]] for i in range(n) for c in range(n**2)]},
                 "u_in": u_in.tolist(), "T": 0.5,
             },
-            "numerics": {"n_steps": 20},
+            "numerics": {"dt": 0.025},
             "axes": axes,
             "output": {"prefix": "demo"},
             "seed": 0,
@@ -556,12 +572,10 @@ class TestLinearizeAndCost:
         config = json.loads(json.dumps(BERNOULLI))
         config["command"] = "linearize"
         config["numerics"] = {"N": 5}
-        config["export_dense"] = True
         assert run_config(config, tmp_path) == 0
         results = json.loads((tmp_path / "demo_linearize.json").read_text())["results"]
         assert results["total_dimension"] == 5
         assert results["gershgorin_max_eig_bound"] <= 0
-        assert (tmp_path / "demo_matrix.mtx").exists()
 
     def test_cost_report(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))
@@ -589,6 +603,16 @@ class TestLinearizeAndCost:
         # the paper's rescaling claim: at gamma_max the geometric series sums in closed form
         closed = est["u_in_norm"] / (est["u_T_norm"] * np.sqrt(1.0 - est["R"] ** 2))
         assert est["amplification"] == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, "gamma_max"])
+    def test_pde_cost_refuses_a_gamma(self, tmp_path, capsys, gamma):
+        # the PDE cost model runs at gamma_max whatever is asked, so a gamma is never dropped
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "cost"
+        config["numerics"]["gamma"] = gamma
+        assert run_config(config, tmp_path) == 2
+        assert "PDE cost model fixes gamma = gamma_max" in capsys.readouterr().err
+        assert not (tmp_path / "demo_cost.json").exists()
 
 
 class TestValidation:
@@ -651,11 +675,35 @@ class TestValidation:
         assert f"unknown {misspelt} keys" in capsys.readouterr().err
         assert not [p for p in tmp_path.iterdir() if p.name != "cfg.json"]
 
-    def test_export_dense_is_read_as_a_boolean(self, tmp_path, capsys):
-        config = {**PDE_DEMO, "command": "linearize", "export_dense": "false"}
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("numerics", "n_steps", 100), ("numerics", "gamma_mode", "explicit"),
+         (None, "export_dense", False)],
+        ids=["n_steps", "gamma_mode", "export_dense"],
+    )
+    def test_removed_key_is_validation_exit(self, tmp_path, capsys, section, key, value):
+        # dt alone sets the step, gamma alone the rescaling; nothing writes Matrix Market
+        config = json.loads(json.dumps({**BERNOULLI, "command": "linearize"}))
+        (config if section is None else config[section])[key] = value
         assert run_config(config, tmp_path) == 2
-        assert "export_dense must be true or false" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.mtx"))
+        where = "config" if section is None else section
+        assert f"unknown {where} keys: ['{key}']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("demo_*"))
+
+    def test_unknown_gamma_rule_is_validation_exit(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BERNOULLI))
+        config["numerics"]["gamma"] = "bogus"
+        assert run_config(config, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "'norm_uin'" in err and "'gamma_max'" in err
+
+    @pytest.mark.parametrize("command", ["linearize", "evolve"])
+    def test_gamma_number_alone_sets_the_rescaling(self, tmp_path, command):
+        # |u_in| = 0.374 and gamma_max = 2.313: a number is the rescaling, with no other knob
+        config = {**ODE_COUPLED, "command": command, "numerics": {"N": 4, "gamma": 2.0}}
+        assert run_config(config, tmp_path) == 0
+        results = json.loads((tmp_path / f"ode_coupled_{command}.json").read_text())["results"]
+        assert results["gamma"] == 2.0
 
     @pytest.mark.parametrize("key", ["lambda_f1", "lambda_fm"])
     def test_removed_subnormalisation_keys_are_validation_exit(self, tmp_path, capsys, key):
@@ -695,7 +743,7 @@ class TestValidation:
     def test_zero_initial_state_is_validation_exit(self, tmp_path, capsys, section):
         # an explicit gamma and N get past the |u_in| = 0 refusals of gamma and R
         config = {"command": "evolve", **section,
-                  "numerics": {"N": 4, "gamma_mode": "explicit", "gamma": 1.0}}
+                  "numerics": {"N": 4, "gamma": 1.0}}
         assert run_config(config, tmp_path) == 2
         assert "initial state is zero" in capsys.readouterr().err
 
@@ -705,7 +753,7 @@ class TestValidation:
         config = json.loads(json.dumps(BERNOULLI))
         config["command"] = command
         config["ode"]["FM"] = {"entries": []}
-        config["numerics"] = {"N": 4, "gamma_mode": "gamma_max"}
+        config["numerics"] = {"N": 4, "gamma": "gamma_max"}
         assert run_config(config, tmp_path) == 2
         assert "positive and finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / f"demo_{command}.json").exists()
@@ -714,7 +762,7 @@ class TestValidation:
     def test_non_positive_gamma_in_bounds_is_validation_exit(self, tmp_path, capsys, gamma):
         # (|u_in| / gamma)^j divided by zero at gamma = 0 and gave negative bounds below it
         config = json.loads(json.dumps(BERNOULLI))
-        config["numerics"] = {"gamma_mode": "explicit", "gamma": gamma}
+        config["numerics"] = {"gamma": gamma}
         assert run_config(config, tmp_path) == 2
         assert "positive and finite" in capsys.readouterr().err
 
@@ -755,7 +803,7 @@ class TestValidation:
     def test_malformed_number_is_validation_exit(self, tmp_path, capsys, section, key, value):
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "evolve"
-        config["numerics"].update(N=3, gamma_mode="explicit", gamma=1.0)
+        config["numerics"].update(N=3, gamma=1.0)
         config[section][key] = value
         assert run_config(config, tmp_path) == 2
         assert "validation error" in capsys.readouterr().err

@@ -92,7 +92,7 @@ class TestEvolve:
     def test_linear_matches_dense_exponential_bound(self):
         ode = self.linear_diag_ode()
         mat = assemble(ode, 3)
-        config = PropagationConfig(total_time=1.0, taylor_order=4, n_steps=20)
+        config = PropagationConfig(total_time=1.0, taylor_order=4, dt=1.0 / 20)
         res = evolve(mat, config)
         exact = scipy.linalg.expm(mat.dense()) @ initial_vector(ode.u_in, 1.0, 3).flat
         defect = res.n_steps * taylor_step_defect_bound(
@@ -136,7 +136,7 @@ class TestEvolve:
         mat = assemble(ode, 3)
         assert mat.n == n and (mat.symmetric_nnz() <= KRON_MAX_SIZE) == fits
         mat.apply = None  # the structured action must not be used
-        config = PropagationConfig(total_time=0.02, taylor_order=6, n_steps=2)
+        config = PropagationConfig(total_time=0.02, taylor_order=6, dt=0.02 / 2)
         if not fits:
             tracemalloc.start()
             try:
@@ -159,7 +159,7 @@ class TestEvolve:
         ode = make_two_dim_instance(3, 0.5)
         gamma, N, K = 1.2, 5, 8
         mat = assemble(rescale(ode, gamma), N)
-        res = evolve(mat, PropagationConfig(total_time=0.5, taylor_order=K, n_steps=40))
+        res = evolve(mat, PropagationConfig(total_time=0.5, taylor_order=K, dt=0.5 / 40))
         full = mat.to_sparse()
         y = initial_vector(ode.u_in, gamma, N).flat
         norms = [np.linalg.norm(y)]
@@ -173,7 +173,7 @@ class TestEvolve:
     def test_bernoulli_block1_within_bound_plus_defect(self, bernoulli_ode):
         gamma, N, K = 1.0, 8, 8
         mat = assemble(rescale(bernoulli_ode, gamma), N)
-        config = PropagationConfig(total_time=1.0, taylor_order=K, dt=0.01, n_steps=100)
+        config = PropagationConfig(total_time=1.0, taylor_order=K, dt=0.01)
         res = evolve(mat, config)
         ref = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=res.times)
         eta = np.abs(res.block1[:, 0] - ref.u[:, 0] / gamma)
@@ -186,7 +186,7 @@ class TestEvolve:
     def test_norm_non_increasing_under_stability(self, bernoulli_ode):
         mat = assemble(rescale(bernoulli_ode, 1.0), 5)
         assert mat.gershgorin_max_eig_bound() <= 0
-        res = evolve(mat, PropagationConfig(total_time=1.0, taylor_order=10, n_steps=200))
+        res = evolve(mat, PropagationConfig(total_time=1.0, taylor_order=10, dt=1.0 / 200))
         assert np.all(np.diff(res.step_norms) <= 1e-10)
 
     def test_strict_stability_flag(self):
@@ -195,14 +195,14 @@ class TestEvolve:
         mat = assemble(rescale(ode, 5.0), 4)
         with pytest.raises(ValidationError, match="stability"):
             evolve(mat, PropagationConfig(total_time=1.0))
-        res = evolve(mat, PropagationConfig(total_time=0.1, n_steps=50, strict_stability=False))
+        res = evolve(mat, PropagationConfig(total_time=0.1, dt=0.1 / 50, strict_stability=False))
         assert res.n_steps == 50
 
     def test_blowup_guard(self):
         ode = NonlinearODE(n=1, M=2, F1=[[3.0]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
         mat = assemble(ode, 3)
         # level 3 grows like e^(9t), past BLOWUP_FACTOR = 1e6 near t = 1.5
-        config = PropagationConfig(total_time=10.0, n_steps=400, strict_stability=False)
+        config = PropagationConfig(total_time=10.0, dt=10.0 / 400, strict_stability=False)
         with pytest.raises(NumericFailure, match="blow-up"):
             evolve(mat, config)
 
@@ -212,10 +212,10 @@ class TestEvolve:
         assert dt * steps == pytest.approx(1.0, rel=1e-15)
         assert dt <= 1.0 / 7.3 + 1e-15
 
-    def test_inconsistent_dt_steps_rejected(self):
-        config = PropagationConfig(total_time=1.0, dt=0.3, n_steps=2)
-        with pytest.raises(ValidationError):
-            config.resolve_steps(norm_bound=1.0)
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            PropagationConfig(total_time=1.0, dt=dt).resolve_steps(norm_bound=1.0)
 
     def test_dt_alone_sets_the_step_count(self):
         assert PropagationConfig(total_time=1.0, dt=0.25).resolve_steps(norm_bound=1.0) == (0.25, 4)
@@ -373,7 +373,7 @@ class TestFourierRoute:
         # steps recorded every two are two matvecs of P**2, and the first
         # record is the first state checked
         config = PropagationConfig(
-            total_time=1.0, n_steps=4, record_every=2, strict_stability=False
+            total_time=1.0, dt=1.0 / 4, record_every=2, strict_stability=False
         )
 
         def scalar(rate):

@@ -184,7 +184,7 @@ class TestReach:
             u = np.zeros(size)
             u[[label[i] for i in support]] = [0.5, -0.4, 0.3][: len(support)]
             ode = node.NonlinearODE(n=size, M=M, F1=-sp.identity(size), FM=FM, u_in=u, T=0.5)
-            config = PropagationConfig(total_time=0.5, n_steps=20)
+            config = PropagationConfig(total_time=0.5, dt=0.5 / 20)
             return evolve(assemble(rescale(ode, 1.0), N), config)
 
         big = problem(n, {i: i for i in support})
