@@ -225,9 +225,9 @@ def ode_from_config(section: dict) -> node.NonlinearODE:
         F1 = _matrix_from_entries(section["F1"], (n, n), "ode F1")
     else:
         F1 = real_array(section, "F1", "ode")
+    FM = _matrix_from_entries(section["FM"], (n, node.fm_width(n, M)), "ode FM")
     return node.NonlinearODE(
-        n=n, M=M, F1=F1, FM=_matrix_from_entries(section["FM"], (n, n**M), "ode FM"),
-        u_in=real_array(section, "u_in", "ode"),
+        n=n, M=M, F1=F1, FM=FM, u_in=real_array(section, "u_in", "ode"),
         T=real_number(section, "T", "ode", required=True),
     )
 
@@ -457,7 +457,6 @@ def _run_pipeline(ctx: RunContext) -> dict:
     N = resolve_order(numerics, ode)
     K = numerics["K"]
     config = prop.PropagationConfig(
-        total_time=ode.T,
         taylor_order=K,
         dt=numerics["dt"],
         strict_stability=ctx.strict_stability,
@@ -466,7 +465,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
     fourier, result, refusal = None, None, None
     if problem is not None:
         try:
-            fourier = rd.fourier_form(problem, ode)
+            fourier = rd.fourier_form(problem)
             mat = carl.assemble(node.rescale(fourier.ode, gamma), N)
             result = prop.evolve(mat, config)
         except SizeLimitError as exc:
@@ -481,9 +480,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
                 raise
             raise SizeLimitError(f"Fourier form: {refusal}; grid: {exc}") from exc
     block1 = result.block1 if fourier is None else fourier.to_grid(result.block1)
-    reference = node.reference_solve(
-        ode, T=ode.T, tol=numerics["reference_tol"], t_eval=result.times
-    )
+    reference = node.reference_solve(ode, tol=numerics["reference_tol"], t_eval=result.times)
     u_hat = gamma * block1
     err = np.linalg.norm(u_hat - reference.u, axis=1)
     # a norm per row: an axis=1 norm rounds differently
@@ -599,38 +596,25 @@ def _cmd_cost(ctx: RunContext) -> None:
         if numerics["gamma"] is not None:
             raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
         problem = pde_from_config(ctx.config["pde"])
-        T = problem.T
-        estimate = ct.pde_cost_estimate(problem, T, eps)
-        fm_norm = abs(problem.b)
-        lam_f1 = ct.pde_lambda_f1(problem)
-        extra = {
-            "diffusion": problem.diffusion, "d": problem.d, "n": problem.n,
-            "sparsity": 2 * problem.k + 1, "decay": abs(problem.c), "M": problem.M,
-        }
+        estimate = ct.pde_cost_estimate(problem, eps)
+        comparison = ct.prior_work_comparison(
+            estimate.u_in_norm, estimate.u_T_norm, problem.T, eps, estimate.N,
+            ct.pde_lambda_f1(problem), abs(problem.b), M=problem.M,
+            diffusion=problem.diffusion, d=problem.d, n=problem.n,
+            sparsity=2 * problem.k + 1, decay=abs(problem.c),
+            this_work_calls=estimate.calls_block_encoding,
+        )
     else:
         ode = ode_from_config(ctx.config["ode"])
-        T = ode.T
-        gamma = resolve_gamma(numerics, ode)
-        lam_f1, fm_norm = ode.f1_norm, ode.fm_norm
-        estimate = ct.ode_cost_estimate(ode, gamma, T, eps, lam_f1, fm_norm)
-        extra = {"diffusion": 1.0, "d": 1, "n": ode.n, "sparsity": 3,
-                 "decay": abs(ode.lambda0), "M": ode.M}
-    comparison = ct.prior_work_comparison(
-        u_in_norm=estimate.u_in_norm,
-        u_T_norm=estimate.u_T_norm,
-        T=T,
-        eps=eps,
-        N=estimate.N,
-        lam_f1=float(lam_f1),
-        fm_norm=fm_norm,
-        M=int(extra["M"]),
-        diffusion=float(extra["diffusion"]),
-        d=int(extra["d"]),
-        n=int(extra["n"]),
-        sparsity=int(extra["sparsity"]),
-        decay=float(extra["decay"]),
-        this_work_calls=estimate.calls_block_encoding,
-    )
+        estimate = ct.ode_cost_estimate(
+            ode, resolve_gamma(numerics, ode), eps, ode.f1_norm, ode.fm_norm
+        )
+        # a generic ODE keeps the defaults diffusion = 1, d = 1 and sparsity = 3
+        comparison = ct.prior_work_comparison(
+            estimate.u_in_norm, estimate.u_T_norm, ode.T, eps, estimate.N,
+            ode.f1_norm, ode.fm_norm, M=ode.M, n=ode.n, decay=abs(ode.lambda0),
+            this_work_calls=estimate.calls_block_encoding,
+        )
     payload = {
         "results": {
             "estimate": asdict(estimate),
@@ -782,9 +766,12 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(config, dict):
             raise ValidationError("config must be a JSON object")
         if args.command:
-            config["command"] = args.command[0]
-            if len(args.command) > 1 and args.command[0] == "figures":
-                config["figure"] = args.command[1]
+            command, *extra = args.command
+            config["command"] = command
+            if command == "figures" and extra:
+                config["figure"], *extra = extra
+            if extra:
+                raise ValidationError(f"unknown arguments after {command!r}: {extra}")
         config.setdefault("schema_version", SCHEMA_VERSION)
         config.setdefault("seed", 0)
         run(config, args.out, strict_stability=args.strict_stability)

@@ -84,13 +84,12 @@ def amplification_factor(
 def ode_cost_estimate(
     ode: NonlinearODE,
     gamma: float,
-    T: float,
     eps: float,
     lam_f1: float,
     lam_fm: float,
     u_T_norm: Optional[float] = None,
 ) -> CostEstimate:
-    """Call counts for solving one nonlinear ODE instance to error ``eps``.
+    """Call counts for solving one nonlinear ODE instance to error ``eps`` by its horizon ``T``.
 
     The truncation order comes from the closed-form selector; the
     block-encoding count scales as ``amp * lambda * T * log(N/eps) *
@@ -98,19 +97,18 @@ def ode_cost_estimate(
     in place of the last log, and the gate overhead adds ``N M log n`` on top
     of a squared log.
     """
-    if T < 0:
-        raise ValidationError("horizon must be non-negative")
     if lam_f1 <= 0 or lam_fm < 0:
         raise ValidationError("subnormalisation inputs must be positive (lam_fm >= 0)")
     R = r_ratio(ode)
     if R >= 1:
         raise ValidationError(f"cost model requires R < 1, got {R}")
     N = required_carleman_order(R, ode.M, eps)
+    T = ode.T
     lam_carleman = lambda_value(N, ode.M, gamma, lam_f1, lam_fm)
     u_in_norm = float(np.linalg.norm(ode.u_in))
     assumptions = ["leading-order: unit constants, natural logs clamped at 1"]
     if u_T_norm is None:
-        traj = reference_solve(ode, T=T, t_eval=np.array([0.0, T]))
+        traj = reference_solve(ode, t_eval=np.array([0.0, T]))
         u_T_norm = float(np.linalg.norm(traj.u[-1]))
         assumptions.append("u(T) norm measured by the reference integrator")
     else:
@@ -149,7 +147,6 @@ def pde_lambda_f1(pde: ReactionDiffusionProblem) -> float:
 
 def pde_cost_estimate(
     pde: ReactionDiffusionProblem,
-    T: float,
     eps: float,
     u_T_norm: Optional[float] = None,
 ) -> CostEstimate:
@@ -158,7 +155,7 @@ def pde_cost_estimate(
     lam_f1 = pde_lambda_f1(pde)
     lam_fm = abs(pde.b)
     gamma = max_stable_gamma(ode)
-    est = ode_cost_estimate(ode, gamma, T, eps, lam_f1, lam_fm, u_T_norm=u_T_norm)
+    est = ode_cost_estimate(ode, gamma, eps, lam_f1, lam_fm, u_T_norm=u_T_norm)
     est.assumptions.append("gamma set to the stability limit gamma_max")
     return est
 

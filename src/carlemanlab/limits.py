@@ -45,3 +45,13 @@ def check_size(size: int, limit: int, what: str) -> None:
     """Reject ``what`` when its ``size`` exceeds ``limit``."""
     if size > limit:
         raise SizeLimitError(f"{what} of size {size} exceeds the limit {limit}")
+
+
+def check_power(base: int, exponent: int, limit: int, what: str) -> int:
+    """``base**exponent``, rejected as ``what`` over ``limit``: before it is formed (which can
+    take minutes) when ``|base| >= 2`` and the exponent is ``limit.bit_length()`` or more."""
+    if abs(base) >= 2 and exponent >= limit.bit_length():
+        raise SizeLimitError(f"{what} of size {base}**{exponent} exceeds the limit {limit}")
+    size = base**exponent
+    check_size(size, limit, what)
+    return size

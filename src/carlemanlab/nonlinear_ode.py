@@ -21,7 +21,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from .errors import NumericFailure, ValidationError
-from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_size
+from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_power, check_size
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
@@ -45,6 +45,11 @@ def _as_csr(matrix: MatrixLike, shape: tuple[int, int], name: str) -> sp.csr_mat
         out.sum_duplicates()
         out.eliminate_zeros()
     return out
+
+
+def fm_width(n: int, M: int) -> int:
+    """FM's column count ``n**M``, refused before it is formed when an int64 index cannot hold it."""
+    return check_power(n, M, 2**63 - 1, "FM column index n**M")
 
 
 @dataclass
@@ -81,8 +86,7 @@ class NonlinearODE:
             raise ValidationError(f"nonlinearity order must be >= 2, got {self.M}")
         if self.T < 0:
             raise ValidationError(f"time horizon must be non-negative, got {self.T}")
-        big = self.n ** self.M
-        check_size(big, 2**63 - 1, "FM column index n**M")
+        big = fm_width(self.n, self.M)
         self.F1 = _as_csr(self.F1, (self.n, self.n), "F1")
         self.FM = _as_csr(self.FM, (self.n, big), "FM")
         self.u_in = np.asarray(self.u_in, dtype=float)

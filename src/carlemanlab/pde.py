@@ -22,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericFailure, ValidationError
-from .limits import KRON_MAX_SIZE, check_size
-from .nonlinear_ode import NonlinearODE, base_digits, max_stable_gamma, r_ratio
+from .limits import KRON_MAX_SIZE, check_power, check_size
+from .nonlinear_ode import NonlinearODE, base_digits, fm_width, max_stable_gamma, r_ratio
 from .stencil import build_laplacian_dd, laplacian_eigenvalues_periodic
 
 InitialCondition = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
@@ -113,14 +113,15 @@ class DiscretisationErrorInputs:
 
 def one_sparse_nonlinearity(n: int, M: int, b: float) -> sp.csr_matrix:
     """Selector of the diagonal monomials: entry ``b`` at column ``i (n^M-1)/(n-1)``."""
+    width = fm_width(n, M)
     rows = np.arange(n, dtype=np.int64)
     if n == 1:
         cols = np.zeros(1, dtype=np.int64)
     else:
-        stride = (n**M - 1) // (n - 1)
+        stride = (width - 1) // (n - 1)
         cols = rows * stride
     data = np.full(n, float(b))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n**M))
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, width))
 
 
 def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
@@ -128,18 +129,32 @@ def discretize(pde: ReactionDiffusionProblem) -> NonlinearODE:
 
     F1 stores at most ``2kd + 1`` entries per row, at every grid size; a
     grid whose operator would store more than ``KRON_MAX_SIZE`` entries,
-    ``n (2kd + 1)``, is refused before anything is built or sampled.  The
-    problem's cached ``lambda0`` and ``|F1|`` are set from
-    :func:`periodic_spectrum`, so no grid reaches LAPACK or ARPACK for them.
+    ``n (2kd + 1)``, is refused before anything is built or sampled, and so
+    is an ``n**M`` no int64 index holds.  The spectral scalars are set by
+    :func:`_periodic_ode`.
     """
     n = pde.n
     check_size(n * (2 * pde.k * pde.d + 1), KRON_MAX_SIZE, "grid operator entries")
+    FM = one_sparse_nonlinearity(n, pde.M, pde.b)
     lap = build_laplacian_dd(pde.k, pde.d, pde.m)
     F1 = pde.diffusion * lap.sparse() + pde.c * sp.identity(n, format="csr")
-    FM = one_sparse_nonlinearity(n, pde.M, pde.b)
-    ode = NonlinearODE(n=n, M=pde.M, F1=F1, FM=FM, u_in=pde.initial_grid(), T=pde.T)
+    return _periodic_ode(pde, F1, FM, pde.initial_grid())
+
+
+def _periodic_ode(
+    pde: ReactionDiffusionProblem, F1: sp.spmatrix, FM: sp.spmatrix, u_in: np.ndarray
+) -> NonlinearODE:
+    """``pde``'s ODE with ``F1``, ``FM`` and ``u_in`` in one orthonormal basis of its grid.
+
+    Any such basis keeps ``lambda0`` and ``|F1|``, set from :func:`periodic_spectrum`
+    (so no grid reaches LAPACK or ARPACK for them), and ``|FM|``, set as ``|b|``.
+    """
+    ode = NonlinearODE(n=pde.n, M=pde.M, F1=F1, FM=FM, u_in=u_in, T=pde.T)
     spectrum = periodic_spectrum(pde)
-    vars(ode).update(lambda0=float(spectrum.max()), f1_norm=float(np.abs(spectrum).max()))
+    vars(ode).update(
+        lambda0=float(spectrum.max()), f1_norm=float(np.abs(spectrum).max()),
+        fm_norm=abs(float(pde.b)),
+    )
     return ode
 
 
@@ -202,6 +217,8 @@ def _mode_products(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     counted against ``KRON_MAX_SIZE`` as they come.  Returns the tuples'
     row-major indices, ascending, and their sums.
     """
+    # the constant mode and, at even m, the Nyquist mode have one wave each
+    check_power(2 * m - (2 - m % 2), order - 1, KRON_MAX_SIZE, "Fourier product enumeration")
     freq = (np.arange(m) + 1) // 2  # of each column of the basis
     special = (freq == 0) | (2 * freq == m)
     norm = np.where(special, 1.0 / math.sqrt(m), 1.0 / math.sqrt(2.0 * m))
@@ -216,8 +233,6 @@ def _mode_products(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     last_mode = np.stack([np.where(k == 0, 0, np.where(2 * k == m, m - 1, 2 * f - 1)), 2 * f])
     last_phase = np.stack([np.zeros(m, dtype=np.int64), np.where(k == f, 3, 1)])
     last_ok = np.stack([np.ones(m, dtype=bool), ~lone])
-    check_size((2 * m - np.count_nonzero(special)) ** (order - 1), KRON_MAX_SIZE,
-               "Fourier product enumeration")
     heads = m ** (order - 1)
     per_block = max(1, _PRODUCT_CHUNK // m)
     keys, values, count = [], [], 0
@@ -285,9 +300,7 @@ class FourierForm:
         return _along_axes(self.axis_basis, np.asarray(v, dtype=float), self.d)
 
 
-def fourier_form(
-    pde: ReactionDiffusionProblem, discretized: Optional[NonlinearODE] = None
-) -> FourierForm:
+def fourier_form(pde: ReactionDiffusionProblem) -> FourierForm:
     """Rewrite the discretised problem in the real Fourier basis of its periodic grid.
 
     Every periodic circulant is diagonal in that basis, so F1 becomes
@@ -297,25 +310,15 @@ def fourier_form(
     :func:`_mode_products`, and ``u_in`` becomes ``Q^T u_in``, whose
     coefficients within the transform's own rounding bound
     ``d m eps |u_in|_2`` are set to zero (their 2-norm is ``dropped_mass``),
-    so that band-limited data keeps its support.  An orthogonal
-    change of basis keeps ``lambda0``, ``|F1|`` and ``|FM|``, so they are
-    copied from the grid problem (which :func:`discretize` takes from the
-    same spectrum) and every scalar derived from them (gamma, N, the
-    Gershgorin bound, the step rule) is bit for bit the grid's; a
-    ``discretized`` problem whose ``n``, ``M``, ``T`` or ``u_in`` differ from
-    ``pde``'s is refused.
+    so that band-limited data keeps its support.  ``lambda0``, ``|F1|`` and
+    ``|FM|`` are set as :func:`discretize` sets them (:func:`_periodic_ode`),
+    so every scalar derived from them (gamma, N, the Gershgorin bound, the
+    step rule) is bit for bit the grid's.  A problem whose enumeration or
+    nonlinearity is over ``KRON_MAX_SIZE`` is refused before anything of
+    length ``n`` is allocated.
     """
-    if discretized is None:
-        ode = discretize(pde)
-    else:
-        ode = discretized
-        if (ode.n, ode.M, ode.T) != (pde.n, pde.M, pde.T) or not np.array_equal(
-            ode.u_in, pde.initial_grid()
-        ):
-            raise ValidationError("the discretised problem is not the grid ODE of this problem")
     m, d, M = pde.m, pde.d, pde.M
     n = pde.n
-    F1 = sp.diags(periodic_spectrum(pde), format="csr")
     keys, values = _mode_products(m, M + 1)
     check_size(values.size**d, KRON_MAX_SIZE, "Fourier nonlinearity entries")
     # a mode of the d-dimensional grid is a product of one mode per axis, so
@@ -334,14 +337,14 @@ def fourier_form(
         vals = (vals[:, None] * values[None, :]).reshape(-1)
     FM = sp.csr_matrix((vals, (rows, col)), shape=(n, n**M))
     Q = real_fourier_basis(m)
-    u_in = _along_axes(Q.T, ode.u_in, d)
+    grid_u = pde.initial_grid()
+    u_in = _along_axes(Q.T, grid_u, d)
     # each axis transform is a dot with a unit column of Q, which rounds by at
     # most m eps |u_in|_2 to first order: a coefficient within d times that is zero
-    rounding = np.abs(u_in) <= d * m * np.finfo(float).eps * np.linalg.norm(ode.u_in)
+    rounding = np.abs(u_in) <= d * m * np.finfo(float).eps * np.linalg.norm(grid_u)
     dropped = float(np.linalg.norm(u_in[rounding]))
     u_in[rounding] = 0.0
-    modal = NonlinearODE(n=n, M=M, F1=F1, FM=FM, u_in=u_in, T=ode.T)
-    vars(modal).update(lambda0=ode.lambda0, f1_norm=ode.f1_norm, fm_norm=ode.fm_norm)
+    modal = _periodic_ode(pde, sp.diags(periodic_spectrum(pde), format="csr"), FM, u_in)
     return FourierForm(ode=modal, axis_basis=Q, d=d, dropped_mass=dropped)
 
 

@@ -239,25 +239,21 @@ class PropagationConfig:
     The auto rule keeps the per-step Taylor argument at most one,
     ``dt = 1 / |A|_bound``, clamped to at least ``T / 10**6`` steps-wise, so
     factorial decay dominates the series tail.  ``record_every`` unset records
-    about a thousand snapshots.
+    about a thousand snapshots.  K stays below 170, where ``(K+1)!`` leaves the float range.
     """
 
-    total_time: float
     taylor_order: int = 10
     dt: float | None = None
     strict_stability: bool = True
     record_every: int | None = None
 
     def __post_init__(self) -> None:
-        if self.taylor_order < 1:
-            raise ValidationError(f"Taylor order must be >= 1, got {self.taylor_order}")
+        if not 1 <= self.taylor_order < 170:
+            raise ValidationError(f"Taylor order must be in 1..169, got {self.taylor_order}")
         if self.record_every is not None and self.record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
 
-    def resolve_steps(self, norm_bound: float) -> tuple[float, int]:
-        T = self.total_time
-        if T < 0:
-            raise ValidationError("total_time must be non-negative")
+    def resolve_steps(self, T: float, norm_bound: float) -> tuple[float, int]:
         if T == 0:
             return 0.0, 0
         if self.dt is not None:
@@ -311,7 +307,7 @@ class EvolveResult:
 
 
 def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
-    """Taylor steps of the lifted ``u_in / gamma`` over ``[0, T]``, with guards.
+    """Taylor steps of the lifted ``u_in / gamma`` over the problem's ``[0, T]``, with guards.
 
     The lift of a state is symmetric under permutations of tensor factors and
     the operator keeps it so.  The steps therefore run on the symmetric
@@ -350,7 +346,7 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
             f"stability check failed: Gershgorin bound {bound} > 0 "
             "(raise gamma_max or disable strict_stability)"
         )
-    dt, n_steps = config.resolve_steps(mat.spectral_norm_bound())
+    dt, n_steps = config.resolve_steps(mat.rescaled.base.T, mat.spectral_norm_bound())
     every = int(config.record_every or max(1, n_steps // 1000))
     K = config.taylor_order
 

@@ -14,7 +14,7 @@ def bernoulli_ode() -> NonlinearODE:
     return NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[0.5]], u_in=[1.0], T=1.0)
 
 
-def make_two_dim_instance(M: int, R: float, skew: float = 0.1) -> NonlinearODE:
+def make_two_dim_instance(M: int, R: float, skew: float = 0.1, T: float = 1.0) -> NonlinearODE:
     """n=2 instance with lambda0 = -1, |u_in| = 1, and |FM| = R exactly.
 
     The nonlinearity is rank one and aligned with the initial direction, so
@@ -27,7 +27,7 @@ def make_two_dim_instance(M: int, R: float, skew: float = 0.1) -> NonlinearODE:
     for _ in range(M - 1):
         wk = np.kron(wk, w)
     FM = sp.csr_matrix(R * np.outer(w, wk))
-    return NonlinearODE(n=2, M=M, F1=F1, FM=FM, u_in=w, T=1.0)
+    return NonlinearODE(n=2, M=M, F1=F1, FM=FM, u_in=w, T=T)
 
 
 def rescaled_ode(ode: NonlinearODE, gamma: float) -> NonlinearODE:

@@ -102,9 +102,7 @@ def _near_exact_block1_errors(ode, N_values, ref):
     per_order = {}
     for N in N_values:
         mat = carl.assemble(node.rescale(ode, gamma), N)
-        config = prop.PropagationConfig(
-            total_time=1.0, taylor_order=16, dt=1e-3, record_every=10
-        )
+        config = prop.PropagationConfig(taylor_order=16, dt=1e-3, record_every=10)
         res = prop.evolve(mat, config)
         eta = np.linalg.norm(res.block1 - ref.u / gamma, axis=1)
         bound = np.asarray(bd.component_error_bound(ode, N, 1, res.times, gamma=gamma))
@@ -150,7 +148,7 @@ def test_criterion_05_order_selector_plug_back(bernoulli_ode):
     selector_ok = N == 7
     gamma = 1.0
     mat = carl.assemble(node.rescale(bernoulli_ode, gamma), N)
-    config = prop.PropagationConfig(total_time=1.0, taylor_order=12, dt=1.0 / 500, record_every=5)
+    config = prop.PropagationConfig(taylor_order=12, dt=1.0 / 500, record_every=5)
     res = prop.evolve(mat, config)
     ref = node.reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=res.times)
     rel_err = np.abs(gamma * res.block1[:, 0] - ref.u[:, 0]).max()  # |u_in| = 1
@@ -282,7 +280,7 @@ def test_criterion_12_cost_sanity(bernoulli_ode):
     demo = rd.ReactionDiffusionProblem(
         diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=32, k=2, initial=raised_cosine, T=1.0
     )
-    est = ct.pde_cost_estimate(demo, 1.0, 0.05, u_T_norm=1.0)
+    est = ct.pde_cost_estimate(demo, 0.05, u_T_norm=1.0)
     budget_ok &= est.lambda_carleman <= 2 * est.N * ct.pde_lambda_f1(demo)
     # continuity of the amplification factor at r = |u_in|/gamma -> 1
     N = 9
@@ -310,7 +308,7 @@ def test_criterion_13_end_to_end_pde_demo():
     gamma = float(np.linalg.norm(ode.u_in))
     N = 3
     mat = carl.assemble(node.rescale(ode, gamma), N)
-    config = prop.PropagationConfig(total_time=1.0, taylor_order=10)
+    config = prop.PropagationConfig(taylor_order=10)
     res = prop.evolve(mat, config)
     ref = node.reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0]))
     eta_T = np.linalg.norm(res.block1[-1] - ref.u[-1] / gamma)

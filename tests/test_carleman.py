@@ -126,8 +126,8 @@ class TestSymmetricAssembly:
             diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=8, k=1, T=0.25,
             initial=lambda x: 0.2 * np.prod(1.0 + np.cos(2.0 * np.pi * x), axis=1),
         )
-        ode = discretize(pde)
-        mat = assemble(rescale(fourier_form(pde, ode).ode, float(np.linalg.norm(ode.u_in))), 3)
+        gamma = float(np.linalg.norm(pde.initial_grid()))
+        mat = assemble(rescale(fourier_form(pde).ode, gamma), 3)
         tracemalloc.start()
         try:
             op = mat.to_symmetric()
@@ -146,7 +146,7 @@ class TestSymmetricAssembly:
             initial=lambda x: 0.4 * (1.0 + np.cos(2.0 * np.pi * x[:, 0])),
         )
         ode = discretize(pde)
-        stepped = ode if coordinates == "grid" else fourier_form(pde, ode).ode
+        stepped = ode if coordinates == "grid" else fourier_form(pde).ode
         mat = assemble(rescale(stepped, float(np.linalg.norm(ode.u_in))), 4)
         want = mat.to_symmetric()
         # one row per block, and one block per level
@@ -187,7 +187,7 @@ class TestSymmetricAssembly:
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitError, match="symmetric Carleman operator entries"):
-                evolve(mat, PropagationConfig(total_time=0.02, taylor_order=6, dt=0.02 / 2))
+                evolve(mat, PropagationConfig(taylor_order=6, dt=0.02 / 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -40,9 +40,9 @@ BERNOULLI = {
     "seed": 0,
 }
 
-ODE_COUPLED = json.loads(
-    (Path(__file__).resolve().parents[1] / "configs" / "ode_coupled.json").read_text()
-)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+ODE_COUPLED = json.loads((CONFIGS / "ode_coupled.json").read_text())
 
 PDE_DEMO = {
     "schema_version": 1,
@@ -377,7 +377,7 @@ class TestEvolveCommand:
         ode = rd.discretize(cli.pde_from_config(config["pde"]))
         gamma = float(np.linalg.norm(ode.u_in))
         mat = carl.assemble(node.rescale(ode, gamma), 3)
-        grid = prop.evolve(mat, prop.PropagationConfig(total_time=0.2, taylor_order=10))
+        grid = prop.evolve(mat, prop.PropagationConfig(taylor_order=10))
         bound = bd.component_error_bound(ode, 3, 1, 0.2, gamma=gamma) * gamma
         want = {
             "gamma": gamma, "N": 3, "K": 10, "dt": grid.dt, "n_steps": grid.n_steps,
@@ -420,11 +420,8 @@ class TestEvolveCommand:
         gamma = float(np.linalg.norm(ode.u_in))
         assert carl.assemble(node.rescale(ode, gamma), N).symmetric_nnz() <= limit
         with pytest.raises(SizeLimitError, match=over):
-            form = rd.fourier_form(problem, ode)
-            prop.evolve(
-                carl.assemble(node.rescale(form.ode, gamma), N),
-                prop.PropagationConfig(total_time=1e-4),
-            )
+            form = rd.fourier_form(problem)
+            prop.evolve(carl.assemble(node.rescale(form.ode, gamma), N), prop.PropagationConfig())
         assert run_config(config, tmp_path) == 0
         summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
         assert summary["coordinates"] == "ode"
@@ -712,6 +709,41 @@ class TestValidation:
         config["numerics"][key] = 1.0
         assert run_config(config, tmp_path) == 2
         assert "unknown numerics keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, section, key, value, over",
+        [(ODE_COUPLED, "ode", "M", 10**8, "FM column index n**M"),
+         (PDE_DEMO, "pde", "M", 10**7, "FM column index n**M"),
+         (ODE_COUPLED, "numerics", "K", 10**8, "Taylor order"),
+         (ODE_COUPLED, "numerics", "K", 170, "Taylor order")],
+        ids=["ode-M1e8", "pde-M1e7", "K1e8", "K170"],
+    )
+    def test_oversized_order_is_validation_exit(
+        self, tmp_path, capsys, config, section, key, value, over
+    ):
+        # n**M is refused by its exponent before it is formed, and K where
+        # (K+1)! leaves the float range: each ran for over 10 s or crashed
+        config = json.loads(json.dumps(config))
+        config[section][key] = value
+        assert run_config(config, tmp_path) == 2
+        assert over in capsys.readouterr().err
+        assert not [p for p in tmp_path.iterdir() if p.name != "cfg.json"]
+
+    def test_highest_taylor_order_runs(self, tmp_path):
+        config = {**ODE_COUPLED, "numerics": {"N": 4, "K": 169}}
+        assert run_config(config, tmp_path) == 0
+        assert json.loads((tmp_path / "ode_coupled_evolve.json").read_text())["results"]["K"] == 169
+
+    @pytest.mark.parametrize(
+        "words, extra",
+        [(["figures", "eigs", "bogus", "extra"], "['bogus', 'extra']"),
+         (["linearize", "bogus", "--config", str(CONFIGS / "ode_coupled.json")], "['bogus']")],
+        ids=["figures", "linearize"],
+    )
+    def test_extra_positional_argument_is_validation_exit(self, tmp_path, capsys, words, extra):
+        assert cli.main([*words, "--out", str(tmp_path)]) == 2
+        assert f"unknown arguments after {words[0]!r}: {extra}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_levels_past_int64_are_validation_exit(self, tmp_path, capsys):
         # a non-diagonal F1 steps every coordinate: C(266, 11) > 2**63 at level 11

@@ -1,7 +1,7 @@
 """Amplification factors, call-count estimates, prior-work evaluators."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -65,31 +65,31 @@ class TestAmplificationFactor:
 
 class TestOdeCostEstimate:
     def test_near_linear_in_time(self, bernoulli_ode):
-        a = ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 0.01, 1.0, 0.5, u_T_norm=0.5)
-        b = ode_cost_estimate(bernoulli_ode, 1.0, 2.0, 0.01, 1.0, 0.5, u_T_norm=0.5)
+        a = ode_cost_estimate(bernoulli_ode, 1.0, 0.01, 1.0, 0.5, u_T_norm=0.5)
+        b = ode_cost_estimate(replace(bernoulli_ode, T=2.0), 1.0, 0.01, 1.0, 0.5, u_T_norm=0.5)
         ratio = b.calls_block_encoding / a.calls_block_encoding
         assert 2.0 <= ratio <= 2.6
 
     def test_accuracy_enters_through_logs(self, bernoulli_ode):
-        a = ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
-        b = ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 1e-3, 1.0, 0.5, u_T_norm=0.5)
-        c = ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 1e-4, 1.0, 0.5, u_T_norm=0.5)
+        a = ode_cost_estimate(bernoulli_ode, 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
+        b = ode_cost_estimate(bernoulli_ode, 1.0, 1e-3, 1.0, 0.5, u_T_norm=0.5)
+        c = ode_cost_estimate(bernoulli_ode, 1.0, 1e-4, 1.0, 0.5, u_T_norm=0.5)
         first = b.calls_block_encoding / a.calls_block_encoding
         second = c.calls_block_encoding / b.calls_block_encoding
         assert first < 5.0 and second < 5.0
         assert second < first * 1.5  # polylog growth, nowhere near the 10x of 1/eps
 
     def test_monotone_in_time_and_accuracy(self, bernoulli_ode):
-        base = ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
-        longer = ode_cost_estimate(bernoulli_ode, 1.0, 1.5, 1e-2, 1.0, 0.5, u_T_norm=0.5)
-        tighter = ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 1e-3, 1.0, 0.5, u_T_norm=0.5)
+        base = ode_cost_estimate(bernoulli_ode, 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
+        longer = ode_cost_estimate(replace(bernoulli_ode, T=1.5), 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
+        tighter = ode_cost_estimate(bernoulli_ode, 1.0, 1e-3, 1.0, 0.5, u_T_norm=0.5)
         for attr in ("calls_block_encoding", "calls_state_prep", "extra_gates"):
             assert getattr(longer, attr) >= getattr(base, attr)
             assert getattr(tighter, attr) >= getattr(base, attr)
 
     def test_deterministic_and_complete(self, bernoulli_ode):
         runs = [
-            ode_cost_estimate(bernoulli_ode, 1.0, 1.0, 0.01, 1.0, 0.5)
+            ode_cost_estimate(bernoulli_ode, 1.0, 0.01, 1.0, 0.5)
             for _ in range(2)
         ]
         assert asdict(runs[0]) == asdict(runs[1])
@@ -104,7 +104,7 @@ class TestOdeCostEstimate:
 
         bad = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[2.0]], u_in=[1.0])
         with pytest.raises(ValidationError):
-            ode_cost_estimate(bad, 1.0, 1.0, 0.01, 1.0, 2.0, u_T_norm=0.5)
+            ode_cost_estimate(bad, 1.0, 0.01, 1.0, 2.0, u_T_norm=0.5)
 
 
 class TestPdeCostEstimate:
@@ -116,9 +116,9 @@ class TestPdeCostEstimate:
     def test_matches_ode_composition(self):
         pde = cost_pde()
         ode = discretize(pde)
-        direct = pde_cost_estimate(pde, pde.T, 0.05, u_T_norm=0.2)
+        direct = pde_cost_estimate(pde, 0.05, u_T_norm=0.2)
         composed = ode_cost_estimate(
-            ode, max_stable_gamma(ode), pde.T, 0.05,
+            ode, max_stable_gamma(ode), 0.05,
             pde_lambda_f1(pde), abs(pde.b), u_T_norm=0.2,
         )
         assert direct.calls_block_encoding == pytest.approx(
@@ -135,7 +135,7 @@ class TestPdeCostEstimate:
 
     def test_lambda_budget_at_stability_limit(self):
         pde = cost_pde()
-        est = pde_cost_estimate(pde, pde.T, 0.05, u_T_norm=0.2)
+        est = pde_cost_estimate(pde, 0.05, u_T_norm=0.2)
         assert est.lambda_carleman <= 2 * est.N * pde_lambda_f1(pde)
 
 

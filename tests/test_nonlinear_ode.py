@@ -154,6 +154,14 @@ class TestRRatio:
             r_ratio(ode)
 
 
+@pytest.mark.parametrize("M", [40, 10**8], ids=["M40", "M1e8"])
+def test_fm_width_past_int64_refused_before_the_power_is_formed(M):
+    # 3**40 > 2**63 is formed and compared; 3**(10**8) is refused by its
+    # exponent, where forming it alone ran for over 10 s
+    with pytest.raises(SizeLimitError, match=r"FM column index n\*\*M"):
+        NonlinearODE(n=3, M=M, F1=-np.eye(3), FM=sp.csr_matrix((3, 1)), u_in=np.ones(3))
+
+
 class TestRescale:
     def test_identity_at_gamma_one(self, bernoulli_ode):
         resc = rescale(bernoulli_ode, 1.0)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlemanlab import cli, nonlinear_ode
+from carlemanlab import pde as rd
 from carlemanlab.errors import SizeLimitError, ValidationError
 from carlemanlab.limits import DENSE_F1_MAX_N
 from carlemanlab.nonlinear_ode import (
@@ -100,6 +101,15 @@ class TestDiscretize:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("M", [40, 10**7], ids=["M40", "M1e7"])
+    def test_power_past_int64_refused_before_it_is_formed(self, M):
+        # 32**40 > 2**63 is formed and compared; 32**(10**7) is refused by its
+        # exponent, where the selector crashed with an OverflowError
+        with pytest.raises(SizeLimitError, match=r"FM column index n\*\*M"):
+            discretize(make_pde(M=M))
+        with pytest.raises(SizeLimitError, match="Fourier product enumeration"):
+            fourier_form(make_pde(M=M))
 
 
 @st.composite
@@ -335,7 +345,7 @@ class TestFourierForm:
     def test_is_the_grid_problem_in_an_orthonormal_basis(self, drawn):
         problem, u = drawn
         ode = discretize(problem)
-        form = fourier_form(problem, ode)
+        form = fourier_form(problem)
         Q = functools.reduce(np.kron, [form.axis_basis] * problem.d)
         np.testing.assert_allclose(Q.T @ Q, np.eye(problem.n), rtol=0, atol=1e-13)
         F1 = ode.F1.toarray()
@@ -365,27 +375,39 @@ class TestFourierForm:
         closes = [(f0 + s1 * f1 + s2 * f2) % m == 0 for s1 in (1, -1) for s2 in (1, -1)]
         assert np.all(np.any(closes, axis=0))
 
-    def test_invariants_are_the_grid_problem_s(self, demo_pde):
-        ode = discretize(demo_pde)
-        modal = fourier_form(demo_pde, ode).ode
+    @settings(deadline=None, max_examples=30)
+    @given(periodic_problems())
+    def test_invariants_are_the_grid_problem_s(self, drawn):
+        problem, _ = drawn
+        ode = discretize(problem)
+        modal = fourier_form(problem).ode
         assert modal.lambda0 == ode.lambda0
         assert modal.f1_norm == ode.f1_norm
         assert modal.fm_norm == ode.fm_norm
-        # the copies are the orthogonal invariants they stand for, read from
-        # the one spectrum that is also the Fourier form's diagonal
-        assert np.array_equal(modal.F1.diagonal(), periodic_spectrum(demo_pde))
+        # the scalars are the orthogonal invariants they stand for, read from
+        # the one spectrum that is also the Fourier form's diagonal, and |b|
+        # is the norm of the grid's one-sparse FM
+        assert np.array_equal(modal.F1.diagonal(), periodic_spectrum(problem))
         assert modal.F1.diagonal().max() == ode.lambda0
         assert np.abs(modal.F1.diagonal()).max() == ode.f1_norm
+        assert ode.fm_norm == nonlinear_ode.fm_spectral_norm(ode)
+
+    def test_built_without_the_grid_problem(self, monkeypatch, demo_pde):
+        def refuse(pde):
+            raise AssertionError("the Fourier form discretised the grid")
+
+        monkeypatch.setattr(rd, "discretize", refuse)
+        modal = fourier_form(demo_pde).ode
+        assert (modal.lambda0, modal.fm_norm, modal.T) == (demo_pde.c, demo_pde.b, demo_pde.T)
 
     def test_memory_stays_near_the_nonlinearity(self):
         # each block of mode tuples holds its final sums, so only the kept
         # entries accumulate (100 410 of them here); summing every wave
         # choice's term across blocks took about 445 bytes per entry
         problem = make_pde(M=3, m=32, k=1, initial=flat_profile(0.1))
-        ode = discretize(problem)
         tracemalloc.start()
         try:
-            nnz = fourier_form(problem, ode).ode.FM.nnz
+            nnz = fourier_form(problem).ode.FM.nnz
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,13 +420,16 @@ class TestFourierForm:
         with pytest.raises(ValidationError, match="Fourier nonlinearity entries"):
             fourier_form(problem)
 
-    @pytest.mark.parametrize(
-        "change",
-        [dict(m=12), dict(M=3), dict(T=0.5), dict(initial=flat_profile(0.2))],
-        ids=["n", "M", "T", "u_in"],
-    )
-    def test_another_problems_ode_refused(self, change):
-        # the invariants are copied from the given ODE, so it must be this problem's
-        other = discretize(make_pde(**{**dict(m=16, k=1, initial=flat_profile(0.1)), **change}))
-        with pytest.raises(ValidationError, match="not the grid ODE"):
-            fourier_form(make_pde(m=16, k=1, initial=flat_profile(0.1)), other)
+    def test_grid_refused_by_discretize_is_refused_before_allocation(self):
+        # the demo's first-order grid at epsilon = 1e-2: nothing of length n is allocated
+        problem = make_pde(m=233_289_207, k=1)
+        with pytest.raises(SizeLimitError, match="grid operator entries"):
+            discretize(problem)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="Fourier product enumeration"):
+                fourier_form(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -69,10 +69,10 @@ class TestTaylorStep:
 
 
 class TestEvolve:
-    def linear_diag_ode(self):
+    def linear_diag_ode(self, T=1.0):
         return NonlinearODE(
             n=2, M=2, F1=np.diag([-1.0, -2.0]), FM=sp.csr_matrix((2, 4)),
-            u_in=np.array([1.0, 0.5]), T=1.0,
+            u_in=np.array([1.0, 0.5]), T=T,
         )
 
     @pytest.mark.parametrize("mode", ["structured", "assembled"])
@@ -92,7 +92,7 @@ class TestEvolve:
     def test_linear_matches_dense_exponential_bound(self):
         ode = self.linear_diag_ode()
         mat = assemble(ode, 3)
-        config = PropagationConfig(total_time=1.0, taylor_order=4, dt=1.0 / 20)
+        config = PropagationConfig(taylor_order=4, dt=1.0 / 20)
         res = evolve(mat, config)
         exact = scipy.linalg.expm(mat.dense()) @ initial_vector(ode.u_in, 1.0, 3).flat
         defect = res.n_steps * taylor_step_defect_bound(
@@ -125,7 +125,7 @@ class TestEvolve:
         # and so does the d=2, m=12, k=2 grid (n=144) with 12 733 464
         if dense_f1 is None:
             ode = discretize(ReactionDiffusionProblem(
-                diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=12, k=2, initial=raised_cosine, T=1.0,
+                diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=12, k=2, initial=raised_cosine, T=0.02,
             ))
         else:
             rates = np.linspace(1.0, 2.0, n)
@@ -136,7 +136,7 @@ class TestEvolve:
         mat = assemble(ode, 3)
         assert mat.n == n and (mat.symmetric_nnz() <= KRON_MAX_SIZE) == fits
         mat.apply = None  # the structured action must not be used
-        config = PropagationConfig(total_time=0.02, taylor_order=6, dt=0.02 / 2)
+        config = PropagationConfig(taylor_order=6, dt=0.02 / 2)
         if not fits:
             tracemalloc.start()
             try:
@@ -156,10 +156,10 @@ class TestEvolve:
         assert np.abs(res.block1[-1] - want).max() <= defect + 1e-15
 
     def test_symmetric_steps_match_full_space_steps(self):
-        ode = make_two_dim_instance(3, 0.5)
+        ode = make_two_dim_instance(3, 0.5, T=0.5)
         gamma, N, K = 1.2, 5, 8
         mat = assemble(rescale(ode, gamma), N)
-        res = evolve(mat, PropagationConfig(total_time=0.5, taylor_order=K, dt=0.5 / 40))
+        res = evolve(mat, PropagationConfig(taylor_order=K, dt=0.5 / 40))
         full = mat.to_sparse()
         y = initial_vector(ode.u_in, gamma, N).flat
         norms = [np.linalg.norm(y)]
@@ -173,7 +173,7 @@ class TestEvolve:
     def test_bernoulli_block1_within_bound_plus_defect(self, bernoulli_ode):
         gamma, N, K = 1.0, 8, 8
         mat = assemble(rescale(bernoulli_ode, gamma), N)
-        config = PropagationConfig(total_time=1.0, taylor_order=K, dt=0.01)
+        config = PropagationConfig(taylor_order=K, dt=0.01)
         res = evolve(mat, config)
         ref = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=res.times)
         eta = np.abs(res.block1[:, 0] - ref.u[:, 0] / gamma)
@@ -186,59 +186,65 @@ class TestEvolve:
     def test_norm_non_increasing_under_stability(self, bernoulli_ode):
         mat = assemble(rescale(bernoulli_ode, 1.0), 5)
         assert mat.gershgorin_max_eig_bound() <= 0
-        res = evolve(mat, PropagationConfig(total_time=1.0, taylor_order=10, dt=1.0 / 200))
+        res = evolve(mat, PropagationConfig(taylor_order=10, dt=1.0 / 200))
         assert np.all(np.diff(res.step_norms) <= 1e-10)
 
     def test_strict_stability_flag(self):
         # gamma above gamma_max makes the Gershgorin certificate fail
-        ode = make_two_dim_instance(2, 0.5)
-        mat = assemble(rescale(ode, 5.0), 4)
         with pytest.raises(ValidationError, match="stability"):
-            evolve(mat, PropagationConfig(total_time=1.0))
-        res = evolve(mat, PropagationConfig(total_time=0.1, dt=0.1 / 50, strict_stability=False))
+            evolve(assemble(rescale(make_two_dim_instance(2, 0.5), 5.0), 4), PropagationConfig())
+        mat = assemble(rescale(make_two_dim_instance(2, 0.5, T=0.1), 5.0), 4)
+        res = evolve(mat, PropagationConfig(dt=0.1 / 50, strict_stability=False))
         assert res.n_steps == 50
 
     def test_blowup_guard(self):
-        ode = NonlinearODE(n=1, M=2, F1=[[3.0]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
+        ode = NonlinearODE(n=1, M=2, F1=[[3.0]], FM=sp.csr_matrix((1, 1)), u_in=[1.0], T=10.0)
         mat = assemble(ode, 3)
         # level 3 grows like e^(9t), past BLOWUP_FACTOR = 1e6 near t = 1.5
-        config = PropagationConfig(total_time=10.0, dt=10.0 / 400, strict_stability=False)
+        config = PropagationConfig(dt=10.0 / 400, strict_stability=False)
         with pytest.raises(NumericFailure, match="blow-up"):
             evolve(mat, config)
 
     def test_step_rule_reproduces_horizon(self):
-        config = PropagationConfig(total_time=1.0)
-        dt, steps = config.resolve_steps(norm_bound=7.3)
+        dt, steps = PropagationConfig().resolve_steps(1.0, norm_bound=7.3)
         assert dt * steps == pytest.approx(1.0, rel=1e-15)
         assert dt <= 1.0 / 7.3 + 1e-15
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValidationError, match="positive and finite"):
-            PropagationConfig(total_time=1.0, dt=dt).resolve_steps(norm_bound=1.0)
+            PropagationConfig(dt=dt).resolve_steps(1.0, norm_bound=1.0)
 
     def test_dt_alone_sets_the_step_count(self):
-        assert PropagationConfig(total_time=1.0, dt=0.25).resolve_steps(norm_bound=1.0) == (0.25, 4)
+        assert PropagationConfig(dt=0.25).resolve_steps(1.0, norm_bound=1.0) == (0.25, 4)
         # 3 steps of 0.3 miss the horizon
         with pytest.raises(ValidationError):
-            PropagationConfig(total_time=1.0, dt=0.3).resolve_steps(norm_bound=1.0)
+            PropagationConfig(dt=0.3).resolve_steps(1.0, norm_bound=1.0)
 
     @pytest.mark.parametrize("T", [0.0, 1.0])
     @pytest.mark.parametrize(
         "knobs, match",
-        [({"taylor_order": 0}, "Taylor order"), ({"record_every": 0}, "record_every"),
+        [({"taylor_order": 0}, "Taylor order"), ({"taylor_order": 170}, "Taylor order"),
+         ({"taylor_order": 10**8}, "Taylor order"), ({"record_every": 0}, "record_every"),
          ({"record_every": -2}, "record_every")],
-        ids=["K0", "record0", "record-2"],
+        ids=["K0", "K170", "K1e8", "record0", "record-2"],
     )
     def test_bad_stepping_rejected_before_the_operator(self, monkeypatch, knobs, match, T):
-        mat = assemble(self.linear_diag_ode(), 3)
+        mat = assemble(self.linear_diag_ode(T), 3)
 
         def refuse():
             raise AssertionError("the operator was built before the config was checked")
 
         monkeypatch.setattr(mat, "to_symmetric", refuse)
         with pytest.raises(ValidationError, match=match):
-            evolve(mat, PropagationConfig(total_time=T, **knobs))
+            evolve(mat, PropagationConfig(**knobs))
+
+    def test_highest_taylor_order_has_a_finite_defect_bound(self):
+        # (K+1)! leaves the float range at K = 170
+        assert PropagationConfig(taylor_order=169).taylor_order == 169
+        assert math.isfinite(taylor_step_defect_bound(1.0, 1.0, 169))
+        with pytest.raises(OverflowError):
+            taylor_step_defect_bound(1.0, 1.0, 170)
 
 
 def periodic(d=1, m=32, k=2, M=2, T=1.0, amplitude=0.4, c=-2.0, full=False):
@@ -253,8 +259,7 @@ def periodic(d=1, m=32, k=2, M=2, T=1.0, amplitude=0.4, c=-2.0, full=False):
     )
     if full:
         problem.initial = full_spectrum(problem.initial_grid())
-    ode = discretize(problem)
-    return ode, fourier_form(problem, ode)
+    return discretize(problem), fourier_form(problem)
 
 
 def series_matrix(op, dt, K):
@@ -339,7 +344,7 @@ class TestFourierRoute:
     def test_agrees_with_the_grid_series(self, built, d, m, k, M, N, T):
         ode, form = periodic(d=d, m=m, k=k, M=M, T=T)
         gamma = float(np.linalg.norm(ode.u_in))
-        config = PropagationConfig(total_time=T, taylor_order=10)
+        config = PropagationConfig(taylor_order=10)
         grid = evolve(assemble(rescale(ode, gamma), N), config)
         modal_mat = assemble(rescale(form.ode, gamma), N)
         assert modal_mat.f1_is_diagonal and not assemble(ode, N).f1_is_diagonal
@@ -360,7 +365,7 @@ class TestFourierRoute:
         for full in (False, True):
             ode, form = periodic(full=full)
             mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
-            res = evolve(mat, PropagationConfig(total_time=1.0))
+            res = evolve(mat, PropagationConfig())
             assert res.n_steps == 3286
             tiny = np.finfo(float).tiny
             assert not np.any((res.y_final != 0) & (np.abs(res.y_final) < tiny))
@@ -372,9 +377,7 @@ class TestFourierRoute:
         # a diagonal F1 stepped far past the series' reach overflows; four
         # steps recorded every two are two matvecs of P**2, and the first
         # record is the first state checked
-        config = PropagationConfig(
-            total_time=1.0, dt=1.0 / 4, record_every=2, strict_stability=False
-        )
+        config = PropagationConfig(dt=1.0 / 4, record_every=2, strict_stability=False)
 
         def scalar(rate):
             ode = NonlinearODE(n=1, M=2, F1=[[rate]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
@@ -397,7 +400,7 @@ class TestFourierRoute:
         assert mat.f1_is_diagonal
         # stepped one at a time the norm passes the factor at step 83; the
         # folded route checks the record that follows
-        config = PropagationConfig(total_time=1.0, strict_stability=False, record_every=5)
+        config = PropagationConfig(strict_stability=False, record_every=5)
         with pytest.raises(NumericFailure, match="blow-up detected at step 85:"):
             evolve(mat, config)
         monkeypatch.setattr(propagator, "BLOWUP_FACTOR", math.inf)
@@ -409,12 +412,12 @@ class TestFourierRoute:
     def test_short_diagonal_run_takes_the_taylor_matrix(self, built, full):
         # 33 steps: F1 is diagonal and P fits the limit, so P is built
         # however few steps it serves
-        res = evolve(fourier_mat(T=0.01, full=full), PropagationConfig(total_time=0.01))
+        res = evolve(fourier_mat(T=0.01, full=full), PropagationConfig())
         assert built == [True]
         assert (res.n_steps, res.stepping, res.matvecs) == (33, "taylor_matrix", 33)
 
     def test_no_step_builds_nothing(self, built):
-        res = evolve(fourier_mat(), PropagationConfig(total_time=0.0))
+        res = evolve(fourier_mat(T=0.0), PropagationConfig())
         assert built == []
         assert (res.n_steps, res.stepping, res.matvecs) == (0, "series", 0)
         np.testing.assert_array_equal(res.times, [0.0])
@@ -429,9 +432,9 @@ class TestFourierRoute:
 
         monkeypatch.setattr(propagator, "matrix_power", recorded)
         mat = fourier_mat(T=0.01)
-        res = evolve(mat, PropagationConfig(total_time=0.01, record_every=34))
+        res = evolve(mat, PropagationConfig(record_every=34))
         assert powers == [] and (res.stepping, res.matvecs) == ("taylor_matrix", 33)
-        res = evolve(mat, PropagationConfig(total_time=0.01, record_every=33))
+        res = evolve(mat, PropagationConfig(record_every=33))
         assert powers == [33] and (res.stepping, res.matvecs) == ("taylor_matrix", 1)
 
     def test_oversized_taylor_matrix_keeps_the_series(self, monkeypatch, built):
@@ -440,7 +443,7 @@ class TestFourierRoute:
         # (on full-spectrum data, whose reach is every coordinate)
         ode, form = periodic(d=2, m=8, k=1, T=0.5, full=True)
         mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
-        config = PropagationConfig(total_time=0.5)
+        config = PropagationConfig()
         op_nnz = mat.symmetric_nnz()
         P_nnz = taylor_matrix(mat.to_symmetric(), 0.01, 10).nnz
         monkeypatch.setattr(propagator, "KRON_MAX_SIZE", (op_nnz + P_nnz) // 2)
@@ -469,15 +472,19 @@ class TestFourierRoute:
 
     def test_memory_peak_stays_near_the_grid_route(self, built):
         # two steps; full-spectrum data, so the Fourier side builds P on every coordinate
-        ode, form = periodic(d=2, m=8, k=1, T=0.25, full=True)
+        ode, _ = periodic(d=2, m=8, k=1, full=True)
         gamma = float(np.linalg.norm(ode.u_in))
+        # the grid's and the Fourier form's spectral scalars, and so steps, are the same
+        dt, _ = PropagationConfig().resolve_steps(
+            1.0, assemble(rescale(ode, gamma), 3).spectral_norm_bound()
+        )
+        ode, form = periodic(d=2, m=8, k=1, T=2 * dt, full=True)
         peaks = []
         for stepped in (ode, form.ode):
             mat = assemble(rescale(stepped, gamma), 3)
-            dt, _ = PropagationConfig(total_time=1.0).resolve_steps(mat.spectral_norm_bound())
             tracemalloc.start()
             try:
-                evolve(mat, PropagationConfig(total_time=2 * dt))
+                evolve(mat, PropagationConfig())
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -504,7 +511,7 @@ class TestFoldedRecords:
         self, monkeypatch, grid, record_every, every, remainder
     ):
         mat = fourier_mat(**grid)
-        config = PropagationConfig(total_time=grid.get("T", 1.0), record_every=record_every)
+        config = PropagationConfig(record_every=record_every)
         folded = evolve(mat, config)
         monkeypatch.setattr(propagator, "matrix_power", lambda P, e: None)  # the fold is refused
         stepped = evolve(mat, config)
@@ -526,9 +533,9 @@ class TestFoldedRecords:
     def test_open_pattern_keeps_single_steps(self, monkeypatch):
         # at K = 1 the path from level 1 to level 3 is longer than K, so P**2
         # stores entries P does not, and each step stays one matvec of P
-        mat = fourier_mat(m=8, k=1)
-        config = PropagationConfig(total_time=0.2, taylor_order=1, record_every=5)
-        dt, n = config.resolve_steps(mat.spectral_norm_bound())
+        mat = fourier_mat(m=8, k=1, T=0.2)
+        config = PropagationConfig(taylor_order=1, record_every=5)
+        dt, n = config.resolve_steps(0.2, mat.spectral_norm_bound())
         P = taylor_matrix(mat.to_symmetric(), dt, 1)
         assert matrix_power(P, 2).nnz > P.nnz
         stepped = evolve(mat, config)
@@ -542,7 +549,7 @@ class TestFoldedRecords:
 
     def test_series_counts_k_matvecs_per_step(self, monkeypatch, built):
         monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 0)  # no room for P
-        res = evolve(fourier_mat(T=0.01), PropagationConfig(total_time=0.01, record_every=4))
+        res = evolve(fourier_mat(T=0.01), PropagationConfig(record_every=4))
         assert built == [False]
         assert (res.stepping, res.matvecs, len(res.step_norms)) == ("series", 330, 34)
 
@@ -603,7 +610,7 @@ class TestMatrixPower:
 
     def test_evolve_steps_singly_when_the_fold_is_over_its_limit(self, monkeypatch):
         mat = fourier_mat()
-        config = PropagationConfig(total_time=1.0)
+        config = PropagationConfig()
         folded = evolve(mat, config)
         assert (folded.stepping, folded.matvecs) == ("taylor_matrix", 1096)
         op = mat.to_symmetric(mat.reach())
@@ -627,10 +634,11 @@ def linear_problems(draw):
     F1 = G - (lambda0(G) + rng.uniform(0.05, 1.0)) * np.eye(n)
     if draw(st.booleans()):
         F1 = sp.csr_matrix(F1)
-    ode = NonlinearODE(n=n, M=M, F1=F1, FM=sp.csr_matrix((n, n**M)), u_in=rng.standard_normal(n))
+    u_in = rng.standard_normal(n)
     gamma = draw(st.floats(0.1, 3.0))
     T = draw(st.floats(0.05, 2.0))
     K = draw(st.integers(4, 10))
+    ode = NonlinearODE(n=n, M=M, F1=F1, FM=sp.csr_matrix((n, n**M)), u_in=u_in, T=T)
     return ode, gamma, N, T, K
 
 
@@ -645,7 +653,7 @@ def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
     """
     ode, gamma, N, T, K = problem
     mat = assemble(rescale(ode, gamma), N)
-    config = PropagationConfig(total_time=T, taylor_order=K)
+    config = PropagationConfig(taylor_order=K)
     res = evolve(mat, config)
     y_final = CarlemanVector(res.basis.expand(res.y_final), mat.n, mat.N)
     F1 = ode.F1.toarray()
@@ -661,8 +669,8 @@ class TestSuccessProbability:
     def test_equals_the_level_one_share_evolve_reports_at_t0(self):
         u = np.array([0.3, 0.4])
         gamma, N = 1.0, 4
-        ode = NonlinearODE(n=2, M=2, F1=-np.eye(2), FM=sp.csr_matrix((2, 4)), u_in=u)
-        res = evolve(assemble(rescale(ode, gamma), N), PropagationConfig(total_time=0.0))
+        ode = NonlinearODE(n=2, M=2, F1=-np.eye(2), FM=sp.csr_matrix((2, 4)), u_in=u, T=0.0)
+        res = evolve(assemble(rescale(ode, gamma), N), PropagationConfig())
         want = success_probability(float(np.linalg.norm(u)), gamma, N)
         assert res.block1_share[0] == pytest.approx(want, rel=1e-12)
 

@@ -52,8 +52,7 @@ def demo_form(m=32, M=2, T=1.0, profile="raised_cosine", seed=0):
         problem.initial = multi_mode(problem.grid(), seed)
     elif profile == "full":
         problem.initial = full_spectrum(problem.initial_grid(), seed)
-    ode = rd.discretize(problem)
-    return ode, rd.fourier_form(problem, ode)
+    return rd.discretize(problem), rd.fourier_form(problem)
 
 
 def fourier_mat(N, **grid):
@@ -84,7 +83,7 @@ class TestReach:
     @pytest.mark.parametrize("m, N, T", [(32, 3, 1.0), (16, 4, 0.5)], ids=["m32-N3", "m16-N4"])
     def test_pruned_and_full_runs_agree(self, monkeypatch, profile, m, N, T):
         mat = fourier_mat(N, m=m, T=T, profile=profile)
-        config = PropagationConfig(total_time=T)
+        config = PropagationConfig()
         pruned = evolve(mat, config)
         full = evolve_everywhere(monkeypatch, mat, config)
         assert pruned.basis.dimension < full.basis.dimension == mat.symmetric_dimension
@@ -98,9 +97,9 @@ class TestReach:
         assert np.abs(pruned.basis.expand(pruned.y_final) - flat).max() <= 1e-12 * np.abs(flat).max()
 
     def test_full_spectrum_reach_is_every_coordinate(self, monkeypatch):
-        mat = fourier_mat(3, profile="full")
+        mat = fourier_mat(3, T=0.2, profile="full")
         assert mat.reach() is None
-        config = PropagationConfig(total_time=0.2)
+        config = PropagationConfig()
         res = evolve(mat, config)
         everywhere = evolve_everywhere(monkeypatch, mat, config)
         assert (res.stepping, res.matvecs, res.operator_entries) == (
@@ -184,7 +183,7 @@ class TestReach:
             u = np.zeros(size)
             u[[label[i] for i in support]] = [0.5, -0.4, 0.3][: len(support)]
             ode = node.NonlinearODE(n=size, M=M, F1=-sp.identity(size), FM=FM, u_in=u, T=0.5)
-            config = PropagationConfig(total_time=0.5, dt=0.5 / 20)
+            config = PropagationConfig(dt=0.5 / 20)
             return evolve(assemble(rescale(ode, 1.0), N), config)
 
         big = problem(n, {i: i for i in support})
@@ -241,8 +240,8 @@ class TestCanonicalOperator:
         problem = rd.ReactionDiffusionProblem(
             diffusion=0.2, c=-2.0, b=0.5, M=2, d=2, m=8, k=1, T=0.25, initial=profile,
         )
-        ode = rd.discretize(problem)
-        mat = assemble(rescale(rd.fourier_form(problem, ode).ode, float(np.linalg.norm(ode.u_in))), 4)
+        gamma = float(np.linalg.norm(problem.initial_grid()))
+        mat = assemble(rescale(rd.fourier_form(problem).ode, gamma), 4)
         keys = mat.reach()
         tracemalloc.start()
         try:
