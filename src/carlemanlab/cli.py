@@ -511,6 +511,8 @@ def _run_pipeline(ctx: RunContext) -> dict:
         "measured_error_T": float(err[-1]),
         "max_measured_error": float(err.max()),
         "component_bound_j1_T": bound_T,
+        "step_norm": result.step_norm,
+        "time_error_certificate_T": gamma * result.time_error_certificate,
         "reference_method": reference.method,
     }
 
@@ -560,7 +562,7 @@ def _cmd_pde(ctx: RunContext) -> None:
         raise ValidationError("the 'pde' command needs a pde section")
     problem = pde_from_config(ctx.config["pde"])
     ode = rd.discretize(problem)
-    report = rd.stability_report(problem, ode)
+    report = rd.stability_report(problem)
     payload: dict[str, Any] = {"results": {"stability": report.as_dict()}}
     inputs = rd.DiscretisationErrorInputs(
         derivative_bound=rd.estimate_derivative_bound(problem)

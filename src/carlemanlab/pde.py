@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -403,11 +403,9 @@ class StabilityReport:
         }
 
 
-def stability_report(
-    pde: ReactionDiffusionProblem, discretized: Optional[NonlinearODE] = None
-) -> StabilityReport:
+def stability_report(pde: ReactionDiffusionProblem) -> StabilityReport:
     """Evaluate all stability criteria for a problem and its discretisation."""
-    ode = discretize(pde) if discretized is None else discretized
+    ode = discretize(pde)
     u_max = pde.initial_max_norm()
     u_two = float(np.linalg.norm(ode.u_in))
     max_norm_lhs = u_max ** (pde.M - 1) * pde.b / abs(pde.c) if pde.c != 0 else np.inf

@@ -99,10 +99,15 @@ def taylor_matrix(op: sp.csr_matrix, dt: float, K: int) -> sp.csr_matrix | None:
         raise ValidationError("the Taylor matrix needs each row's diagonal stored first")
     links = sp.csr_matrix((np.ones(op.nnz, dtype=bool), cols, ptr), shape=op.shape)
     # a row's pattern holds at most its paths of at most K off-diagonal entries
-    # (float32 is plenty) and at most dim columns, which sizes the blocks
+    # (float32 is plenty) and at most dim columns, which sizes the blocks; the
+    # sums over each row's columns are gathered a block of rows at a time
+    row_blocks = ranges(np.diff(ptr), _PATTERN_PER_BLOCK)
     paths = np.ones(dim, dtype=np.float32)
     for _ in range(K):
-        longer = 1.0 + np.add.reduceat(paths[cols], ptr[:-1]) - paths
+        longer = np.empty_like(paths)
+        for a, b in row_blocks:
+            lo, hi = ptr[a], ptr[b]
+            longer[a:b] = 1.0 + np.add.reduceat(paths[cols[lo:hi]], ptr[a:b] - lo) - paths[a:b]
         if np.array_equal(longer, paths):
             break
         paths = longer
@@ -228,8 +233,45 @@ def matrix_power(P: sp.csr_matrix, e: int) -> sp.csr_matrix | None:
 
 
 def taylor_step_defect_bound(norm_A: float, dt: float, K: int, y_norm: float = 1.0) -> float:
-    """Leading bound on the one-step series truncation error."""
+    """Leading term ``(|A| dt)**(K+1) / (K+1)! |y|`` of the one-step series truncation error.
+
+    It bounds the error only together with the rest of the tail
+    (:func:`taylor_tail`); the benchmark's evolve check keeps this term
+    until that check is revised (ROADMAP item 7).
+    """
     return (norm_A * dt) ** (K + 1) / math.factorial(K + 1) * y_norm
+
+
+def taylor_tail(x: float, K: int) -> float:
+    """Upper bound ``x**(K+1) / (K+1)! / (1 - x/(K+2))`` on ``sum_{l>K} x**l / l!``.
+
+    Each term past the first is at most ``x/(K+2)`` times the one before, so
+    the tail is below the geometric sum; ``inf`` where ``x >= K + 2``.
+    """
+    if x >= K + 2:
+        return math.inf
+    return math.prod(x / ell for ell in range(1, K + 2)) / (1.0 - x / (K + 2))
+
+
+def weighted_norm_bound(op: sp.csr_matrix, weights: np.ndarray) -> float:
+    """``sqrt(|B|_1 |B|_inf)`` of ``B = W**(1/2) op W**(-1/2)``, ``W = diag(weights)``.
+
+    An upper bound on ``|B|_2``, the 2-norm of ``op`` in the orbit-weighted
+    norm of :class:`SymmetricBasis`, from the row and column sums of
+    ``|B|``.  Each block of about ``_PATTERN_PER_BLOCK`` entries adds to
+    them in turn, so besides the column sums the scratch stays small next
+    to ``op``.
+    """
+    ptr = op.indptr
+    row_max, columns = 0.0, np.zeros(op.shape[1])
+    for a, b in ranges(np.diff(ptr), _PATTERN_PER_BLOCK):
+        lo, hi = ptr[a], ptr[b]
+        rows = np.repeat(np.arange(b - a), np.diff(ptr[a : b + 1]))
+        cols = op.indices[lo:hi]
+        entries = np.abs(op.data[lo:hi]) * np.sqrt(weights[a:b][rows] / weights[cols])
+        row_max = max(row_max, float(np.bincount(rows, entries, minlength=b - a).max()))
+        np.add.at(columns, cols, entries)
+    return math.sqrt(row_max * float(columns.max()))
 
 
 @dataclass
@@ -237,8 +279,9 @@ class PropagationConfig:
     """Stepping knobs; leave ``dt`` unset for the auto rule.
 
     The auto rule keeps the per-step Taylor argument at most one,
-    ``dt = 1 / |A|_bound``, clamped to at least ``T / 10**6`` steps-wise, so
-    factorial decay dominates the series tail.  ``record_every`` unset records
+    ``dt = 1 / |A|``, clamped to at least ``T / 10**6`` steps-wise, so
+    factorial decay dominates the series tail; :func:`evolve` passes the
+    norm bound of the operator it steps as ``|A|``.  ``record_every`` unset records
     about a thousand snapshots.  K stays below 170, where ``(K+1)!`` leaves the float range.
     """
 
@@ -252,14 +295,15 @@ class PropagationConfig:
             raise ValidationError(f"Taylor order must be in 1..169, got {self.taylor_order}")
         if self.record_every is not None and self.record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
+        # refused here, before evolve builds the operator that sizes the auto step
+        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
 
     def resolve_steps(self, T: float, norm_bound: float) -> tuple[float, int]:
         if T == 0:
             return 0.0, 0
         if self.dt is not None:
             dt = float(self.dt)
-            if not (dt > 0 and math.isfinite(dt)):
-                raise ValidationError(f"dt must be positive and finite, got {dt}")
             steps = max(1, round(T / dt))
         else:
             dt = min(1.0 / norm_bound if norm_bound > 0 else T, T)
@@ -288,7 +332,11 @@ class EvolveResult:
     the coordinates stepped (the reach, :meth:`CarlemanMatrix.reach`) and
     ``operator_entries`` the entries of the operator on them; ``y_final`` is
     in ``basis``'s coordinates, and ``basis.expand`` gives its flat layout.
-    ``block1`` holds level 1 on all ``n`` entries.
+    ``block1`` holds level 1 on all ``n`` entries.  ``step_norm`` is the
+    bound on the stepped operator's 2-norm that sizes the auto step, and
+    ``time_error_certificate`` an upper bound on the flat 2-norm of the
+    difference between every recorded state and the exact exponential of
+    that operator applied to ``y0``, rounding aside (:func:`evolve`).
     """
 
     times: np.ndarray
@@ -304,6 +352,8 @@ class EvolveResult:
     matvecs: int
     basis: SymmetricBasis
     operator_entries: int
+    step_norm: float
+    time_error_certificate: float
 
 
 def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
@@ -337,6 +387,21 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     of the operator.  Every state the run computes is checked: a non-finite
     one raises :class:`NumericFailure`, as does a norm beyond
     ``BLOWUP_FACTOR`` times the initial one.
+
+    The auto step is sized from ``step_norm``, the smaller of
+    :meth:`CarlemanMatrix.spectral_norm_bound` and the
+    :func:`weighted_norm_bound` of the operator stepped, which is far below
+    the whole problem's bound when the reach holds few of its stiff modes.
+    At ``x = step_norm dt`` each step's error is at most
+    ``tail = taylor_tail(x, K)`` times the norm of the state it starts from,
+    and the time-error certificate sums those terms over the steps.  Each
+    norm comes from ``step_norms``; inside a folded interval the ``i``-th
+    state's is bounded by ``g**i`` times the record's, where
+    ``g = exp(max(bound, 0) dt) + tail`` bounds the norm of one step's
+    matrix.  The Gershgorin bound bounds the operator's log-norm, so when it
+    is at most zero the exponential does not grow the earlier errors,
+    ``g = 1 + tail``, and the sum is the certificate; above zero (with
+    ``strict_stability`` off) the sum carries the factor ``exp(bound T)``.
     """
     if not np.any(mat.rescaled.u_in_scaled):
         raise ValidationError("initial state is zero: its lift reaches no coordinate")
@@ -346,18 +411,23 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
             f"stability check failed: Gershgorin bound {bound} > 0 "
             "(raise gamma_max or disable strict_stability)"
         )
-    dt, n_steps = config.resolve_steps(mat.rescaled.base.T, mat.spectral_norm_bound())
-    every = int(config.record_every or max(1, n_steps // 1000))
-    K = config.taylor_order
-
     keys = mat.reach()
     op = mat.to_symmetric(keys)
+    basis = SymmetricBasis(mat.n, mat.N, keys)
+    step_norm = min(mat.spectral_norm_bound(), weighted_norm_bound(op, basis.weights))
+    T = mat.rescaled.base.T
+    dt, n_steps = config.resolve_steps(T, step_norm)
+    every = int(config.record_every or max(1, n_steps // 1000))
+    K = config.taylor_order
+    tail = taylor_tail(step_norm * dt, K)
+    # g: a bound on the norm of one step's matrix, that of e^(dt A) plus the tail
+    growth = _exp_or_inf(max(bound, 0.0) * dt) + tail
+
     P = taylor_matrix(op, dt, K) if mat.f1_is_diagonal and n_steps > 0 else None
     Q = None
     if P is not None and 1 < every <= n_steps and (mat.N - 1) // (mat.M - 1) <= K:
         Q = matrix_power(P, every)
     stride = every if Q is not None else 1
-    basis = SymmetricBasis(mat.n, mat.N, keys)
     y = basis.lift(mat.rescaled.u_in_scaled)
     norm0 = basis.norm(y)
     times = [0.0]
@@ -367,8 +437,14 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     step_norms = [norm0]
 
     step = matvecs = 0
+    defect = 0.0
     while step < n_steps:
         take = min(stride, n_steps - step)
+        # each step's defect, from the norm of the state it starts from
+        start = step_norms[-1]
+        for _ in range(take):
+            defect += tail * start
+            start *= growth
         if P is None:
             y = taylor_step(lambda v: op @ v, y, dt, K)
             matvecs += K
@@ -409,7 +485,16 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         matvecs=matvecs,
         basis=basis,
         operator_entries=op.nnz,
+        step_norm=step_norm,
+        time_error_certificate=(
+            defect * _exp_or_inf(max(bound, 0.0) * T) if math.isfinite(growth) else math.inf
+        ),
     )
+
+
+def _exp_or_inf(x: float) -> float:
+    """``exp(x)``, or ``inf`` where it would leave the float range."""
+    return math.exp(x) if x < 709.0 else math.inf
 
 
 def success_probability(u_norm: float, gamma: float, N: int) -> float:

@@ -106,10 +106,7 @@ def _near_exact_block1_errors(ode, N_values, ref):
         res = prop.evolve(mat, config)
         eta = np.linalg.norm(res.block1 - ref.u / gamma, axis=1)
         bound = np.asarray(bd.component_error_bound(ode, N, 1, res.times, gamma=gamma))
-        defect = res.n_steps * prop.taylor_step_defect_bound(
-            mat.spectral_norm_bound(), res.dt, 16, res.y_norms[0]
-        )
-        slack = 10 * 1e-10 + defect
+        slack = 10 * 1e-10 + res.time_error_certificate
         per_order[N] = (eta, bound, slack)
     return per_order
 
@@ -304,7 +301,7 @@ def test_criterion_13_end_to_end_pde_demo():
         diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=32, k=2, initial=raised_cosine, T=1.0
     )
     ode = rd.discretize(pde)
-    verdicts = rd.stability_report(pde, ode)
+    verdicts = rd.stability_report(pde)
     gamma = float(np.linalg.norm(ode.u_in))
     N = 3
     mat = carl.assemble(node.rescale(ode, gamma), N)
@@ -313,9 +310,6 @@ def test_criterion_13_end_to_end_pde_demo():
     ref = node.reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0]))
     eta_T = np.linalg.norm(res.block1[-1] - ref.u[-1] / gamma)
     bound_T = bd.component_error_bound(ode, N, 1, 1.0, gamma=gamma)
-    defect = res.n_steps * prop.taylor_step_defect_bound(
-        mat.spectral_norm_bound(), res.dt, 10, res.y_norms[0]
-    )
-    ok = verdicts.all_pass and eta_T <= bound_T + defect + 10 * 1e-10
-    report(13, f"PDE demo: all verdicts pass, eta(T)={eta_T:.2e} within {bound_T:.2e}+defect",
+    ok = verdicts.all_pass and eta_T <= bound_T + res.time_error_certificate + 10 * 1e-10
+    report(13, f"PDE demo: all verdicts pass, eta(T)={eta_T:.2e} within {bound_T:.2e}+certificate",
            ok, time.perf_counter() - start, 120.0)

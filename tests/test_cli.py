@@ -314,7 +314,7 @@ class TestEvolveCommand:
         assert float(rows[-1][1]) == pytest.approx(2.0 / (1.0 + np.e), abs=1e-8)
 
     def test_demo_tables_read_back_to_the_pipeline_arrays(self, tmp_path):
-        # the paper's demo PDE at N = 3: 1 097 recorded times
+        # the paper's demo PDE at N = 3: 74 steps on the reach, 75 recorded times
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "evolve"
         config["pde"]["m"] = 32
@@ -330,7 +330,7 @@ class TestEvolveCommand:
             assert all(len(row) == len(header) for row in rows)
             assert np.array_equal([[float(cell) for cell in row] for row in rows], summary[name])
             lengths.add(len(rows))
-        assert lengths == {1097}
+        assert lengths == {75}
 
     def test_record_every_zero_is_validation_exit(self, tmp_path):
         config = self.evolve_config()
@@ -365,8 +365,9 @@ class TestEvolveCommand:
         assert summary["coordinates"] == "ode"
 
     def test_pde_is_stepped_in_fourier_coordinates(self, tmp_path):
-        # the reported stepping and bound scalars are bit for bit the grid
-        # problem's, and level 1 matches the grid's own series steps
+        # gamma, N, the stability and bound scalars are bit for bit the grid
+        # problem's; the step is sized from the Fourier form's reach, and
+        # level 1 matches the grid's own series steps within both certificates
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "evolve"
         config["pde"]["T"] = 0.2
@@ -374,22 +375,30 @@ class TestEvolveCommand:
         assert run_config(config, tmp_path) == 0
         summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
         assert summary["coordinates"] == "fourier"
-        ode = rd.discretize(cli.pde_from_config(config["pde"]))
+        problem = cli.pde_from_config(config["pde"])
+        ode = rd.discretize(problem)
         gamma = float(np.linalg.norm(ode.u_in))
-        mat = carl.assemble(node.rescale(ode, gamma), 3)
-        grid = prop.evolve(mat, prop.PropagationConfig(taylor_order=10))
+        config_K10 = prop.PropagationConfig(taylor_order=10)
+        grid = prop.evolve(carl.assemble(node.rescale(ode, gamma), 3), config_K10)
+        modes = rd.fourier_form(problem).ode
+        modal = prop.evolve(carl.assemble(node.rescale(modes, gamma), 3), config_K10)
         bound = bd.component_error_bound(ode, 3, 1, 0.2, gamma=gamma) * gamma
         want = {
-            "gamma": gamma, "N": 3, "K": 10, "dt": grid.dt, "n_steps": grid.n_steps,
+            "gamma": gamma, "N": 3, "K": 10, "dt": modal.dt, "n_steps": modal.n_steps,
             "stability_bound": grid.stability_bound, "component_bound_j1_T": float(bound),
+            "step_norm": modal.step_norm,
+            "time_error_certificate_T": gamma * modal.time_error_certificate,
         }
         assert {key: summary[key] for key in want} == want
+        assert modal.n_steps < grid.n_steps and modal.step_norm < grid.step_norm
         # records every step: one matvec of the Taylor matrix per step
-        assert (summary["stepping"], summary["matvecs"]) == ("taylor_matrix", grid.n_steps)
+        assert (summary["stepping"], summary["matvecs"]) == ("taylor_matrix", modal.n_steps)
         assert grid.stepping == "series"
         _, rows = read_csv(tmp_path / "demo_trajectory.csv")
         u_hat = np.array([[float(v) for v in row[4:]] for row in rows])
-        assert np.abs(u_hat - gamma * grid.block1).max() <= 1e-12 * np.abs(u_hat).max()
+        both = gamma * (modal.time_error_certificate + grid.time_error_certificate)
+        gap = np.abs(u_hat[-1] - gamma * grid.block1[-1]).max()
+        assert gap <= both + 1e-12 * np.abs(u_hat).max()
 
     @pytest.mark.parametrize(
         "M, m, N, limit, over",

@@ -1,16 +1,19 @@
 """Taylor stepping, trajectory evolution, success probabilities."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlemanlab.carleman import CarlemanVector, assemble, initial_vector
+from carlemanlab.carleman import CarlemanVector, SymmetricBasis, assemble, initial_vector
 from carlemanlab.errors import NumericFailure, ValidationError
 from carlemanlab.limits import KRON_MAX_SIZE
 from carlemanlab.nonlinear_ode import (
@@ -20,7 +23,7 @@ from carlemanlab.nonlinear_ode import (
     reference_solve,
     rescale,
 )
-from carlemanlab import propagator
+from carlemanlab import cli, propagator
 from carlemanlab.pde import ReactionDiffusionProblem, discretize, fourier_form
 from carlemanlab.propagator import (
     PropagationConfig,
@@ -30,6 +33,8 @@ from carlemanlab.propagator import (
     taylor_matrix,
     taylor_step,
     taylor_step_defect_bound,
+    taylor_tail,
+    weighted_norm_bound,
 )
 from carlemanlab.bounds import component_error_bound
 
@@ -95,11 +100,8 @@ class TestEvolve:
         config = PropagationConfig(taylor_order=4, dt=1.0 / 20)
         res = evolve(mat, config)
         exact = scipy.linalg.expm(mat.dense()) @ initial_vector(ode.u_in, 1.0, 3).flat
-        defect = res.n_steps * taylor_step_defect_bound(
-            mat.spectral_norm_bound(), res.dt, 4, res.y_norms.max()
-        )
         y_final = res.basis.expand(res.y_final)
-        assert np.linalg.norm(y_final - exact) <= defect
+        assert np.linalg.norm(y_final - exact) <= res.time_error_certificate
 
     def test_modes_agree(self):
         ode = make_two_dim_instance(2, 0.5)
@@ -150,10 +152,7 @@ class TestEvolve:
             return
         res = evolve(mat, config)
         want = scipy.linalg.expm(0.02 * F1) @ ode.u_in
-        defect = res.n_steps * taylor_step_defect_bound(
-            mat.spectral_norm_bound(), res.dt, 6, res.y_norms[0]
-        )
-        assert np.abs(res.block1[-1] - want).max() <= defect + 1e-15
+        assert np.abs(res.block1[-1] - want).max() <= res.time_error_certificate + 1e-15
 
     def test_symmetric_steps_match_full_space_steps(self):
         ode = make_two_dim_instance(3, 0.5, T=0.5)
@@ -178,10 +177,7 @@ class TestEvolve:
         ref = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=res.times)
         eta = np.abs(res.block1[:, 0] - ref.u[:, 0] / gamma)
         bound = np.asarray(component_error_bound(bernoulli_ode, N, 1, res.times, gamma=gamma))
-        defect = res.n_steps * taylor_step_defect_bound(
-            mat.spectral_norm_bound(), res.dt, K, res.y_norms[0]
-        )
-        assert np.all(eta <= bound + 10 * defect + 1e-8)
+        assert np.all(eta <= bound + 10 * res.time_error_certificate + 1e-8)
 
     def test_norm_non_increasing_under_stability(self, bernoulli_ode):
         mat = assemble(rescale(bernoulli_ode, 1.0), 5)
@@ -226,8 +222,9 @@ class TestEvolve:
         "knobs, match",
         [({"taylor_order": 0}, "Taylor order"), ({"taylor_order": 170}, "Taylor order"),
          ({"taylor_order": 10**8}, "Taylor order"), ({"record_every": 0}, "record_every"),
-         ({"record_every": -2}, "record_every")],
-        ids=["K0", "K170", "K1e8", "record0", "record-2"],
+         ({"record_every": -2}, "record_every"), ({"dt": -0.1}, "positive and finite"),
+         ({"dt": float("nan")}, "positive and finite")],
+        ids=["K0", "K170", "K1e8", "record0", "record-2", "dt-negative", "dt-nan"],
     )
     def test_bad_stepping_rejected_before_the_operator(self, monkeypatch, knobs, match, T):
         mat = assemble(self.linear_diag_ode(T), 3)
@@ -344,12 +341,13 @@ class TestFourierRoute:
     def test_agrees_with_the_grid_series(self, built, d, m, k, M, N, T):
         ode, form = periodic(d=d, m=m, k=k, M=M, T=T)
         gamma = float(np.linalg.norm(ode.u_in))
-        config = PropagationConfig(taylor_order=10)
-        grid = evolve(assemble(rescale(ode, gamma), N), config)
+        grid = evolve(assemble(rescale(ode, gamma), N), PropagationConfig(taylor_order=10))
         modal_mat = assemble(rescale(form.ode, gamma), N)
         assert modal_mat.f1_is_diagonal and not assemble(ode, N).f1_is_diagonal
-        modal = evolve(modal_mat, config)
+        # the reach's own step is longer; at the grid's step the two routes agree
+        modal = evolve(modal_mat, PropagationConfig(taylor_order=10, dt=grid.dt))
         assert built == [True]
+        assert modal.step_norm < grid.step_norm
         assert (modal.dt, modal.n_steps, modal.stability_bound) == (
             grid.dt, grid.n_steps, grid.stability_bound
         )
@@ -366,7 +364,8 @@ class TestFourierRoute:
             ode, form = periodic(full=full)
             mat = assemble(rescale(form.ode, float(np.linalg.norm(ode.u_in))), 3)
             res = evolve(mat, PropagationConfig())
-            assert res.n_steps == 3286
+            # the raised cosine's reach holds no mode near the grid's top one
+            assert res.n_steps == (3283 if full else 74)
             tiny = np.finfo(float).tiny
             assert not np.any((res.y_final != 0) & (np.abs(res.y_final) < tiny))
         # the flush is reached: stiff modes of the top level decay to zero
@@ -398,23 +397,25 @@ class TestFourierRoute:
         )
         mat = assemble(rescale(ode_up, float(np.linalg.norm(ode.u_in))), 3)
         assert mat.f1_is_diagonal
-        # stepped one at a time the norm passes the factor at step 83; the
+        # stepped one at a time the norm passes the factor at step 24; the
         # folded route checks the record that follows
         config = PropagationConfig(strict_stability=False, record_every=5)
-        with pytest.raises(NumericFailure, match="blow-up detected at step 85:"):
+        with pytest.raises(NumericFailure, match="blow-up detected at step 25:"):
             evolve(mat, config)
         monkeypatch.setattr(propagator, "BLOWUP_FACTOR", math.inf)
         res = evolve(mat, config)
-        assert res.n_steps == 161
-        assert (res.stepping, res.matvecs) == ("taylor_matrix", 32 + 1)
+        assert res.n_steps == 46
+        assert (res.stepping, res.matvecs) == ("taylor_matrix", 9 + 1)
 
     @pytest.mark.parametrize("full", [False, True], ids=["raised-cosine", "full-spectrum"])
     def test_short_diagonal_run_takes_the_taylor_matrix(self, built, full):
-        # 33 steps: F1 is diagonal and P fits the limit, so P is built
-        # however few steps it serves
+        # 33 steps on full-spectrum data, one on the raised cosine's reach:
+        # F1 is diagonal and P fits the limit, so P is built however few
+        # steps it serves
         res = evolve(fourier_mat(T=0.01, full=full), PropagationConfig())
+        steps = 33 if full else 1
         assert built == [True]
-        assert (res.n_steps, res.stepping, res.matvecs) == (33, "taylor_matrix", 33)
+        assert (res.n_steps, res.stepping, res.matvecs) == (steps, "taylor_matrix", steps)
 
     def test_no_step_builds_nothing(self, built):
         res = evolve(fourier_mat(T=0.0), PropagationConfig())
@@ -431,7 +432,7 @@ class TestFourierRoute:
             return matrix_power(P, e)
 
         monkeypatch.setattr(propagator, "matrix_power", recorded)
-        mat = fourier_mat(T=0.01)
+        mat = fourier_mat(T=0.01, full=True)
         res = evolve(mat, PropagationConfig(record_every=34))
         assert powers == [] and (res.stepping, res.matvecs) == ("taylor_matrix", 33)
         res = evolve(mat, PropagationConfig(record_every=33))
@@ -504,7 +505,7 @@ def assert_close(got, want, rel=1e-12):
 class TestFoldedRecords:
     @pytest.mark.parametrize(
         "grid, record_every, every, remainder",
-        [({}, None, 3, 1), ({"d": 2, "m": 8, "k": 1, "T": 0.5}, 7, 7, 6)],
+        [({"full": True}, None, 3, 1), ({"d": 2, "m": 8, "k": 1, "T": 0.5}, 7, 7, 3)],
         ids=["demo", "d2-m8-every7"],
     )
     def test_equals_single_steps_of_the_taylor_matrix(
@@ -533,12 +534,12 @@ class TestFoldedRecords:
     def test_open_pattern_keeps_single_steps(self, monkeypatch):
         # at K = 1 the path from level 1 to level 3 is longer than K, so P**2
         # stores entries P does not, and each step stays one matvec of P
-        mat = fourier_mat(m=8, k=1, T=0.2)
+        mat = fourier_mat(m=8, k=1, T=0.25)
         config = PropagationConfig(taylor_order=1, record_every=5)
-        dt, n = config.resolve_steps(0.2, mat.spectral_norm_bound())
-        P = taylor_matrix(mat.to_symmetric(), dt, 1)
-        assert matrix_power(P, 2).nnz > P.nnz
         stepped = evolve(mat, config)
+        n = stepped.n_steps
+        P = taylor_matrix(mat.to_symmetric(mat.reach()), stepped.dt, 1)
+        assert matrix_power(P, 2).nnz > P.nnz
         assert n % 5 and (stepped.stepping, stepped.matvecs) == ("taylor_matrix", n)
         monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 0)  # no room for P
         series = evolve(mat, config)
@@ -549,7 +550,7 @@ class TestFoldedRecords:
 
     def test_series_counts_k_matvecs_per_step(self, monkeypatch, built):
         monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 0)  # no room for P
-        res = evolve(fourier_mat(T=0.01), PropagationConfig(record_every=4))
+        res = evolve(fourier_mat(T=0.01, full=True), PropagationConfig(record_every=4))
         assert built == [False]
         assert (res.stepping, res.matvecs, len(res.step_norms)) == ("series", 330, 34)
 
@@ -609,10 +610,10 @@ class TestMatrixPower:
         assert matrix_power(P, 52).nnz <= P.nnz
 
     def test_evolve_steps_singly_when_the_fold_is_over_its_limit(self, monkeypatch):
-        mat = fourier_mat()
+        mat = fourier_mat(full=True)
         config = PropagationConfig()
         folded = evolve(mat, config)
-        assert (folded.stepping, folded.matvecs) == ("taylor_matrix", 1096)
+        assert (folded.stepping, folded.matvecs) == ("taylor_matrix", 1095)
         op = mat.to_symmetric(mat.reach())
         P = taylor_matrix(op, folded.dt, 10)
         monkeypatch.setattr(propagator, "KRON_MAX_SIZE", 3 * P.nnz - 1)
@@ -645,7 +646,7 @@ def linear_problems(draw):
 @settings(deadline=None)
 @given(linear_problems())
 def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
-    """``y_j(T) = (e^(T F1) u / gamma)^(x j)`` within the Taylor defect bound.
+    """``y_j(T) = (e^(T F1) u / gamma)^(x j)`` within the time-error certificate.
 
     With FM = 0 each level evolves under its own Kronecker sum, whose
     exponential is ``e^(T F1)^(x j)``, and a dissipative F1 makes every level a
@@ -659,10 +660,106 @@ def test_without_nonlinearity_every_level_is_a_kronecker_power(problem):
     F1 = ode.F1.toarray()
     v = scipy.linalg.expm(T * F1) @ ode.u_in / gamma
     top = res.step_norms.max()
-    defect = res.n_steps * taylor_step_defect_bound(mat.spectral_norm_bound(), res.dt, K, top)
     for j in range(1, N + 1):
         err = np.linalg.norm(y_final.level(j) - kron_power(v, j))
-        assert err <= defect + 1e-12 * top
+        assert err <= res.time_error_certificate + 1e-12 * top
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_mat(name):
+    """The operator the CLI steps for ``configs/<name>.json``, and its Taylor order.
+
+    A PDE is stepped in its Fourier form, at gamma and N resolved from the grid problem.
+    """
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    ode, problem = cli.resolve_problem(config)
+    numerics = cli.numerics_from_config(config)
+    gamma, N = cli.resolve_gamma(numerics, ode), cli.resolve_order(numerics, ode)
+    stepped = ode if problem is None else fourier_form(problem).ode
+    return assemble(rescale(stepped, gamma), N), numerics["K"]
+
+
+class TestTimeErrorCertificate:
+    @pytest.mark.parametrize(
+        "name, K, record_every, stepping, matvecs",
+        [("demo_n13", None, None, "taylor_matrix", 982),
+         ("ode_coupled", None, None, "series", 120),
+         ("demo_m64_stiff", None, 5, "taylor_matrix", 14 + 4),
+         # low orders, whose time error stands well above rounding
+         ("ode_coupled", 3, None, "series", 36),
+         ("demo_m64_stiff", 4, 5, "taylor_matrix", 14 + 4)],
+        ids=["n13-taylor-matrix", "ode-series", "m64-folded", "ode-series-K3", "m64-folded-K4"],
+    )
+    def test_every_record_within_the_certificate_of_expm_multiply(
+        self, name, K, record_every, stepping, matvecs
+    ):
+        mat, config_K = config_mat(name)
+        config = PropagationConfig(taylor_order=K or config_K, record_every=record_every)
+        res = evolve(mat, config)
+        assert (res.stepping, res.matvecs) == (stepping, matvecs)
+        assert res.stability_bound <= 0 and res.step_norm * res.dt <= 1
+        op = mat.to_symmetric(mat.reach())
+        y0 = res.basis.lift(mat.rescaled.u_in_scaled)
+        exact = expm_multiply(
+            op, y0, start=0.0, stop=res.n_steps * res.dt, num=res.n_steps + 1, endpoint=True
+        )[np.rint(res.times / res.dt).astype(int)]
+        level1 = np.array([res.basis.first_level(y) for y in exact])
+        worst = np.linalg.norm(res.block1 - level1, axis=1).max()
+        assert worst <= res.time_error_certificate + 1e-12 * res.y_norms[0]
+
+    def test_growing_operator_carries_the_exponential_factor(self):
+        # gamma above gamma_max: the Gershgorin bound is positive, so the
+        # summed defects grow by exp(bound T)
+        mat = assemble(rescale(make_two_dim_instance(2, 0.5, T=0.1), 5.0), 4)
+        res = evolve(mat, PropagationConfig(dt=0.1 / 50, strict_stability=False))
+        assert res.stability_bound > 0
+        tail = taylor_tail(res.step_norm * res.dt, 10)
+        assert res.time_error_certificate == pytest.approx(
+            tail * res.step_norms[:-1].sum() * math.exp(res.stability_bound * 0.1), rel=1e-12
+        )
+        y0 = res.basis.lift(mat.rescaled.u_in_scaled)
+        exact = expm_multiply(0.1 * mat.to_symmetric(mat.reach()), y0)
+        diff = res.y_final - exact
+        assert res.basis.norm(diff) <= res.time_error_certificate + 1e-12 * res.y_norms[0]
+
+    def test_beyond_the_geometric_tail_no_certificate(self):
+        # x >= K + 2: the geometric bound on the tail no longer holds
+        mat = fourier_mat(T=0.1)
+        res = evolve(mat, PropagationConfig(taylor_order=2, dt=0.1))
+        assert res.step_norm * res.dt >= 4 and res.time_error_certificate == math.inf
+
+
+class TestTaylorTail:
+    @pytest.mark.parametrize("x, K", [(0.5, 4), (1.0, 10), (11.0, 10), (30.0, 40)])
+    def test_bounds_the_series_tail(self, x, K):
+        exact = math.exp(x) - sum(x**ell / math.factorial(ell) for ell in range(K + 1))
+        leading = taylor_step_defect_bound(x, 1.0, K)
+        assert leading <= exact <= taylor_tail(x, K)
+        assert taylor_tail(x, K) <= leading / (1 - x / (K + 2)) * (1 + 1e-14)
+
+    def test_infinite_from_k_plus_two(self):
+        assert taylor_tail(12.0, 10) == math.inf and math.isfinite(taylor_tail(11.99, 10))
+        assert taylor_tail(0.0, 10) == 0.0
+        # no overflow at the top Taylor order, just below its limit
+        assert math.isfinite(taylor_tail(170.9, 169))
+
+
+class TestWeightedNormBound:
+    @pytest.mark.parametrize("name", ["demo_m64_stiff", "ode_coupled"])
+    def test_bounds_the_flat_two_norm(self, name):
+        mat, _ = config_mat(name)
+        keys = mat.reach()
+        op = mat.to_symmetric(keys)
+        weights = SymmetricBasis(mat.n, mat.N, keys).weights
+        root = np.sqrt(weights)
+        B = (sp.diags(root) @ op @ sp.diags(1.0 / root)).toarray()
+        two_norm = np.linalg.norm(B, 2)
+        got = weighted_norm_bound(op, weights)
+        assert two_norm <= got <= 1.1 * two_norm
+        sums = np.abs(B).sum(axis=0).max() * np.abs(B).sum(axis=1).max()
+        assert got == pytest.approx(math.sqrt(sums), rel=1e-12)
 
 
 class TestSuccessProbability:

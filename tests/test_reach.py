@@ -27,7 +27,6 @@ from carlemanlab.propagator import (
     evolve,
     taylor_matrix,
     taylor_step,
-    taylor_step_defect_bound,
 )
 
 from conftest import full_spectrum
@@ -83,11 +82,13 @@ class TestReach:
     @pytest.mark.parametrize("m, N, T", [(32, 3, 1.0), (16, 4, 0.5)], ids=["m32-N3", "m16-N4"])
     def test_pruned_and_full_runs_agree(self, monkeypatch, profile, m, N, T):
         mat = fourier_mat(N, m=m, T=T, profile=profile)
-        config = PropagationConfig()
-        pruned = evolve(mat, config)
-        full = evolve_everywhere(monkeypatch, mat, config)
+        full = evolve_everywhere(monkeypatch, mat, PropagationConfig())
+        # the reach leaves out stiff modes, so its auto step would be longer;
+        # both runs take the full run's step, which is stable for every mode
+        pruned = evolve(mat, PropagationConfig(dt=full.dt))
         assert pruned.basis.dimension < full.basis.dimension == mat.symmetric_dimension
         assert pruned.operator_entries < full.operator_entries
+        assert pruned.step_norm < full.step_norm
         assert (pruned.n_steps, pruned.dt) == (full.n_steps, full.dt)
         np.testing.assert_array_equal(pruned.times, full.times)
         assert np.abs(pruned.block1 - full.block1).max() <= 1e-12 * np.abs(full.block1).max()
@@ -295,18 +296,12 @@ def test_demo_at_the_papers_order_runs_through_the_cli(tmp_path):
     assert cli.main(["--config", str(config_path), "--out", str(tmp_path)]) == 0
     res = json.loads((tmp_path / "demo_n13_evolve.json").read_text())["results"]
     assert (res["coordinates"], res["N"], res["reach"]) == ("fourier", 13, 1262)
-    # F1 is diagonal and P fits, so each of the 14 243 steps is one matvec of P
-    assert (res["stepping"], res["matvecs"]) == ("taylor_matrix", 14_243)
+    # F1 is diagonal and P fits, so each of the 982 steps, sized from the
+    # reach's operator (|A| dt <= 1), is one matvec of P
+    assert (res["stepping"], res["matvecs"], res["n_steps"]) == ("taylor_matrix", 982, 982)
     assert res["reach"] < res["symmetric_dimension"] == carleman.symmetric_offsets(32, 13)[-1]
     assert 0 < res["dropped_mass"] < 1e-14
-    # criterion 13's rule in grid units: the level-1 bound plus the step certificate
-    config = json.loads(config_path.read_text())
-    ode = rd.discretize(cli.pde_from_config(config["pde"]))
-    gamma = res["gamma"]
-    mat = assemble(node.rescale(ode, gamma), 13)
-    with open(tmp_path / "demo_n13_trajectory.csv") as handle:
-        y0_norm = float([line for line in handle if line[0].isdigit()][0].split(",")[1])
-    certificate = res["n_steps"] * taylor_step_defect_bound(
-        mat.spectral_norm_bound(), res["dt"], res["K"], y0_norm
-    )
-    assert res["measured_error_T"] <= res["component_bound_j1_T"] + gamma * certificate
+    # criterion 13's rule in grid units: the level-1 bound plus the time-error
+    # certificate, which is far below the bound
+    assert res["measured_error_T"] <= res["component_bound_j1_T"] + res["time_error_certificate_T"]
+    assert res["time_error_certificate_T"] < res["component_bound_j1_T"] / 50
