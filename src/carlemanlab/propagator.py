@@ -270,7 +270,7 @@ def weighted_norm_bound(op: sp.csr_matrix, weights: np.ndarray) -> float:
         cols = op.indices[lo:hi]
         entries = np.abs(op.data[lo:hi]) * np.sqrt(weights[a:b][rows] / weights[cols])
         row_max = max(row_max, float(np.bincount(rows, entries, minlength=b - a).max()))
-        np.add.at(columns, cols, entries)
+        columns += np.bincount(cols, entries, minlength=op.shape[1])
     return math.sqrt(row_max * float(columns.max()))
 
 
@@ -398,10 +398,11 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     norm comes from ``step_norms``; inside a folded interval the ``i``-th
     state's is bounded by ``g**i`` times the record's, where
     ``g = exp(max(bound, 0) dt) + tail`` bounds the norm of one step's
-    matrix.  The Gershgorin bound bounds the operator's log-norm, so when it
-    is at most zero the exponential does not grow the earlier errors,
-    ``g = 1 + tail``, and the sum is the certificate; above zero (with
-    ``strict_stability`` off) the sum carries the factor ``exp(bound T)``.
+    matrix, and each interval's terms are summed in closed form.  The
+    Gershgorin bound bounds the operator's log-norm, so when it is at most
+    zero the exponential does not grow the earlier errors, ``g = 1 + tail``,
+    and the sum is the certificate; above zero (with ``strict_stability``
+    off) the sum carries the factor ``exp(bound T)``.
     """
     if not np.any(mat.rescaled.u_in_scaled):
         raise ValidationError("initial state is zero: its lift reaches no coordinate")
@@ -420,8 +421,8 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     every = int(config.record_every or max(1, n_steps // 1000))
     K = config.taylor_order
     tail = taylor_tail(step_norm * dt, K)
-    # g: a bound on the norm of one step's matrix, that of e^(dt A) plus the tail
-    growth = _exp_or_inf(max(bound, 0.0) * dt) + tail
+    # g - 1, for g a bound on the norm of one step's matrix: e^(dt A)'s plus the tail
+    excess = (math.expm1(max(bound, 0.0) * dt) if bound * dt < 709.0 else math.inf) + tail
 
     P = taylor_matrix(op, dt, K) if mat.f1_is_diagonal and n_steps > 0 else None
     Q = None
@@ -440,11 +441,8 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
     defect = 0.0
     while step < n_steps:
         take = min(stride, n_steps - step)
-        # each step's defect, from the norm of the state it starts from
-        start = step_norms[-1]
-        for _ in range(take):
-            defect += tail * start
-            start *= growth
+        # the interval's steps start from states of norm at most g**i |y_record|
+        defect += tail * step_norms[-1] * _geometric_sum(excess, take)
         if P is None:
             y = taylor_step(lambda v: op @ v, y, dt, K)
             matvecs += K
@@ -487,7 +485,7 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         operator_entries=op.nnz,
         step_norm=step_norm,
         time_error_certificate=(
-            defect * _exp_or_inf(max(bound, 0.0) * T) if math.isfinite(growth) else math.inf
+            defect * _exp_or_inf(max(bound, 0.0) * T) if math.isfinite(excess) else math.inf
         ),
     )
 
@@ -495,6 +493,14 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
 def _exp_or_inf(x: float) -> float:
     """``exp(x)``, or ``inf`` where it would leave the float range."""
     return math.exp(x) if x < 709.0 else math.inf
+
+
+def _geometric_sum(excess: float, count: int) -> float:
+    """``sum_{i < count} (1 + excess)**i``, or ``inf`` where it would leave the float range."""
+    if excess == 0.0:
+        return float(count)
+    power = count * math.log1p(excess)
+    return math.expm1(power) / excess if power < 709.0 else math.inf
 
 
 def success_probability(u_norm: float, gamma: float, N: int) -> float:

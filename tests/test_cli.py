@@ -366,8 +366,9 @@ class TestEvolveCommand:
 
     def test_pde_is_stepped_in_fourier_coordinates(self, tmp_path):
         # gamma, N, the stability and bound scalars are bit for bit the grid
-        # problem's; the step is sized from the Fourier form's reach, and
-        # level 1 matches the grid's own series steps within both certificates
+        # problem's; the step is sized from the Fourier form's reach, every
+        # record maps back to the grid through the Fourier basis, and at the
+        # grid's step every record matches the grid's own series steps
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "evolve"
         config["pde"]["T"] = 0.2
@@ -396,9 +397,15 @@ class TestEvolveCommand:
         assert grid.stepping == "series"
         _, rows = read_csv(tmp_path / "demo_trajectory.csv")
         u_hat = np.array([[float(v) for v in row[4:]] for row in rows])
-        both = gamma * (modal.time_error_certificate + grid.time_error_certificate)
-        gap = np.abs(u_hat[-1] - gamma * grid.block1[-1]).max()
-        assert gap <= both + 1e-12 * np.abs(u_hat).max()
+        mapped = gamma * rd.fourier_form(problem).to_grid(modal.block1)
+        assert np.abs(u_hat - mapped).max() <= 1e-12 * np.abs(u_hat).max()
+        config["numerics"]["dt"] = grid.dt
+        assert run_config(config, tmp_path) == 0
+        summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
+        assert (summary["dt"], summary["n_steps"]) == (grid.dt, grid.n_steps)
+        _, rows = read_csv(tmp_path / "demo_trajectory.csv")
+        u_hat = np.array([[float(v) for v in row[4:]] for row in rows])
+        assert np.abs(u_hat - gamma * grid.block1).max() <= 1e-12 * np.abs(u_hat).max()
 
     @pytest.mark.parametrize(
         "M, m, N, limit, over",
