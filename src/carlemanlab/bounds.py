@@ -356,23 +356,14 @@ class BoundReport:
         }
 
 
-def make_bound_report(
-    ode: NonlinearODE,
-    eps: float,
-    gamma: float | None = None,
-    N: int | None = None,
-) -> BoundReport:
-    """Assemble verdicts, the orders required for ``eps``, and per-level bound
-    curves on ``linspace(0, T, 101)`` at order ``N`` (the required one when absent)."""
+def make_bound_report(ode: NonlinearODE, eps: float, gamma: float, N: int) -> BoundReport:
+    """Assemble verdicts at ``gamma``, the orders required for ``eps``, and
+    per-level bound curves on ``linspace(0, T, 101)`` at order ``N``."""
     lam = ode.lambda0
     R = r_ratio(ode)
-    unorm = float(np.linalg.norm(ode.u_in))
-    gamma = unorm if gamma is None else float(gamma)
     gamma_max = max_stable_gamma(ode)
     required = required_carleman_order(R, ode.M, eps)
     refined = refined_carleman_order(R, ode.M, eps, lam, ode.T)
-    if N is None:
-        N = required
     times = np.linspace(0.0, ode.T, 101)
     eta = {
         j: np.asarray(component_error_bound(ode, N, j, times, gamma=gamma))

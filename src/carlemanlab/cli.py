@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -405,6 +405,8 @@ class RunContext:
     out_dir: str
     strict_stability: bool
     digest: str
+    #: the config's numerics section over its defaults (:func:`numerics_from_config`)
+    numerics: dict
 
     def path(self, suffix: str) -> str:
         prefix = self.config.get("output", {}).get("prefix", "run")
@@ -413,7 +415,7 @@ class RunContext:
 
 def _cmd_linearize(ctx: RunContext) -> None:
     ode, problem = resolve_problem(ctx.config)
-    numerics = numerics_from_config(ctx.config)
+    numerics = ctx.numerics
     gamma = resolve_gamma(numerics, ode)
     N = resolve_order(numerics, ode)
     mat = carl.assemble(node.rescale(ode, gamma), N)
@@ -452,7 +454,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
     when the grid is over a limit too, the error names both refusals.
     """
     ode, problem = resolve_problem(ctx.config)
-    numerics = numerics_from_config(ctx.config)
+    numerics = ctx.numerics
     gamma = resolve_gamma(numerics, ode)
     N = resolve_order(numerics, ode)
     K = numerics["K"]
@@ -538,10 +540,9 @@ def _cmd_evolve(ctx: RunContext) -> None:
 
 def _cmd_bounds(ctx: RunContext) -> None:
     ode, _ = resolve_problem(ctx.config)
-    numerics = numerics_from_config(ctx.config)
-    gamma = resolve_gamma(numerics, ode)
+    numerics = ctx.numerics
     report = bd.make_bound_report(
-        ode, gamma=gamma, N=numerics["N"], eps=numerics["epsilon"],
+        ode, numerics["epsilon"], resolve_gamma(numerics, ode), resolve_order(numerics, ode)
     )
     write_json(ctx.path("bounds.json"), {"results": report.as_dict()}, ctx.digest, ctx.config)
     rows = []
@@ -558,17 +559,16 @@ def _cmd_bounds(ctx: RunContext) -> None:
 
 
 def _cmd_pde(ctx: RunContext) -> None:
-    if "pde" not in ctx.config:
+    ode, problem = resolve_problem(ctx.config)
+    if problem is None:
         raise ValidationError("the 'pde' command needs a pde section")
-    problem = pde_from_config(ctx.config["pde"])
-    ode = rd.discretize(problem)
+    numerics = ctx.numerics
     report = rd.stability_report(problem)
     payload: dict[str, Any] = {"results": {"stability": report.as_dict()}}
     inputs = rd.DiscretisationErrorInputs(
         derivative_bound=rd.estimate_derivative_bound(problem)
     )
     payload["results"]["derivative_bound_estimate"] = inputs.derivative_bound
-    numerics = numerics_from_config(ctx.config)
     try:
         payload["results"]["required_grid_points"] = rd.required_grid_points(
             problem, inputs, numerics["epsilon"]
@@ -592,30 +592,27 @@ def _cmd_pde(ctx: RunContext) -> None:
 
 
 def _cmd_cost(ctx: RunContext) -> None:
-    numerics = numerics_from_config(ctx.config)
+    ode, problem = resolve_problem(ctx.config)
+    numerics = ctx.numerics
     eps = numerics["epsilon"]
-    if "pde" in ctx.config:
+    N = resolve_order(numerics, ode)
+    if problem is not None:
         if numerics["gamma"] is not None:
             raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
-        problem = pde_from_config(ctx.config["pde"])
-        estimate = ct.pde_cost_estimate(problem, eps)
+        estimate = ct.pde_cost_estimate(problem, N, eps)
         comparison = ct.prior_work_comparison(
-            estimate.u_in_norm, estimate.u_T_norm, problem.T, eps, estimate.N,
-            ct.pde_lambda_f1(problem), abs(problem.b), M=problem.M,
-            diffusion=problem.diffusion, d=problem.d, n=problem.n,
-            sparsity=2 * problem.k + 1, decay=abs(problem.c),
-            this_work_calls=estimate.calls_block_encoding,
+            estimate, problem.T, eps, ct.pde_lambda_f1(problem), abs(problem.b),
+            M=problem.M, n=problem.n, decay=abs(problem.c), diffusion=problem.diffusion,
+            d=problem.d, sparsity=2 * problem.k + 1,
         )
     else:
-        ode = ode_from_config(ctx.config["ode"])
         estimate = ct.ode_cost_estimate(
-            ode, resolve_gamma(numerics, ode), eps, ode.f1_norm, ode.fm_norm
+            ode, resolve_gamma(numerics, ode), N, eps, ode.f1_norm, ode.fm_norm
         )
         # a generic ODE keeps the defaults diffusion = 1, d = 1 and sparsity = 3
         comparison = ct.prior_work_comparison(
-            estimate.u_in_norm, estimate.u_T_norm, ode.T, eps, estimate.N,
-            ode.f1_norm, ode.fm_norm, M=ode.M, n=ode.n, decay=abs(ode.lambda0),
-            this_work_calls=estimate.calls_block_encoding,
+            estimate, ode.T, eps, ode.f1_norm, ode.fm_norm,
+            M=ode.M, n=ode.n, decay=abs(ode.lambda0),
         )
     payload = {
         "results": {
@@ -700,10 +697,7 @@ def _cmd_sweep(ctx: RunContext) -> None:
         for name, value in zip(names, point):
             section, key = _SWEEP_AXES[name]
             config.setdefault(section, {})[key] = value
-        summary = _run_pipeline(RunContext(
-            config=config, out_dir=ctx.out_dir,
-            strict_stability=ctx.strict_stability, digest=ctx.digest,
-        ))
+        summary = _run_pipeline(replace(ctx, config=config, numerics=numerics_from_config(config)))
         rows.append(list(point) + [summary[k] for k in metric_keys])
     header = names + metric_keys
     write_csv(ctx.path("sweep.csv"), header, rows, ctx.digest, ctx.config)
@@ -731,6 +725,7 @@ def run(config: dict, out_dir: str, strict_stability: bool = True) -> None:
         out_dir=out_dir,
         strict_stability=strict_stability,
         digest=config_hash(config),
+        numerics=numerics_from_config(config),
     )
     os.makedirs(out_dir, exist_ok=True)
     _HANDLERS[config["command"]](ctx)

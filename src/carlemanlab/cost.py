@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import required_carleman_order
 from .carleman import lambda_value
 from .errors import ValidationError
 from .nonlinear_ode import (
@@ -84,15 +83,16 @@ def amplification_factor(
 def ode_cost_estimate(
     ode: NonlinearODE,
     gamma: float,
+    N: int,
     eps: float,
     lam_f1: float,
     lam_fm: float,
     u_T_norm: Optional[float] = None,
 ) -> CostEstimate:
-    """Call counts for solving one nonlinear ODE instance to error ``eps`` by its horizon ``T``.
+    """Call counts for solving one nonlinear ODE instance at truncation order
+    ``N`` to error ``eps`` by its horizon ``T``.
 
-    The truncation order comes from the closed-form selector; the
-    block-encoding count scales as ``amp * lambda * T * log(N/eps) *
+    The block-encoding count scales as ``amp * lambda * T * log(N/eps) *
     log(N lam_f1 T / eps)``, state preparation carries one extra factor of N
     in place of the last log, and the gate overhead adds ``N M log n`` on top
     of a squared log.
@@ -102,7 +102,6 @@ def ode_cost_estimate(
     R = r_ratio(ode)
     if R >= 1:
         raise ValidationError(f"cost model requires R < 1, got {R}")
-    N = required_carleman_order(R, ode.M, eps)
     T = ode.T
     lam_carleman = lambda_value(N, ode.M, gamma, lam_f1, lam_fm)
     u_in_norm = float(np.linalg.norm(ode.u_in))
@@ -147,15 +146,16 @@ def pde_lambda_f1(pde: ReactionDiffusionProblem) -> float:
 
 def pde_cost_estimate(
     pde: ReactionDiffusionProblem,
+    N: int,
     eps: float,
     u_T_norm: Optional[float] = None,
 ) -> CostEstimate:
-    """Cost of the discretised reaction-diffusion solve at ``gamma = gamma_max``."""
+    """Cost of the discretised reaction-diffusion solve at order ``N`` and ``gamma = gamma_max``."""
     ode = discretize(pde)
     lam_f1 = pde_lambda_f1(pde)
     lam_fm = abs(pde.b)
     gamma = max_stable_gamma(ode)
-    est = ode_cost_estimate(ode, gamma, eps, lam_f1, lam_fm, u_T_norm=u_T_norm)
+    est = ode_cost_estimate(ode, gamma, N, eps, lam_f1, lam_fm, u_T_norm=u_T_norm)
     est.assumptions.append("gamma set to the stability limit gamma_max")
     return est
 
@@ -173,34 +173,31 @@ class PriorWorkRow:
 
 
 def prior_work_comparison(
-    u_in_norm: float,
-    u_T_norm: float,
+    estimate: CostEstimate,
     T: float,
     eps: float,
-    N: int,
     lam_f1: float,
     fm_norm: float,
-    M: int = 2,
+    M: int,
+    n: int,
+    decay: float,
     diffusion: float = 1.0,
     d: int = 1,
-    n: int = 2,
     sparsity: int = 3,
-    decay: float = 1.0,
-    this_work_calls: Optional[float] = None,
 ) -> list[PriorWorkRow]:
-    """Evaluate earlier complexity formulas next to the present estimate.
+    """Evaluate earlier complexity formulas next to the present ``estimate``.
 
-    Poly-log factors are instantiated with exponent 1 and unit constants, and
-    the Euler-based formula's history-state norm with 1.
+    The first row is ``estimate``'s own block-encoding count; the others
+    take its ``N``, ``|u_in|`` and ``|u(T)|``.  Poly-log factors are
+    instantiated with exponent 1 and unit constants, and the Euler-based
+    formula's history-state norm with 1.
     The state-norm power ``|u_in|^(2N)`` in the Euler-based formula is
     surfaced explicitly; the order selector of the Taylor-based prior work
     divides by ``log(1/|u_in|)`` and is flagged as undefined at
     ``|u_in| = 1`` (and for ``|u_in| > 1``).
     """
-    rows: list[PriorWorkRow] = []
-
-    if this_work_calls is not None:
-        rows.append(PriorWorkRow(name="this_work", calls=this_work_calls))
+    u_in_norm, u_T_norm, N = estimate.u_in_norm, estimate.u_T_norm, estimate.N
+    rows = [PriorWorkRow(name="this_work", calls=estimate.calls_block_encoding)]
 
     exp_factor = u_in_norm ** (2 * N)
     polylog = _log_factor(abs(decay) * diffusion * d * M * n ** (1.0 / d) * N * sparsity * T / eps)

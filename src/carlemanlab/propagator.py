@@ -464,7 +464,8 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
                 f"exceeds {BLOWUP_FACTOR} x |y0|"
             )
         if step % every == 0 or step == n_steps:
-            times.append(step * dt)
+            # n_steps * dt may round past T (3 * 0.1 > 0.3)
+            times.append(min(step * dt, T))
             block1.append(basis.first_level(y))
             share1.append(float(block1[-1] @ block1[-1]) / norm**2)
             norms.append(norm)

@@ -9,6 +9,7 @@ intersected with the valid region; the skipped combinations are listed here:
 * criteria 4 and 11 drop N <= M (N=2 for M=2; N in {2,3} for M=3).
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -277,7 +278,8 @@ def test_criterion_12_cost_sanity(bernoulli_ode):
     demo = rd.ReactionDiffusionProblem(
         diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=32, k=2, initial=raised_cosine, T=1.0
     )
-    est = ct.pde_cost_estimate(demo, 0.05, u_T_norm=1.0)
+    N_demo = bd.required_carleman_order(node.r_ratio(rd.discretize(demo)), demo.M, 0.05)
+    est = ct.pde_cost_estimate(demo, N_demo, 0.05, u_T_norm=1.0)
     budget_ok &= est.lambda_carleman <= 2 * est.N * ct.pde_lambda_f1(demo)
     # continuity of the amplification factor at r = |u_in|/gamma -> 1
     N = 9
@@ -286,8 +288,9 @@ def test_criterion_12_cost_sanity(bernoulli_ode):
         amp = ct.amplification_factor(1.0, 1.0, gamma, N, 2)
         cont_ok &= abs(amp - math.sqrt(N)) <= 1e-8
     # prior-work order selector blows up at unit input norm
+    unit = dataclasses.replace(est, u_in_norm=1.0, u_T_norm=0.5, N=7)
     rows = ct.prior_work_comparison(
-        u_in_norm=1.0, u_T_norm=0.5, T=1.0, eps=0.01, N=7, lam_f1=1.0, fm_norm=0.5
+        unit, T=1.0, eps=0.01, lam_f1=1.0, fm_norm=0.5, M=2, n=2, decay=1.0
     )
     prior = next(r for r in rows if r.name == "taylor_carleman_prior")
     sentinel_ok = math.isinf(prior.calls) and math.isinf(prior.detail["N_prior"])

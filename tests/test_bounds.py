@@ -277,7 +277,8 @@ class TestMaxNormBound:
 
 class TestBoundReport:
     def test_report_fields(self, bernoulli_ode):
-        report = make_bound_report(bernoulli_ode, eps=0.01)
+        # gamma = |u_in| and the order required for eps
+        report = make_bound_report(bernoulli_ode, 0.01, 1.0, required_carleman_order(0.5, 2, 0.01))
         assert report.R == pytest.approx(0.5)
         assert report.required_N == 7
         assert report.refined_N <= 7
@@ -289,5 +290,6 @@ class TestBoundReport:
     def test_report_serialises(self, bernoulli_ode):
         import json
 
-        payload = make_bound_report(bernoulli_ode, eps=0.1).as_dict()
+        N = required_carleman_order(0.5, 2, 0.1)
+        payload = make_bound_report(bernoulli_ode, 0.1, 1.0, N).as_dict()
         assert json.dumps(payload)

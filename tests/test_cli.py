@@ -321,7 +321,7 @@ class TestEvolveCommand:
         config["numerics"] = {"N": 3, "K": 10}
         summary = cli._run_pipeline(cli.RunContext(
             config=config, out_dir=str(tmp_path), strict_stability=True,
-            digest=cli.config_hash(config),
+            digest=cli.config_hash(config), numerics=cli.numerics_from_config(config),
         ))
         assert run_config(config, tmp_path) == 0
         lengths = set()
@@ -363,6 +363,18 @@ class TestEvolveCommand:
         assert run_config(self.evolve_config(), tmp_path) == 0
         summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
         assert summary["coordinates"] == "ode"
+
+    @pytest.mark.parametrize("T, dt", [(0.3, 0.1), (0.23, None)], ids=["dt0.1", "auto-3-steps"])
+    def test_last_record_is_at_the_horizon(self, tmp_path, T, dt):
+        # 3 * 0.1 and 3 * (0.23 / 3) both round past T, a time the reference refuses
+        config = json.loads(json.dumps(ODE_COUPLED))
+        config["ode"]["T"] = T
+        config["numerics"]["dt"] = dt
+        assert run_config(config, tmp_path) == 0
+        _, rows = read_csv(tmp_path / "ode_coupled_trajectory.csv")
+        assert float(rows[-1][0]) == T
+        summary = json.loads((tmp_path / "ode_coupled_evolve.json").read_text())["results"]
+        assert summary["measured_error_T"] <= summary["component_bound_j1_T"]
 
     def test_pde_is_stepped_in_fourier_coordinates(self, tmp_path):
         # gamma, N, the stability and bound scalars are bit for bit the grid
@@ -603,6 +615,15 @@ class TestLinearizeAndCost:
         assert prior["calls"] is None and prior["detail"]["N_prior"] is None
         assert "N is infinite" in prior["flags"][0]
 
+    def test_cost_takes_the_order_that_bounds_takes(self, tmp_path):
+        # ode_coupled sets N = 4, above the N = 3 that epsilon alone would give
+        orders = {}
+        for command in ("bounds", "cost"):
+            assert run_config({**ODE_COUPLED, "command": command}, tmp_path) == 0
+            results = json.loads((tmp_path / f"ode_coupled_{command}.json").read_text())["results"]
+            orders[command] = results["N"] if command == "bounds" else results["estimate"]["N"]
+        assert orders == {"bounds": 4, "cost": 4}
+
     def test_pde_cost_takes_the_closed_form_at_gamma_max(self, tmp_path):
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "cost"
@@ -680,13 +701,23 @@ class TestValidation:
             ({**BERNOULLI, "ode": {**BERNOULLI["ode"], "t": 2.0}}, "ode"),
             ({"command": "figures", "figure": "eigs", "figure_params": {"k": 2, "n": 12}},
              "figure_params"),
+            ({"command": "figures", "figure": "eigs", "numerics": {"bogus": 1, "K": "ten"}},
+             "numerics"),
         ],
-        ids=["top-level", "output", "pde", "pde-initial", "ode", "figure-params"],
+        ids=["top-level", "output", "pde", "pde-initial", "ode", "figure-params",
+             "figures-numerics"],
     )
     def test_misspelt_key_is_validation_exit(self, tmp_path, capsys, config, misspelt):
         assert run_config(config, tmp_path) == 2
         assert f"unknown {misspelt} keys" in capsys.readouterr().err
         assert not [p for p in tmp_path.iterdir() if p.name != "cfg.json"]
+
+    @pytest.mark.parametrize("command", ["linearize", "evolve", "bounds", "cost", "pde", "sweep"])
+    def test_missing_problem_section_is_validation_exit(self, tmp_path, capsys, command):
+        assert run_config({"command": command}, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "config needs an 'ode' or 'pde' section" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "section, key, value",

@@ -6,7 +6,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from carlemanlab.bounds import required_carleman_order
 from carlemanlab.cost import (
+    CostEstimate,
     amplification_factor,
     ode_cost_estimate,
     pde_cost_estimate,
@@ -25,6 +27,16 @@ def cost_pde(**overrides) -> ReactionDiffusionProblem:
     )
     params.update(overrides)
     return ReactionDiffusionProblem(**params)
+
+
+def required_order(ode, eps: float) -> int:
+    """The order the closed-form selector gives for ``eps``."""
+    return required_carleman_order(r_ratio(ode), ode.M, eps)
+
+
+def bernoulli_estimate(ode, eps: float, **kwargs) -> CostEstimate:
+    """The Bernoulli problem's estimate at gamma = 1 and the order required for ``eps``."""
+    return ode_cost_estimate(ode, 1.0, required_order(ode, eps), eps, 1.0, 0.5, **kwargs)
 
 
 class TestAmplificationFactor:
@@ -65,33 +77,30 @@ class TestAmplificationFactor:
 
 class TestOdeCostEstimate:
     def test_near_linear_in_time(self, bernoulli_ode):
-        a = ode_cost_estimate(bernoulli_ode, 1.0, 0.01, 1.0, 0.5, u_T_norm=0.5)
-        b = ode_cost_estimate(replace(bernoulli_ode, T=2.0), 1.0, 0.01, 1.0, 0.5, u_T_norm=0.5)
+        a = bernoulli_estimate(bernoulli_ode, 0.01, u_T_norm=0.5)
+        b = bernoulli_estimate(replace(bernoulli_ode, T=2.0), 0.01, u_T_norm=0.5)
         ratio = b.calls_block_encoding / a.calls_block_encoding
         assert 2.0 <= ratio <= 2.6
 
     def test_accuracy_enters_through_logs(self, bernoulli_ode):
-        a = ode_cost_estimate(bernoulli_ode, 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
-        b = ode_cost_estimate(bernoulli_ode, 1.0, 1e-3, 1.0, 0.5, u_T_norm=0.5)
-        c = ode_cost_estimate(bernoulli_ode, 1.0, 1e-4, 1.0, 0.5, u_T_norm=0.5)
+        a = bernoulli_estimate(bernoulli_ode, 1e-2, u_T_norm=0.5)
+        b = bernoulli_estimate(bernoulli_ode, 1e-3, u_T_norm=0.5)
+        c = bernoulli_estimate(bernoulli_ode, 1e-4, u_T_norm=0.5)
         first = b.calls_block_encoding / a.calls_block_encoding
         second = c.calls_block_encoding / b.calls_block_encoding
         assert first < 5.0 and second < 5.0
         assert second < first * 1.5  # polylog growth, nowhere near the 10x of 1/eps
 
     def test_monotone_in_time_and_accuracy(self, bernoulli_ode):
-        base = ode_cost_estimate(bernoulli_ode, 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
-        longer = ode_cost_estimate(replace(bernoulli_ode, T=1.5), 1.0, 1e-2, 1.0, 0.5, u_T_norm=0.5)
-        tighter = ode_cost_estimate(bernoulli_ode, 1.0, 1e-3, 1.0, 0.5, u_T_norm=0.5)
+        base = bernoulli_estimate(bernoulli_ode, 1e-2, u_T_norm=0.5)
+        longer = bernoulli_estimate(replace(bernoulli_ode, T=1.5), 1e-2, u_T_norm=0.5)
+        tighter = bernoulli_estimate(bernoulli_ode, 1e-3, u_T_norm=0.5)
         for attr in ("calls_block_encoding", "calls_state_prep", "extra_gates"):
             assert getattr(longer, attr) >= getattr(base, attr)
             assert getattr(tighter, attr) >= getattr(base, attr)
 
     def test_deterministic_and_complete(self, bernoulli_ode):
-        runs = [
-            ode_cost_estimate(bernoulli_ode, 1.0, 0.01, 1.0, 0.5)
-            for _ in range(2)
-        ]
+        runs = [bernoulli_estimate(bernoulli_ode, 0.01) for _ in range(2)]
         assert asdict(runs[0]) == asdict(runs[1])
         est = runs[0]
         assert est.N == 7
@@ -103,8 +112,8 @@ class TestOdeCostEstimate:
         from carlemanlab.nonlinear_ode import NonlinearODE
 
         bad = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[2.0]], u_in=[1.0])
-        with pytest.raises(ValidationError):
-            ode_cost_estimate(bad, 1.0, 0.01, 1.0, 2.0, u_T_norm=0.5)
+        with pytest.raises(ValidationError, match="cost model requires R < 1"):
+            ode_cost_estimate(bad, 1.0, 5, 0.01, 1.0, 2.0, u_T_norm=0.5)
 
 
 class TestPdeCostEstimate:
@@ -116,9 +125,10 @@ class TestPdeCostEstimate:
     def test_matches_ode_composition(self):
         pde = cost_pde()
         ode = discretize(pde)
-        direct = pde_cost_estimate(pde, 0.05, u_T_norm=0.2)
+        N = required_order(ode, 0.05)
+        direct = pde_cost_estimate(pde, N, 0.05, u_T_norm=0.2)
         composed = ode_cost_estimate(
-            ode, max_stable_gamma(ode), 0.05,
+            ode, max_stable_gamma(ode), N, 0.05,
             pde_lambda_f1(pde), abs(pde.b), u_T_norm=0.2,
         )
         assert direct.calls_block_encoding == pytest.approx(
@@ -135,19 +145,22 @@ class TestPdeCostEstimate:
 
     def test_lambda_budget_at_stability_limit(self):
         pde = cost_pde()
-        est = pde_cost_estimate(pde, 0.05, u_T_norm=0.2)
+        est = pde_cost_estimate(pde, required_order(discretize(pde), 0.05), 0.05, u_T_norm=0.2)
         assert est.lambda_carleman <= 2 * est.N * pde_lambda_f1(pde)
 
 
 class TestPriorWork:
-    def kwargs(self, **overrides):
-        base = dict(
-            u_in_norm=0.9, u_T_norm=0.5, T=1.0, eps=0.01, N=5,
-            lam_f1=10.0, fm_norm=0.5, M=2, diffusion=1.0, d=1, n=16,
-            sparsity=3, decay=2.0,
+    def kwargs(self, u_in_norm=0.9, N=5, calls=1.0):
+        # the prior-work rows read only N, the two norms and the call count of the estimate
+        estimate = CostEstimate(
+            R=0.5, N=N, gamma=1.0, lambda_carleman=1.0, amplification=1.0,
+            calls_block_encoding=calls, calls_state_prep=1.0, extra_gates=1.0,
+            u_in_norm=u_in_norm, u_T_norm=0.5,
         )
-        base.update(overrides)
-        return base
+        return dict(
+            estimate=estimate, T=1.0, eps=0.01, lam_f1=10.0, fm_norm=0.5, M=2, n=16,
+            decay=2.0, diffusion=1.0, d=1, sparsity=3,
+        )
 
     def find(self, rows, name):
         return next(r for r in rows if r.name == name)
@@ -173,7 +186,7 @@ class TestPriorWork:
         assert any("benign" in f for f in euler.flags)
 
     def test_this_work_row_included(self):
-        rows = prior_work_comparison(**self.kwargs(), this_work_calls=123.0)
+        rows = prior_work_comparison(**self.kwargs(calls=123.0))
         assert self.find(rows, "this_work").calls == 123.0
 
     def test_rows_serialise(self):

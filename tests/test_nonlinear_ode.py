@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from carlemanlab import nonlinear_ode
-from carlemanlab.bounds import make_bound_report
+from carlemanlab.bounds import make_bound_report, required_carleman_order
 from carlemanlab.carleman import assemble
 from carlemanlab.errors import SizeLimitError, ValidationError
 from carlemanlab.limits import DENSE_F1_MAX_N
@@ -98,8 +98,8 @@ class TestScalarsComputedOnce:
         monkeypatch.setattr(nonlinear_ode, "lambda0", counting)
         ode = make_two_dim_instance(2, 0.4)
         gamma = 0.9 * max_stable_gamma(ode)
-        r_ratio(ode)
-        make_bound_report(ode, eps=0.01)
+        N = required_carleman_order(r_ratio(ode), ode.M, 0.01)
+        make_bound_report(ode, 0.01, float(np.linalg.norm(ode.u_in)), N)
         assemble(rescale(ode, gamma), 4).gershgorin_max_eig_bound()
         assert len(calls) == 1
 
