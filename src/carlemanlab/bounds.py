@@ -1,11 +1,10 @@
 """Truncation-error bounds for the linearised dynamics.
 
-The tightening factor ``f_{j,k,M}`` is evaluated two independent ways: a
-closed form built from log-gamma differences and a compensated alternating
-sum, and a quadrature route that integrates the defining nested-integral
-recurrence.  The closed form self-checks against a verification band, and
-:func:`f_value` falls back to quadrature where binomial cancellation leaves
-its rounding large against the result.
+The tightening factor ``f_{j,k,M}`` has one production route,
+:func:`f_closed`: the paper's alternating sum written as a regularized
+incomplete beta function, which is exact to rounding in relative terms at
+every ``tau`` and depth.  :func:`f_quadrature` integrates the defining
+nested-integral recurrence instead and is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -17,23 +16,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import gammaln
+from scipy.special import betainc, betaincc
 
 from .errors import NumericFailure, ValidationError
 from .nonlinear_ode import NonlinearODE, max_stable_gamma, r_ratio
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pde import ReactionDiffusionProblem
-
-#: closed-form results must land in [0,1] up to this slack before clamping
-_VERIFY_BAND = 1e-8
-
-#: ``f_value`` keeps a closed-form point only while the rounding estimate
-#: ``k eps sum_l |term_l|`` is at most this fraction of the result.  Against
-#: an 80-digit evaluation of the same formula (j = 1, 2, 3, 5; k = 1..30;
-#: M = 2, 3; 13 tau in [1e-3, 10]) every kept point was within 1.8e-9
-#: relative, and the other 410 of 936 came from quadrature.
-_CLOSED_REL_ROUNDING = 1e-8
 
 #: largest tower depth ``k`` for the quadrature route.  The route does not
 #: recurse: it integrates one k-dimensional linear ODE in a single DOP853
@@ -49,54 +38,27 @@ def _validate_fjk(j: int, k: int, M: int) -> None:
         raise ValidationError(f"need j >= 1, k >= 1, M >= 2; got j={j}, k={k}, M={M}")
 
 
-def _closed_terms(j: int, k: int, M: int, taus: np.ndarray) -> np.ndarray:
-    """Terms of the closed form's alternating sum, one row per ``tau``."""
-    a = j / (M - 1)
-    log_coef = math.log(M - 1) + gammaln(k + a) - gammaln(a) - gammaln(k)
-    denoms = np.array([ell * (M - 1) + j for ell in range(k)], dtype=float)
-    log_binom = np.array(
-        [gammaln(k) - gammaln(ell + 1) - gammaln(k - ell) for ell in range(k)]
-    )
-    signs = np.array([(-1.0) ** ell for ell in range(k)])
-    log_mag = log_coef + log_binom - np.log(denoms)
-    return signs * np.exp(log_mag - np.outer(taus, denoms))
-
-
-def _closed_curve(
-    j: int, k: int, M: int, tau: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`f_closed` at each ``tau`` as an array, and the terms of its sums."""
-    _validate_fjk(j, k, M)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0):
-        raise ValidationError("tau must be non-negative")
-    curve = _closed_terms(j, k, M, taus)
-    out = np.empty_like(taus)
-    for idx, (t, terms) in enumerate(zip(taus, curve)):
-        order = np.argsort(np.abs(terms))
-        raw = 1.0 - math.fsum(terms[order])
-        if raw < -_VERIFY_BAND or raw > 1.0 + _VERIFY_BAND:
-            raise NumericFailure(
-                f"closed-form factor left the verification band: "
-                f"f({j},{k},{M})({t}) = {raw}"
-            )
-        out[idx] = min(1.0, max(0.0, raw))
-    return out, curve
-
-
 def f_closed(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndarray:
-    """Closed-form error factor; monotone in ``tau``, saturating at 1.
+    """Error factor ``f_{j,k,M}(tau)``; monotone in ``tau``, saturating at 1.
 
-    ``1 - (M-1) Gamma(k + j/(M-1)) / ((k-1)! Gamma(j/(M-1)))
-    * sum_l (-1)^l C(k-1, l) exp(-(l(M-1)+j) tau) / (l(M-1)+j)``.
-
-    The alternating sum is accumulated exactly (sorted, then ``math.fsum``);
-    if the raw value leaves ``[-1e-8, 1 + 1e-8]`` the cancellation has
-    destroyed the result and a :class:`NumericFailure` asks the caller to use
-    :func:`f_quadrature` instead.
+    The paper's sum ``1 - (M-1) Gamma(k + a) / ((k-1)! Gamma(a))
+    sum_l (-1)^l C(k-1, l) exp(-(l(M-1)+j) tau) / (l(M-1)+j)``, ``a = j/(M-1)``,
+    is the distribution function of a sum of independent exponential times
+    with rates ``j + l(M-1)``, l < k: the law of ``-log`` of a ``Beta(a, k)``
+    variable in units of ``M-1``.  So with ``s = (M-1) tau``
+    ``f = I_{1-e^-s}(k, a) = 1 - I_{e^-s}(a, k)`` (DLMF 8.17), evaluated
+    without cancellation; each branch takes the argument that is at most 1/2.
     """
-    out, _ = _closed_curve(j, k, M, tau)
-    return out if np.ndim(tau) else float(out[0])
+    _validate_fjk(j, k, M)
+    taus = np.asarray(tau, dtype=float)
+    if not np.all(taus >= 0):
+        raise ValidationError("tau must be non-negative")
+    s = (M - 1) * taus
+    a = j / (M - 1)
+    vals = np.where(
+        s <= math.log(2.0), betainc(k, a, -np.expm1(-s)), betaincc(a, k, np.exp(-s))
+    )
+    return vals if vals.ndim else float(vals)
 
 
 def f_quadrature(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndarray:
@@ -148,27 +110,6 @@ def f_quadrature(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.
     undo = np.empty_like(vals)
     undo[order] = vals
     return undo if np.ndim(tau) else float(undo[0])
-
-
-def f_value(j: int, k: int, M: int, tau: float | np.ndarray) -> float | np.ndarray:
-    """Closed form where its rounding is small, quadrature elsewhere.
-
-    Quadrature replaces the whole curve when :func:`f_closed` leaves its
-    verification band, and single points where the closed form's rounding
-    estimate ``k eps sum_l |term_l|`` exceeds ``_CLOSED_REL_ROUNDING`` times
-    its result: the binomial cancellation at large ``k`` and small ``tau``,
-    which stays inside the absolute band but is wrong in relative terms.
-    """
-    try:
-        closed, terms = _closed_curve(j, k, M, tau)
-    except NumericFailure:
-        return f_quadrature(j, k, M, tau)
-    rounding = k * np.finfo(float).eps * np.abs(terms).sum(axis=1)
-    rough = rounding > _CLOSED_REL_ROUNDING * closed
-    if np.any(rough):
-        taus = np.atleast_1d(np.asarray(tau, dtype=float))
-        closed[rough] = f_quadrature(j, k, M, taus[rough])
-    return closed if np.ndim(tau) else float(closed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +182,7 @@ def component_error_bound(
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")
-    f = f_value(j, k, ode.M, abs(ode.lambda0) * t)
+    f = f_closed(j, k, ode.M, abs(ode.lambda0) * t)
     vals = (unorm / gamma) ** j * R**k * np.asarray(f)
     return vals if vals.ndim else float(vals)
 
@@ -285,7 +226,7 @@ def refined_carleman_order(
     tau = abs(lam0) * T
     for N in range(M + 1, closed):
         k = omega_index(N, M, 1)
-        if R**k * f_value(1, k, M, tau) <= eps:
+        if R**k * f_closed(1, k, M, tau) <= eps:
             return N
     return closed
 
@@ -319,7 +260,7 @@ def maxnorm_error_bound(
     if bracket >= 1.0:
         vals = np.full(t.shape, np.inf)
         return vals if vals.ndim else float("inf")
-    f = f_value(j, k, M, abs(pde.c) * t)
+    f = f_closed(j, k, M, abs(pde.c) * t)
     vals = g_value ** (d * j) * bracket**k * np.asarray(f)
     return vals if vals.ndim else float(vals)
 

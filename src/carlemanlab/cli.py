@@ -549,7 +549,7 @@ def _cmd_bounds(ctx: RunContext) -> None:
     lam = abs(report.lam0)
     for j in sorted(report.eta_bounds):
         k = bd.omega_index(report.N, ode.M, j)
-        f_vals = np.asarray(bd.f_value(j, k, ode.M, lam * report.times))
+        f_vals = np.asarray(bd.f_closed(j, k, ode.M, lam * report.times))
         for t, f_val, bound in zip(report.times, f_vals, report.eta_bounds[j]):
             rows.append([t, j, k, float(f_val), float(bound)])
     write_csv(
@@ -577,16 +577,21 @@ def _cmd_pde(ctx: RunContext) -> None:
         payload["results"]["required_grid_points"] = None
         payload["results"]["required_grid_points_note"] = str(exc)
     if problem.c < 0:
-        N = resolve_order(numerics, ode)
-        g_value = st.g_kappa(problem.k)
-        maxnorm_T = bd.maxnorm_error_bound(problem, N, 1, problem.T, g_value)
-        payload["results"]["maxnorm_bound"] = {
-            "N": N,
-            "g_kappa": g_value,
-            "eta1_at_T": None if np.isinf(maxnorm_T) else float(maxnorm_T),
-            "converges_in_N": bool(np.isfinite(maxnorm_T)),
-            "note": "heuristic: presumes a non-increasing max-norm",
-        }
+        try:
+            N = resolve_order(numerics, ode)
+        except ValidationError as exc:
+            # R >= 1 with no N given: the max-norm verdicts above still stand
+            payload["results"]["maxnorm_bound"] = {"N": None, "note": str(exc)}
+        else:
+            g_value = st.g_kappa(problem.k)
+            maxnorm_T = bd.maxnorm_error_bound(problem, N, 1, problem.T, g_value)
+            payload["results"]["maxnorm_bound"] = {
+                "N": N,
+                "g_kappa": g_value,
+                "eta1_at_T": None if np.isinf(maxnorm_T) else float(maxnorm_T),
+                "converges_in_N": bool(np.isfinite(maxnorm_T)),
+                "note": "heuristic: presumes a non-increasing max-norm",
+            }
     write_json(ctx.path("stability.json"), payload, ctx.digest, ctx.config)
     write_json(ctx.path("ode_config.json"), {"ode": ode_to_config(ode)}, ctx.digest, ctx.config)
 
@@ -683,6 +688,12 @@ def _cmd_sweep(ctx: RunContext) -> None:
         if axis.get("name") not in _SWEEP_AXES:
             raise ValidationError(
                 f"unknown sweep axis {axis.get('name')!r}; known: {sorted(_SWEEP_AXES)}"
+            )
+        section = _SWEEP_AXES[axis["name"]][0]
+        if section != "numerics" and section not in ctx.config:
+            raise ValidationError(
+                f"sweep axis {axis['name']!r} sets a {section!r} key, but the config has no "
+                f"{section!r} section"
             )
         if not isinstance(axis.get("values"), list):
             raise ValidationError(f"sweep axis {axis['name']!r} needs a list of 'values'")

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from carlemanlab.bounds import (
     component_error_bound,
     f_closed,
     f_quadrature,
-    f_value,
     global_error_bound,
     make_bound_report,
     maxnorm_error_bound,
@@ -50,6 +50,8 @@ class TestErrorFactorIdentities:
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             f_closed(1, 1, 2, -0.5)
+        with pytest.raises(ValidationError):
+            f_closed(1, 1, 2, np.array([0.5, np.nan]))
 
 
 class TestOraclePair:
@@ -103,8 +105,8 @@ class TestOraclePair:
             pytest.param(tau, k, quad_rel, id=f"{tau}-{k}")
             for tau, k, quad_rel in [
                 (1.0, 20, 1e-9), (1.0, 30, 1e-9), (2.0, 20, 1e-9), (2.0, 30, 1e-9),
-                # small tau, where the float closed form cancels: 72 % low at
-                # (0.5, 25), 480x high at (0.5, 30), 85 % high at (0.2, 15)
+                # small tau, where a float evaluation of the alternating sum
+                # cancels: 72 % low at (0.5, 25), 480x high at (0.5, 30)
                 (0.5, 25, 1e-8), (0.5, 30, 1e-8), (0.2, 15, 1e-8),
             ]
         ],
@@ -123,13 +125,54 @@ class TestOraclePair:
             )
             exact = float(1 - lead * total)
         assert f_quadrature(j, k, 2, tau) == pytest.approx(exact, rel=quad_rel)
-        assert f_value(j, k, 2, tau) == pytest.approx(exact, rel=1e-6)
+        assert f_closed(j, k, 2, tau) == pytest.approx(exact, rel=1e-12)
 
-    def test_fallback_engages_on_cancellation(self):
-        # deep alternating sums at tiny tau destroy the closed form
+    def test_closed_form_matches_exact_paper_sum(self):
+        # the paper's alternating sum with exact rational coefficients, summed
+        # in decimal at 30 digits beyond those its cancellation and the size
+        # of f take.  No rate is below j, so f is at least the Erlang law at
+        # rate j, f >= e^{-j tau} (j tau)^k / k!, and the precision is sized
+        # from that floor rather than from f_closed
+        worst = 0.0
+        for j in (1, 2, 5):
+            for k in (1, 2, 5, 13, 30, 60):
+                for M in (2, 3, 4):
+                    a = Fraction(j, M - 1)
+                    lead = Fraction(M - 1) / math.factorial(k - 1)
+                    for i in range(k):
+                        lead *= a + i
+                    coefs = [
+                        lead * (-1) ** ell * math.comb(k - 1, ell) / (ell * (M - 1) + j)
+                        for ell in range(k)
+                    ]
+                    sum_digits = len(str(math.ceil(sum(abs(c) for c in coefs))))
+                    for tau in (1e-3, 0.02, 0.2, 0.5, 2.0, 13.3, 30.0):
+                        log10_floor = (
+                            k * math.log10(j * tau) - j * tau / math.log(10)
+                            - math.lgamma(k + 1) / math.log(10)
+                        )
+                        with localcontext() as ctx:
+                            ctx.prec = 30 + sum_digits + max(0, math.ceil(-log10_floor))
+                            total = sum(
+                                Decimal(c.numerator) / Decimal(c.denominator)
+                                * (-(ell * (M - 1) + j) * Decimal(tau)).exp()
+                                for ell, c in enumerate(coefs)
+                            )
+                            exact = float(1 - total)
+                        worst = max(worst, abs(f_closed(j, k, M, tau) - exact) / exact)
+        assert worst <= 1e-13
+
+    def test_complement_branch_where_the_argument_rounds_to_one(self):
+        # 1 - e^{-s} rounds to 1 here while (1-x)^a still moves f
+        assert f_closed(1, 60, 4, 13.33521432163324) == pytest.approx(
+            0.999992926072433, rel=1e-14
+        )
+
+    def test_closed_form_exact_where_the_sum_cancels(self):
+        # deep alternating sums at tiny tau destroy a float evaluation of the sum
         j, k, M, tau = 1, 18, 2, 1e-3
-        exact = (1.0 - np.exp(-tau)) ** k
-        assert f_value(j, k, M, tau) == pytest.approx(exact, abs=1e-10)
+        exact = (-np.expm1(-tau)) ** k
+        assert f_closed(j, k, M, tau) == pytest.approx(exact, rel=1e-13)
 
 
 class TestOmegaSets:
@@ -208,8 +251,8 @@ class TestComponentBound:
         with pytest.raises(ValidationError, match="R < 1"):
             component_error_bound(ode, 4, 1, 1.0)
 
-    def test_deep_order_falls_back_to_quadrature(self, bernoulli_ode):
-        # N = 30 puts level 1 at k = 30, where the closed form leaves its band
+    def test_deep_order_bound_is_finite_and_in_range(self, bernoulli_ode):
+        # N = 30 puts level 1 at k = 30, where the alternating sum cancels in floats
         N = 30
         vals = np.asarray(component_error_bound(bernoulli_ode, N, 1, np.linspace(0.0, 1.0, 101)))
         assert np.all(np.isfinite(vals))
@@ -249,7 +292,7 @@ class TestOrderSelection:
         eps = 0.01
         N = refined_carleman_order(0.5, 2, eps, -1.0, 1.0)
         k = omega_index(N, 2, 1)
-        assert 0.5**k * f_value(1, k, 2, 1.0) <= eps
+        assert 0.5**k * f_closed(1, k, 2, 1.0) <= eps
 
 
 class TestMaxNormBound:
@@ -258,7 +301,7 @@ class TestMaxNormBound:
         got = maxnorm_error_bound(demo_pde, 4, 1, t, 1.0)
         k = omega_index(4, demo_pde.M, 1)
         base = abs(demo_pde.b) / abs(demo_pde.c) * demo_pde.initial_max_norm()
-        want = base**k * f_value(1, k, 2, abs(demo_pde.c) * t)
+        want = base**k * f_closed(1, k, 2, abs(demo_pde.c) * t)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_zero_time(self, demo_pde):

@@ -272,6 +272,29 @@ class TestPdeCommand:
         note = results["required_grid_points_note"]
         assert "k=1" in note and "d=2" in note
 
+    def test_max_norm_verdict_is_written_where_r_exceeds_one(self, tmp_path):
+        # the abstract's conflict: at amplitude 1 the 2-norm ratio R = 1.73 admits
+        # no order, while the max-norm criterion holds (lhs 0.5)
+        config = json.loads((CONFIGS / "demo_pde_k4.json").read_text())
+        config["pde"]["initial"]["amplitude"] = 1.0
+        assert run_config(config, tmp_path) == 0
+        results = json.loads((tmp_path / "demo_pde_k4_stability.json").read_text())["results"]
+        assert results["stability"]["pde_max_norm"]["ok"] is True
+        assert results["stability"]["ode_two_norm"]["ok"] is False
+        maxnorm = results["maxnorm_bound"]
+        assert maxnorm["N"] is None and "0 < R < 1" in maxnorm["note"]
+        assert (tmp_path / "demo_pde_k4_ode_config.json").exists()
+
+    def test_explicit_order_is_used_where_r_exceeds_one(self, tmp_path):
+        config = json.loads((CONFIGS / "demo_pde_k4.json").read_text())
+        config["pde"]["initial"]["amplitude"] = 1.0
+        config["numerics"]["N"] = 5
+        assert run_config(config, tmp_path) == 0
+        results = json.loads((tmp_path / "demo_pde_k4_stability.json").read_text())["results"]
+        maxnorm = results["maxnorm_bound"]
+        assert maxnorm["N"] == 5
+        assert np.isfinite(maxnorm["eta1_at_T"])
+
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))
         del broken["pde"]["c"]
@@ -527,6 +550,14 @@ class TestSweepCommand:
         errs = [float(row[header.index("measured_error_T")]) for row in rows]
         assert max(errs) - min(errs) <= 1e-10 * max(errs)
         assert len({row[header.index("component_bound_j1_T")] for row in rows}) == 1
+
+    def test_axis_of_an_absent_section_rejected(self, tmp_path, capsys):
+        # a grid-size axis on an ODE config names itself and the missing section
+        config = {**ODE_COUPLED, "command": "sweep", "axes": [{"name": "m", "values": [8]}]}
+        assert run_config(config, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "sweep axis 'm'" in err and "no 'pde' section" in err
+        assert not list(tmp_path.glob("ode_coupled_*"))
 
     def test_repeated_axis_rejected(self, tmp_path, capsys):
         config = json.loads(json.dumps(BERNOULLI))
