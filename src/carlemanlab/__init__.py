@@ -42,7 +42,6 @@ from .nonlinear_ode import (
     rescale,
 )
 from .pde import (
-    DiscretisationErrorInputs,
     FourierForm,
     ReactionDiffusionProblem,
     discretisation_error_bound,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -20,9 +19,7 @@ from scipy.special import betainc, betaincc
 
 from .errors import NumericFailure, ValidationError
 from .nonlinear_ode import NonlinearODE, max_stable_gamma, r_ratio
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .pde import ReactionDiffusionProblem
+from .pde import ReactionDiffusionProblem, max_norm_rate
 
 #: largest tower depth ``k`` for the quadrature route.  The route does not
 #: recurse: it integrates one k-dimensional linear ODE in a single DOP853
@@ -232,7 +229,7 @@ def refined_carleman_order(
 
 
 def maxnorm_error_bound(
-    pde: "ReactionDiffusionProblem",
+    pde: ReactionDiffusionProblem,
     N: int,
     j: int,
     t: float | np.ndarray,
@@ -240,7 +237,7 @@ def maxnorm_error_bound(
 ) -> float | np.ndarray:
     """Max-norm variant of the per-level bound for discretised diffusion.
 
-    ``G^(d j) ((|FM|_inf / |c|) |u_in|_max^(M-1) G^(d M))^k f_{j,k,M}(|c| t)``
+    ``G^(d j) ((|b| / |c|) |u_in|_max^(M-1) G^(d M))^k f_{j,k,M}(|c| t)``
     with ``G`` the semigroup infinity-norm peak.  Heuristic: it presumes the
     max-norm of the solution does not grow, which high-order stencils only
     approximately satisfy, so this value is reported but never hard-asserted.
@@ -252,8 +249,7 @@ def maxnorm_error_bound(
         raise ValidationError(f"semigroup peak must be >= 1, got {g_value}")
     M, d = pde.M, pde.d
     k = omega_index(N, M, j)
-    u_max = pde.initial_max_norm()
-    bracket = (abs(pde.b) / abs(pde.c)) * u_max ** (M - 1) * g_value ** (d * M)
+    bracket = max_norm_rate(pde) / abs(pde.c) * g_value ** (d * M)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")

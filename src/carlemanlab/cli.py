@@ -565,13 +565,11 @@ def _cmd_pde(ctx: RunContext) -> None:
     numerics = ctx.numerics
     report = rd.stability_report(problem)
     payload: dict[str, Any] = {"results": {"stability": report.as_dict()}}
-    inputs = rd.DiscretisationErrorInputs(
-        derivative_bound=rd.estimate_derivative_bound(problem)
-    )
-    payload["results"]["derivative_bound_estimate"] = inputs.derivative_bound
+    derivative_bound = rd.estimate_derivative_bound(problem)
+    payload["results"]["derivative_bound_estimate"] = derivative_bound
     try:
         payload["results"]["required_grid_points"] = rd.required_grid_points(
-            problem, inputs, numerics["epsilon"]
+            problem, derivative_bound, numerics["epsilon"]
         )
     except ValidationError as exc:
         payload["results"]["required_grid_points"] = None

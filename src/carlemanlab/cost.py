@@ -76,8 +76,14 @@ def amplification_factor(
         if abs(gamma - gamma_max) <= 1e-12 * gamma_max:
             return ratio / math.sqrt(1.0 - R ** (2.0 / (M - 1)))
     r = u_in_norm / gamma
-    geometric = float((r ** (2.0 * np.arange(N))).sum())
-    return math.sqrt(geometric) * ratio
+    if r <= 1:
+        return math.sqrt(float((r ** (2.0 * np.arange(N))).sum())) * ratio
+    # r^(N-1) sqrt(sum_l r^(-2l)), in logs: the sum of r^(2l) overflows long before the factor
+    tail = float((r ** (-2.0 * np.arange(N))).sum())
+    try:
+        return math.exp((N - 1) * math.log(r) + 0.5 * math.log(tail) + math.log(ratio))
+    except OverflowError:
+        return math.inf
 
 
 def ode_cost_estimate(

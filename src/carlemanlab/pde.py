@@ -89,22 +89,14 @@ class ReactionDiffusionProblem:
         return float(np.abs(self.initial_grid()).max())
 
 
-@dataclass(frozen=True)
-class DiscretisationErrorInputs:
-    """Derivative data entering the spatial error bound.
+def max_norm_rate(pde: ReactionDiffusionProblem) -> float:
+    """``|b| |u_in|_max^(M-1)``: the nonlinearity's growth rate in the max-norm.
 
-    ``derivative_bound`` is the summed supremum of the (2k+1)-st directional
-    derivatives of the solution; supply it or estimate it from the initial
-    condition with :func:`estimate_derivative_bound`.
+    Every max-norm criterion reads it against ``|c|``: the continuum verdict
+    of :func:`stability_report`, the spatial error bound's hypothesis and
+    :func:`carlemanlab.bounds.maxnorm_error_bound`.
     """
-
-    derivative_bound: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.derivative_bound) or self.derivative_bound < 0:
-            raise ValidationError(
-                f"derivative bound must be finite and non-negative, got {self.derivative_bound}"
-            )
+    return abs(pde.b) * pde.initial_max_norm() ** (pde.M - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +349,7 @@ class StabilityReport:
     """Four verdicts with their numeric margins.
 
     * ``pde_max_norm``: max-norm criterion of the continuum problem,
-      ``|u_in|_max^(M-1) b / |c| < 1``.
+      ``|b| |u_in|_max^(M-1) / |c| < 1``.
     * ``ode_two_norm``: the discretised contraction requirement ``R < 1``.
     * ``discretisation``: the strengthened hypothesis
       ``|c| > M |b| |u_in|_max^(M-1)`` behind the spatial error bound.
@@ -406,12 +398,12 @@ class StabilityReport:
 def stability_report(pde: ReactionDiffusionProblem) -> StabilityReport:
     """Evaluate all stability criteria for a problem and its discretisation."""
     ode = discretize(pde)
-    u_max = pde.initial_max_norm()
+    rate = max_norm_rate(pde)
     u_two = float(np.linalg.norm(ode.u_in))
-    max_norm_lhs = u_max ** (pde.M - 1) * pde.b / abs(pde.c) if pde.c != 0 else np.inf
+    max_norm_lhs = rate / abs(pde.c) if pde.c != 0 else np.inf
     R = r_ratio(ode)
     disc_lhs = abs(pde.c)
-    disc_rhs = pde.M * abs(pde.b) * u_max ** (pde.M - 1)
+    disc_rhs = pde.M * rate
     gamma_max = max_stable_gamma(ode)
     return StabilityReport(
         max_norm_lhs=float(max_norm_lhs),
@@ -431,9 +423,13 @@ def stability_report(pde: ReactionDiffusionProblem) -> StabilityReport:
 # spatial error
 # ---------------------------------------------------------------------------
 
-def _decay_margin(pde: ReactionDiffusionProblem) -> float:
-    """``|c| - M |b| |u_in|_max^(M-1)``; the bound hypothesis requires it > 0."""
-    margin = abs(pde.c) - pde.M * abs(pde.b) * pde.initial_max_norm() ** (pde.M - 1)
+def _decay_margin(pde: ReactionDiffusionProblem, derivative_bound: float) -> float:
+    """``|c| - M |b| |u_in|_max^(M-1)``; the bound requires it > 0 and a finite bound >= 0."""
+    if not np.isfinite(derivative_bound) or derivative_bound < 0:
+        raise ValidationError(
+            f"derivative bound must be finite and non-negative, got {derivative_bound}"
+        )
+    margin = abs(pde.c) - pde.M * max_norm_rate(pde)
     if pde.c >= 0 or margin <= 0:
         raise ValidationError(
             "spatial error bound requires c < 0 and |c| > M |b| |u_in|_max^(M-1)"
@@ -443,21 +439,23 @@ def _decay_margin(pde: ReactionDiffusionProblem) -> float:
 
 def discretisation_error_bound(
     pde: ReactionDiffusionProblem,
-    inputs: DiscretisationErrorInputs,
+    derivative_bound: float,
     t: float | np.ndarray,
 ) -> float | np.ndarray:
     """Semi-discrete 2-norm error bound, evaluated with unit constant.
 
     ``C sqrt(n) (e/2)^(2k) n^(-(2k-1)/d) (1 - exp(-Z t)) / Z`` with
     ``Z = |c| - M |b| |u_in|_max^(M-1)``; monotone non-decreasing in ``t``.
+    ``C`` is ``derivative_bound``, the summed supremum of the solution's
+    (2k+1)-st directional derivatives (:func:`estimate_derivative_bound`).
     """
-    margin = _decay_margin(pde)
+    margin = _decay_margin(pde, derivative_bound)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")
     n = pde.n
     prefactor = (
-        inputs.derivative_bound
+        derivative_bound
         * math.sqrt(n)
         * (math.e / 2.0) ** (2 * pde.k)
         * n ** (-(2 * pde.k - 1) / pde.d)
@@ -468,7 +466,7 @@ def discretisation_error_bound(
 
 def required_grid_points(
     pde: ReactionDiffusionProblem,
-    inputs: DiscretisationErrorInputs,
+    derivative_bound: float,
     eps: float,
 ) -> int:
     """Grid size whose spatial error bound stays below ``eps`` at all times.
@@ -480,17 +478,22 @@ def required_grid_points(
     """
     if eps <= 0:
         raise ValidationError("target error must be positive")
-    margin = _decay_margin(pde)
+    margin = _decay_margin(pde, derivative_bound)
     k, d = pde.k, pde.d
     if 2 * (2 * k - 1) <= d:
         raise ValidationError(
             f"stencil order k={k} too low for dimension d={d}: "
             "the 2-norm error bound does not decrease with n"
         )
-    base = inputs.derivative_bound * (math.e / 2.0) ** (2 * k) / (margin * eps)
+    base = derivative_bound * (math.e / 2.0) ** (2 * k) / (margin * eps)
     exponent = 2.0 * d / (2.0 * (2 * k - 1) - d)
-    n_raw = base**exponent
-    m = max(math.ceil(n_raw ** (1.0 / d)), 2 * k + 1)
+    try:
+        root = (base**exponent) ** (1.0 / d)
+    except OverflowError:
+        root = math.inf
+    if not math.isfinite(root):
+        raise ValidationError(f"target error {eps} needs more grid points than a float holds")
+    m = max(math.ceil(root), 2 * k + 1)
     return m**d
 
 

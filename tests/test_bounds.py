@@ -1,6 +1,7 @@
 """Error-factor identities, oracle equivalence, bound formulas, order selection."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -303,6 +304,8 @@ class TestMaxNormBound:
         base = abs(demo_pde.b) / abs(demo_pde.c) * demo_pde.initial_max_norm()
         want = base**k * f_closed(1, k, 2, abs(demo_pde.c) * t)
         assert got == pytest.approx(want, rel=1e-10)
+        # the bracket reads |b|, so the mirrored nonlinearity has the same bound
+        assert maxnorm_error_bound(replace(demo_pde, b=-demo_pde.b), 4, 1, t, 1.0) == got
 
     def test_zero_time(self, demo_pde):
         assert maxnorm_error_bound(demo_pde, 4, 1, 0.0, 1.004) <= 1e-12

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,18 @@ class TestPdeCommand:
         maxnorm = results["maxnorm_bound"]
         assert maxnorm["N"] == 5
         assert np.isfinite(maxnorm["eta1_at_T"])
+
+    @pytest.mark.parametrize("eps", [1e-200, 1e-320])
+    def test_grid_past_the_float_range_is_a_note(self, tmp_path, eps):
+        # the second-order stencil's grid for these eps is past the float range:
+        # the run writes its verdicts and names the refusal instead of crashing
+        config = json.loads((CONFIGS / "demo_pde_k4.json").read_text())
+        config["pde"].update(k=1, m=16)
+        config["numerics"]["epsilon"] = eps
+        assert run_config(config, tmp_path) == 0
+        results = json.loads((tmp_path / "demo_pde_k4_stability.json").read_text())["results"]
+        assert results["required_grid_points"] is None
+        assert "more grid points than a float holds" in results["required_grid_points_note"]
 
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))
@@ -654,6 +667,17 @@ class TestLinearizeAndCost:
             results = json.loads((tmp_path / f"ode_coupled_{command}.json").read_text())["results"]
             orders[command] = results["N"] if command == "bounds" else results["estimate"]["N"]
         assert orders == {"bounds": 4, "cost": 4}
+
+    def test_cost_amplification_is_finite_where_its_sum_overflows(self, tmp_path):
+        # gamma = 0.01 puts r = |u_in| / gamma at 37.4: the sum of r^(2l)
+        # leaves the float range, the factor (8.8e234) does not
+        config = {**ODE_COUPLED, "command": "cost", "numerics": {"N": 150, "gamma": 0.01}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_config(config, tmp_path) == 0
+        est = json.loads((tmp_path / "ode_coupled_cost.json").read_text())["results"]["estimate"]
+        assert est["amplification"] == pytest.approx(8.768e234, rel=1e-3)
+        assert np.isfinite(est["calls_block_encoding"])
 
     def test_pde_cost_takes_the_closed_form_at_gamma_max(self, tmp_path):
         config = json.loads(json.dumps(PDE_DEMO))

@@ -1,7 +1,9 @@
 """Amplification factors, call-count estimates, prior-work evaluators."""
 
 import math
+import warnings
 from dataclasses import asdict, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -67,6 +69,23 @@ class TestAmplificationFactor:
         assert abs(right - target) <= 1e-7
         exact = amplification_factor(1.0, 1.0, 1.0, N, 2)
         assert abs(exact - target) <= 1e-8
+
+    def test_large_ratio_is_finite_where_the_sum_overflows(self):
+        # r = 37 at N = 150: the sum of r^(2l) leaves the float range, the
+        # factor (1.70e235) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = amplification_factor(37.0, 1.0, 1.0, 150, 2)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            r = Decimal(37)
+            want = float(sum(r ** (2 * l) for l in range(150)).sqrt() * r)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_factor_past_the_float_range_is_infinite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert amplification_factor(10.0, 1.0, 1.0, 400, 2) == math.inf
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):

@@ -22,7 +22,6 @@ from carlemanlab.nonlinear_ode import (
     reference_solve,
 )
 from carlemanlab.pde import (
-    DiscretisationErrorInputs,
     ReactionDiffusionProblem,
     discretisation_error_bound,
     discretize,
@@ -218,35 +217,50 @@ class TestStabilityReport:
         assert not report.ode_two_norm
         assert not report.all_pass
 
+    def test_sign_of_the_nonlinearity_changes_no_verdict(self):
+        # every criterion reads |b|: the max-norm verdict as R and the spatial
+        # error hypothesis do
+        pde = make_pde(m=64, k=1, b=1.0, initial=flat_profile(1.0))
+        mirror = make_pde(m=64, k=1, b=-1.0, initial=flat_profile(1.0))
+        assert stability_report(mirror).as_dict() == stability_report(pde).as_dict()
+
 
 class TestDiscretisationErrorBound:
-    INPUTS = DiscretisationErrorInputs(derivative_bound=10.0)
+    DERIVATIVE_BOUND = 10.0
 
     def test_zero_time(self, demo_pde):
-        assert discretisation_error_bound(demo_pde, self.INPUTS, 0.0) == 0.0
+        assert discretisation_error_bound(demo_pde, self.DERIVATIVE_BOUND, 0.0) == 0.0
 
     def test_monotone_in_time(self, demo_pde):
         times = np.linspace(0.0, 5.0, 50)
-        vals = np.asarray(discretisation_error_bound(demo_pde, self.INPUTS, times))
+        vals = np.asarray(discretisation_error_bound(demo_pde, self.DERIVATIVE_BOUND, times))
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_linear_limit_matches_closed_form(self):
         pde = make_pde(b=0.0)
-        late = discretisation_error_bound(pde, self.INPUTS, 1e9)
+        late = discretisation_error_bound(pde, self.DERIVATIVE_BOUND, 1e9)
         n = pde.n
         want = 10.0 * np.sqrt(n) * (np.e / 2) ** 4 * n ** (-3.0) / 2.0
         assert late == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_grid_doubling_ratio(self, k):
-        a = discretisation_error_bound(make_pde(m=32, k=k), self.INPUTS, 1.0)
-        b = discretisation_error_bound(make_pde(m=64, k=k), self.INPUTS, 1.0)
+        a = discretisation_error_bound(make_pde(m=32, k=k), self.DERIVATIVE_BOUND, 1.0)
+        b = discretisation_error_bound(make_pde(m=64, k=k), self.DERIVATIVE_BOUND, 1.0)
         assert a / b == pytest.approx(2 ** ((2 * k - 1) - 0.5), rel=1e-12)
 
     def test_hypothesis_violation_rejected(self):
         weak = make_pde(c=-0.5, b=1.0, initial=flat_profile(1.0))
         with pytest.raises(ValidationError):
-            discretisation_error_bound(weak, self.INPUTS, 1.0)
+            discretisation_error_bound(weak, self.DERIVATIVE_BOUND, 1.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_derivative_bound_must_be_finite_and_non_negative(self, demo_pde, bad):
+        message = "derivative bound must be finite and non-negative"
+        with pytest.raises(ValidationError, match=message):
+            discretisation_error_bound(demo_pde, bad, 1.0)
+        with pytest.raises(ValidationError, match=message):
+            required_grid_points(demo_pde, bad, 0.1)
 
 
 class TestRequiredGridPoints:
@@ -256,23 +270,31 @@ class TestRequiredGridPoints:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_plug_back(self, k):
-        inputs = DiscretisationErrorInputs(derivative_bound=2.0)
+        derivative_bound = 2.0
         pde = make_pde(k=k, initial=flat_profile(0.5), b=0.25)
         eps = 0.5
-        n = required_grid_points(pde, inputs, eps)
+        n = required_grid_points(pde, derivative_bound, eps)
         refined = make_pde(k=k, m=n, initial=flat_profile(0.5), b=0.25)
-        worst = discretisation_error_bound(refined, inputs, 1e9)
+        worst = discretisation_error_bound(refined, derivative_bound, 1e9)
         assert worst <= eps * (1 + 1e-12)
 
     def test_minimum_stencil_support(self):
-        inputs = DiscretisationErrorInputs(derivative_bound=1e-12)
+        derivative_bound = 1e-12
         pde = make_pde(k=3, initial=flat_profile(0.5), b=0.25)
-        assert required_grid_points(pde, inputs, 0.9) >= 7
+        assert required_grid_points(pde, derivative_bound, 0.9) >= 7
+
+    @pytest.mark.parametrize("eps", [1e-200, 1e-320])
+    def test_grid_past_the_float_range_refused(self, eps):
+        # k = 1 raises the bound's base to the power 2: at 1e-200 that power
+        # overflows, at 1e-320 the base itself is infinite
+        pde = make_pde(k=1, m=16, b=0.5)
+        with pytest.raises(ValidationError, match="more grid points than a float holds"):
+            required_grid_points(pde, estimate_derivative_bound(pde), eps)
 
     def test_low_order_high_dimension_rejected(self):
         pde = make_pde(k=1, d=2, m=9, initial=lambda x: 0.5 + 0.0 * x[:, 0])
         with pytest.raises(ValidationError, match="too low"):
-            required_grid_points(pde, DiscretisationErrorInputs(derivative_bound=1.0), 0.1)
+            required_grid_points(pde, 1.0, 0.1)
 
     def test_matched_grid_consistency(self):
         # matching max-norm errors between orders reproduces the k=1 level
