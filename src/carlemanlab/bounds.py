@@ -10,6 +10,7 @@ nested-integral recurrence instead and is kept as its independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -180,8 +181,19 @@ def component_error_bound(
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")
     f = f_closed(j, k, ode.M, abs(ode.lambda0) * t)
-    vals = (unorm / gamma) ** j * R**k * np.asarray(f)
+    scale = (unorm / gamma) ** j
+    vals = scale * R**k * np.asarray(f)
+    if R > 0:
+        vals = _floor_underflow(vals, t, scale)
     return vals if vals.ndim else float(vals)
+
+
+def _floor_underflow(vals: np.ndarray, t: np.ndarray, scale: float) -> np.ndarray:
+    """``vals`` with each underflowed value at ``t > 0`` (0.0 claims no error, a
+    subnormal one too little) raised to ``sys.float_info.min * max(1, scale)``: every
+    factor is positive there and each but ``scale`` at most 1, so the floor still bounds."""
+    low = (t > 0) & (vals < sys.float_info.min)
+    return np.where(low, sys.float_info.min * max(1.0, scale), vals)
 
 
 def required_carleman_order(R: float, M: int, eps: float) -> int:
@@ -257,7 +269,10 @@ def maxnorm_error_bound(
         vals = np.full(t.shape, np.inf)
         return vals if vals.ndim else float("inf")
     f = f_closed(j, k, M, abs(pde.c) * t)
-    vals = g_value ** (d * j) * bracket**k * np.asarray(f)
+    scale = g_value ** (d * j)
+    vals = scale * bracket**k * np.asarray(f)
+    if bracket > 0:
+        vals = _floor_underflow(vals, t, scale)
     return vals if vals.ndim else float(vals)
 
 

@@ -435,7 +435,7 @@ def _cmd_linearize(ctx: RunContext) -> None:
         payload["results"]["max_row_nonzeros"] = mat.sparsity_count()
     if problem is not None:
         payload["results"]["lambda_carleman"] = carl.lambda_value(
-            N, ode.M, gamma, ct.pde_lambda_f1(problem), abs(problem.b)
+            N, ode.M, gamma, ct.pde_lambda_f1(problem), ode.fm_norm
         )
     write_json(ctx.path("linearize.json"), payload, ctx.digest, ctx.config)
 
@@ -603,20 +603,9 @@ def _cmd_cost(ctx: RunContext) -> None:
         if numerics["gamma"] is not None:
             raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
         estimate = ct.pde_cost_estimate(problem, N, eps)
-        comparison = ct.prior_work_comparison(
-            estimate, problem.T, eps, ct.pde_lambda_f1(problem), abs(problem.b),
-            M=problem.M, n=problem.n, decay=abs(problem.c), diffusion=problem.diffusion,
-            d=problem.d, sparsity=2 * problem.k + 1,
-        )
     else:
-        estimate = ct.ode_cost_estimate(
-            ode, resolve_gamma(numerics, ode), N, eps, ode.f1_norm, ode.fm_norm
-        )
-        # a generic ODE keeps the defaults diffusion = 1, d = 1 and sparsity = 3
-        comparison = ct.prior_work_comparison(
-            estimate, ode.T, eps, ode.f1_norm, ode.fm_norm,
-            M=ode.M, n=ode.n, decay=abs(ode.lambda0),
-        )
+        estimate = ct.ode_cost_estimate(ode, resolve_gamma(numerics, ode), N, eps)
+    comparison = ct.prior_work_comparison(estimate, ode, eps, problem)
     payload = {
         "results": {
             "estimate": asdict(estimate),

@@ -91,25 +91,25 @@ def ode_cost_estimate(
     gamma: float,
     N: int,
     eps: float,
-    lam_f1: float,
-    lam_fm: float,
+    pde: Optional[ReactionDiffusionProblem] = None,
     u_T_norm: Optional[float] = None,
 ) -> CostEstimate:
     """Call counts for solving one nonlinear ODE instance at truncation order
     ``N`` to error ``eps`` by its horizon ``T``.
 
+    ``pde`` is the problem ``ode`` discretises, if any, as :func:`~carlemanlab.cli.resolve_problem`
+    pairs them; it sets ``lam_f1`` (:func:`_lambda_f1`), and ``lam_fm`` is ``|FM|``.
     The block-encoding count scales as ``amp * lambda * T * log(N/eps) *
     log(N lam_f1 T / eps)``, state preparation carries one extra factor of N
     in place of the last log, and the gate overhead adds ``N M log n`` on top
     of a squared log.
     """
-    if lam_f1 <= 0 or lam_fm < 0:
-        raise ValidationError("subnormalisation inputs must be positive (lam_fm >= 0)")
-    R = r_ratio(ode)
+    R = r_ratio(ode)  # refuses lambda0 >= 0, so F1 is nonzero and lam_f1 > 0
     if R >= 1:
         raise ValidationError(f"cost model requires R < 1, got {R}")
     T = ode.T
-    lam_carleman = lambda_value(N, ode.M, gamma, lam_f1, lam_fm)
+    lam_f1 = _lambda_f1(ode, pde)
+    lam_carleman = lambda_value(N, ode.M, gamma, lam_f1, ode.fm_norm)
     u_in_norm = float(np.linalg.norm(ode.u_in))
     assumptions = ["leading-order: unit constants, natural logs clamped at 1"]
     if u_T_norm is None:
@@ -150,6 +150,11 @@ def pde_lambda_f1(pde: ReactionDiffusionProblem) -> float:
     return abs(pde.c) + pde.d * pde.diffusion * pde.m**2 * float(table.one_sided_abs_sum)
 
 
+def _lambda_f1(ode: NonlinearODE, pde: Optional[ReactionDiffusionProblem]) -> float:
+    """The shift-expansion encoding's ``lam_f1`` when ``pde`` is given, else ``|F1|``."""
+    return ode.f1_norm if pde is None else pde_lambda_f1(pde)
+
+
 def pde_cost_estimate(
     pde: ReactionDiffusionProblem,
     N: int,
@@ -158,10 +163,7 @@ def pde_cost_estimate(
 ) -> CostEstimate:
     """Cost of the discretised reaction-diffusion solve at order ``N`` and ``gamma = gamma_max``."""
     ode = discretize(pde)
-    lam_f1 = pde_lambda_f1(pde)
-    lam_fm = abs(pde.b)
-    gamma = max_stable_gamma(ode)
-    est = ode_cost_estimate(ode, gamma, N, eps, lam_f1, lam_fm, u_T_norm=u_T_norm)
+    est = ode_cost_estimate(ode, max_stable_gamma(ode), N, eps, pde, u_T_norm=u_T_norm)
     est.assumptions.append("gamma set to the stability limit gamma_max")
     return est
 
@@ -180,33 +182,33 @@ class PriorWorkRow:
 
 def prior_work_comparison(
     estimate: CostEstimate,
-    T: float,
+    ode: NonlinearODE,
     eps: float,
-    lam_f1: float,
-    fm_norm: float,
-    M: int,
-    n: int,
-    decay: float,
-    diffusion: float = 1.0,
-    d: int = 1,
-    sparsity: int = 3,
+    pde: Optional[ReactionDiffusionProblem] = None,
 ) -> list[PriorWorkRow]:
-    """Evaluate earlier complexity formulas next to the present ``estimate``.
+    """Evaluate earlier complexity formulas next to the present ``estimate`` of ``ode``.
 
-    The first row is ``estimate``'s own block-encoding count; the others
-    take its ``N``, ``|u_in|`` and ``|u(T)|``.  Poly-log factors are
-    instantiated with exponent 1 and unit constants, and the Euler-based
-    formula's history-state norm with 1.
+    ``T``, ``|FM|``, ``M``, ``n`` and the decay ``|lambda0|`` come from ``ode``;
+    ``pde`` is the problem ``ode`` discretises, if any, as :func:`~carlemanlab.cli.resolve_problem`
+    pairs them, and sets ``lam_f1``, ``D``, ``d`` and the stencil width ``2k+1``
+    (else ``|F1|``, 1, 1 and 3).  The first row is ``estimate``'s own
+    block-encoding count; the others take its ``N``, ``|u_in|`` and ``|u(T)|``.
+    Poly-log factors are instantiated with exponent 1 and unit constants, and
+    the Euler-based formula's history-state norm with 1.
     The state-norm power ``|u_in|^(2N)`` in the Euler-based formula is
     surfaced explicitly; the order selector of the Taylor-based prior work
     divides by ``log(1/|u_in|)`` and is flagged as undefined at
-    ``|u_in| = 1`` (and for ``|u_in| > 1``).
+    ``|u_in| = 1`` (and for ``|u_in| > 1``).  A formula giving fewer than one
+    call is floored at 1 and flagged.
     """
     u_in_norm, u_T_norm, N = estimate.u_in_norm, estimate.u_T_norm, estimate.N
+    T, fm_norm, M, n, decay = ode.T, ode.fm_norm, ode.M, ode.n, abs(ode.lambda0)
+    lam_f1 = _lambda_f1(ode, pde)
+    diffusion, d, sparsity = (1.0, 1, 3) if pde is None else (pde.diffusion, pde.d, 2 * pde.k + 1)
     rows = [PriorWorkRow(name="this_work", calls=estimate.calls_block_encoding)]
 
     exp_factor = u_in_norm ** (2 * N)
-    polylog = _log_factor(abs(decay) * diffusion * d * M * n ** (1.0 / d) * N * sparsity * T / eps)
+    polylog = _log_factor(decay * diffusion * d * M * n ** (1.0 / d) * N * sparsity * T / eps)
     an_calls = (
         (1.0 / eps)
         * sparsity
@@ -260,4 +262,8 @@ def prior_work_comparison(
             detail={"N_prior": n_prior},
         )
     )
+    for row in rows[1:]:
+        if row.calls < 1.0:
+            row.flags.append(f"calls floored at 1 from {row.calls:.6g}")
+            row.calls = 1.0
     return rows

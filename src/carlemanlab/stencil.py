@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericFailure, ValidationError
 from .limits import DENSE_MAX_DIM, check_size
-from .nonlinear_ode import kron_sum, kron_sum_apply
+from .nonlinear_ode import kron_sum
 
 #: factorials beyond this order overflow the usefulness of float conversion
 MAX_ORDER = 16
@@ -108,8 +108,7 @@ class LaplacianOperator:
     """Discretised Laplacian on ``[0,1]^d``.
 
     ``axis_matrix`` is the one-dimensional operator; the d-dimensional one is
-    its Kronecker sum over axes, applied axis by axis by :meth:`matvec`
-    (``kron_sum_apply``) and assembled by :meth:`sparse` (``kron_sum``).
+    its Kronecker sum over axes, assembled by :meth:`sparse` (``kron_sum``).
     """
 
     dim: int
@@ -123,13 +122,6 @@ class LaplacianOperator:
     def shape(self) -> tuple[int, int]:
         n = self.axis_size ** self.dim
         return (n, n)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        n = self.shape[0]
-        v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
-            raise ValidationError(f"matvec expects shape ({n},), got {v.shape}")
-        return kron_sum_apply(self.axis_matrix, v, self.axis_size, self.dim)
 
     def dense(self) -> np.ndarray:
         check_size(self.shape[0], DENSE_MAX_DIM, "dense Laplacian")

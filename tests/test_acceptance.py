@@ -289,9 +289,8 @@ def test_criterion_12_cost_sanity(bernoulli_ode):
         cont_ok &= abs(amp - math.sqrt(N)) <= 1e-8
     # prior-work order selector blows up at unit input norm
     unit = dataclasses.replace(est, u_in_norm=1.0, u_T_norm=0.5, N=7)
-    rows = ct.prior_work_comparison(
-        unit, T=1.0, eps=0.01, lam_f1=1.0, fm_norm=0.5, M=2, n=2, decay=1.0
-    )
+    # T = 1, |FM| = 0.5, M = 2, n = 2, lambda0 = -1 and |F1| = 1
+    rows = ct.prior_work_comparison(unit, make_two_dim_instance(2, 0.5, skew=0.0), eps=0.01)
     prior = next(r for r in rows if r.name == "taylor_carleman_prior")
     sentinel_ok = math.isinf(prior.calls) and math.isinf(prior.detail["N_prior"])
     report(12, "lambda budget, amplification continuity, and the infinite-N sentinel",

@@ -1,6 +1,7 @@
 """Error-factor identities, oracle equivalence, bound formulas, order selection."""
 
 import math
+import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -263,6 +264,17 @@ class TestComponentBound:
         with pytest.raises(ValidationError):
             component_error_bound(bernoulli_ode, 4, 5, 1.0)
 
+    def test_underflow_is_floored_at_the_smallest_normal_float(self, bernoulli_ode):
+        # R^k = 0.5^1200 is below the float range: 0.0 would claim no error at t > 0
+        t = np.array([0.0, 0.01, 1.0])
+        vals = component_error_bound(bernoulli_ode, 1200, 1, t)
+        assert vals.tolist() == [0.0, sys.float_info.min, sys.float_info.min]
+        # a prefactor |u_in| / gamma = 2 above 1 scales the floor with it
+        assert component_error_bound(bernoulli_ode, 1200, 1, 1.0, gamma=0.5) == 2 * sys.float_info.min
+        # R = 0 is an exact zero, not an underflow
+        linear = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[0.0]], u_in=[1.0])
+        assert component_error_bound(linear, 4, 1, 1.0) == 0.0
+
 
 class TestOrderSelection:
     def test_headline_value(self):
@@ -319,6 +331,14 @@ class TestMaxNormBound:
     def test_peak_below_one_rejected(self, demo_pde):
         with pytest.raises(ValidationError):
             maxnorm_error_bound(demo_pde, 4, 1, 1.0, 0.9)
+
+    def test_underflow_is_floored_at_the_smallest_normal_float(self, demo_pde):
+        # bracket 0.2 at k = 800 is below the float range: 0.0 would claim no error at t > 0
+        t = np.array([0.0, 0.5, 1.0])
+        vals = maxnorm_error_bound(demo_pde, 800, 1, t, 1.0)
+        assert vals.tolist() == [0.0, sys.float_info.min, sys.float_info.min]
+        # b = 0 is an exact zero, not an underflow
+        assert maxnorm_error_bound(replace(demo_pde, b=0.0), 800, 1, 1.0, 1.0) == 0.0
 
 
 class TestBoundReport:

@@ -307,6 +307,8 @@ class TestPdeCommand:
         results = json.loads((tmp_path / "demo_pde_k4_stability.json").read_text())["results"]
         assert results["required_grid_points"] is None
         assert "more grid points than a float holds" in results["required_grid_points_note"]
+        # the max-norm bound at this order underflows: it is floored, not written as 0.0
+        assert results["maxnorm_bound"]["eta1_at_T"] > 0
 
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))
@@ -675,9 +677,12 @@ class TestLinearizeAndCost:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_config(config, tmp_path) == 0
-        est = json.loads((tmp_path / "ode_coupled_cost.json").read_text())["results"]["estimate"]
+        results = json.loads((tmp_path / "ode_coupled_cost.json").read_text())["results"]
+        est = results["estimate"]
         assert est["amplification"] == pytest.approx(8.768e234, rel=1e-3)
         assert np.isfinite(est["calls_block_encoding"])
+        # |u_in|^(2N) = 8.3e-129 puts the Euler-based formula at 8.7e-117 calls, floored at 1
+        assert all(row["calls"] >= 1.0 for row in results["prior_work"][1:])
 
     def test_pde_cost_takes_the_closed_form_at_gamma_max(self, tmp_path):
         config = json.loads(json.dumps(PDE_DEMO))

@@ -18,7 +18,7 @@ from carlemanlab.cost import (
     prior_work_comparison,
 )
 from carlemanlab.errors import ValidationError
-from carlemanlab.nonlinear_ode import max_stable_gamma, r_ratio
+from carlemanlab.nonlinear_ode import NonlinearODE, max_stable_gamma, r_ratio
 from carlemanlab.pde import ReactionDiffusionProblem, discretize
 
 
@@ -31,6 +31,19 @@ def cost_pde(**overrides) -> ReactionDiffusionProblem:
     return ReactionDiffusionProblem(**params)
 
 
+def prior_work_ode() -> NonlinearODE:
+    """n = 16, M = 2, T = 1: diagonal F1 from -10 to -2 (lambda0 = -2, |F1| = 10), one FM entry 0.5."""
+    FM = np.zeros((16, 16**2))
+    FM[0, 0] = 0.5
+    return NonlinearODE(n=16, M=2, F1=np.diag(np.linspace(-10.0, -2.0, 16)), FM=FM, u_in=np.ones(16))
+
+
+def euler_polylog(ode, estimate, eps: float, diffusion: float, d: int, sparsity: int) -> float:
+    """The Euler-based formula's poly-log, written out by hand."""
+    x = abs(ode.lambda0) * diffusion * d * ode.M * ode.n ** (1.0 / d) * estimate.N * sparsity
+    return max(1.0, math.log(x * ode.T / eps))
+
+
 def required_order(ode, eps: float) -> int:
     """The order the closed-form selector gives for ``eps``."""
     return required_carleman_order(r_ratio(ode), ode.M, eps)
@@ -38,7 +51,7 @@ def required_order(ode, eps: float) -> int:
 
 def bernoulli_estimate(ode, eps: float, **kwargs) -> CostEstimate:
     """The Bernoulli problem's estimate at gamma = 1 and the order required for ``eps``."""
-    return ode_cost_estimate(ode, 1.0, required_order(ode, eps), eps, 1.0, 0.5, **kwargs)
+    return ode_cost_estimate(ode, 1.0, required_order(ode, eps), eps, **kwargs)
 
 
 class TestAmplificationFactor:
@@ -128,11 +141,9 @@ class TestOdeCostEstimate:
         assert "u(T) norm measured by the reference integrator" in est.assumptions
 
     def test_rejects_non_contractive(self):
-        from carlemanlab.nonlinear_ode import NonlinearODE
-
         bad = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[2.0]], u_in=[1.0])
         with pytest.raises(ValidationError, match="cost model requires R < 1"):
-            ode_cost_estimate(bad, 1.0, 5, 0.01, 1.0, 2.0, u_T_norm=0.5)
+            ode_cost_estimate(bad, 1.0, 5, 0.01, u_T_norm=0.5)
 
 
 class TestPdeCostEstimate:
@@ -146,10 +157,7 @@ class TestPdeCostEstimate:
         ode = discretize(pde)
         N = required_order(ode, 0.05)
         direct = pde_cost_estimate(pde, N, 0.05, u_T_norm=0.2)
-        composed = ode_cost_estimate(
-            ode, max_stable_gamma(ode), N, 0.05,
-            pde_lambda_f1(pde), abs(pde.b), u_T_norm=0.2,
-        )
+        composed = ode_cost_estimate(ode, max_stable_gamma(ode), N, 0.05, pde, u_T_norm=0.2)
         assert direct.calls_block_encoding == pytest.approx(
             composed.calls_block_encoding, rel=1e-12
         )
@@ -176,10 +184,7 @@ class TestPriorWork:
             calls_block_encoding=calls, calls_state_prep=1.0, extra_gates=1.0,
             u_in_norm=u_in_norm, u_T_norm=0.5,
         )
-        return dict(
-            estimate=estimate, T=1.0, eps=0.01, lam_f1=10.0, fm_norm=0.5, M=2, n=16,
-            decay=2.0, diffusion=1.0, d=1, sparsity=3,
-        )
+        return dict(estimate=estimate, ode=prior_work_ode(), eps=0.01)
 
     def find(self, rows, name):
         return next(r for r in rows if r.name == name)
@@ -213,3 +218,39 @@ class TestPriorWork:
 
         rows = prior_work_comparison(**self.kwargs())
         assert json.dumps([asdict(r) for r in rows])
+
+    def test_ode_rows_take_the_default_grid_constants(self):
+        # no PDE: diffusion 1, d = 1 and a three-point stencil
+        kwargs = self.kwargs()
+        euler = self.find(prior_work_comparison(**kwargs), "euler_carleman")
+        want = euler_polylog(kwargs["ode"], kwargs["estimate"], 0.01, 1.0, 1, 3)
+        assert euler.detail["polylog"] == pytest.approx(want, rel=1e-14)
+
+    def test_pde_rows_read_the_grid_constants(self):
+        # d = 2, k = 2, D = 0.5: the Euler-based poly-log takes d = 2 and sparsity 2k + 1 = 5
+        pde = cost_pde(d=2, k=2, diffusion=0.5)
+        ode = discretize(pde)
+        estimate = pde_cost_estimate(pde, required_order(ode, 0.05), 0.05, u_T_norm=0.2)
+        rows = prior_work_comparison(estimate, ode, 0.05, pde)
+        polylog = self.find(rows, "euler_carleman").detail["polylog"]
+        assert polylog == pytest.approx(euler_polylog(ode, estimate, 0.05, 0.5, 2, 5), rel=1e-14)
+        assert polylog != pytest.approx(euler_polylog(ode, estimate, 0.05, 1.0, 1, 3), rel=1e-6)
+        # the Taylor-based row takes the block encoding's lam_f1, not |F1|
+        prior = self.find(rows, "taylor_carleman_prior")
+        n_prior, lam_f1 = prior.detail["N_prior"], pde_lambda_f1(pde)
+        assert prior.calls == pytest.approx(
+            estimate.u_in_norm / estimate.u_T_norm * lam_f1 * ode.T * n_prior**2
+            * math.log(1 / 0.05) * max(1.0, math.log(ode.T * n_prior * lam_f1)),
+            rel=1e-12,
+        )
+
+    def test_a_row_below_one_call_is_floored(self):
+        # |u_in|^(2N) = 0.1^300 puts the Euler-based formula near 1e-282 calls
+        rows = prior_work_comparison(**self.kwargs(u_in_norm=0.1, N=150, calls=1e-3))
+        euler = self.find(rows, "euler_carleman")
+        assert euler.calls == 1.0
+        assert euler.detail["exp_factor"] == pytest.approx(1e-300)
+        assert any(f.startswith("calls floored at 1 from") for f in euler.flags)
+        assert self.find(rows, "this_work").calls == 1e-3  # the estimate's own count is not floored
+        prior = self.find(rows, "taylor_carleman_prior")
+        assert prior.calls > 1.0 and not any("floored" in f for f in prior.flags)
