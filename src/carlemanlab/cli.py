@@ -563,7 +563,7 @@ def _cmd_pde(ctx: RunContext) -> None:
     if problem is None:
         raise ValidationError("the 'pde' command needs a pde section")
     numerics = ctx.numerics
-    report = rd.stability_report(problem)
+    report = rd.stability_report(problem, ode)
     payload: dict[str, Any] = {"results": {"stability": report.as_dict()}}
     derivative_bound = rd.estimate_derivative_bound(problem)
     payload["results"]["derivative_bound_estimate"] = derivative_bound
@@ -574,22 +574,21 @@ def _cmd_pde(ctx: RunContext) -> None:
     except ValidationError as exc:
         payload["results"]["required_grid_points"] = None
         payload["results"]["required_grid_points_note"] = str(exc)
-    if problem.c < 0:
-        try:
-            N = resolve_order(numerics, ode)
-        except ValidationError as exc:
-            # R >= 1 with no N given: the max-norm verdicts above still stand
-            payload["results"]["maxnorm_bound"] = {"N": None, "note": str(exc)}
-        else:
-            g_value = st.g_kappa(problem.k)
-            maxnorm_T = bd.maxnorm_error_bound(problem, N, 1, problem.T, g_value)
-            payload["results"]["maxnorm_bound"] = {
-                "N": N,
-                "g_kappa": g_value,
-                "eta1_at_T": None if np.isinf(maxnorm_T) else float(maxnorm_T),
-                "converges_in_N": bool(np.isfinite(maxnorm_T)),
-                "note": "heuristic: presumes a non-increasing max-norm",
-            }
+    try:
+        N = resolve_order(numerics, ode)
+    except ValidationError as exc:
+        # R >= 1 with no N given: the max-norm verdicts above still stand
+        payload["results"]["maxnorm_bound"] = {"N": None, "note": str(exc)}
+    else:
+        g_value = st.g_kappa(problem.k)
+        maxnorm_T = bd.maxnorm_error_bound(problem, N, 1, problem.T, g_value)
+        payload["results"]["maxnorm_bound"] = {
+            "N": N,
+            "g_kappa": g_value,
+            "eta1_at_T": None if np.isinf(maxnorm_T) else float(maxnorm_T),
+            "converges_in_N": bool(np.isfinite(maxnorm_T)),
+            "note": "heuristic: presumes a non-increasing max-norm",
+        }
     write_json(ctx.path("stability.json"), payload, ctx.digest, ctx.config)
     write_json(ctx.path("ode_config.json"), {"ode": ode_to_config(ode)}, ctx.digest, ctx.config)
 
@@ -602,7 +601,7 @@ def _cmd_cost(ctx: RunContext) -> None:
     if problem is not None:
         if numerics["gamma"] is not None:
             raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
-        estimate = ct.pde_cost_estimate(problem, N, eps)
+        estimate = ct.pde_cost_estimate(ode, problem, N, eps)
     else:
         estimate = ct.ode_cost_estimate(ode, resolve_gamma(numerics, ode), N, eps)
     comparison = ct.prior_work_comparison(estimate, ode, eps, problem)

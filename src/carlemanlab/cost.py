@@ -22,7 +22,7 @@ from .nonlinear_ode import (
     r_ratio,
     reference_solve,
 )
-from .pde import ReactionDiffusionProblem, discretize
+from .pde import ReactionDiffusionProblem
 from .stencil import stencil_coefficients
 
 
@@ -156,13 +156,13 @@ def _lambda_f1(ode: NonlinearODE, pde: Optional[ReactionDiffusionProblem]) -> fl
 
 
 def pde_cost_estimate(
+    ode: NonlinearODE,
     pde: ReactionDiffusionProblem,
     N: int,
     eps: float,
     u_T_norm: Optional[float] = None,
 ) -> CostEstimate:
-    """Cost of the discretised reaction-diffusion solve at order ``N`` and ``gamma = gamma_max``."""
-    ode = discretize(pde)
+    """Cost of ``ode``, the grid problem of ``pde``, at order ``N`` and ``gamma = gamma_max``."""
     est = ode_cost_estimate(ode, max_stable_gamma(ode), N, eps, pde, u_T_norm=u_T_norm)
     est.assumptions.append("gamma set to the stability limit gamma_max")
     return est

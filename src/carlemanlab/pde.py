@@ -395,13 +395,12 @@ class StabilityReport:
         }
 
 
-def stability_report(pde: ReactionDiffusionProblem) -> StabilityReport:
-    """Evaluate all stability criteria for a problem and its discretisation."""
-    ode = discretize(pde)
+def stability_report(pde: ReactionDiffusionProblem, ode: NonlinearODE) -> StabilityReport:
+    """All stability criteria for ``pde`` and ``ode``, the grid problem that discretises it."""
+    R = r_ratio(ode)  # refuses lambda0 = c >= 0, so |c| > 0 below
     rate = max_norm_rate(pde)
     u_two = float(np.linalg.norm(ode.u_in))
-    max_norm_lhs = rate / abs(pde.c) if pde.c != 0 else np.inf
-    R = r_ratio(ode)
+    max_norm_lhs = rate / abs(pde.c)
     disc_lhs = abs(pde.c)
     disc_rhs = pde.M * rate
     gamma_max = max_stable_gamma(ode)

@@ -237,7 +237,7 @@ def taylor_step_defect_bound(norm_A: float, dt: float, K: int, y_norm: float = 1
 
     It bounds the error only together with the rest of the tail
     (:func:`taylor_tail`); the benchmark's evolve check keeps this term
-    until that check is revised (ROADMAP item 7).
+    until that check is revised (ROADMAP item 8).
     """
     return (norm_A * dt) ** (K + 1) / math.factorial(K + 1) * y_norm
 

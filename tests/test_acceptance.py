@@ -278,8 +278,9 @@ def test_criterion_12_cost_sanity(bernoulli_ode):
     demo = rd.ReactionDiffusionProblem(
         diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=32, k=2, initial=raised_cosine, T=1.0
     )
-    N_demo = bd.required_carleman_order(node.r_ratio(rd.discretize(demo)), demo.M, 0.05)
-    est = ct.pde_cost_estimate(demo, N_demo, 0.05, u_T_norm=1.0)
+    demo_ode = rd.discretize(demo)
+    N_demo = bd.required_carleman_order(node.r_ratio(demo_ode), demo.M, 0.05)
+    est = ct.pde_cost_estimate(demo_ode, demo, N_demo, 0.05, u_T_norm=1.0)
     budget_ok &= est.lambda_carleman <= 2 * est.N * ct.pde_lambda_f1(demo)
     # continuity of the amplification factor at r = |u_in|/gamma -> 1
     N = 9
@@ -303,7 +304,7 @@ def test_criterion_13_end_to_end_pde_demo():
         diffusion=0.2, c=-2.0, b=0.5, M=2, d=1, m=32, k=2, initial=raised_cosine, T=1.0
     )
     ode = rd.discretize(pde)
-    verdicts = rd.stability_report(pde)
+    verdicts = rd.stability_report(pde, ode)
     gamma = float(np.linalg.norm(ode.u_in))
     N = 3
     mat = carl.assemble(node.rescale(ode, gamma), N)

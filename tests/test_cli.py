@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -309,6 +310,33 @@ class TestPdeCommand:
         assert "more grid points than a float holds" in results["required_grid_points_note"]
         # the max-norm bound at this order underflows: it is floored, not written as 0.0
         assert results["maxnorm_bound"]["eta1_at_T"] > 0
+
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_non_dissipative_problem_is_refused(self, tmp_path, capsys, c):
+        # on a periodic grid lambda0 is exactly c, so every c >= 0 is refused
+        config = json.loads((CONFIGS / "demo_pde_k4.json").read_text())
+        config["pde"]["c"] = c
+        assert run_config(config, tmp_path) == 2
+        assert "not dissipative" in capsys.readouterr().err
+        assert not list(tmp_path.glob("demo_pde_k4_*"))
+
+    @pytest.mark.parametrize("command", ["linearize", "bounds", "evolve", "pde", "cost"])
+    def test_each_command_builds_the_grid_once(self, tmp_path, monkeypatch, command):
+        # the counter replaces every module's binding of the name, so a
+        # ``from .pde import discretize`` caller is counted too
+        discretize, calls = rd.discretize, []
+
+        def counted(problem):
+            calls.append(problem)
+            return discretize(problem)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("carlemanlab") and getattr(module, "discretize", None) is discretize:
+                monkeypatch.setattr(module, "discretize", counted)
+        config = json.loads((CONFIGS / "demo_pde_k4.json").read_text())
+        config["command"] = command
+        assert run_config(config, tmp_path) == 0
+        assert len(calls) == 1
 
     def test_missing_physical_parameter_rejected(self, tmp_path):
         broken = json.loads(json.dumps(PDE_DEMO))

@@ -156,7 +156,7 @@ class TestPdeCostEstimate:
         pde = cost_pde()
         ode = discretize(pde)
         N = required_order(ode, 0.05)
-        direct = pde_cost_estimate(pde, N, 0.05, u_T_norm=0.2)
+        direct = pde_cost_estimate(ode, pde, N, 0.05, u_T_norm=0.2)
         composed = ode_cost_estimate(ode, max_stable_gamma(ode), N, 0.05, pde, u_T_norm=0.2)
         assert direct.calls_block_encoding == pytest.approx(
             composed.calls_block_encoding, rel=1e-12
@@ -172,7 +172,8 @@ class TestPdeCostEstimate:
 
     def test_lambda_budget_at_stability_limit(self):
         pde = cost_pde()
-        est = pde_cost_estimate(pde, required_order(discretize(pde), 0.05), 0.05, u_T_norm=0.2)
+        ode = discretize(pde)
+        est = pde_cost_estimate(ode, pde, required_order(ode, 0.05), 0.05, u_T_norm=0.2)
         assert est.lambda_carleman <= 2 * est.N * pde_lambda_f1(pde)
 
 
@@ -230,7 +231,7 @@ class TestPriorWork:
         # d = 2, k = 2, D = 0.5: the Euler-based poly-log takes d = 2 and sparsity 2k + 1 = 5
         pde = cost_pde(d=2, k=2, diffusion=0.5)
         ode = discretize(pde)
-        estimate = pde_cost_estimate(pde, required_order(ode, 0.05), 0.05, u_T_norm=0.2)
+        estimate = pde_cost_estimate(ode, pde, required_order(ode, 0.05), 0.05, u_T_norm=0.2)
         rows = prior_work_comparison(estimate, ode, 0.05, pde)
         polylog = self.find(rows, "euler_carleman").detail["polylog"]
         assert polylog == pytest.approx(euler_polylog(ode, estimate, 0.05, 0.5, 2, 5), rel=1e-14)
