@@ -585,7 +585,7 @@ def _cmd_pde(ctx: RunContext) -> None:
         payload["results"]["maxnorm_bound"] = {
             "N": N,
             "g_kappa": g_value,
-            "eta1_at_T": None if np.isinf(maxnorm_T) else float(maxnorm_T),
+            "eta1_at_T": float(maxnorm_T),
             "converges_in_N": bool(np.isfinite(maxnorm_T)),
             "note": "heuristic: presumes a non-increasing max-norm",
         }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,8 +84,8 @@ class NonlinearODE:
             raise ValidationError(f"dimension must be positive, got {self.n}")
         if self.M < 2:
             raise ValidationError(f"nonlinearity order must be >= 2, got {self.M}")
-        if self.T < 0:
-            raise ValidationError(f"time horizon must be non-negative, got {self.T}")
+        if not (0 <= self.T < math.inf):
+            raise ValidationError(f"time horizon must be finite and non-negative, got {self.T}")
         big = fm_width(self.n, self.M)
         self.F1 = _as_csr(self.F1, (self.n, self.n), "F1")
         self.FM = _as_csr(self.FM, (self.n, big), "FM")
@@ -93,6 +93,8 @@ class NonlinearODE:
         if self.u_in.size != self.n:
             raise ValidationError(f"u_in has {self.u_in.size} values, expected {self.n}")
         self.u_in = self.u_in.reshape(self.n)
+        if not np.all(np.isfinite(self.u_in)):
+            raise ValidationError("u_in contains non-finite values")
 
     # -- sparse nonlinearity internals ------------------------------------
 
@@ -380,11 +382,10 @@ def reference_solve(
     (Adams or BDF, with the analytic :meth:`NonlinearODE.jacobian`) when
     ``n <= DENSE_F1_MAX_N``, where that Jacobian exists, at ``tol / 10``
     (its global error runs about ten times its local tolerance; clamped to
-    scipy's floor ``100 eps``), and explicit DOP853 otherwise.  DOP853 is
-    integrated from each sample to the next and read at the end of each
-    interval, never through its dense output, which is far less accurate
-    between steps than at them; each interval starts from the last step size
-    of the one before.  The trajectory records which method ran.
+    scipy's floor ``100 eps``), and explicit DOP853 otherwise, stepped to
+    each sample by :func:`dop853_samples` rather than read through its dense
+    output, which is far less accurate between steps than at them.  The
+    trajectory records which method ran.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValidationError(f"tolerance {tol} outside [1e-13, 1e-6]")
@@ -420,26 +421,34 @@ def reference_solve(
             raise NumericFailure(f"reference integration failed: {sol.message}")
         t, u = sol.t, sol.y.T.copy()
     else:
-        t, u = t_eval.copy(), _dop853_samples(ode, t_eval, tol)
+        t, u = t_eval.copy(), dop853_samples(ode.rhs, ode.u_in, t_eval, tol, tol)
     if not np.all(np.isfinite(u)):
         raise NumericFailure("reference integration produced non-finite values")
     return Trajectory(t=t, u=u, method=method)
 
 
-def _dop853_samples(ode: NonlinearODE, t_eval: np.ndarray, tol: float) -> np.ndarray:
-    """The state at each of the increasing, non-negative ``t_eval``, by DOP853 from each sample to the next."""
-    u = np.empty((t_eval.size, ode.n))
-    t, y, first_step = 0.0, ode.u_in, None
+def dop853_samples(
+    fun: Callable, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float
+) -> np.ndarray:
+    """The state of ``y' = fun(y)``, ``y(0) = y0``, at each of the non-decreasing,
+    non-negative ``t_eval`` (validated by the caller), one row per sample.
+
+    DOP853 runs from each sample to the next and is read at the end of its last
+    step, never through its dense output; each interval starts from the last
+    step size of the one before.  A repeated sample, or one at 0, takes no step.
+    """
+    u = np.empty((t_eval.size, y0.size))
+    t, y, first_step = 0.0, y0, None
     for i, sample in enumerate(t_eval):
         if sample > t:
             solver = DOP853(
-                lambda _, v: ode.rhs(v), t, y, sample, rtol=tol, atol=tol,
+                lambda _, v: fun(v), t, y, sample, rtol=rtol, atol=atol,
                 first_step=None if first_step is None else min(first_step, sample - t),
             )
             while solver.status == "running":
                 message = solver.step()
             if solver.status == "failed":
-                raise NumericFailure(f"reference integration failed: {message}")
+                raise NumericFailure(f"DOP853 integration failed at t = {solver.t}: {message}")
             t, y, first_step = sample, solver.y, solver.step_size
         u[i] = y
     return u

@@ -61,8 +61,8 @@ class ReactionDiffusionProblem:
             raise ValidationError(f"nonlinearity order must be >= 2, got {self.M}")
         if self.d < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.d}")
-        if self.T < 0:
-            raise ValidationError("horizon must be non-negative")
+        if not (0 <= self.T < math.inf):
+            raise ValidationError(f"horizon must be finite and non-negative, got {self.T}")
 
     @property
     def n(self) -> int:

@@ -65,7 +65,35 @@ class TestOraclePair:
                     c = np.asarray(f_closed(j, k, M, TAUS))
                     q = np.asarray(f_quadrature(j, k, M, TAUS))
                     worst = max(worst, np.abs(c - q).max())
-        assert worst <= 1e-8
+        assert worst <= 1e-11
+
+    def test_quadrature_within_1e12_of_closed_form_to_tau_50(self):
+        # read through DOP853's dense output the oracle was up to 1.9e-10 off
+        taus = np.linspace(0.0, 50.0, 101)
+        worst = 0.0
+        for j in (1, 2, 3):
+            for k in (2, 5, 13, 25, 40):
+                for M in (2, 3):
+                    c = np.asarray(f_closed(j, k, M, taus))
+                    q = np.asarray(f_quadrature(j, k, M, taus))
+                    worst = max(worst, np.abs(c - q).max())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("taus", [[1.0, 1.0], [2.0, 0.5, 2.0], [0.0, 3.0, 0.0]])
+    def test_quadrature_takes_repeated_and_unsorted_tau(self, taus):
+        q = np.asarray(f_quadrature(1, 3, 2, np.array(taus)))
+        np.testing.assert_allclose(q, f_closed(1, 3, 2, np.array(taus)), rtol=0, atol=1e-12)
+        for i, tau in enumerate(taus):
+            assert q[i] == q[taus.index(tau)]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "tau", [np.nan, np.inf, np.array([0.5, np.nan]), np.array([1.0, np.inf]), -0.5],
+        ids=["nan", "inf", "half-nan", "one-inf", "negative"],
+    )
+    def test_quadrature_refuses_non_finite_tau(self, tau, k):
+        with pytest.raises(ValidationError, match="tau"):
+            f_quadrature(1, k, 2, tau)
 
     def test_quadrature_base_case_exact(self):
         got = f_quadrature(2, 1, 3, 0.7)

@@ -14,10 +14,11 @@ from scipy.integrate import solve_ivp
 from carlemanlab import nonlinear_ode
 from carlemanlab.bounds import make_bound_report, required_carleman_order
 from carlemanlab.carleman import assemble
-from carlemanlab.errors import SizeLimitError, ValidationError
+from carlemanlab.errors import NumericFailure, SizeLimitError, ValidationError
 from carlemanlab.limits import DENSE_F1_MAX_N
 from carlemanlab.nonlinear_ode import (
     NonlinearODE,
+    dop853_samples,
     fm_spectral_norm,
     kron_power,
     lambda0,
@@ -352,6 +353,41 @@ class TestReferenceMethod:
                 reference_solve(ode, T=1.0, t_eval=np.array(t_eval))
 
 
+class TestDop853Samples:
+    """The one DOP853 driver, on ``y' = -y`` against ``exp(-t)``."""
+
+    @staticmethod
+    def decay(y):
+        return -y
+
+    def test_matches_the_exact_solution_at_each_sample(self):
+        t_eval = np.array([0.5, 1.0, 1.0, 2.0])
+        u = dop853_samples(self.decay, np.array([1.0, 2.0]), t_eval, 1e-12, 1e-12)
+        np.testing.assert_allclose(u, np.exp(-t_eval)[:, None] * [1.0, 2.0], rtol=1e-10)
+
+    def test_a_repeated_sample_returns_the_same_state(self):
+        u = dop853_samples(self.decay, np.array([1.0]), np.array([0.3, 0.3, 0.3]), 1e-10, 1e-10)
+        assert u[0, 0] == u[1, 0] == u[2, 0]
+
+    def test_a_first_sample_after_zero(self):
+        u = dop853_samples(self.decay, np.array([1.0]), np.array([0.7]), 1e-12, 1e-12)
+        assert u[0, 0] == pytest.approx(np.exp(-0.7), rel=1e-10)
+
+    def test_a_sample_at_zero_is_the_initial_state(self):
+        y0 = np.array([1.0, -3.0])
+        u = dop853_samples(self.decay, y0, np.array([0.0]), 1e-10, 1e-10)
+        np.testing.assert_array_equal(u, y0[None, :])
+
+    def test_no_samples_give_an_empty_block(self):
+        u = dop853_samples(self.decay, np.ones(3), np.array([]), 1e-10, 1e-10)
+        assert u.shape == (0, 3)
+
+    def test_a_failed_step_raises_numeric_failure(self):
+        # y' = y**2 from 1 blows up at t = 1
+        with pytest.raises(NumericFailure, match="DOP853"):
+            dop853_samples(np.square, np.array([1.0]), np.array([0.5, 1.5]), 1e-10, 1e-10)
+
+
 @st.composite
 def jacobian_cases(draw):
     """(ODE, u, v) with dense or sparse F1 and a generic FM whose rows repeat."""
@@ -463,3 +499,13 @@ class TestConstruction:
         F1 = sp.csr_matrix(np.array([[-1.0, np.nan], [0.0, -1.0]]))
         with pytest.raises(ValidationError, match="non-finite"):
             NonlinearODE(n=2, M=2, F1=F1, FM=sp.csr_matrix((2, 4)), u_in=[1.0, 0.0])
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ValidationError, match="time horizon"):
+            NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[0.5]], u_in=[1.0], T=T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_state_rejected(self, bad):
+        with pytest.raises(ValidationError, match="u_in contains non-finite"):
+            NonlinearODE(n=2, M=2, F1=-np.eye(2), FM=np.zeros((2, 4)), u_in=[1.0, bad])

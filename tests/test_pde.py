@@ -50,6 +50,12 @@ def make_pde(**overrides) -> ReactionDiffusionProblem:
     return ReactionDiffusionProblem(**params)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+def test_horizon_must_be_finite_and_non_negative(T):
+    with pytest.raises(ValidationError, match="horizon"):
+        make_pde(T=T)
+
+
 class TestDiscretize:
     def test_lambda0_equals_decay_coefficient(self, demo_pde):
         ode = discretize(demo_pde)
