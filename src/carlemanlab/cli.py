@@ -440,6 +440,11 @@ def _cmd_linearize(ctx: RunContext) -> None:
     write_json(ctx.path("linearize.json"), payload, ctx.digest, ctx.config)
 
 
+def _reference(ctx: RunContext, ode: node.NonlinearODE, t_eval: np.ndarray) -> node.Trajectory:
+    """``ode``'s reference trajectory at ``t_eval``, at the config's ``reference_tol``."""
+    return node.reference_solve(ode, tol=ctx.numerics["reference_tol"], t_eval=t_eval)
+
+
 def _run_pipeline(ctx: RunContext) -> dict:
     """Shared evolve machinery: returns summary metrics and, as float arrays, the
     trajectory table (``t, y_norm, y1_norm, share_1, u_hat_*``) and the reference
@@ -482,7 +487,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
                 raise
             raise SizeLimitError(f"Fourier form: {refusal}; grid: {exc}") from exc
     block1 = result.block1 if fourier is None else fourier.to_grid(result.block1)
-    reference = node.reference_solve(ode, tol=numerics["reference_tol"], t_eval=result.times)
+    reference = _reference(ctx, ode, result.times)
     u_hat = gamma * block1
     err = np.linalg.norm(u_hat - reference.u, axis=1)
     # a norm per row: an axis=1 norm rounds differently
@@ -598,17 +603,22 @@ def _cmd_cost(ctx: RunContext) -> None:
     numerics = ctx.numerics
     eps = numerics["epsilon"]
     N = resolve_order(numerics, ode)
+    if problem is not None and numerics["gamma"] is not None:
+        raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
+    ct.cost_model_ratio(ode)  # R >= 1 is refused before the reference runs
+    reference = _reference(ctx, ode, np.array([0.0, ode.T]))
+    u_T_norm = float(np.linalg.norm(reference.u[-1]))
     if problem is not None:
-        if numerics["gamma"] is not None:
-            raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
-        estimate = ct.pde_cost_estimate(ode, problem, N, eps)
+        estimate = ct.pde_cost_estimate(ode, problem, N, eps, u_T_norm=u_T_norm)
     else:
-        estimate = ct.ode_cost_estimate(ode, resolve_gamma(numerics, ode), N, eps)
+        gamma = resolve_gamma(numerics, ode)
+        estimate = ct.ode_cost_estimate(ode, gamma, N, eps, u_T_norm=u_T_norm)
     comparison = ct.prior_work_comparison(estimate, ode, eps, problem)
     payload = {
         "results": {
             "estimate": asdict(estimate),
             "prior_work": [asdict(row) for row in comparison],
+            "reference_method": reference.method,
         }
     }
     write_json(ctx.path("cost.json"), payload, ctx.digest, ctx.config)

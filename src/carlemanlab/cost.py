@@ -16,12 +16,7 @@ import numpy as np
 
 from .carleman import lambda_value
 from .errors import ValidationError
-from .nonlinear_ode import (
-    NonlinearODE,
-    max_stable_gamma,
-    r_ratio,
-    reference_solve,
-)
+from .nonlinear_ode import NonlinearODE, max_stable_gamma, r_ratio
 from .pde import ReactionDiffusionProblem
 from .stencil import stencil_coefficients
 
@@ -86,17 +81,27 @@ def amplification_factor(
         return math.inf
 
 
+def cost_model_ratio(ode: NonlinearODE) -> float:
+    """``r_ratio(ode)``, refused at ``R >= 1``, where the cost model gives no estimate."""
+    R = r_ratio(ode)  # refuses lambda0 >= 0, so F1 is nonzero and lam_f1 > 0
+    if R >= 1:
+        raise ValidationError(f"cost model requires R < 1, got {R}")
+    return R
+
+
 def ode_cost_estimate(
     ode: NonlinearODE,
     gamma: float,
     N: int,
     eps: float,
     pde: Optional[ReactionDiffusionProblem] = None,
-    u_T_norm: Optional[float] = None,
+    *,
+    u_T_norm: float,
 ) -> CostEstimate:
     """Call counts for solving one nonlinear ODE instance at truncation order
     ``N`` to error ``eps`` by its horizon ``T``.
 
+    ``u_T_norm`` is ``|u(T)|`` as measured by the caller (the CLI: its reference integrator).
     ``pde`` is the problem ``ode`` discretises, if any, as :func:`~carlemanlab.cli.resolve_problem`
     pairs them; it sets ``lam_f1`` (:func:`_lambda_f1`), and ``lam_fm`` is ``|FM|``.
     The block-encoding count scales as ``amp * lambda * T * log(N/eps) *
@@ -104,20 +109,11 @@ def ode_cost_estimate(
     in place of the last log, and the gate overhead adds ``N M log n`` on top
     of a squared log.
     """
-    R = r_ratio(ode)  # refuses lambda0 >= 0, so F1 is nonzero and lam_f1 > 0
-    if R >= 1:
-        raise ValidationError(f"cost model requires R < 1, got {R}")
+    R = cost_model_ratio(ode)
     T = ode.T
     lam_f1 = _lambda_f1(ode, pde)
     lam_carleman = lambda_value(N, ode.M, gamma, lam_f1, ode.fm_norm)
     u_in_norm = float(np.linalg.norm(ode.u_in))
-    assumptions = ["leading-order: unit constants, natural logs clamped at 1"]
-    if u_T_norm is None:
-        traj = reference_solve(ode, t_eval=np.array([0.0, T]))
-        u_T_norm = float(np.linalg.norm(traj.u[-1]))
-        assumptions.append("u(T) norm measured by the reference integrator")
-    else:
-        assumptions.append("u(T) norm supplied by caller")
     amp = amplification_factor(u_in_norm, u_T_norm, gamma, N, ode.M, R=R)
     log_n_eps = _log_factor(N / eps)
     log_time = _log_factor(N * lam_f1 * T / eps)
@@ -136,7 +132,7 @@ def ode_cost_estimate(
         extra_gates=gates,
         u_in_norm=u_in_norm,
         u_T_norm=u_T_norm,
-        assumptions=assumptions,
+        assumptions=["leading-order: unit constants, natural logs clamped at 1"],
     )
 
 
@@ -156,11 +152,7 @@ def _lambda_f1(ode: NonlinearODE, pde: Optional[ReactionDiffusionProblem]) -> fl
 
 
 def pde_cost_estimate(
-    ode: NonlinearODE,
-    pde: ReactionDiffusionProblem,
-    N: int,
-    eps: float,
-    u_T_norm: Optional[float] = None,
+    ode: NonlinearODE, pde: ReactionDiffusionProblem, N: int, eps: float, *, u_T_norm: float
 ) -> CostEstimate:
     """Cost of ``ode``, the grid problem of ``pde``, at order ``N`` and ``gamma = gamma_max``."""
     est = ode_cost_estimate(ode, max_stable_gamma(ode), N, eps, pde, u_T_norm=u_T_norm)

@@ -367,16 +367,13 @@ class Trajectory:
 
 
 def reference_solve(
-    ode: NonlinearODE,
-    T: float | None = None,
-    tol: float = 1e-10,
-    t_eval: np.ndarray | None = None,
+    ode: NonlinearODE, T: float | None = None, *, tol: float, t_eval: np.ndarray
 ) -> Trajectory:
     """Brute-force trajectory from an adaptive high-order integrator.
 
     Serves as the oracle for every error-bound comparison; the local error is
     controlled to ``tol`` in mixed absolute/relative form and the solution is
-    sampled at 101 uniform times unless ``t_eval`` is given.
+    sampled at ``t_eval``, both the caller's (the CLI's ``tol`` is its ``reference_tol``).
 
     The method follows from the dense-F1 limit: ODEPACK's compiled LSODA
     (Adams or BDF, with the analytic :meth:`NonlinearODE.jacobian`) when
@@ -392,8 +389,6 @@ def reference_solve(
     horizon = ode.T if T is None else float(T)
     if horizon < 0:
         raise ValidationError("horizon must be non-negative")
-    if t_eval is None:
-        t_eval = np.linspace(0.0, horizon, 101)
     lsoda = ode.n <= DENSE_F1_MAX_N
     method = "LSODA" if lsoda else "DOP853"
     if horizon == 0.0:

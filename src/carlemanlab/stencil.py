@@ -42,7 +42,8 @@ class StencilTable:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.coefficients) == self.order + 1
+        if len(self.coefficients) != self.order + 1:
+            raise ValidationError(f"order {self.order} needs {self.order + 1} coefficients")
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(a) for a in self.coefficients])

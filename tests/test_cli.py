@@ -688,6 +688,8 @@ class TestLinearizeAndCost:
         prior = next(r for r in results["prior_work"] if r["name"] == "taylor_carleman_prior")
         assert prior["calls"] is None and prior["detail"]["N_prior"] is None
         assert "N is infinite" in prior["flags"][0]
+        # |u(T)| comes from the CLI's reference run, which names its integrator
+        assert results["reference_method"] == "LSODA"
 
     def test_cost_takes_the_order_that_bounds_takes(self, tmp_path):
         # ode_coupled sets N = 4, above the N = 3 that epsilon alone would give
@@ -725,6 +727,46 @@ class TestLinearizeAndCost:
         # the paper's rescaling claim: at gamma_max the geometric series sums in closed form
         closed = est["u_in_norm"] / (est["u_T_norm"] * np.sqrt(1.0 - est["R"] ** 2))
         assert est["amplification"] == pytest.approx(closed, rel=1e-12)
+
+    def test_cost_measures_u_T_at_the_configs_reference_tol(self, tmp_path):
+        # the demo PDE (d = 1, m = 32, k = 2): each tolerance writes the norm of
+        # its own reference run's final state, bit for bit
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "cost"
+        config["pde"]["m"] = 32
+        ode = rd.discretize(cli.pde_from_config(config["pde"]))
+        written = {}
+        for tol in (1e-6, 1e-10):
+            config["numerics"] = {"epsilon": 1e-2, "reference_tol": tol}
+            config["output"] = {"prefix": f"tol{tol:g}"}
+            assert run_config(config, tmp_path) == 0
+            est = json.loads((tmp_path / f"tol{tol:g}_cost.json").read_text())["results"]["estimate"]
+            ref = node.reference_solve(ode, tol=tol, t_eval=[0.0, ode.T])
+            assert est["u_T_norm"] == float(np.linalg.norm(ref.u[-1]))
+            written[tol] = est["u_T_norm"]
+        assert written[1e-6] != written[1e-10]
+
+    @pytest.mark.parametrize("d, m, method", [(1, 32, "LSODA"), (2, 24, "DOP853")])
+    def test_pde_cost_names_its_reference_method(self, tmp_path, d, m, method):
+        # n = 32 is within the dense-F1 limit (512), n = 576 above it
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "cost"
+        config["pde"].update(d=d, m=m, b=0.1)
+        config["numerics"] = {"N": 3}
+        assert run_config(config, tmp_path) == 0
+        results = json.loads((tmp_path / "demo_cost.json").read_text())["results"]
+        assert results["reference_method"] == method
+
+    def test_cost_refuses_r_at_least_one_with_an_explicit_order(self, tmp_path, capsys):
+        # R = 2: u' = -u + 2 u^2 from u = 1 blows up at t = ln 2, so the
+        # refusal must come before the reference run
+        config = json.loads(json.dumps(BERNOULLI))
+        config["command"] = "cost"
+        config["ode"]["FM"] = {"entries": [[0, 0, 2.0]]}
+        config["numerics"] = {"N": 5}
+        assert run_config(config, tmp_path) == 2
+        assert "cost model requires R < 1" in capsys.readouterr().err
+        assert not (tmp_path / "demo_cost.json").exists()
 
     @pytest.mark.parametrize("gamma", [1.0, "gamma_max"])
     def test_pde_cost_refuses_a_gamma(self, tmp_path, capsys, gamma):

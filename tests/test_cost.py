@@ -8,6 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from carlemanlab import nonlinear_ode as node
 from carlemanlab.bounds import required_carleman_order
 from carlemanlab.cost import (
     CostEstimate,
@@ -132,13 +133,28 @@ class TestOdeCostEstimate:
             assert getattr(tighter, attr) >= getattr(base, attr)
 
     def test_deterministic_and_complete(self, bernoulli_ode):
-        runs = [bernoulli_estimate(bernoulli_ode, 0.01) for _ in range(2)]
+        runs = [bernoulli_estimate(bernoulli_ode, 0.01, u_T_norm=0.5) for _ in range(2)]
         assert asdict(runs[0]) == asdict(runs[1])
         est = runs[0]
         assert est.N == 7
         for value in (est.calls_block_encoding, est.calls_state_prep, est.extra_gates):
             assert np.isfinite(value) and value > 0
-        assert "u(T) norm measured by the reference integrator" in est.assumptions
+        # how |u(T)| was measured is the CLI artifact's reference_method
+        assert est.assumptions == ["leading-order: unit constants, natural logs clamped at 1"]
+
+    def test_estimates_never_integrate(self, bernoulli_ode, monkeypatch):
+        # the model prices the |u(T)| it is given: both integrator entry points refuse to run
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cost model integrated the ODE")
+
+        monkeypatch.setattr(node, "reference_solve", refuse)
+        monkeypatch.setattr(node, "dop853_samples", refuse)
+        est = bernoulli_estimate(bernoulli_ode, 0.01, u_T_norm=0.5)
+        assert est.u_T_norm == 0.5
+        pde = cost_pde()
+        ode = discretize(pde)
+        est = pde_cost_estimate(ode, pde, required_order(ode, 0.05), 0.05, u_T_norm=0.2)
+        assert est.u_T_norm == 0.2 and est.gamma == max_stable_gamma(ode)
 
     def test_rejects_non_contractive(self):
         bad = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[2.0]], u_in=[1.0])

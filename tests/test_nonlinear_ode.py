@@ -32,6 +32,9 @@ from carlemanlab.pde import discretize, ReactionDiffusionProblem
 
 from conftest import make_two_dim_instance, raised_cosine, rescaled_ode
 
+#: 101 uniform reference samples on [0, 1]
+SAMPLES = np.linspace(0.0, 1.0, 101)
+
 
 class TestLambda0:
     def test_diagonal(self):
@@ -182,8 +185,8 @@ class TestRescale:
     def test_trajectory_consistency(self, bernoulli_ode):
         # oracle route: integrate both systems, undo the scaling
         tol = 1e-10
-        base = reference_solve(bernoulli_ode, T=1.0, tol=tol)
-        scaled = reference_solve(rescaled_ode(bernoulli_ode, 2.0), T=1.0, tol=tol)
+        base = reference_solve(bernoulli_ode, T=1.0, tol=tol, t_eval=SAMPLES)
+        scaled = reference_solve(rescaled_ode(bernoulli_ode, 2.0), T=1.0, tol=tol, t_eval=SAMPLES)
         assert np.abs(2.0 * scaled.u - base.u).max() <= 10 * tol
 
     def test_nonpositive_gamma_rejected(self, bernoulli_ode):
@@ -213,28 +216,36 @@ class TestMaxStableGamma:
 class TestReferenceSolve:
     def test_linear_decay(self):
         ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=sp.csr_matrix((1, 1)), u_in=[1.0])
-        traj = reference_solve(ode, T=1.0, tol=1e-10)
+        traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=SAMPLES)
         assert traj.u[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
     def test_bernoulli_closed_form(self, bernoulli_ode):
         # u' = -u + u^2/2, u(0)=1  =>  u(t) = 1/(1/2 + exp(t)/2)
         tol = 1e-10
-        traj = reference_solve(bernoulli_ode, T=1.0, tol=tol)
+        traj = reference_solve(bernoulli_ode, T=1.0, tol=tol, t_eval=SAMPLES)
         exact = 1.0 / (0.5 + 0.5 * np.exp(traj.t))
         assert np.abs(traj.u[:, 0] - exact).max() <= 10 * tol
         assert traj.u[-1, 0] == pytest.approx(2.0 / (1.0 + np.e), abs=1e-9)
 
     def test_norm_monotone_when_contractive(self):
         ode = make_two_dim_instance(2, 0.6)
-        traj = reference_solve(ode, T=1.0, tol=1e-10)
+        traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=SAMPLES)
         norms = np.linalg.norm(traj.u, axis=1)
         assert np.all(norms <= norms[0] + 1e-9)
         assert np.all(np.diff(norms) <= 1e-9)
 
     def test_samples_101_uniform_times(self, bernoulli_ode):
-        traj = reference_solve(bernoulli_ode, T=1.0)
+        traj = reference_solve(bernoulli_ode, T=1.0, tol=1e-10, t_eval=SAMPLES)
         assert traj.t.size == 101
         np.testing.assert_allclose(np.diff(traj.t), 0.01)
+
+    @pytest.mark.parametrize("missing", ["tol", "t_eval"])
+    def test_tolerance_and_sample_times_have_no_defaults(self, bernoulli_ode, missing):
+        # the CLI's reference_tol is the one default tolerance
+        kwargs = {"tol": 1e-10, "t_eval": SAMPLES}
+        del kwargs[missing]
+        with pytest.raises(TypeError, match=missing):
+            reference_solve(bernoulli_ode, **kwargs)
 
     @pytest.mark.parametrize("n, method", [(1, "LSODA"), (DENSE_F1_MAX_N + 1, "DOP853")])
     def test_zero_horizon_is_the_initial_state(self, n, method):
@@ -242,16 +253,16 @@ class TestReferenceSolve:
         ode = NonlinearODE(
             n=n, M=2, F1=-sp.identity(n, format="csr"), FM=sp.csr_matrix((n, n * n)), u_in=u_in,
         )
-        traj = reference_solve(ode, T=0.0)
+        traj = reference_solve(ode, T=0.0, tol=1e-10, t_eval=np.array([0.0]))
         np.testing.assert_array_equal(traj.t, [0.0])
         np.testing.assert_array_equal(traj.u, u_in[None, :])
         assert traj.method == method
 
     def test_tolerance_window(self, bernoulli_ode):
         with pytest.raises(ValidationError):
-            reference_solve(bernoulli_ode, T=1.0, tol=1e-3)
+            reference_solve(bernoulli_ode, T=1.0, tol=1e-3, t_eval=SAMPLES)
         with pytest.raises(ValidationError):
-            reference_solve(bernoulli_ode, T=1.0, tol=1e-14)
+            reference_solve(bernoulli_ode, T=1.0, tol=1e-14, t_eval=SAMPLES)
 
 
 class TestReferenceMethod:
@@ -283,7 +294,7 @@ class TestReferenceMethod:
         # LSODA gets tol / 10, clamped to scipy's rtol floor 100 eps
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = reference_solve(bernoulli_ode, T=1.0, tol=1e-13)
+            traj = reference_solve(bernoulli_ode, T=1.0, tol=1e-13, t_eval=SAMPLES)
         assert traj.method == "LSODA"
         assert traj.u[-1, 0] == pytest.approx(2.0 / (1.0 + np.e), abs=1e-12)
 
@@ -327,7 +338,7 @@ class TestReferenceMethod:
         )
         ode = discretize(pde)
         tol = 1e-10
-        traj = reference_solve(ode, T=1.0, tol=tol)
+        traj = reference_solve(ode, T=1.0, tol=tol, t_eval=SAMPLES)
         assert traj.method == "DOP853"
         assert traj.t.size >= 101
         # a much tighter DOP853 run to each sample, read at the end of its last step
@@ -350,7 +361,7 @@ class TestReferenceMethod:
         bad = ([0.0, 1.5], [-0.5, 1.0], [0.5, 0.25], [0.25, 0.25], [0.0, np.nan], [np.nan])
         for t_eval in bad:
             with pytest.raises(ValidationError):
-                reference_solve(ode, T=1.0, t_eval=np.array(t_eval))
+                reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array(t_eval))
 
 
 class TestDop853Samples:

@@ -7,6 +7,7 @@ import pytest
 
 from carlemanlab.errors import ValidationError
 from carlemanlab.stencil import (
+    StencilTable,
     _dirichlet_axis_matrices,
     build_laplacian_1d,
     build_laplacian_dd,
@@ -43,6 +44,11 @@ class TestCoefficients:
     def test_order_guard(self, bad):
         with pytest.raises(ValidationError):
             stencil_coefficients(bad)
+
+    def test_coefficient_count_must_match_order(self):
+        # a ValidationError, not an assert, so it holds under python -O too
+        with pytest.raises(ValidationError, match="order 2 needs 3 coefficients"):
+            StencilTable(order=2, coefficients=(1, 2))
 
 
 class TestLaplacian1D:
