@@ -120,21 +120,20 @@ def global_error_bound(ode: NonlinearODE, N: int, t: float | np.ndarray) -> floa
 
     ``(M-1) |FM| |u_in|^(M-1) (1 - exp(N (lambda0 + |u_in|^(M-1) |FM|) t))
     / |lambda0 + |u_in|^(M-1) |FM||``: the bound is stated for that rescaling
-    only, and its exponent argument is negative whenever it applies.
+    only, and its exponent argument is negative whenever it applies.  At
+    ``R >= 1`` it does not apply, and every value is ``inf``.
     """
     lam, fm, M = ode.lambda0, ode.fm_norm, ode.M
     unorm = float(np.linalg.norm(ode.u_in))
     if lam >= 0:
         raise ValidationError(f"not dissipative: lambda0 = {lam} >= 0")
-    if abs(lam) <= unorm ** (M - 1) * fm:
-        raise ValidationError(
-            "bound requires |lambda0| > |u_in|^(M-1) |FM| (nonlinearity too strong)"
-        )
     decay = lam + unorm ** (M - 1) * fm
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")
-    vals = (M - 1) * fm * unorm ** (M - 1) * (1.0 - np.exp(N * decay * t)) / abs(decay)
+    vals = np.full(t.shape, np.inf) if decay >= 0 else (
+        (M - 1) * fm * unorm ** (M - 1) * (1.0 - np.exp(N * decay * t)) / abs(decay)
+    )
     return vals if vals.ndim else float(vals)
 
 
@@ -150,11 +149,9 @@ def component_error_bound(
     ``k`` is the level-set exponent for ``j``; at ``j = 1`` this is the
     end-to-end bound on the extracted solution.  ``gamma`` defaults to
     ``|u_in|`` and must be positive and finite; the value of the bound is scale-invariant apart from the
-    explicit ``(|u_in|/gamma)^j`` prefactor.
+    explicit ``(|u_in|/gamma)^j`` prefactor.  Every value is ``inf`` at ``R >= 1``.
     """
     R = r_ratio(ode)  # refuses lambda0 >= 0
-    if R >= 1:
-        raise ValidationError(f"bound requires R < 1, got R = {R}")
     k = omega_index(N, ode.M, j)
     unorm = float(np.linalg.norm(ode.u_in))
     gamma = unorm if gamma is None else gamma
@@ -169,14 +166,17 @@ def component_error_bound(
 def _level_bound(
     j: int, k: int, M: int, decay: float, t: np.ndarray, scale: float, rate: float
 ) -> float | np.ndarray:
-    """``scale rate^k f_{j,k,M}(decay t)``, the product of both per-level bounds.  With
-    ``rate > 0`` each value at ``t > 0`` that underflows (0.0 claims no error, a subnormal
-    one too little) is raised to ``sys.float_info.min * max(1, scale)``: every factor is
-    positive there and each but ``scale`` at most 1, so the floor still bounds."""
-    vals = scale * rate**k * np.asarray(f_closed(j, k, M, decay * t))
-    if rate > 0:
-        low = (t > 0) & (vals < sys.float_info.min)
-        vals = np.where(low, sys.float_info.min * max(1.0, scale), vals)
+    """``scale rate^k f_{j,k,M}(decay t)``, the product of both per-level bounds, ``inf`` at
+    ``rate >= 1``.  Below, each value at ``t > 0`` that underflows (0.0 claims no error, a
+    subnormal one too little) is raised to ``sys.float_info.min * max(1, scale)`` unless
+    ``rate = 0``: every factor is positive and each but ``scale`` at most 1, so it bounds."""
+    if rate >= 1:
+        vals = np.full(t.shape, np.inf)
+    else:
+        vals = scale * rate**k * np.asarray(f_closed(j, k, M, decay * t))
+        if rate > 0:
+            low = (t > 0) & (vals < sys.float_info.min)
+            vals = np.where(low, sys.float_info.min * max(1.0, scale), vals)
     return vals if vals.ndim else float(vals)
 
 
@@ -249,9 +249,6 @@ def maxnorm_error_bound(
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("time must be non-negative")
-    if bracket >= 1.0:
-        vals = np.full(t.shape, np.inf)
-        return vals if vals.ndim else float("inf")
     return _level_bound(j, k, M, abs(pde.c), t, g_value ** (d * j), bracket)
 
 
@@ -270,8 +267,8 @@ class BoundReport:
     times: np.ndarray
     eta_bounds: dict[int, np.ndarray]
     stability: dict[str, bool]
-    required_N: int
-    refined_N: int
+    required_N: int | None
+    refined_N: int | None
 
     def as_dict(self) -> dict:
         return {
@@ -288,13 +285,15 @@ class BoundReport:
 
 
 def make_bound_report(ode: NonlinearODE, eps: float, gamma: float, N: int) -> BoundReport:
-    """Assemble verdicts at ``gamma``, the orders required for ``eps``, and
-    per-level bound curves on ``linspace(0, T, 101)`` at order ``N``."""
+    """Assemble verdicts at ``gamma``, the orders required for ``eps`` (``None`` at ``R >= 1``,
+    where no order meets it), and per-level bound curves on ``linspace(0, T, 101)`` at ``N``."""
     lam = ode.lambda0
     R = r_ratio(ode)
     gamma_max = max_stable_gamma(ode)
-    required = required_carleman_order(R, ode.M, eps)
-    refined = refined_carleman_order(R, ode.M, eps, lam, ode.T)
+    required = refined = None
+    if R < 1:
+        required = required_carleman_order(R, ode.M, eps)
+        refined = refined_carleman_order(R, ode.M, eps, lam, ode.T)
     times = np.linspace(0.0, ode.T, 101)
     eta = {
         j: np.asarray(component_error_bound(ode, N, j, times, gamma=gamma))

@@ -400,23 +400,25 @@ def reference_solve(
         and np.all(np.diff(t_eval) > 0)
     ):
         raise ValidationError(f"sample times must be finite, increasing and inside [0, {horizon}]")
-    if lsoda:
-        step_tol = max(tol / 10, 100 * np.finfo(float).eps)
-        sol = solve_ivp(
-            lambda _, u: ode.rhs(u),
-            (0.0, horizon),
-            ode.u_in,
-            method=method,
-            rtol=step_tol,
-            atol=step_tol,
-            t_eval=t_eval,
-            jac=lambda _, u: ode.jacobian(u),
-        )
-        if not sol.success:
-            raise NumericFailure(f"reference integration failed: {sol.message}")
-        t, u = sol.t, sol.y.T.copy()
-    else:
-        t, u = t_eval.copy(), dop853_samples(ode.rhs, ode.u_in, t_eval, tol, tol)
+    # a solution that blows up overflows: the check below refuses it, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lsoda:
+            step_tol = max(tol / 10, 100 * np.finfo(float).eps)
+            sol = solve_ivp(
+                lambda _, u: ode.rhs(u),
+                (0.0, horizon),
+                ode.u_in,
+                method=method,
+                rtol=step_tol,
+                atol=step_tol,
+                t_eval=t_eval,
+                jac=lambda _, u: ode.jacobian(u),
+            )
+            if not sol.success:
+                raise NumericFailure(f"reference integration failed: {sol.message}")
+            t, u = sol.t, sol.y.T.copy()
+        else:
+            t, u = t_eval.copy(), dop853_samples(ode.rhs, ode.u_in, t_eval, tol, tol)
     if not np.all(np.isfinite(u)):
         raise NumericFailure("reference integration produced non-finite values")
     return Trajectory(t=t, u=u, method=method)

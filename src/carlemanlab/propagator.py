@@ -32,6 +32,7 @@ import scipy.sparse as sp
 from .carleman import CarlemanMatrix, SymmetricBasis, ranges
 from .errors import NumericFailure, ValidationError
 from .limits import KRON_MAX_SIZE
+from .nonlinear_ode import max_stable_gamma
 
 #: ``evolve`` raises :class:`NumericFailure` when ``|y|`` exceeds this times ``|y0|``
 BLOWUP_FACTOR = 1e6
@@ -408,9 +409,11 @@ def evolve(mat: CarlemanMatrix, config: PropagationConfig) -> EvolveResult:
         raise ValidationError("initial state is zero: its lift reaches no coordinate")
     bound = mat.gershgorin_max_eig_bound()
     if config.strict_stability and bound > 0:
+        base = mat.rescaled.base
+        limit = f", gamma_max = {max_stable_gamma(base)}" if base.lambda0 < 0 else ""
         raise ValidationError(
-            f"stability check failed: Gershgorin bound {bound} > 0 "
-            "(raise gamma_max or disable strict_stability)"
+            f"stability check failed: Gershgorin bound {bound} > 0 at gamma = {mat.gamma}"
+            f"{limit} (set numerics \"gamma\": \"gamma_max\" or pass --strict-stability false)"
         )
     keys = mat.reach()
     op = mat.to_symmetric(keys)

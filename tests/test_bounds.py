@@ -236,10 +236,13 @@ class TestGlobalBound:
         got = global_error_bound(bernoulli_ode, 4, 1.0)
         assert got == pytest.approx(1.0 - np.exp(-2.0), rel=1e-12)
 
-    def test_strong_nonlinearity_rejected(self):
-        ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[2.0]], u_in=[1.0])
-        with pytest.raises(ValidationError):
-            global_error_bound(ode, 4, 1.0)
+    def test_strong_nonlinearity_has_no_finite_bound(self):
+        # at R = 1 and R = 2 the bound does not apply: inf, shaped like t, and no raise
+        t = np.array([0.0, 0.5, 1.0])
+        for fm in (1.0, 2.0):
+            ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[fm]], u_in=[1.0])
+            assert global_error_bound(ode, 4, 1.0) == np.inf
+            assert global_error_bound(ode, 4, t).tolist() == [np.inf] * 3
 
     def test_dominates_stacked_error_vector(self, bernoulli_ode):
         # oracle: near-exact evolve vs reference, all levels stacked
@@ -276,10 +279,15 @@ class TestComponentBound:
         halved = component_error_bound(ode, 5, 2, 1.0, gamma=2.0)
         assert halved == pytest.approx(base / 4.0, rel=1e-12)
 
-    def test_requires_contraction(self):
-        ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[1.5]], u_in=[1.0])
-        with pytest.raises(ValidationError, match="R < 1"):
-            component_error_bound(ode, 4, 1, 1.0)
+    def test_no_contraction_has_no_finite_bound(self):
+        # at R = 1 and R = 1.5, R^k does not fall with the order: inf at every
+        # level and time, shaped like t
+        t = np.array([0.0, 0.5, 1.0])
+        for fm in (1.0, 1.5):
+            ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[fm]], u_in=[1.0])
+            for j in range(1, 5):
+                assert component_error_bound(ode, 4, j, 1.0, gamma=0.5) == np.inf
+                assert component_error_bound(ode, 4, j, t).tolist() == [np.inf] * 3
 
     def test_deep_order_bound_is_finite_and_in_range(self, bernoulli_ode):
         # N = 30 puts level 1 at k = 30, where the alternating sum cancels in floats
@@ -355,6 +363,13 @@ class TestMaxNormBound:
             1.0 / (demo_pde.d * demo_pde.M)
         ) * 1.01
         assert maxnorm_error_bound(demo_pde, 4, 1, 1.0, big_g) == np.inf
+        # every level and time, t = 0 included, shaped like t; a bracket of 1 exactly too
+        t = np.array([0.0, 0.5, 1.0])
+        for j in range(1, 5):
+            vals = maxnorm_error_bound(demo_pde, 4, j, t, big_g)
+            assert isinstance(vals, np.ndarray) and vals.tolist() == [np.inf] * 3
+        unit = replace(demo_pde, b=abs(demo_pde.c) / demo_pde.initial_max_norm())
+        assert maxnorm_error_bound(unit, 4, 1, 0.0, 1.0) == np.inf
 
     def test_peak_below_one_rejected(self, demo_pde):
         with pytest.raises(ValidationError):
@@ -380,6 +395,18 @@ class TestBoundReport:
         assert set(report.eta_bounds) == set(range(1, 8))
         assert all(np.all(v >= 0) for v in report.eta_bounds.values())
         assert report.stability["contractive_nonlinearity"]
+
+    def test_report_past_contraction_has_no_order_and_infinite_curves(self):
+        # R = 2: no order meets eps, and no level bound is finite
+        ode = NonlinearODE(n=1, M=2, F1=[[-1.0]], FM=[[2.0]], u_in=[1.0])
+        report = make_bound_report(ode, 0.01, 0.5, 5)
+        assert report.required_N is None and report.refined_N is None
+        assert set(report.eta_bounds) == set(range(1, 6))
+        assert all(np.all(np.isinf(v)) and v.shape == (101,) for v in report.eta_bounds.values())
+        assert not report.stability["contractive_nonlinearity"]
+        assert report.stability["gamma_within_stable_range"]
+        payload = report.as_dict()
+        assert payload["required_N"] is None and payload["refined_N"] is None
 
     def test_report_serialises(self, bernoulli_ode):
         import json

@@ -676,6 +676,18 @@ class TestLinearizeAndCost:
         assert results["total_dimension"] == 5
         assert results["gershgorin_max_eig_bound"] <= 0
 
+    @pytest.mark.parametrize("N, rows", [(3, 13), (4, None)])
+    def test_linearize_counts_rows_up_to_the_flat_assembly_limit(self, tmp_path, N, rows):
+        # the demo has 33 824 flat coordinates at N = 3, past the dense limit but
+        # inside the sparse assembly's (200 000), and 1 082 400 at N = 4, past both
+        config = json.loads((CONFIGS / "demo_n13.json").read_text())
+        config["command"] = "linearize"
+        config["numerics"]["N"] = N
+        assert run_config(config, tmp_path) == 0
+        results = json.loads((tmp_path / "demo_n13_linearize.json").read_text())["results"]
+        assert results["total_dimension"] == sum(32**j for j in range(1, N + 1))
+        assert results.get("max_row_nonzeros") == rows
+
     def test_cost_report(self, tmp_path):
         config = json.loads(json.dumps(BERNOULLI))
         config["command"] = "cost"
@@ -777,6 +789,75 @@ class TestLinearizeAndCost:
         assert run_config(config, tmp_path) == 2
         assert "PDE cost model fixes gamma = gamma_max" in capsys.readouterr().err
         assert not (tmp_path / "demo_cost.json").exists()
+
+
+#: the demo PDE at m = 128 (R = 1.39), stepped at gamma_max = 4 with N = 9
+DEMO_M128 = json.loads((CONFIGS / "demo_m128_gamma_max.json").read_text())
+
+
+class TestPastContraction:
+    """At R >= 1 every level bound is inf (null in JSON, inf in CSV): a run given N
+    goes through, and only the rules with no answer there (the order rule, the cost
+    model) refuse."""
+
+    @staticmethod
+    def bernoulli(command):
+        # u' = -u + 1.5 u^2 from u = 1: R = 1.5, and the solution lives until t = ln 3 > T
+        config = json.loads(json.dumps(BERNOULLI))
+        config["command"] = command
+        config["ode"]["FM"] = {"entries": [[0, 0, 1.5]]}
+        config["numerics"] = {"N": 5, "gamma": "gamma_max"}
+        return config
+
+    def test_bounds_with_an_explicit_order(self, tmp_path):
+        assert run_config(self.bernoulli("bounds"), tmp_path) == 0
+        results = json.loads((tmp_path / "demo_bounds.json").read_text())["results"]
+        assert results["R"] == 1.5 and results["N"] == 5
+        assert results["required_N"] is None and results["refined_N"] is None
+        assert not results["stability"]["contractive_nonlinearity"]
+        curves = results["eta_bounds"]
+        assert sorted(curves) == ["1", "2", "3", "4", "5"]
+        assert all(len(c) == 101 and set(c) == {None} for c in curves.values())
+        header, rows = read_csv(tmp_path / "demo_bound_sweep.csv")
+        assert len(rows) == 5 * 101 and {r[header.index("bound")] for r in rows} == {"inf"}
+
+    def test_linearize_and_sweep_with_an_explicit_order(self, tmp_path):
+        assert run_config(self.bernoulli("linearize"), tmp_path) == 0
+        results = json.loads((tmp_path / "demo_linearize.json").read_text())["results"]
+        assert results["R"] == 1.5 and results["max_row_nonzeros"] == 2
+        config = self.bernoulli("sweep")
+        config["axes"] = [{"name": "N", "values": [3, 5]}]
+        assert run_config(config, tmp_path) == 0
+        header, rows = read_csv(tmp_path / "demo_sweep.csv")
+        assert [r[header.index("component_bound_j1_T")] for r in rows] == ["inf", "inf"]
+
+    def test_evolve_on_the_committed_conflict_config(self, tmp_path):
+        # the abstract's conflict: no finite 2-norm bound, a measured error of 3.4e-10
+        assert run_config(DEMO_M128, tmp_path) == 0
+        results = json.loads((tmp_path / "demo_m128_gamma_max_evolve.json").read_text())["results"]
+        assert results["coordinates"] == "fourier" and results["gamma"] == 4.0
+        assert results["component_bound_j1_T"] is None
+        assert results["measured_error_T"] < 1e-9
+
+    def test_default_gamma_is_refused_naming_gamma_max(self, tmp_path, capsys):
+        # R >= 1 exactly when |u_in| >= gamma_max: the Gershgorin bound is +4.78
+        config = json.loads(json.dumps(DEMO_M128))
+        del config["numerics"]["gamma"]
+        assert run_config(config, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "stability check failed: Gershgorin bound 4.78" in err
+        assert "gamma_max = 4.0" in err and '"gamma": "gamma_max"' in err
+        assert "--strict-stability false" in err
+        assert not list(tmp_path.glob("demo_m128_gamma_max_*"))
+
+    @pytest.mark.parametrize("command", ["linearize", "evolve", "bounds", "sweep"])
+    def test_order_rule_refuses_without_an_order(self, tmp_path, capsys, command):
+        # pde writes its max-norm verdict with a null N instead (see TestPdeCommand)
+        config = self.bernoulli(command)
+        del config["numerics"]["N"]
+        assert run_config(config, tmp_path) == 2
+        assert "requires 0 < R < 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("demo_*"))
 
 
 class TestValidation:

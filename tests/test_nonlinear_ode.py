@@ -28,7 +28,7 @@ from carlemanlab.nonlinear_ode import (
     reference_solve,
     rescale,
 )
-from carlemanlab.pde import discretize, ReactionDiffusionProblem
+from carlemanlab.pde import discretize, one_sparse_nonlinearity, ReactionDiffusionProblem
 
 from conftest import make_two_dim_instance, raised_cosine, rescaled_ode
 
@@ -257,6 +257,19 @@ class TestReferenceSolve:
         np.testing.assert_array_equal(traj.t, [0.0])
         np.testing.assert_array_equal(traj.u, u_in[None, :])
         assert traj.method == method
+
+    @pytest.mark.parametrize("n", [1, DENSE_F1_MAX_N + 1], ids=["LSODA", "DOP853"])
+    def test_blow_up_is_numeric_failure_not_a_warning(self, n):
+        # u' = -u + 2 u^2 from u = 1 blows up at t = ln 2 < T: the overflow on
+        # the way is refused as a numeric failure, under warnings raised as errors too
+        ode = NonlinearODE(
+            n=n, M=2, F1=-sp.identity(n, format="csr"), FM=one_sparse_nonlinearity(n, 2, 2.0),
+            u_in=np.ones(n), T=1.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure):
+                reference_solve(ode, tol=1e-10, t_eval=SAMPLES)
 
     def test_tolerance_window(self, bernoulli_ode):
         with pytest.raises(ValidationError):
