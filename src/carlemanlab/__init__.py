@@ -47,6 +47,7 @@ from .pde import (
     discretisation_error_bound,
     discretize,
     estimate_derivative_bound,
+    etdrk4_reference,
     fourier_form,
     required_grid_points,
     stability_report,

@@ -441,9 +441,25 @@ def _cmd_linearize(ctx: RunContext) -> None:
     write_json(ctx.path("linearize.json"), payload, ctx.digest, ctx.config)
 
 
-def _reference(ctx: RunContext, ode: node.NonlinearODE, t_eval: np.ndarray) -> node.Trajectory:
-    """``ode``'s reference trajectory at ``t_eval``, at the config's ``reference_tol``."""
-    return node.reference_solve(ode, tol=ctx.numerics["reference_tol"], t_eval=t_eval)
+def _reference(
+    ctx: RunContext, ode: node.NonlinearODE, problem: rd.ReactionDiffusionProblem | None,
+    t_eval: np.ndarray,
+) -> node.Trajectory:
+    """The reference trajectory at ``t_eval``, at the config's ``reference_tol``: ETDRK4
+    for a PDE (:func:`~carlemanlab.pde.etdrk4_reference`), LSODA for an ODE."""
+    tol = ctx.numerics["reference_tol"]
+    if problem is not None:
+        return rd.etdrk4_reference(problem, tol=tol, t_eval=t_eval)
+    return node.reference_solve(ode, tol=tol, t_eval=t_eval)
+
+
+def _reference_fields(reference: node.Trajectory) -> dict:
+    """The artifact fields naming how the reference was taken: its method and, for a
+    method that halves its step until two runs agree, their last difference."""
+    fields: dict[str, Any] = {"reference_method": reference.method}
+    if reference.difference is not None:
+        fields["reference_difference"] = reference.difference
+    return fields
 
 
 def _run_pipeline(ctx: RunContext) -> dict:
@@ -453,11 +469,12 @@ def _run_pipeline(ctx: RunContext) -> dict:
 
     A PDE is stepped in its Fourier form (:func:`~carlemanlab.pde.fourier_form`),
     where F1 is diagonal, a Taylor step can be one matvec and band-limited
-    data reaches few coordinates, and level 1 is mapped back to the grid; gamma, N, the reference and the bound come from
-    the grid problem.  When the Fourier form or its symmetric operator is over
-    a size limit (its nonlinearity couples far more modes than the grid's
-    couples points, so it can be while the grid fits), the grid is stepped;
-    when the grid is over a limit too, the error names both refusals.
+    data reaches few coordinates, and level 1 is mapped back to the grid; gamma, N
+    and the bound come from the grid problem, the reference from :func:`_reference`.
+    When the Fourier form or its symmetric operator is over a size limit (its
+    nonlinearity couples far more modes than the grid's couples points, so it
+    can be while the grid fits), the grid is stepped; when the grid is over a
+    limit too, the error names both refusals.
     """
     ode, problem = resolve_problem(ctx.config)
     numerics = ctx.numerics
@@ -488,7 +505,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
                 raise
             raise SizeLimitError(f"Fourier form: {refusal}; grid: {exc}") from exc
     block1 = result.block1 if fourier is None else fourier.to_grid(result.block1)
-    reference = _reference(ctx, ode, result.times)
+    reference = _reference(ctx, ode, problem, result.times)
     u_hat = gamma * block1
     err = np.linalg.norm(u_hat - reference.u, axis=1)
     # a norm per row: an axis=1 norm rounds differently
@@ -521,7 +538,7 @@ def _run_pipeline(ctx: RunContext) -> dict:
         "component_bound_j1_T": bound_T,
         "step_norm": result.step_norm,
         "time_error_certificate_T": gamma * result.time_error_certificate,
-        "reference_method": reference.method,
+        **_reference_fields(reference),
     }
 
 
@@ -607,7 +624,7 @@ def _cmd_cost(ctx: RunContext) -> None:
     if problem is not None and numerics["gamma"] is not None:
         raise ValidationError("the PDE cost model fixes gamma = gamma_max; drop numerics 'gamma'")
     ct.cost_model_ratio(ode)  # R >= 1 is refused before the reference runs
-    reference = _reference(ctx, ode, np.array([0.0, ode.T]))
+    reference = _reference(ctx, ode, problem, np.array([0.0, ode.T]))
     u_T_norm = float(np.linalg.norm(reference.u[-1]))
     if problem is not None:
         estimate = ct.pde_cost_estimate(ode, problem, N, eps, u_T_norm=u_T_norm)
@@ -619,7 +636,7 @@ def _cmd_cost(ctx: RunContext) -> None:
         "results": {
             "estimate": asdict(estimate),
             "prior_work": [asdict(row) for row in comparison],
-            "reference_method": reference.method,
+            **_reference_fields(reference),
         }
     }
     write_json(ctx.path("cost.json"), payload, ctx.digest, ctx.config)

@@ -17,8 +17,6 @@ from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import DOP853, solve_ivp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from .errors import NumericFailure, ValidationError
 from .limits import DENSE_F1_MAX_N, KRON_MAX_SIZE, check_power, check_size
@@ -231,6 +229,8 @@ def lambda0(F1: MatrixLike) -> float:
     if F1.shape[0] <= DENSE_F1_MAX_N:
         dense = F1.toarray()
         return float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     sym = (0.5 * (F1 + F1.T)).tocsr()
     try:
         top = eigsh(
@@ -253,6 +253,8 @@ def operator_spectral_norm(A: MatrixLike) -> float:
         return 0.0
     if A.shape[0] * A.shape[1] <= DENSE_F1_MAX_N**2:
         return float(np.linalg.norm(A.toarray(), 2))
+    from scipy.sparse.linalg import ArpackNoConvergence, svds
+
     try:
         top = svds(A, k=1, v0=_arpack_start(min(A.shape)), return_singular_vectors=False)
     except ArpackNoConvergence as exc:
@@ -359,69 +361,79 @@ def kron_sum_apply(op: sp.csr_matrix, y: np.ndarray, n: int, j: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: ``u[i]`` is the state at ``t[i]``, from ``method``."""
+    """Sampled solution: ``u[i]`` is the state at ``t[i]``, from ``method``.
+
+    ``difference`` is, for a method that halves its step until two runs
+    agree, the max-norm difference of the last two: an estimate of the
+    error, not a bound.
+    """
 
     t: np.ndarray
     u: np.ndarray
     method: str
+    difference: float | None = None
 
 
-def reference_solve(
-    ode: NonlinearODE, T: float | None = None, *, tol: float, t_eval: np.ndarray
-) -> Trajectory:
-    """Brute-force trajectory from an adaptive high-order integrator.
-
-    Serves as the oracle for every error-bound comparison; the local error is
-    controlled to ``tol`` in mixed absolute/relative form and the solution is
-    sampled at ``t_eval``, both the caller's (the CLI's ``tol`` is its ``reference_tol``).
-
-    The method follows from the dense-F1 limit: ODEPACK's compiled LSODA
-    (Adams or BDF, with the analytic :meth:`NonlinearODE.jacobian`) when
-    ``n <= DENSE_F1_MAX_N``, where that Jacobian exists, at ``tol / 10``
-    (its global error runs about ten times its local tolerance; clamped to
-    scipy's floor ``100 eps``), and explicit DOP853 otherwise, stepped to
-    each sample by :func:`dop853_samples` rather than read through its dense
-    output, which is far less accurate between steps than at them.  The
-    trajectory records which method ran.
-    """
+def check_reference_request(tol: float, t_eval: np.ndarray, horizon: float) -> np.ndarray:
+    """``t_eval`` as floats, once ``tol`` is inside [1e-13, 1e-6] and the sample times are
+    finite, increasing and inside ``[0, horizon]``: what every reference integrator takes."""
     if not 1e-13 <= tol <= 1e-6:
         raise ValidationError(f"tolerance {tol} outside [1e-13, 1e-6]")
-    horizon = ode.T if T is None else float(T)
     if horizon < 0:
         raise ValidationError("horizon must be non-negative")
-    lsoda = ode.n <= DENSE_F1_MAX_N
-    method = "LSODA" if lsoda else "DOP853"
-    if horizon == 0.0:
-        return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy(), method=method)
-
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size and not (
         np.all(np.isfinite(t_eval)) and 0 <= t_eval[0] and t_eval[-1] <= horizon
         and np.all(np.diff(t_eval) > 0)
     ):
         raise ValidationError(f"sample times must be finite, increasing and inside [0, {horizon}]")
+    return t_eval
+
+
+def reference_solve(
+    ode: NonlinearODE, T: float | None = None, *, tol: float, t_eval: np.ndarray
+) -> Trajectory:
+    """Brute-force trajectory of an ODE from ODEPACK's compiled LSODA.
+
+    Serves as the oracle for every error-bound comparison on an ODE input
+    (a periodic PDE has its own, :func:`carlemanlab.pde.etdrk4_reference`);
+    the local error is controlled to ``tol`` in mixed absolute/relative form
+    and the solution is sampled at ``t_eval``, both the caller's (the CLI's
+    ``tol`` is its ``reference_tol``).
+
+    LSODA (Adams or BDF) takes the analytic :meth:`NonlinearODE.jacobian`,
+    so ``n`` is limited to ``DENSE_F1_MAX_N``: a larger ODE is refused
+    before it integrates.  It runs at ``tol / 10``, because its global error
+    runs about ten times its local tolerance, clamped to scipy's floor
+    ``100 eps``.
+    """
+    horizon = ode.T if T is None else float(T)
+    t_eval = check_reference_request(tol, t_eval, horizon)
+    check_size(ode.n, DENSE_F1_MAX_N, "reference integrator dimension (its dense Jacobian)")
+    if horizon == 0.0:
+        return Trajectory(t=np.array([0.0]), u=ode.u_in[None, :].copy(), method="LSODA")
+
+    from scipy.integrate import solve_ivp
+
+    step_tol = max(tol / 10, 100 * np.finfo(float).eps)
     # a solution that blows up overflows: the check below refuses it, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if lsoda:
-            step_tol = max(tol / 10, 100 * np.finfo(float).eps)
-            sol = solve_ivp(
-                lambda _, u: ode.rhs(u),
-                (0.0, horizon),
-                ode.u_in,
-                method=method,
-                rtol=step_tol,
-                atol=step_tol,
-                t_eval=t_eval,
-                jac=lambda _, u: ode.jacobian(u),
-            )
-            if not sol.success:
-                raise NumericFailure(f"reference integration failed: {sol.message}")
-            t, u = sol.t, sol.y.T.copy()
-        else:
-            t, u = t_eval.copy(), dop853_samples(ode.rhs, ode.u_in, t_eval, tol, tol)
+        sol = solve_ivp(
+            lambda _, u: ode.rhs(u),
+            (0.0, horizon),
+            ode.u_in,
+            method="LSODA",
+            rtol=step_tol,
+            atol=step_tol,
+            t_eval=t_eval,
+            jac=lambda _, u: ode.jacobian(u),
+        )
+    if not sol.success:
+        raise NumericFailure(f"reference integration failed: {sol.message}")
+    u = sol.y.T.copy()
     if not np.all(np.isfinite(u)):
         raise NumericFailure("reference integration produced non-finite values")
-    return Trajectory(t=t, u=u, method=method)
+    return Trajectory(t=sol.t, u=u, method="LSODA")
 
 
 def dop853_samples(
@@ -434,6 +446,8 @@ def dop853_samples(
     step, never through its dense output; each interval starts from the last
     step size of the one before.  A repeated sample, or one at 0, takes no step.
     """
+    from scipy.integrate import DOP853
+
     u = np.empty((t_eval.size, y0.size))
     t, y, first_step = 0.0, y0, None
     for i, sample in enumerate(t_eval):

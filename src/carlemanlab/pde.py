@@ -6,7 +6,8 @@ selects the diagonal monomials ``u_i^M``.  :func:`fourier_form` rewrites that
 ODE in the real orthonormal Fourier basis of the periodic grid, where F1 is
 diagonal, so :func:`carlemanlab.propagator.evolve` can take each Taylor step
 as one matvec; the CLI steps a PDE in that form whenever it fits the size
-limits.  The module also evaluates
+limits.  :func:`etdrk4_reference` integrates the grid problem itself, in
+Fourier space, as every PDE run's reference.  The module also evaluates
 every stability criterion the pipeline depends on, the semi-discrete spatial
 error bound, and the grid size needed for a target accuracy.
 """
@@ -23,7 +24,15 @@ import scipy.sparse as sp
 
 from .errors import NumericFailure, ValidationError
 from .limits import KRON_MAX_SIZE, check_power, check_size
-from .nonlinear_ode import NonlinearODE, base_digits, fm_width, max_stable_gamma, r_ratio
+from .nonlinear_ode import (
+    NonlinearODE,
+    Trajectory,
+    base_digits,
+    check_reference_request,
+    fm_width,
+    max_stable_gamma,
+    r_ratio,
+)
 from .stencil import build_laplacian_dd, laplacian_eigenvalues_periodic
 
 InitialCondition = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
@@ -33,6 +42,14 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 
 #: mode tuples per block of the Fourier product enumeration
 _PRODUCT_CHUNK = 1 << 18
+
+#: the ETDRK4 coefficients' contour: the upper half of a unit circle, whose
+#: mean's real part is the whole circle's for a real spectrum (Kassam and
+#: Trefethen 2005, SIAM J. Sci. Comput. 26:1214)
+_CONTOUR = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
+
+#: substeps of one ETDRK4 run, over all its intervals, at most
+ETDRK4_MAX_STEPS = 1 << 16
 
 
 @dataclass
@@ -338,6 +355,133 @@ def fourier_form(pde: ReactionDiffusionProblem) -> FourierForm:
     u_in[rounding] = 0.0
     modal = _periodic_ode(pde, sp.diags(periodic_spectrum(pde), format="csr"), FM, u_in)
     return FourierForm(ode=modal, axis_basis=Q, d=d, dropped_mass=dropped)
+
+
+# ---------------------------------------------------------------------------
+# the exponential reference
+# ---------------------------------------------------------------------------
+
+def _etdrk4_coefficients(h: float, spectrum: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``e^(hL)``, ``e^(hL/2)`` and the weights ``Q, f1, f2, f3`` of one ETDRK4 step of
+    ``h`` for the diagonal ``L = spectrum`` (Cox and Matthews 2002).
+
+    Each weight's closed form cancels catastrophically near ``hL = 0``, so it
+    is taken as its mean over :data:`_CONTOUR` around ``hL``, once per
+    distinct eigenvalue.
+    """
+    values, where = np.unique(spectrum, return_inverse=True)
+    z = h * values[:, None] + _CONTOUR
+    ez = np.exp(z)
+    weights = [
+        (np.exp(z / 2) - 1) / z,
+        (-4 - z + ez * (4 - 3 * z + z**2)) / z**3,
+        (2 + z + ez * (z - 2)) / z**3,
+        (-4 - 3 * z - z**2 + ez * (4 - z)) / z**3,
+    ]
+    exact = [np.exp(h * values), np.exp(h * values / 2)]
+    out = exact + [h * w.mean(axis=1).real for w in weights]
+    return tuple(c[where.reshape(-1)].reshape(spectrum.shape) for c in out)
+
+
+def _etdrk4_samples(
+    pde: ReactionDiffusionProblem, counts: np.ndarray, lengths: np.ndarray, cache: dict
+) -> np.ndarray | None:
+    """One ETDRK4 run's grid states, a row per sample, or ``None`` once a state leaves
+    the float range.
+
+    The ``i``-th sample lies ``lengths[i]`` after the one before it (after 0
+    for the first), reached in ``counts[i]`` equal substeps, so it is landed
+    on, not interpolated; a sample with no substeps repeats the state before
+    it.  ``cache`` keeps the coefficients per step size, across runs.
+    """
+    m, d = pde.m, pde.d
+    shape, axes = (m,) * d, tuple(range(d))
+    freq = np.arange(m)
+    lam = laplacian_eigenvalues_periodic(pde.k, m)[np.minimum(freq, m - freq)]
+    # the rfftn layout: every frequency on the first d - 1 axes, 0..m/2 on the last
+    total = lam[: m // 2 + 1]
+    for _ in range(d - 1):
+        total = lam.reshape((m,) + (1,) * total.ndim) + total
+    spectrum = pde.diffusion * total + pde.c
+
+    def nonlinear(v: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(pde.b * np.fft.irfftn(v, s=shape, axes=axes) ** pde.M, axes=axes)
+
+    state = pde.initial_grid()
+    v = np.fft.rfftn(state.reshape(shape), axes=axes)
+    out = np.empty((lengths.size, pde.n))
+    for i, (count, length) in enumerate(zip(counts, lengths)):
+        if count:
+            h = length / count
+            if h not in cache:
+                cache[h] = _etdrk4_coefficients(h, spectrum)
+            E, E2, Q, f1, f2, f3 = cache[h]
+            for _ in range(count):
+                Nv, half = nonlinear(v), E2 * v
+                a = half + Q * Nv
+                Na = nonlinear(a)
+                b = half + Q * Na
+                Nb = nonlinear(b)
+                c = E2 * a + Q * (2 * Nb - Nv)
+                v = E * v + f1 * Nv + 2 * f2 * (Na + Nb) + f3 * nonlinear(c)
+            state = np.fft.irfftn(v, s=shape, axes=axes).reshape(-1)
+            if not np.all(np.isfinite(state)):
+                return None
+        out[i] = state
+    return out
+
+
+def etdrk4_reference(
+    pde: ReactionDiffusionProblem, *, tol: float, t_eval: np.ndarray
+) -> Trajectory:
+    """The grid problem's trajectory at ``t_eval`` from ETDRK4 in Fourier space.
+
+    This is :func:`discretize`'s ODE ``u' = F1 u + b u^M``, integrated by
+    the fourth-order exponential time differencing scheme of Cox and
+    Matthews (2002, J. Comput. Phys. 176:430).  F1 is diagonal in the grid's
+    Fourier modes, with the closed-form eigenvalues of
+    :func:`periodic_spectrum`, so it is stepped exactly; ``b u^M`` is taken
+    pointwise on the grid between numpy's real FFTs, so nothing is shared
+    with the Carleman route's FM, and a step costs O(n log n).
+
+    Each interval between samples is cut into about ``s`` times its length
+    over the longest one's equal substeps, at least one
+    (:func:`_etdrk4_samples`), for ``s = 1, 2, 4, ...`` until two runs in a
+    row agree within ``tol`` in mixed absolute/relative form: in the
+    max-norm over every sample, within ``tol max(1, |u|_max)``.  The finer
+    run is returned, with that difference as its ``difference``, an estimate
+    and not a bound.  ``tol`` and ``t_eval`` are checked as
+    :func:`~carlemanlab.nonlinear_ode.reference_solve` checks them.  Two
+    runs in a row that leave the float range (a solution that blows up), or
+    no agreement by ``ETDRK4_MAX_STEPS`` substeps in a run (or two per
+    interval, when there are more intervals), end in :class:`NumericFailure`.
+    """
+    t_eval = check_reference_request(tol, t_eval, pde.T)
+    lengths = np.diff(t_eval, prepend=0.0)
+    if not np.any(lengths > 0):
+        u = np.tile(pde.initial_grid(), (t_eval.size, 1))
+        return Trajectory(t=t_eval.copy(), u=u, method="ETDRK4", difference=0.0)
+    share = lengths / lengths.max()
+    # the first two runs take at least one and two substeps per interval
+    limit = max(ETDRK4_MAX_STEPS, 2 * np.count_nonzero(lengths))
+    cache: dict = {}
+    steps, finer = 1, None
+    # a solution that blows up overflows: the runs refuse it, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            counts = np.where(lengths > 0, np.maximum(1, np.rint(steps * share)), 0).astype(int)
+            if counts.sum() > limit:
+                raise NumericFailure(f"ETDRK4 runs did not agree within {tol} by {limit} substeps")
+            coarser, finer = finer, _etdrk4_samples(pde, counts, lengths, cache)
+            if steps > 1 and coarser is None and finer is None:
+                raise NumericFailure("ETDRK4 left the float range at two step sizes")
+            if coarser is not None and finer is not None:
+                difference = float(np.abs(finer - coarser).max())
+                if difference <= tol * max(1.0, float(np.abs(finer).max())):
+                    return Trajectory(
+                        t=t_eval.copy(), u=finer, method="ETDRK4", difference=difference
+                    )
+            steps *= 2
 
 
 # ---------------------------------------------------------------------------

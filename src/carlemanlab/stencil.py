@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericFailure, ValidationError
 from .limits import DENSE_MAX_DIM, check_size
@@ -294,6 +293,8 @@ def convergence_study(k_list: list[int], m_list: list[int]) -> list[ConvergenceR
     The exact solution is ``u(x) = exp(x) + (2 - e) x - 1``.  Boundary values
     enter the right-hand side through the one-sided boundary weights.
     """
+    from scipy.sparse.linalg import spsolve
+
     rows = []
     for k in k_list:
         for m in m_list:
@@ -301,7 +302,7 @@ def convergence_study(k_list: list[int], m_list: list[int]) -> list[ConvergenceR
             x = np.arange(1, m) / m
             rhs = np.exp(x) - boundary @ np.array([0.0, 1.0])
             try:
-                u_num = spla.spsolve(sp.csc_matrix(interior), rhs)
+                u_num = spsolve(sp.csc_matrix(interior), rhs)
             except Exception as exc:  # singular factorisation
                 raise NumericFailure(f"Dirichlet solve failed for k={k}, m={m}: {exc}") from exc
             if not np.all(np.isfinite(u_num)):

@@ -367,7 +367,7 @@ class TestEvolveCommand:
         assert len(rows) == 11
         summary = json.loads((tmp_path / "demo_evolve.json").read_text())["results"]
         assert summary["measured_error_T"] <= summary["component_bound_j1_T"] + 1e-8
-        assert summary["reference_method"] == "LSODA"
+        assert summary["reference_method"] == "LSODA" and "reference_difference" not in summary
         shares = [float(r[3]) for r in rows]
         assert all(s >= 1.0 / 4 - 1e-12 for s in shares)
 
@@ -746,28 +746,30 @@ class TestLinearizeAndCost:
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "cost"
         config["pde"]["m"] = 32
-        ode = rd.discretize(cli.pde_from_config(config["pde"]))
+        problem = cli.pde_from_config(config["pde"])
         written = {}
         for tol in (1e-6, 1e-10):
             config["numerics"] = {"epsilon": 1e-2, "reference_tol": tol}
             config["output"] = {"prefix": f"tol{tol:g}"}
             assert run_config(config, tmp_path) == 0
             est = json.loads((tmp_path / f"tol{tol:g}_cost.json").read_text())["results"]["estimate"]
-            ref = node.reference_solve(ode, tol=tol, t_eval=[0.0, ode.T])
+            ref = rd.etdrk4_reference(problem, tol=tol, t_eval=[0.0, problem.T])
             assert est["u_T_norm"] == float(np.linalg.norm(ref.u[-1]))
             written[tol] = est["u_T_norm"]
         assert written[1e-6] != written[1e-10]
 
-    @pytest.mark.parametrize("d, m, method", [(1, 32, "LSODA"), (2, 24, "DOP853")])
-    def test_pde_cost_names_its_reference_method(self, tmp_path, d, m, method):
-        # n = 32 is within the dense-F1 limit (512), n = 576 above it
+    @pytest.mark.parametrize("d, m", [(1, 32), (2, 24)])
+    def test_pde_cost_names_its_reference_method(self, tmp_path, d, m):
+        # n = 32 is within the dense-F1 limit (512), n = 576 above it: a PDE
+        # takes ETDRK4 at both, and writes the difference of its last two runs
         config = json.loads(json.dumps(PDE_DEMO))
         config["command"] = "cost"
         config["pde"].update(d=d, m=m, b=0.1)
         config["numerics"] = {"N": 3}
         assert run_config(config, tmp_path) == 0
         results = json.loads((tmp_path / "demo_cost.json").read_text())["results"]
-        assert results["reference_method"] == method
+        assert results["reference_method"] == "ETDRK4"
+        assert 0 < results["reference_difference"] <= cli.NUMERIC_DEFAULTS["reference_tol"]
 
     def test_cost_refuses_r_at_least_one_with_an_explicit_order(self, tmp_path, capsys):
         # R = 2: u' = -u + 2 u^2 from u = 1 blows up at t = ln 2, so the
@@ -776,6 +778,23 @@ class TestLinearizeAndCost:
         config["command"] = "cost"
         config["ode"]["FM"] = {"entries": [[0, 0, 2.0]]}
         config["numerics"] = {"N": 5}
+        assert run_config(config, tmp_path) == 2
+        assert "cost model requires R < 1" in capsys.readouterr().err
+        assert not (tmp_path / "demo_cost.json").exists()
+
+    def test_pde_cost_refuses_r_at_least_one_before_its_reference(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the demo at m = 128 has R = 1.39: neither reference may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reference ran before the R >= 1 refusal")
+
+        monkeypatch.setattr(rd, "etdrk4_reference", refuse)
+        monkeypatch.setattr(node, "reference_solve", refuse)
+        config = json.loads(json.dumps(PDE_DEMO))
+        config["command"] = "cost"
+        config["pde"]["m"] = 128
+        config["numerics"] = {"N": 9}
         assert run_config(config, tmp_path) == 2
         assert "cost model requires R < 1" in capsys.readouterr().err
         assert not (tmp_path / "demo_cost.json").exists()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from carlemanlab import nonlinear_ode as node
+from carlemanlab import pde as rd
 from carlemanlab.bounds import required_carleman_order
 from carlemanlab.cost import (
     CostEstimate,
@@ -143,12 +144,13 @@ class TestOdeCostEstimate:
         assert est.assumptions == ["leading-order: unit constants, natural logs clamped at 1"]
 
     def test_estimates_never_integrate(self, bernoulli_ode, monkeypatch):
-        # the model prices the |u(T)| it is given: both integrator entry points refuse to run
+        # the model prices the |u(T)| it is given: every integrator entry point refuses to run
         def refuse(*args, **kwargs):
             raise AssertionError("the cost model integrated the ODE")
 
         monkeypatch.setattr(node, "reference_solve", refuse)
         monkeypatch.setattr(node, "dop853_samples", refuse)
+        monkeypatch.setattr(rd, "etdrk4_reference", refuse)
         est = bernoulli_estimate(bernoulli_ode, 0.01, u_T_norm=0.5)
         assert est.u_T_norm == 0.5
         pde = cost_pde()

@@ -28,12 +28,35 @@ from carlemanlab.nonlinear_ode import (
     reference_solve,
     rescale,
 )
-from carlemanlab.pde import discretize, one_sparse_nonlinearity, ReactionDiffusionProblem
+from carlemanlab.pde import (
+    ReactionDiffusionProblem,
+    discretize,
+    etdrk4_reference,
+    one_sparse_nonlinearity,
+)
 
 from conftest import make_two_dim_instance, raised_cosine, rescaled_ode
 
 #: 101 uniform reference samples on [0, 1]
 SAMPLES = np.linspace(0.0, 1.0, 101)
+
+
+def decay_reference(method: str, u_in: np.ndarray, b: float, *, T: float, t_eval: np.ndarray):
+    """``u' = -u + b u^2`` per component from ``u_in``: LSODA on the ODE, or ETDRK4 on a
+    periodic grid of ``u_in.size`` points without diffusion."""
+    n = u_in.size
+    if method == "LSODA":
+        ode = NonlinearODE(
+            n=n, M=2, F1=-sp.identity(n, format="csr"), FM=one_sparse_nonlinearity(n, 2, b),
+            u_in=u_in, T=T,
+        )
+        return reference_solve(ode, tol=1e-10, t_eval=t_eval)
+    pde = ReactionDiffusionProblem(diffusion=0.0, c=-1.0, b=b, M=2, d=1, m=n, k=1, initial=u_in, T=T)
+    return etdrk4_reference(pde, tol=1e-10, t_eval=t_eval)
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("the reference integrated an ODE it refuses")
 
 
 class TestLambda0:
@@ -247,29 +270,23 @@ class TestReferenceSolve:
         with pytest.raises(TypeError, match=missing):
             reference_solve(bernoulli_ode, **kwargs)
 
-    @pytest.mark.parametrize("n, method", [(1, "LSODA"), (DENSE_F1_MAX_N + 1, "DOP853")])
+    @pytest.mark.parametrize("n, method", [(1, "LSODA"), (DENSE_F1_MAX_N + 1, "ETDRK4")])
     def test_zero_horizon_is_the_initial_state(self, n, method):
         u_in = np.linspace(0.5, 1.0, n)
-        ode = NonlinearODE(
-            n=n, M=2, F1=-sp.identity(n, format="csr"), FM=sp.csr_matrix((n, n * n)), u_in=u_in,
-        )
-        traj = reference_solve(ode, T=0.0, tol=1e-10, t_eval=np.array([0.0]))
+        traj = decay_reference(method, u_in, 0.0, T=0.0, t_eval=np.array([0.0]))
         np.testing.assert_array_equal(traj.t, [0.0])
         np.testing.assert_array_equal(traj.u, u_in[None, :])
         assert traj.method == method
 
-    @pytest.mark.parametrize("n", [1, DENSE_F1_MAX_N + 1], ids=["LSODA", "DOP853"])
-    def test_blow_up_is_numeric_failure_not_a_warning(self, n):
+    @pytest.mark.parametrize("n, method", [(1, "LSODA"), (DENSE_F1_MAX_N + 1, "ETDRK4")],
+                             ids=["LSODA", "ETDRK4"])
+    def test_blow_up_is_numeric_failure_not_a_warning(self, n, method):
         # u' = -u + 2 u^2 from u = 1 blows up at t = ln 2 < T: the overflow on
         # the way is refused as a numeric failure, under warnings raised as errors too
-        ode = NonlinearODE(
-            n=n, M=2, F1=-sp.identity(n, format="csr"), FM=one_sparse_nonlinearity(n, 2, 2.0),
-            u_in=np.ones(n), T=1.0,
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericFailure):
-                reference_solve(ode, tol=1e-10, t_eval=SAMPLES)
+                decay_reference(method, np.ones(n), 2.0, T=1.0, t_eval=SAMPLES)
 
     def test_tolerance_window(self, bernoulli_ode):
         with pytest.raises(ValidationError):
@@ -279,7 +296,8 @@ class TestReferenceSolve:
 
 
 class TestReferenceMethod:
-    """LSODA with the analytic Jacobian up to the dense-F1 limit, DOP853 above it."""
+    """LSODA with the analytic Jacobian up to the dense-F1 limit; an ODE above it is
+    refused, and a PDE grid of any size takes ETDRK4."""
 
     @pytest.mark.parametrize("n", [1, DENSE_F1_MAX_N])
     @pytest.mark.parametrize("rate", [1.0, 3850.0])
@@ -291,17 +309,24 @@ class TestReferenceMethod:
         assert traj.method == "LSODA"
         np.testing.assert_allclose(traj.u[-1], np.exp(-1.0), atol=1e-9)
 
-    def test_no_dense_jacobian_above_dense_f1_limit(self):
-        # stiff, but a dense Jacobian is not allowed here
+    def test_no_dense_jacobian_above_dense_f1_limit(self, monkeypatch):
+        # stiff, but a dense Jacobian is not allowed here: the ODE is refused
+        # before it integrates, and the same decay on a PDE grid takes ETDRK4
         n = DENSE_F1_MAX_N + 1
         rate = 3850.0
         F1 = sp.identity(n, format="csr") * -rate
         ode = NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n))
-        traj = reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0 / rate]))
-        assert traj.method == "DOP853"
-        np.testing.assert_allclose(traj.u[-1], np.exp(-1.0), atol=1e-9)
+        monkeypatch.setattr(NonlinearODE, "rhs", _no_integration)
+        with pytest.raises(SizeLimitError, match="reference integrator dimension"):
+            reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array([0.0, 1.0 / rate]))
         with pytest.raises(ValidationError):
             ode.jacobian(ode.u_in)
+        pde = ReactionDiffusionProblem(
+            diffusion=0.0, c=-rate, b=0.0, M=2, d=1, m=n, k=1, initial=np.ones(n), T=1.0,
+        )
+        traj = etdrk4_reference(pde, tol=1e-10, t_eval=np.array([0.0, 1.0 / rate]))
+        assert traj.method == "ETDRK4"
+        np.testing.assert_allclose(traj.u[-1], np.exp(-1.0), atol=1e-9)
 
     def test_tightest_tolerance_runs_without_warnings(self, bernoulli_ode):
         # LSODA gets tol / 10, clamped to scipy's rtol floor 100 eps
@@ -342,7 +367,7 @@ class TestReferenceMethod:
         )
         assert np.abs(traj.u[-1] - direct.y[:, -1]).max() <= 10 * tol
 
-    def test_dop853_within_ten_tol_at_every_sample_above_the_dense_f1_limit(self):
+    def test_etdrk4_within_ten_tol_at_every_sample_above_the_dense_f1_limit(self):
         # d = 2, m = 24 (n = 576) at amplitude 0.2: read through DOP853's dense
         # output, these samples were up to 1.1e-6 off
         pde = ReactionDiffusionProblem(
@@ -351,8 +376,8 @@ class TestReferenceMethod:
         )
         ode = discretize(pde)
         tol = 1e-10
-        traj = reference_solve(ode, T=1.0, tol=tol, t_eval=SAMPLES)
-        assert traj.method == "DOP853"
+        traj = etdrk4_reference(pde, tol=tol, t_eval=SAMPLES)
+        assert traj.method == "ETDRK4"
         assert traj.t.size >= 101
         # a much tighter DOP853 run to each sample, read at the end of its last step
         t_prev, u = 0.0, ode.u_in
@@ -367,14 +392,13 @@ class TestReferenceMethod:
 
     @pytest.mark.parametrize("n", [1, DENSE_F1_MAX_N + 1])
     def test_sample_times_outside_the_horizon_are_refused(self, n):
-        # both routes refuse times that are out of order, repeated, not finite or
-        # outside [0, T]
-        F1 = sp.identity(n, format="csr") * -1.0
-        ode = NonlinearODE(n=n, M=2, F1=F1, FM=sp.csr_matrix((n, n**2)), u_in=np.ones(n))
+        # both routes (LSODA on an ODE, ETDRK4 on a PDE grid) refuse times that
+        # are out of order, repeated, not finite or outside [0, T]
+        method = "LSODA" if n <= DENSE_F1_MAX_N else "ETDRK4"
         bad = ([0.0, 1.5], [-0.5, 1.0], [0.5, 0.25], [0.25, 0.25], [0.0, np.nan], [np.nan])
         for t_eval in bad:
-            with pytest.raises(ValidationError):
-                reference_solve(ode, T=1.0, tol=1e-10, t_eval=np.array(t_eval))
+            with pytest.raises(ValidationError, match="sample times"):
+                decay_reference(method, np.ones(n), 0.0, T=1.0, t_eval=np.array(t_eval))
 
 
 class TestDop853Samples:

@@ -7,25 +7,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
+from scipy.sparse.linalg import expm_multiply
 from hypothesis import strategies as st
 
 from carlemanlab import cli, nonlinear_ode
 from carlemanlab import pde as rd
-from carlemanlab.errors import SizeLimitError, ValidationError
+from carlemanlab.carleman import SymmetricBasis, assemble
+from carlemanlab.errors import NumericFailure, SizeLimitError, ValidationError
 from carlemanlab.limits import DENSE_F1_MAX_N
 from carlemanlab.nonlinear_ode import (
     kron_power,
     lambda0,
+    max_stable_gamma,
     operator_spectral_norm,
     r_ratio,
     reference_solve,
+    rescale,
 )
 from carlemanlab.pde import (
     ReactionDiffusionProblem,
     discretisation_error_bound,
     discretize,
     estimate_derivative_bound,
+    etdrk4_reference,
     fourier_form,
     grid_matching_first_order,
     periodic_spectrum,
@@ -182,9 +188,10 @@ class TestGridSpectralScalars:
         assert ode.lambda0 == problem.c
 
     def test_large_grid_takes_no_eigensolver(self, monkeypatch):
-        # n = 90 000, where ARPACK's lambda0 alone took 28 s
-        monkeypatch.setattr(nonlinear_ode, "eigsh", _no_eigensolver)
-        monkeypatch.setattr(nonlinear_ode, "svds", _no_eigensolver)
+        # n = 90 000, where ARPACK's lambda0 alone took 28 s; lambda0 and
+        # operator_spectral_norm import their solvers when they call them
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _no_eigensolver)
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", _no_eigensolver)
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
         problem = make_pde(
             d=2, m=300, k=2, b=0.1,
@@ -354,6 +361,90 @@ class TestSemiDiscreteAccuracy:
         assert errors[32] < errors[16]
         order = np.log2(errors[16] / errors[32])
         assert order >= 2 * k - 1 - 0.5
+
+
+def carleman_level1(problem: ReactionDiffusionProblem, N: int) -> np.ndarray:
+    """Level 1 at T of the Fourier form's lift at gamma_max, by ``expm_multiply`` on the reach."""
+    fourier = fourier_form(problem)
+    gamma = max_stable_gamma(fourier.ode)
+    mat = assemble(rescale(fourier.ode, gamma), N)
+    keys = mat.reach()
+    basis = SymmetricBasis(mat.n, mat.N, keys)
+    y = expm_multiply(problem.T * mat.to_symmetric(keys), basis.lift(mat.rescaled.u_in_scaled))
+    return gamma * fourier.to_grid(basis.first_level(y))
+
+
+class TestEtdrk4Reference:
+    """The PDE reference against grid LSODA, the Carleman lift at N = 15 and itself."""
+
+    ENDS = np.array([0.0, 1.0])
+
+    @pytest.mark.parametrize("m", [32, 128])
+    def test_demo_within_lsoda_and_carleman(self, m):
+        # LSODA's floor at tol 1e-13 is about 2.3e-13; N = 13 and N = 15 differ by 1.5e-15
+        problem = make_pde(m=m)
+        ref = etdrk4_reference(problem, tol=1e-13, t_eval=self.ENDS)
+        assert ref.method == "ETDRK4" and ref.difference <= 1e-13
+        lsoda = reference_solve(discretize(problem), tol=1e-13, t_eval=self.ENDS)
+        assert np.abs(ref.u - lsoda.u).max() <= 5e-13
+        assert np.abs(ref.u[-1] - carleman_level1(problem, 15)).max() <= 1e-14
+
+    def test_measures_the_truncation_error_below_lsodas_floor(self):
+        # the demo's max-norm truncation error at N = 7 .. 13 against the reference:
+        # each |u_N - u_(N-2)| is the error at N - 2 to 5 %, and at N = 13
+        # (3.8e-15) the error is far below LSODA's difference to it (2.4e-13)
+        problem = make_pde()
+        ref = etdrk4_reference(problem, tol=1e-13, t_eval=self.ENDS).u[-1]
+        lsoda = reference_solve(discretize(problem), tol=1e-13, t_eval=self.ENDS).u[-1]
+        level1 = {N: carleman_level1(problem, N) for N in (7, 9, 11, 13)}
+        error = {N: np.abs(u - ref).max() for N, u in level1.items()}
+        for N in (9, 11, 13):
+            step = np.abs(level1[N] - level1[N - 2]).max()
+            assert step == pytest.approx(error[N - 2], rel=0.05)
+        assert 50 * error[13] <= np.abs(lsoda - ref).max()
+
+    def test_fourth_order(self):
+        # each doubling of the steps cuts the difference to a 2 000-step run 12x or more
+        problem = make_pde()
+        final = {
+            steps: rd._etdrk4_samples(problem, np.array([steps]), np.array([1.0]), {})[-1]
+            for steps in (250, 500, 1000, 2000)
+        }
+        gaps = [np.abs(final[steps] - final[2000]).max() for steps in (250, 500, 1000)]
+        assert gaps[0] >= 12 * gaps[1] and gaps[1] >= 12 * gaps[2] > 0
+
+    def test_two_dimensional_grid_within_lsoda(self):
+        problem = make_pde(
+            d=2, m=16, initial=lambda x: 0.2 * np.prod(1 + np.cos(2 * np.pi * x), axis=1)
+        )
+        ref = etdrk4_reference(problem, tol=1e-13, t_eval=self.ENDS)
+        lsoda = reference_solve(discretize(problem), tol=1e-13, t_eval=self.ENDS)
+        assert np.abs(ref.u - lsoda.u).max() <= 5e-13
+
+    def test_a_shorter_last_interval_ends_at_the_horizon(self):
+        problem = make_pde()
+        t_eval = np.array([0.0, 0.3, 0.6, 0.9, 1.0])
+        ref = etdrk4_reference(problem, tol=1e-13, t_eval=t_eval)
+        lsoda = reference_solve(discretize(problem), tol=1e-13, t_eval=self.ENDS)
+        assert ref.t[-1] == problem.T
+        assert np.abs(ref.u[-1] - lsoda.u[-1]).max() <= 5e-13
+        # the sample at 0 is the grid's initial data, untransformed
+        np.testing.assert_array_equal(ref.u[0], problem.initial_grid())
+
+    def test_no_agreement_within_the_step_limit_is_numeric_failure(self, monkeypatch):
+        # 1 to 8 steps reach a difference near 1e-5, far from 1e-13
+        monkeypatch.setattr(rd, "ETDRK4_MAX_STEPS", 8)
+        with pytest.raises(NumericFailure, match="did not agree within 1e-13 by 8 substeps"):
+            etdrk4_reference(make_pde(), tol=1e-13, t_eval=self.ENDS)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_difference_within_the_tolerance_and_runs_repeat(self, tol):
+        problem = make_pde()
+        t_eval = np.linspace(0.0, 1.0, 11)
+        runs = [etdrk4_reference(problem, tol=tol, t_eval=t_eval) for _ in range(2)]
+        assert 0 < runs[0].difference <= tol
+        np.testing.assert_array_equal(runs[0].u, runs[1].u)
+        np.testing.assert_array_equal(runs[0].t, t_eval)
 
 
 @st.composite
